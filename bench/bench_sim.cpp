@@ -36,8 +36,11 @@ runSim(benchmark::State& state, const ExprHigh& g,
             cycles = result.value().cycles;
     }
     state.counters["sim_cycles"] = static_cast<double>(cycles);
+    // One run's cycles, repeated every iteration: scale by the
+    // iteration count before dividing by the elapsed time.
     state.counters["cycles_per_sec"] = benchmark::Counter(
-        static_cast<double>(cycles), benchmark::Counter::kIsRate);
+        static_cast<double>(cycles),
+        benchmark::Counter::kIsIterationInvariantRate);
 }
 
 void

@@ -136,8 +136,10 @@ main(int argc, char** argv)
             verify.set("verify_states", verify_states);
             verify.set("reachable_pairs",
                        verdict.report.reachable_pairs);
-            verify.set("cache_hits", compiler.verifyCache().hits());
-            verify.set("cache_misses", compiler.verifyCache().misses());
+            graphiti::guard::VerdictStoreStats store =
+                compiler.verdictStore()->stats();
+            verify.set("cache_hits", store.hits);
+            verify.set("cache_misses", store.misses);
             verify.set("second_compile_cache_hit",
                        second.value().verify_cache_hit);
             std::printf("\nverify probe (gcd, governed): level=%s, "

@@ -34,10 +34,8 @@ struct TraceResult
 {
     std::size_t cycles = 0;
     std::vector<std::size_t> accepts;  // cycles the modulo accepted
-#if GRAPHITI_OBS_ENABLED
     /** Token-provenance view of the same run (docs/profiling.md). */
     obs::CritPathReport profile;
-#endif
 };
 
 TraceResult
@@ -45,12 +43,10 @@ run(const ExprHigh& g, std::shared_ptr<FnRegistry> registry)
 {
     sim::SimConfig config;
     config.trace_nodes = {findModulo(g)};
-#if GRAPHITI_OBS_ENABLED
     auto scope = std::make_shared<obs::Scope>();
     auto tracker = std::make_shared<obs::ProvenanceTracker>();
     scope->attachProvenance(tracker);
     config.obs = scope;
-#endif
     sim::Simulator simulator =
         sim::Simulator::build(g, registry, config).take();
     const std::vector<std::pair<int, int>> pairs = {
@@ -71,9 +67,7 @@ run(const ExprHigh& g, std::shared_ptr<FnRegistry> registry)
     for (const sim::TraceEvent& ev : result.value().trace)
         if (ev.detail == "accept")
             out.accepts.push_back(ev.cycle);
-#if GRAPHITI_OBS_ENABLED
     out.profile = obs::analyzeCriticalPaths(tracker->log());
-#endif
     return out;
 }
 
@@ -136,13 +130,11 @@ main(int argc, char** argv)
         obs::json::Value v{obs::json::Object{}};
         v.set("cycles", t.cycles);
         v.set("modulo_accepts", t.accepts.size());
-#if GRAPHITI_OBS_ENABLED
         // The figure-2 story, quantified: where each token's cycles
         // went, and whether loop iterations completed out of order.
         v.set("attribution", t.profile.totals.toJson());
         v.set("reorder", t.profile.reorder.toJson());
         v.set("reorder_degenerate", t.profile.reorder.degenerate());
-#endif
         return v;
     };
     report.set("in_order", variant(io));

@@ -1,15 +1,8 @@
 #!/usr/bin/env bash
-# Observability CI gate: both GRAPHITI_OBS configurations must hold
-# their side of the zero-cost contract.
-#
-#  1. OFF build: tier-1 passes, the hot-layer objects contain no
-#     instrumentation call sites (checked by metric-name strings), the
-#     served objects contain no service log/span event names, and the
-#     served-labelled suite still passes — the introspection verbs and
-#     the byte-identity contract are functional without the plane.
-#  2. ON build: tier-1 passes, including the obs-labeled suite with
-#     the <2x instrumented-gcd overhead assertion, and
-#     graphiti-report produces a valid gcd bundle.
+# Observability CI gate: tier-1 passes, including the obs-labeled
+# suite with the <2x instrumented-gcd overhead assertion, and
+# graphiti-report produces valid gcd metrics/trace/waveform and
+# profile bundles.
 #
 # Usage: ci/obs_gate.sh [build-dir-prefix]   (default: build-ci)
 
@@ -19,96 +12,16 @@ cd "$(dirname "$0")/.."
 PREFIX="${1:-build-ci}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-echo "== OFF configuration =="
-cmake -B "${PREFIX}-off" -S . -DGRAPHITI_OBS=OFF
-cmake --build "${PREFIX}-off" -j "${JOBS}"
-
-# Zero-cost check: with instrumentation compiled out, the metric-name
-# literals must not survive in the hot-layer objects.
-for probe in "rewrite.match_attempts:libgraphiti_rewrite.a" \
-             "egraph.saturations:libgraphiti_egraph.a" \
-             "refine.states_per_second:libgraphiti_refine.a" \
-             "refine.peak_bytes:libgraphiti_refine.a" \
-             "guard.verify.peak_bytes:libgraphiti_guard.a" \
-             "sim.tokens_in_flight_max:libgraphiti_sim.a"; do
-    name="${probe%%:*}"
-    lib="${probe##*:}"
-    path="$(find "${PREFIX}-off" -name "${lib}" | head -1)"
-    if [ -z "${path}" ]; then
-        echo "FAIL: ${lib} not built"
-        exit 1
-    fi
-    if strings "${path}" | grep -q "${name}"; then
-        echo "FAIL: OFF build still contains '${name}' in ${lib}"
-        exit 1
-    fi
-done
-echo "OK: no instrumentation strings in OFF hot-layer objects"
-
-# Service plane (docs/service_observability.md): the scheduler's
-# structured-log event names and span names live only behind
-# GRAPHITI_SVC_* macros / GRAPHITI_OBS_ENABLED blocks, so an OFF build
-# must strip every one of them from the served objects.
-SERVED_LIB="$(find "${PREFIX}-off" -name libgraphiti_served.a | head -1)"
-if [ -z "${SERVED_LIB}" ]; then
-    echo "FAIL: libgraphiti_served.a not built"
-    exit 1
-fi
-for name in "job.admit" "job.shed" "job.preempt" "job.wedge" \
-            "job.done" "queue-wait"; do
-    if strings "${SERVED_LIB}" | grep -qF "${name}"; then
-        echo "FAIL: OFF build still contains '${name}' in the served" \
-             "objects"
-        exit 1
-    fi
-done
-echo "OK: no service log/span strings in OFF served objects"
-
-(cd "${PREFIX}-off" && ctest --output-on-failure -j "${JOBS}")
-# Explicitly: the compile service keeps its whole contract (framing,
-# admission, byte identity, introspection verbs) with the plane
-# compiled out.
-(cd "${PREFIX}-off" && ctest -L served --output-on-failure)
-
-# metricsz under OFF: the verb still answers — all zeros, but the
-# alias families are present, so a scraper pointed at an OFF-build
-# fleet sees flat lines instead of scrape errors
-# (docs/verification_observability.md).
-echo "== OFF metricsz zeros smoke =="
-OFF_SOCK="$(mktemp -u /tmp/graphiti-obs-gate-XXXXXX.sock)"
-"${PREFIX}-off/tools/graphiti-served" --socket "${OFF_SOCK}" \
-    --workers 1 &
-OFF_PID=$!
-trap 'kill "${OFF_PID}" 2>/dev/null || true' EXIT
-for _ in $(seq 1 50); do
-    [ -S "${OFF_SOCK}" ] && break
-    sleep 0.1
-done
-OFF_METRICS="$("${PREFIX}-off/tools/graphiti-client" \
-    --socket "${OFF_SOCK}" --metricsz)"
-kill "${OFF_PID}" 2>/dev/null || true
-wait "${OFF_PID}" 2>/dev/null || true
-trap - EXIT
-echo "${OFF_METRICS}" | grep -q "^graphiti_verify_states_total 0$" || {
-    echo "FAIL: OFF metricsz missing 'graphiti_verify_states_total 0'"
-    exit 1
-}
-echo "${OFF_METRICS}" | grep -q "^graphiti_verify_peak_bytes 0$" || {
-    echo "FAIL: OFF metricsz missing 'graphiti_verify_peak_bytes 0'"
-    exit 1
-}
-echo "OK: OFF build answers metricsz with zeroed alias families"
-
-echo "== ON configuration =="
-cmake -B "${PREFIX}-on" -S . -DGRAPHITI_OBS=ON
-cmake --build "${PREFIX}-on" -j "${JOBS}"
+echo "== build =="
+cmake -B "${PREFIX}" -S .
+cmake --build "${PREFIX}" -j "${JOBS}"
 # Full tier-1; the obs label carries ObsGcd.OverheadUnderTwoTimes.
-(cd "${PREFIX}-on" && ctest --output-on-failure -j "${JOBS}")
-(cd "${PREFIX}-on" && ctest -L obs --output-on-failure)
+(cd "${PREFIX}" && ctest --output-on-failure -j "${JOBS}")
+(cd "${PREFIX}" && ctest -L obs --output-on-failure)
 
 echo "== gcd bundle smoke =="
 OUT="$(mktemp -d)"
-"${PREFIX}-on/tools/graphiti-report" gcd --out-dir "${OUT}"
+"${PREFIX}/tools/graphiti-report" gcd --out-dir "${OUT}"
 python3 - "$OUT" <<'EOF'
 import json, sys
 out = sys.argv[1]
@@ -125,7 +38,7 @@ print("OK: bundle valid (all three layers nonzero)")
 EOF
 
 echo "== gcd profile smoke =="
-"${PREFIX}-on/tools/graphiti-report" gcd --no-verify \
+"${PREFIX}/tools/graphiti-report" gcd --no-verify \
     --out-dir "${OUT}" --provenance --critpath
 python3 - "$OUT" <<'EOF'
 import json, sys
@@ -150,6 +63,6 @@ print("OK: profile valid (attribution exact; reorder degenerate only "
 EOF
 
 echo "== perf gate (warn-only) =="
-ci/perf_gate.sh "${PREFIX}-on"
+ci/perf_gate.sh "${PREFIX}"
 
 echo "obs gate: all checks passed"

@@ -27,6 +27,13 @@
 # blocking — only the same-machine back-to-back pairing makes them
 # meaningful at all).
 #
+# Repository benchmark smoke (perfbench/README.md): the gate configures
+# perfbench/ into a temp dir, builds it from the current sources, runs
+# every workload for 2 s with the layer ledger on, and FAILS unless
+# each run is correct with ok_rate (1 - failed/attempted) 1. Nothing else in CI builds
+# perfbench, yet it links the service observer, the verdict store and
+# the compile/verify timers by name.
+#
 # Usage: ci/perf_gate.sh [build-dir] [--enforce]   (default: build)
 
 set -euo pipefail
@@ -96,3 +103,30 @@ else
     echo "perf gate: skip: ${SERVED} not built (isolation overhead" \
          "not measured)"
 fi
+
+# --- Repository benchmark smoke: build perfbench/ out of tree and run
+# each workload briefly, traced. Blocking: a workload that does not
+# build, run or answer every op correctly fails the gate.
+PERFBENCH_BUILD="$(mktemp -d)"
+trap 'rm -f "${CURRENT}" "${INTHREAD}" "${ISOLATED}" "${STORM}";
+      rm -rf "${PERFBENCH_BUILD}"' EXIT
+cmake -S perfbench -B "${PERFBENCH_BUILD}" -DCMAKE_BUILD_TYPE=Release \
+    > /dev/null
+cmake --build "${PERFBENCH_BUILD}" --target perfbench \
+    -j "$(nproc 2>/dev/null || echo 4)" > /dev/null
+for workload in paper-suite served-mix; do
+    RESULT="$(CARGO_TARGET_DIR="${PERFBENCH_BUILD}" python3 perfbench/run.py \
+        --workload "${workload}" --seed 1 --seconds 2 --trace 1 | tail -1)"
+    python3 - "${workload}" "${RESULT}" <<'EOF'
+import json, sys
+workload, doc = sys.argv[1], json.loads(sys.argv[2])
+# A traced run prints only per-layer metrics; ok_rate is
+# 1 - failed/attempted either way.
+attempted = doc["attempted"]
+ok_rate = (attempted - doc["failed"]) / attempted if attempted else 0
+print(f"perf gate: perfbench {workload}: correct={doc['correct']} "
+      f"ok_rate={ok_rate} ({attempted} ops)")
+if not doc["correct"] or ok_rate != 1:
+    sys.exit(f"perf gate: FAIL: perfbench {workload} ok_rate {ok_rate}")
+EOF
+done

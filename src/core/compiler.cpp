@@ -154,18 +154,9 @@ Compiler::compileGraph(const ExprHigh& graph,
         report.verify_cache_key = guard::formatCacheKey(key);
         bool cacheable =
             options.verify_cache && guard::isCacheable(budget);
-        if (cacheable && verdict_store_ == nullptr &&
-            !options.verify_cache_file.empty()) {
-            Result<bool> loaded =
-                verify_cache_.loadFile(options.verify_cache_file);
-            if (!loaded.ok())
-                return loaded.error().context("compileGraph");
-        }
         std::optional<guard::VerificationVerdict> cached;
         if (cacheable)
-            cached = verdict_store_ != nullptr
-                         ? verdict_store_->lookup(key)
-                         : verify_cache_.lookup(key);
+            cached = verdict_store_->lookup(key);
         if (cached) {
             report.verdict = *cached;
             report.verify_cache_hit = true;
@@ -186,20 +177,8 @@ Compiler::compileGraph(const ExprHigh& graph,
             // for every future deterministic request.
             if (cacheable && options.stop.stopRequested())
                 cacheable = false;
-            if (cacheable) {
-                if (verdict_store_ != nullptr) {
-                    verdict_store_->store(key, report.verdict);
-                } else {
-                    verify_cache_.store(key, report.verdict);
-                    if (!options.verify_cache_file.empty()) {
-                        Result<bool> saved = verify_cache_.saveFile(
-                            options.verify_cache_file);
-                        if (!saved.ok())
-                            return saved.error().context(
-                                "compileGraph");
-                    }
-                }
-            }
+            if (cacheable)
+                verdict_store_->store(key, report.verdict);
         }
         report.verification_level =
             guard::toString(report.verdict.level);
@@ -209,9 +188,7 @@ Compiler::compileGraph(const ExprHigh& graph,
             report.verdict.explore_peak_bytes;
         report.verify_game_peak_bytes = report.verdict.report.peak_bytes;
         GRAPHITI_OBS_GAUGE("guard.verify.peak_bytes.cache",
-                           verdict_store_ != nullptr
-                               ? verdict_store_->approxBytes()
-                               : verify_cache_.approxBytes());
+                           verdict_store_->approxBytes());
         // A counterexample on any rung is a genuine violation and
         // fails the compilation; level "none" without one just means
         // the budget bought no assurance — the report says so.
@@ -254,7 +231,6 @@ Compiler::profileRun(const ExprHigh& graph,
                      const faults::Workload& workload,
                      const ProfileOptions& options)
 {
-#if GRAPHITI_OBS_ENABLED
     auto scope = std::make_shared<obs::Scope>();
     auto tracker =
         std::make_shared<obs::ProvenanceTracker>(options.provenance);
@@ -280,13 +256,6 @@ Compiler::profileRun(const ExprHigh& graph,
                                               options.critpath);
     bundle.sim = run.take();
     return bundle;
-#else
-    (void)graph;
-    (void)workload;
-    (void)options;
-    return err("profileRun requires a GRAPHITI_OBS=ON build "
-               "(provenance hooks compile to no-ops when disabled)");
-#endif
 }
 
 }  // namespace graphiti

@@ -32,7 +32,6 @@
 #include "guard/governor.hpp"
 #include "guard/validator.hpp"
 #include "guard/verdict_store.hpp"
-#include "guard/verify_cache.hpp"
 #include "obs/critpath.hpp"
 #include "obs/scope.hpp"
 #include "refine/refinement.hpp"
@@ -91,15 +90,13 @@ struct CompileOptions
      */
     std::size_t threads = 0;
     /**
-     * Memoize governed verdicts by a canonical structural hash of
-     * (circuits, budget, token domain), so recompiling an unchanged
-     * circuit skips exploration. Only deterministic verdicts
-     * (deadline_seconds == 0) are ever cached.
+     * Memoize governed verdicts in the compiler's guard::VerdictStore,
+     * keyed by a canonical structural hash of (circuits, budget, token
+     * domain), so recompiling an unchanged circuit skips exploration.
+     * Only deterministic verdicts (deadline_seconds == 0) are ever
+     * cached.
      */
     bool verify_cache = true;
-    /** Optional JSON file the verdict cache persists through (loaded
-     * before the governed rung, saved after a miss). */
-    std::string verify_cache_file;
     /**
      * Caller-owned cancellation handle (must be armed — see
      * StopToken::manual / withDeadline — to have any effect). The
@@ -132,7 +129,7 @@ struct CompileReport
     std::string degradation_reason;
     /** Full governed-verification verdict (level None when not run). */
     guard::VerificationVerdict verdict;
-    /** The governed verdict came from the verification cache — no
+    /** The governed verdict came from the verdict store — no
      * exploration ran for it. */
     bool verify_cache_hit = false;
     /** Canonical cache key of the governed verification ("0x…");
@@ -143,7 +140,7 @@ struct CompileReport
      * exploration (both state spaces + dedup indexes) and simulation
      * game. Resource accounting only: deterministic per
      * (seed, budget) at any thread count, 0 on a cache hit (no
-     * exploration ran) or when observability is compiled out.
+     * exploration ran).
      */
     std::size_t verify_explore_peak_bytes = 0;
     std::size_t verify_game_peak_bytes = 0;
@@ -223,24 +220,19 @@ class Compiler
      * simulate, and replay the hop log into per-token critical paths
      * and cycle attributions (compute / queue wait / backpressure).
      * Uses this compiler's pure-fn registry, so call it after
-     * compileGraph when profiling a transformed circuit. Errors under
-     * GRAPHITI_OBS=OFF builds — provenance hooks compile to no-ops
-     * there, so a profile would be silently empty.
+     * compileGraph when profiling a transformed circuit.
      */
     Result<ProfileBundle> profileRun(const ExprHigh& graph,
                                      const faults::Workload& workload,
                                      const ProfileOptions& options = {});
 
-    /** The in-process governed-verdict cache (hits/misses/size). */
-    const guard::VerifyCache& verifyCache() const { return verify_cache_; }
-
     /**
-     * Share a sharded, LRU-bounded, crash-safe verdict store (the
-     * served daemon's): when set, governed verdict lookups and
-     * commits go through it instead of the per-Compiler cache, so
-     * every request — and every daemon restart — sees the same
-     * committed verdicts. The store is thread-safe; the Compiler
-     * itself still is not (use one Compiler per job).
+     * Every governed verdict lookup and commit goes through this
+     * store: by default a memory-only store of this compiler's own.
+     * Hand in a shared, non-null one (the served daemon's, or one
+     * with a persistence `dir`) so every request — and every restart
+     * — sees the same committed verdicts. The store is thread-safe;
+     * the Compiler itself still is not (use one Compiler per job).
      */
     void
     setVerdictStore(std::shared_ptr<guard::VerdictStore> store)
@@ -255,8 +247,8 @@ class Compiler
 
   private:
     Environment env_;
-    guard::VerifyCache verify_cache_;
-    std::shared_ptr<guard::VerdictStore> verdict_store_;
+    std::shared_ptr<guard::VerdictStore> verdict_store_ =
+        std::make_shared<guard::VerdictStore>();
 };
 
 }  // namespace graphiti

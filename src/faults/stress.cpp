@@ -70,7 +70,6 @@ firstDifference(const sim::SimResult& got, const sim::SimResult& want)
 void
 recordStressMetrics(const StressReport& report)
 {
-#if GRAPHITI_OBS_ENABLED
     obs::Scope* scope = obs::current();
     if (scope == nullptr)
         return;
@@ -98,9 +97,6 @@ recordStressMetrics(const StressReport& report)
             sink->event(rec);
         }
     }
-#else
-    (void)report;
-#endif
 }
 
 /**

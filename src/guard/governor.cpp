@@ -81,14 +81,11 @@ Governor::verify(const DenotedModule& impl, const DenotedModule& spec,
     VerificationVerdict verdict;
     std::ostringstream why;
 
-#if GRAPHITI_OBS_ENABLED
     auto verify_start = std::chrono::steady_clock::now();
-#endif
     // Mark a rung/phase transition on the job's progress probe (and
     // refresh the deadline headroom). Observation only — the ladder's
     // control flow never reads the probe.
     auto obs_rung = [&](obs::VerifyPhase phase, const char* rung) {
-#if GRAPHITI_OBS_ENABLED
         if (obs::Scope* scope = obs::current()) {
             if (obs::VerifyProbe* probe = scope->verifyProbe()) {
                 probe->beginPhase(phase, rung);
@@ -103,15 +100,10 @@ Governor::verify(const DenotedModule& impl, const DenotedModule& spec,
                 }
             }
         }
-#else
-        (void)phase;
-        (void)rung;
-#endif
     };
     // Roll a winning rung's high-water bytes into the scope gauges.
     auto obs_peaks = [&](std::size_t explore_bytes,
                          std::size_t game_bytes) {
-#if GRAPHITI_OBS_ENABLED
         GRAPHITI_OBS_GAUGE_MAX("guard.verify.peak_bytes.explore",
                                explore_bytes);
         GRAPHITI_OBS_GAUGE_MAX("guard.verify.peak_bytes.game",
@@ -119,10 +111,6 @@ Governor::verify(const DenotedModule& impl, const DenotedModule& spec,
         GRAPHITI_OBS_GAUGE_MAX("guard.verify.peak_bytes.total",
                                explore_bytes + game_bytes);
         GRAPHITI_OBS_VPROBE(notePeakBytes(explore_bytes + game_bytes));
-#else
-        (void)explore_bytes;
-        (void)game_bytes;
-#endif
     };
 
     // Rung 1: full exploration + exact game.

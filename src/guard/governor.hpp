@@ -113,7 +113,7 @@ struct VerificationVerdict
      * only: deliberately NOT part of toJson() — cached verdicts
      * round-trip through that JSON and golden tests compare it
      * byte-for-byte — so a cache hit honestly reports 0 (no
-     * exploration ran). 0 when observability is compiled out.
+     * exploration ran).
      */
     std::size_t explore_peak_bytes = 0;
 

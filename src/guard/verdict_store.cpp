@@ -1,12 +1,164 @@
 #include "guard/verdict_store.hpp"
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <sys/stat.h>
 
+#include "dot/dot.hpp"
 #include "obs/scope.hpp"
 
 namespace graphiti::guard {
+
+namespace {
+
+std::uint64_t
+fnv1a64(std::uint64_t h, const std::string& s)
+{
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+std::uint64_t
+fnv1a64(std::uint64_t h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (i * 8)) & 0xff;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+std::uint64_t
+fnv1a64Double(std::uint64_t h, double d)
+{
+    // Doubles hash via a fixed decimal rendering, so the key does not
+    // depend on in-memory bit patterns of equal-printing values.
+    std::ostringstream os;
+    os << d;
+    return fnv1a64(h, os.str());
+}
+
+VerificationLevel
+levelFromString(const std::string& name)
+{
+    if (name == "full")
+        return VerificationLevel::Full;
+    if (name == "bounded-partial")
+        return VerificationLevel::BoundedPartial;
+    if (name == "trace-inclusion")
+        return VerificationLevel::TraceInclusion;
+    return VerificationLevel::None;
+}
+
+std::string
+fieldString(const obs::json::Value& v, const char* key)
+{
+    const obs::json::Value* f = v.find(key);
+    return (f != nullptr && f->isString()) ? f->asString() : "";
+}
+
+std::size_t
+fieldCount(const obs::json::Value& v, const char* key)
+{
+    const obs::json::Value* f = v.find(key);
+    return (f != nullptr && f->isNumber())
+               ? static_cast<std::size_t>(f->asNumber())
+               : 0;
+}
+
+/** Size-based byte estimate of one verdict (strings deep, capacity
+ * slack ignored). */
+std::size_t
+verdictApproxBytes(const VerificationVerdict& verdict)
+{
+    return sizeof(VerificationVerdict) +
+           verdict.degradation_reason.size() +
+           verdict.counterexample.size() +
+           verdict.report.counterexample.size();
+}
+
+}  // namespace
+
+std::uint64_t
+verificationCacheKey(const ExprHigh& transformed,
+                     const ExprHigh& original,
+                     const VerificationBudget& budget,
+                     const std::vector<Token>& tokens)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    h = fnv1a64(h, printDot(transformed));
+    h = fnv1a64(h, printDot(original));
+    h = fnv1a64Double(h, budget.deadline_seconds);
+    h = fnv1a64(h, budget.max_states);
+    h = fnv1a64(h, budget.partial_max_states);
+    h = fnv1a64(h, budget.input_budget);
+    h = fnv1a64(h, budget.trace_walks);
+    h = fnv1a64(h, budget.trace.max_steps);
+    h = fnv1a64Double(h, budget.trace.input_bias);
+    h = fnv1a64(h, budget.trace.max_inputs);
+    h = fnv1a64(h, budget.seed);
+    // budget.threads and budget.spill_bytes deliberately excluded:
+    // verdicts are thread-count independent by construction, and the
+    // frontier spill tier is pure memory policy — the explored space
+    // is byte-identical with or without it.
+    h = fnv1a64(h, tokens.size());
+    for (const Token& token : tokens)
+        h = fnv1a64(h, token.toString());
+    return h;
+}
+
+std::string
+formatCacheKey(std::uint64_t key)
+{
+    char buf[19];
+    std::snprintf(buf, sizeof(buf), "0x%016llx",
+                  static_cast<unsigned long long>(key));
+    return buf;
+}
+
+bool
+isCacheable(const VerificationBudget& budget)
+{
+    return budget.deadline_seconds == 0.0;
+}
+
+Result<VerificationVerdict>
+verdictFromJson(const obs::json::Value& v)
+{
+    if (!v.isObject())
+        return err("verdict JSON is not an object");
+    const obs::json::Value* level = v.find("level");
+    const obs::json::Value* ok = v.find("ok");
+    if (level == nullptr || !level->isString() || ok == nullptr ||
+        !ok->isBool())
+        return err("verdict JSON lacks level/ok");
+    VerificationVerdict verdict;
+    verdict.level = levelFromString(level->asString());
+    verdict.ok = ok->asBool();
+    const obs::json::Value* refines = v.find("refines");
+    verdict.refines = refines != nullptr && refines->isBool() &&
+                      refines->asBool();
+    verdict.degradation_reason = fieldString(v, "degradation_reason");
+    verdict.counterexample = fieldString(v, "counterexample");
+    if (const obs::json::Value* game = v.find("game")) {
+        verdict.report.impl_states = fieldCount(*game, "impl_states");
+        verdict.report.spec_states = fieldCount(*game, "spec_states");
+        verdict.report.reachable_pairs =
+            fieldCount(*game, "reachable_pairs");
+        verdict.report.fixpoint_iterations =
+            fieldCount(*game, "fixpoint_iterations");
+        // toJson does not serialize the game-side duplicates; restore
+        // them consistently with how the compiler consumes verdicts.
+        verdict.report.refines = verdict.ok;
+        verdict.report.counterexample = verdict.counterexample;
+    }
+    verdict.trace_walks_run = fieldCount(v, "trace_walks_run");
+    return verdict;
+}
 
 obs::json::Value
 VerdictStoreStats::toJson() const
@@ -128,8 +280,8 @@ void
 VerdictStore::persistShardLocked(std::size_t index) const
 {
     ::mkdir(config_.dir.c_str(), 0755);  // EEXIST is fine
-    Result<bool> wrote =
-        writeJsonAtomic(shardPath(index), shardJsonLocked(shards_[index]));
+    Result<bool> wrote = obs::json::writeFileAtomic(
+        shardPath(index), shardJsonLocked(shards_[index]));
     if (!wrote.ok())
         GRAPHITI_OBS_COUNT("guard.verify.store_persist_errors", 1);
 }
@@ -176,6 +328,10 @@ VerdictStore::load()
             }
             std::uint64_t parsed_key = std::strtoull(
                 key->asString().c_str(), nullptr, 16);
+            if (formatCacheKey(parsed_key) != key->asString()) {
+                ++corrupt;  // not a key this store ever wrote
+                continue;
+            }
             if (shardOf(parsed_key) != index) {
                 ++corrupt;  // entry filed under the wrong shard
                 continue;
@@ -215,8 +371,8 @@ VerdictStore::save() const
     for (std::size_t index = 0; index < shards_.size(); ++index) {
         const Shard& shard = shards_[index];
         std::lock_guard<std::mutex> lock(shard.mutex);
-        Result<bool> wrote = writeJsonAtomic(shardPath(index),
-                                             shardJsonLocked(shard));
+        Result<bool> wrote = obs::json::writeFileAtomic(
+            shardPath(index), shardJsonLocked(shard));
         if (!wrote.ok())
             return wrote.error().context("verdict store save");
     }

@@ -3,9 +3,23 @@
 
 /**
  * @file
- * The served verdict store: the per-Compiler VerifyCache promoted to
- * a sharded, LRU-bounded, crash-safe map shared across requests
- * (docs/service.md).
+ * Memoization of governed verification verdicts: the verdict key, the
+ * verdict JSON codec and the one store every verdict lookup and commit
+ * goes through.
+ *
+ * A governed verdict with deadline_seconds == 0 is a pure function of
+ * (transformed circuit, original circuit, budget, token domain): the
+ * ladder is driven by deterministic state caps and seeds, and thread
+ * count never changes the result (docs/parallelism.md). The store
+ * keys verdicts by a canonical structural hash of exactly those
+ * inputs, so recompiling an unchanged circuit skips exploration
+ * entirely. Deadline-governed verdicts are wall-clock dependent and
+ * are never cached.
+ *
+ * Each Compiler owns a memory-only store unless it is handed a shared
+ * one (Compiler::setVerdictStore) — the served daemon shares one
+ * across requests (docs/service.md), optionally persisted to a
+ * directory so verdicts survive restarts.
  *
  * Sharding: the top bits of the (already uniform) FNV-1a cache key
  * pick a shard; each shard has its own mutex, so concurrent jobs on
@@ -32,9 +46,34 @@
 #include <unordered_map>
 #include <vector>
 
-#include "guard/verify_cache.hpp"
+#include "graph/expr_high.hpp"
+#include "guard/governor.hpp"
+#include "support/token.hpp"
 
 namespace graphiti::guard {
+
+/**
+ * Canonical cache key: FNV-1a 64 over the printed circuits (printDot
+ * is a canonical rendering — round-trips parseDot), every
+ * verdict-relevant budget field, and the token domain.
+ * VerificationBudget::threads is deliberately excluded: thread count
+ * never changes a verdict.
+ */
+std::uint64_t verificationCacheKey(const ExprHigh& transformed,
+                                   const ExprHigh& original,
+                                   const VerificationBudget& budget,
+                                   const std::vector<Token>& tokens);
+
+/** @p key rendered the way reports and shard files spell it:
+ * `0x` followed by 16 lower-case hex digits. */
+std::string formatCacheKey(std::uint64_t key);
+
+/** Rebuild a verdict from VerificationVerdict::toJson output. */
+Result<VerificationVerdict> verdictFromJson(const obs::json::Value& v);
+
+/** True when a verdict under @p budget may be memoized (no wall-clock
+ * deadline — the verdict is deterministic). */
+bool isCacheable(const VerificationBudget& budget);
 
 /** Shape of one VerdictStore. */
 struct VerdictStoreConfig
@@ -90,8 +129,9 @@ class VerdictStore
 
     /**
      * Load every shard file from the configured directory.
-     * Corruption-tolerant: bad files/entries are skipped and counted.
-     * Returns the number of entries loaded.
+     * Corruption-tolerant: bad files/entries — including keys not
+     * spelled exactly as formatCacheKey writes them — are skipped and
+     * counted. Returns the number of entries loaded.
      */
     Result<std::size_t> load();
 

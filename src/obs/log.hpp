@@ -15,8 +15,8 @@
  * from worker lanes, the supervisor and connection threads at once.
  *
  * Call sites in the service hot path go through the
- * GRAPHITI_SVC_* macros (served/observe.hpp), which compile to
- * nothing under -DGRAPHITI_OBS=OFF; the logger itself always builds.
+ * GRAPHITI_SVC_* macros (served/observe.hpp), which skip the record
+ * when no observer is attached.
  */
 
 #include <chrono>

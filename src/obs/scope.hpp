@@ -9,11 +9,10 @@
  * state-space explorer) record without threading a pointer through
  * every signature.
  *
- * Zero cost when disabled: every call site in sim/rewrite/refine goes
- * through the GRAPHITI_OBS_* macros below, which expand to nothing
- * when the build sets GRAPHITI_OBS_ENABLED=0 (CMake option
- * GRAPHITI_OBS=OFF). The obs library itself (registry, sinks, JSON)
- * always builds — only the hot-path hooks compile out.
+ * Near-zero cost when nothing observes: every call site in
+ * sim/rewrite/refine goes through the GRAPHITI_OBS_* macros below,
+ * which cost one thread-local load and a branch when no scope is
+ * installed.
  *
  * Usage:
  *
@@ -31,11 +30,6 @@
 #include "obs/provenance.hpp"
 #include "obs/trace.hpp"
 #include "obs/vprobe.hpp"
-
-// Default to enabled when built outside CMake (the option defines it).
-#ifndef GRAPHITI_OBS_ENABLED
-#define GRAPHITI_OBS_ENABLED 1
-#endif
 
 namespace graphiti::obs {
 
@@ -114,8 +108,6 @@ timerFor(Scope* scope, const char* name)
 
 }  // namespace graphiti::obs
 
-#if GRAPHITI_OBS_ENABLED
-
 /** Increment a counter on the current scope. */
 #define GRAPHITI_OBS_COUNT(name, delta)                                  \
     do {                                                                 \
@@ -176,17 +168,5 @@ timerFor(Scope* scope, const char* name)
                 (track), static_cast<double>(cycle),                     \
                 static_cast<double>(value));                             \
     } while (0)
-
-#else  // !GRAPHITI_OBS_ENABLED
-
-#define GRAPHITI_OBS_COUNT(name, delta) do { } while (0)
-#define GRAPHITI_OBS_GAUGE(name, value) do { } while (0)
-#define GRAPHITI_OBS_GAUGE_MAX(name, value) do { } while (0)
-#define GRAPHITI_OBS_OBSERVE(name, seconds) do { } while (0)
-#define GRAPHITI_OBS_TIMER(var, name) ::graphiti::obs::ScopedTimer var{}
-#define GRAPHITI_OBS_VPROBE(call) do { } while (0)
-#define GRAPHITI_OBS_TRACK(track, cycle, value) do { } while (0)
-
-#endif  // GRAPHITI_OBS_ENABLED
 
 #endif  // GRAPHITI_OBS_SCOPE_HPP

@@ -51,10 +51,8 @@ class SimulationGame
         for (std::uint32_t s : spec.pendingFrontier())
             spec_frontier_.insert(s);
         touches_.assign(spec_.numStates(), -1);
-#if GRAPHITI_OBS_ENABLED
         if (obs::Scope* obs_scope = obs::current())
             probe_ = obs_scope->verifyProbe();
-#endif
         if (pool_.size() > 1) {
             spec_.precomputeClosures(pool_);
             if (optimistic_ && !spec_frontier_.empty()) {
@@ -77,7 +75,6 @@ class SimulationGame
         report.spec_states = spec_.numStates();
         report.reachable_pairs = alive_.size() + dead_.size();
         report.fixpoint_iterations = iterations_;
-#if GRAPHITI_OBS_ENABLED
         obsPublish();
         report.peak_bytes = peak_bytes_;
         // Lane occupancy of the game's pool — one snapshot per game.
@@ -100,7 +97,6 @@ class SimulationGame
             scope->metrics().add(
                 "pool.batches", static_cast<std::int64_t>(ps.batches));
         }
-#endif
         PairKey initial = pairKey(impl_.initialState(),
                                   spec_.initialState());
         report.refines = alive_.count(initial) > 0;
@@ -253,9 +249,7 @@ class SimulationGame
                 }
             }
             level = std::move(next);
-#if GRAPHITI_OBS_ENABLED
             obsPublish();  // once per BFS level, never per pair
-#endif
         }
         return true;
     }
@@ -316,9 +310,7 @@ class SimulationGame
                     descend_[key] = *verdicts[i].dead_response;
                 changed = true;
             }
-#if GRAPHITI_OBS_ENABLED
             obsPublish();  // once per fixpoint round
-#endif
         }
         return true;
     }
@@ -350,7 +342,6 @@ class SimulationGame
             });
     }
 
-#if GRAPHITI_OBS_ENABLED
     /**
      * Size-based byte estimate of the game's own tables. Bucket counts
      * follow deterministically from the (thread-count-independent)
@@ -394,7 +385,6 @@ class SimulationGame
                             alive_.size());
         probe_->notePeakBytes(bytes);
     }
-#endif
 
     const StateSpace& impl_;
     const StateSpace& spec_;
@@ -408,10 +398,8 @@ class SimulationGame
     std::unordered_map<PairKey, std::string> reason_;
     std::unordered_map<PairKey, PairKey> descend_;
     std::size_t iterations_ = 0;
-#if GRAPHITI_OBS_ENABLED
     obs::VerifyProbe* probe_ = nullptr;
     std::size_t peak_bytes_ = 0;
-#endif
 };
 
 }  // namespace

@@ -353,13 +353,11 @@ StateSpace::expand(const DenotedModule& mod, std::size_t max_states)
     Result<bool> paged = pageBackSpill();
     if (!paged.ok())
         return paged;
-#if GRAPHITI_OBS_ENABLED
     std::size_t states_before = numStates();
     auto obs_start = std::chrono::steady_clock::now();
     obs::VerifyProbe* probe = nullptr;
     if (obs::Scope* obs_scope = obs::current())
         probe = obs_scope->verifyProbe();
-#endif
     // Rebuild the dedup index from the interned states; a parked
     // partial space carries no index, only its frontier. Reserve for
     // the whole run up front (capped — max_states defaults large).
@@ -442,7 +440,6 @@ StateSpace::expand(const DenotedModule& mod, std::size_t max_states)
         return id;
     };
 
-#if GRAPHITI_OBS_ENABLED
     // Bounded-cadence progress publisher: once per frontier batch in
     // the parallel path, every kPublishEvery merges in the sequential
     // one, and once at the end — never per state. Observation only;
@@ -465,7 +462,6 @@ StateSpace::expand(const DenotedModule& mod, std::size_t max_states)
                 static_cast<double>(max_states));
         probe->notePeakBytes(bytes);
     };
-#endif
 
     // Enumerate the successors of one state in the canonical order
     // (internal, then inputs port/token-major, then outputs), then
@@ -582,9 +578,7 @@ StateSpace::expand(const DenotedModule& mod, std::size_t max_states)
         // reproduces. States are interned in ascending id order and
         // expanded FIFO, so the pending set is always the contiguous
         // range [expanded_, numStates()).
-#if GRAPHITI_OBS_ENABLED
         std::size_t expanded_since_publish = 0;
-#endif
         while (expanded_ < numStates() && !capped) {
             // Cooperative cancellation: leave the state unexpanded,
             // like a cap, so the space stays resumable + edge-exact.
@@ -595,12 +589,10 @@ StateSpace::expand(const DenotedModule& mod, std::size_t max_states)
             }
             std::vector<Succ> succs = enumerate(expanded_);
             merge(succs);
-#if GRAPHITI_OBS_ENABLED
             if (++expanded_since_publish >= kPublishEvery) {
                 expanded_since_publish = 0;
                 obs_publish();
             }
-#endif
         }
     } else {
         // Batched frontier expansion: compute successor lists for the
@@ -628,11 +620,8 @@ StateSpace::expand(const DenotedModule& mod, std::size_t max_states)
                 }
                 merge(succs[id - lo]);
             }
-#if GRAPHITI_OBS_ENABLED
             obs_publish();
-#endif
         }
-#if GRAPHITI_OBS_ENABLED
         // Lane occupancy of this expansion's pool — observation only,
         // aggregated so the cost is one snapshot per expand().
         if (obs::Scope* scope = obs::current()) {
@@ -654,11 +643,9 @@ StateSpace::expand(const DenotedModule& mod, std::size_t max_states)
             scope->metrics().add(
                 "pool.batches", static_cast<std::int64_t>(ps.batches));
         }
-#endif
     }
     refreshFrontier();
 
-#if GRAPHITI_OBS_ENABLED
     obs_publish();
     if (!frontier_.empty()) {
         // Exploration parked (cap or stop) with work left over.
@@ -684,7 +671,6 @@ StateSpace::expand(const DenotedModule& mod, std::size_t max_states)
                 "refine.states_per_second",
                 static_cast<double>(grown) / seconds);
     }
-#endif
 
     // Cold frontier rows past the byte cap park on disk until the
     // next expand() pages them back. Memory policy only — happens

@@ -304,9 +304,8 @@ class StateSpace
     const SpillStats& spillStats() const { return spill_stats_; }
 
     /** High-water approxBytes() + dedup-index + spill-file estimate
-     * seen by any expansion of this space (0 until instrumentation
-     * observed it; maintained only when the build has GRAPHITI_OBS
-     * on). */
+     * seen by any expansion of this space (0 until the first
+     * expansion). */
     std::size_t peakBytes() const { return peak_bytes_; }
 
   private:

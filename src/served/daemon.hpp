@@ -114,7 +114,7 @@ class Daemon
      * (`graphiti_verify_states_total`, `graphiti_verify_peak_bytes`)
      * that fold live in-flight job telemetry into the completed-job
      * counters, plus service/scheduler/store counters. Purely
-     * read-only; answers zeros under GRAPHITI_OBS=OFF builds.
+     * read-only.
      */
     std::string metricsText() const;
 

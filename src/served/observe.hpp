@@ -19,12 +19,8 @@
  *     keyed by JobSpec kind so ping traffic cannot mask compile p99.
  *
  * Emission call sites in the scheduler and daemon go through the
- * GRAPHITI_SVC_* macros (or explicit GRAPHITI_OBS_ENABLED blocks),
- * which compile to nothing under -DGRAPHITI_OBS=OFF: the OFF build
- * strips every event-name and span-name string from the served
- * objects (ci/obs_gate.sh asserts that) while the introspection
- * verbs themselves — live job table, scheduler/store/connection
- * counters — stay functional.
+ * GRAPHITI_SVC_* macros, which skip the record when no observer is
+ * attached.
  */
 
 #include <chrono>
@@ -105,8 +101,6 @@ class ServiceObserver
 
 }  // namespace graphiti::served
 
-#if GRAPHITI_OBS_ENABLED
-
 /** Log one structured service event (fields via obs::logFields). */
 #define GRAPHITI_SVC_LOG(observer, level, job_id, event, ...)          \
     do {                                                               \
@@ -126,16 +120,5 @@ class ServiceObserver
                 (kind),                                                \
                 ::graphiti::obs::logFields(__VA_ARGS__));              \
     } while (0)
-
-#else  // !GRAPHITI_OBS_ENABLED
-
-#define GRAPHITI_SVC_LOG(observer, level, job_id, event, ...)          \
-    do {                                                               \
-    } while (0)
-#define GRAPHITI_SVC_FLIGHT(observer, kind, ...)                       \
-    do {                                                               \
-    } while (0)
-
-#endif  // GRAPHITI_OBS_ENABLED
 
 #endif  // GRAPHITI_SERVED_OBSERVE_HPP

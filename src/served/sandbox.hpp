@@ -43,7 +43,6 @@
 
 #include "core/job.hpp"
 #include "guard/governor.hpp"
-#include "guard/verify_cache.hpp"
 #include "obs/scope.hpp"
 #include "support/cancel.hpp"
 #include "support/socket.hpp"

@@ -252,7 +252,6 @@ Scheduler::completeJobLocked(const JobPtr& job, JobOutcome outcome)
             observer->scope().metrics().mergeFrom(
                 job->job_scope->metrics());
     }
-#if GRAPHITI_OBS_ENABLED
     if (observer != nullptr) {
         // The span tree of one job: its correlation id is the track,
         // queue-wait and execute are the phases (forwarded to the
@@ -302,7 +301,6 @@ Scheduler::completeJobLocked(const JobPtr& job, JobOutcome outcome)
                            job->outcome.status, "queue_wait_ms",
                            queue_wait_ms, "execute_ms", execute_ms));
     }
-#endif
     job_done_.notify_all();
     return true;
 }

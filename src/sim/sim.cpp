@@ -168,7 +168,6 @@ class Simulator::Impl
         memories_ = owner_.memories_;
         faults_ = owner_.config_.faults.get();
 
-#if GRAPHITI_OBS_ENABLED
         obs_ = owner_.config_.obs ? owner_.config_.obs.get()
                                   : obs::current();
         if (obs_ != nullptr) {
@@ -178,7 +177,6 @@ class Simulator::Impl
         obs::ScopedTimer run_timer =
             obs_ == nullptr ? obs::ScopedTimer{}
                             : obs_->metrics().timer("sim.run_seconds");
-#endif
         provSetup();
 
         input_streams_ = inputs;
@@ -226,10 +224,8 @@ class Simulator::Impl
                         "cycle " + std::to_string(cycle) + ", node " +
                         node.name);
                 if (moves_ > before) {
-#if GRAPHITI_OBS_ENABLED
                     if (sink_ != nullptr)
                         observeFire(node, cycle);
-#endif
                     node.last_fire = cycle;
                     next_awake_[i] = 1;  // internal state advanced
                 }
@@ -245,10 +241,8 @@ class Simulator::Impl
             awake_.swap(next_awake_);
             std::fill(next_awake_.begin(), next_awake_.end(),
                       std::uint8_t{0});
-#if GRAPHITI_OBS_ENABLED
             if (obs_ != nullptr)
                 observeCycle();
-#endif
 
             if (done(result, expected_outputs)) {
                 result.cycles = cycle + 1;
@@ -257,10 +251,8 @@ class Simulator::Impl
                     return drained.error();
                 result.memories = memories_;
                 provEnd(result.cycles);
-#if GRAPHITI_OBS_ENABLED
                 if (obs_ != nullptr)
                     finishObservation(result.cycles);
-#endif
                 return result;
             }
             // Watchdog. A fault that held back an otherwise-possible
@@ -469,10 +461,8 @@ class Simulator::Impl
         if (faults_ != nullptr &&
             faults_->dropValid(static_cast<std::size_t>(ch), cycle_)) {
             fault_hold_ = true;  // a consumable token was hidden
-#if GRAPHITI_OBS_ENABLED
             if (obs_ != nullptr)
                 observeFault(ch, "drop-valid");
-#endif
             return false;
         }
         return true;
@@ -514,10 +504,8 @@ class Simulator::Impl
         if (faults_ != nullptr &&
             faults_->dropReady(static_cast<std::size_t>(ch), cycle_)) {
             fault_hold_ = true;  // available space was refused
-#if GRAPHITI_OBS_ENABLED
             if (obs_ != nullptr)
                 observeFault(ch, "drop-ready");
-#endif
             return false;
         }
         return true;
@@ -585,7 +573,6 @@ class Simulator::Impl
         for (std::size_t i = 0; i < output_channels_.size(); ++i) {
             Channel& ch = channels_[output_channels_[i]];
             while (!ch.empty()) {
-#if GRAPHITI_OBS_ENABLED
                 if (obs_ != nullptr) {
                     ++stat_outputs_;
                     if (sink_ != nullptr)
@@ -595,7 +582,6 @@ class Simulator::Impl
                             obs::EventKind::Output,
                             ch.slots.front().toString()});
                 }
-#endif
                 result.outputs[i].push_back(ch.slots.front());
                 ch.slots.pop_front();
                 provOutput(static_cast<int>(i), output_channels_[i]);
@@ -677,7 +663,6 @@ class Simulator::Impl
         StuckDiagnosis d = buildDiagnosis(kind, result, expected,
                                           last_progress, last_output);
         std::string rendered = d.toString();
-#if GRAPHITI_OBS_ENABLED
         if (obs_ != nullptr) {
             obs_->metrics().add("sim.stuck");
             obs_->metrics().add(std::string("sim.stuck.") +
@@ -688,7 +673,6 @@ class Simulator::Impl
                                         sim::toString(kind)});
             finishObservation(cycle_);
         }
-#endif
         provEnd(cycle_);
         owner_.diagnosis_ = std::move(d);
         return err(headline + ": " + rendered);
@@ -1034,8 +1018,7 @@ class Simulator::Impl
     // ----- provenance hooks (inert when no tracker is attached) -----
     //
     // The tracker mirrors every FIFO in the simulator, so each pop()/
-    // push() path above must report through exactly one hook; the
-    // bodies compile out entirely under GRAPHITI_OBS=OFF.
+    // push() path above must report through exactly one hook.
 
     std::uint32_t
     provNodeIndex(const SimNode& node) const
@@ -1046,7 +1029,6 @@ class Simulator::Impl
     void
     provSetup()
     {
-#if GRAPHITI_OBS_ENABLED
         prov_ = obs_ != nullptr ? obs_->provenance() : nullptr;
         if (prov_ == nullptr)
             return;
@@ -1061,107 +1043,68 @@ class Simulator::Impl
             channels.push_back(
                 {channel_desc_[ch], channels_[ch].capacity});
         prov_->beginRun(std::move(nodes), std::move(channels));
-#endif
     }
 
     void
     provFire(const SimNode& node, const int* ins, std::size_t nins,
              const int* outs, std::size_t nouts)
     {
-#if GRAPHITI_OBS_ENABLED
         if (prov_ != nullptr)
             prov_->onFire(provNodeIndex(node), cycle_, ins, nins, outs,
                           nouts);
-#else
-        (void)node;
-        (void)ins;
-        (void)nins;
-        (void)outs;
-        (void)nouts;
-#endif
     }
 
     void
     provAccept(const SimNode& node, int latency)
     {
-#if GRAPHITI_OBS_ENABLED
         if (prov_ != nullptr)
             prov_->onAccept(provNodeIndex(node), cycle_,
                             node.in_channels.data(),
                             node.in_channels.size(),
                             static_cast<std::uint32_t>(latency));
-#else
-        (void)node;
-        (void)latency;
-#endif
     }
 
     void
     provEmit(const SimNode& node)
     {
-#if GRAPHITI_OBS_ENABLED
         if (prov_ != nullptr)
             prov_->onEmit(provNodeIndex(node), node.out_channels[0],
                           cycle_);
-#else
-        (void)node;
-#endif
     }
 
     void
     provSpawn(const SimNode& node, int channel)
     {
-#if GRAPHITI_OBS_ENABLED
         if (prov_ != nullptr)
             prov_->onSpawn(provNodeIndex(node), channel, cycle_);
-#else
-        (void)node;
-        (void)channel;
-#endif
     }
 
     void
     provInput(int port, int channel)
     {
-#if GRAPHITI_OBS_ENABLED
         if (prov_ != nullptr)
             prov_->onBirth(channel, port, cycle_);
-#else
-        (void)port;
-        (void)channel;
-#endif
     }
 
     void
     provOutput(int port, int channel)
     {
-#if GRAPHITI_OBS_ENABLED
         if (prov_ != nullptr)
             prov_->onOutput(port, channel, cycle_);
-#else
-        (void)port;
-        (void)channel;
-#endif
     }
 
     void
     provTagAlloc(const SimNode& node, std::int64_t alloc_idx)
     {
-#if GRAPHITI_OBS_ENABLED
         if (prov_ != nullptr)
             prov_->onTagAlloc(provNodeIndex(node), cycle_,
                               node.in_channels[0], node.out_channels[0],
                               static_cast<std::uint64_t>(alloc_idx));
-#else
-        (void)node;
-        (void)alloc_idx;
-#endif
     }
 
     void
     provTagReturn(const SimNode& node, Tag tag)
     {
-#if GRAPHITI_OBS_ENABLED
         if (prov_ == nullptr)
             return;
         // Tags are unique within the outstanding window, so the
@@ -1176,24 +1119,15 @@ class Simulator::Impl
                            static_cast<std::uint64_t>(idx),
                            static_cast<std::uint32_t>(
                                idx - node.next_commit));
-#else
-        (void)node;
-        (void)tag;
-#endif
     }
 
     void
     provTagCommit(const SimNode& node, std::int64_t commit_idx)
     {
-#if GRAPHITI_OBS_ENABLED
         if (prov_ != nullptr)
             prov_->onTagCommit(provNodeIndex(node), cycle_,
                                node.out_channels[1],
                                static_cast<std::uint64_t>(commit_idx));
-#else
-        (void)node;
-        (void)commit_idx;
-#endif
     }
 
     /**
@@ -1206,7 +1140,6 @@ class Simulator::Impl
     void
     provBlocked()
     {
-#if GRAPHITI_OBS_ENABLED
         if (prov_ == nullptr)
             return;
         for (const SimNode& node : nodes_) {
@@ -1239,18 +1172,13 @@ class Simulator::Impl
                 prov_->onNodeBlocked(provNodeIndex(node), cycle_,
                                      starved, backpressured);
         }
-#endif
     }
 
     void
     provEnd(std::size_t cycles)
     {
-#if GRAPHITI_OBS_ENABLED
         if (prov_ != nullptr)
             prov_->endRun(cycles);
-#else
-        (void)cycles;
-#endif
     }
 
     static Result<Value>
@@ -1259,7 +1187,6 @@ class Simulator::Impl
         return parseConstant(text);
     }
 
-#if GRAPHITI_OBS_ENABLED
     /** Declare one valid/ready/data signal triple per channel. */
     void
     setupVcd()
@@ -1380,7 +1307,6 @@ class Simulator::Impl
         m.set("sim.channels", static_cast<double>(channels_.size()));
         m.set("sim.nodes", static_cast<double>(nodes_.size()));
     }
-#endif  // GRAPHITI_OBS_ENABLED
 
     static constexpr std::size_t kNoNode =
         static_cast<std::size_t>(-1);

@@ -133,8 +133,7 @@ struct SimConfig
     /**
      * Observability scope: run metrics, per-node fire/stall events on
      * the scope's trace sink, channel valid/ready/data waveforms on
-     * its VCD writer. Falls back to obs::current() when unset; all
-     * hooks compile to no-ops under GRAPHITI_OBS=OFF.
+     * its VCD writer. Falls back to obs::current() when unset.
      */
     std::shared_ptr<obs::Scope> obs;
     /** Watchdog: cycles without any token movement or in-flight

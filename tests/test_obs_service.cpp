@@ -424,7 +424,6 @@ TEST(ObsServiceDaemon, CorrelationIdSurvivesShedThenResubmit)
     for (std::thread& blocker : blockers)
         blocker.join();
 
-#if GRAPHITI_OBS_ENABLED
     // The flight recorder stitched the story: the same id appears in
     // a shed scheduler record AND in the final completed-job record.
     obs::json::Value flight = observer->flight().toJson();
@@ -449,7 +448,6 @@ TEST(ObsServiceDaemon, CorrelationIdSurvivesShedThenResubmit)
         << "no flight record of the shed under id " << id;
     EXPECT_TRUE(done_seen)
         << "no flight record of the completion under id " << id;
-#endif
 }
 
 // ---------------------------------------------------------------------
@@ -488,8 +486,19 @@ TEST(ObsServiceDaemon, StatsJobsHealthRoundTripOnTheWire)
     ASSERT_NE(ping_stats->find("queue_wait"), nullptr);
     ASSERT_NE(ping_stats->find("execute"), nullptr);
 
-    // health: lanes alive, store shape, listener identity.
+    // health: lanes alive, store shape, listener identity. Each lane
+    // counts itself alive from its own thread, so give both a moment
+    // to come up before reading the verdict.
     Result<obs::json::Value> health = client.serviceHealth();
+    for (int i = 0; i < 200 && health.ok() &&
+                    health.value()
+                            .find("scheduler")
+                            ->find("workers_alive")
+                            ->asNumber() < 2;
+         ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        health = client.serviceHealth();
+    }
     ASSERT_TRUE(health.ok()) << health.error().message;
     EXPECT_EQ(health.value().find("status")->asString(), "ok");
     const obs::json::Value* sched_health =

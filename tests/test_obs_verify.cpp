@@ -4,14 +4,8 @@
  * (docs/verification_observability.md): the live progress probe, the
  * resource accounting, the pool-occupancy counters and the exposition
  * endpoint — and, above all, their neutrality: verdicts must be
- * byte-identical with probes attached, absent, or compiled out, at
- * any thread count.
- *
- * Every test here also builds and passes under -DGRAPHITI_OBS=OFF
- * (ci/obs_gate.sh runs the full suite in both configurations); the
- * assertions that require live instrumentation are guarded by
- * GRAPHITI_OBS_ENABLED and their OFF branches pin the zeros down
- * instead.
+ * byte-identical with probes attached or absent, at any thread
+ * count.
  */
 
 #include <gtest/gtest.h>
@@ -140,7 +134,6 @@ TEST(VerifyTelemetry, ProbeSeesExploreAndGame)
     EXPECT_TRUE(report.refines);
 
     obs::VerifyProgress p = probe->snapshot();
-#if GRAPHITI_OBS_ENABLED
     EXPECT_GT(p.samples, 0u) << "the verify core never published";
     // The final explore publish reports the completed spec space; the
     // game publishes after every discovery level and fixpoint round.
@@ -151,11 +144,6 @@ TEST(VerifyTelemetry, ProbeSeesExploreAndGame)
     // Phases (and rungs) are Governor business; a direct refinement
     // check publishes readings without relabeling the phase.
     EXPECT_EQ(p.phase, obs::VerifyPhase::Idle);
-#else
-    // Compiled out: the call sites vanish, the probe stays silent.
-    EXPECT_EQ(p.samples, 0u);
-    EXPECT_EQ(p.peak_bytes, 0u);
-#endif
 }
 
 TEST(VerifyTelemetry, VerdictByteIdenticalAcrossThreadsAndProbes)
@@ -200,13 +188,8 @@ TEST(VerifyTelemetry, PeakBytesStableAcrossRunsAndThreads)
     RefinementReport wide = runGcdCheck(8, nullptr);
     EXPECT_EQ(wide.explore_peak_bytes, first.explore_peak_bytes);
     EXPECT_EQ(wide.peak_bytes, first.peak_bytes);
-#if GRAPHITI_OBS_ENABLED
     EXPECT_GT(first.explore_peak_bytes, 0u);
     EXPECT_GT(first.peak_bytes, 0u);
-#else
-    EXPECT_EQ(first.explore_peak_bytes, 0u);
-    EXPECT_EQ(first.peak_bytes, 0u);
-#endif
 }
 
 TEST(VerifyTelemetry, ParkAndResumeReachTheProbe)
@@ -232,17 +215,12 @@ TEST(VerifyTelemetry, ParkAndResumeReachTheProbe)
     EXPECT_TRUE(space.complete());
     obs::VerifyProgress at_resume = probe->snapshot();
 
-#if GRAPHITI_OBS_ENABLED
     // The park -> resume transition a `--watch-job` poller tails.
     EXPECT_EQ(at_park.parks, 1u);
     EXPECT_EQ(at_park.resumes, 0u);
     EXPECT_EQ(at_resume.parks, 1u);
     EXPECT_EQ(at_resume.resumes, 1u);
     EXPECT_GT(at_resume.states, at_park.states);
-#else
-    EXPECT_EQ(at_resume.parks, 0u);
-    EXPECT_EQ(at_resume.resumes, 0u);
-#endif
 }
 
 // ---------------------------------------------------------------------
@@ -369,7 +347,7 @@ TEST(Metricsz, VerbAnswersWithAliasFamilies)
         return nullptr;
     };
     // The scrape contract: both alias families answer from the first
-    // request on — zeros before any job, and under OBS=OFF forever.
+    // request on — zeros before any job.
     const obs::expo::Sample* states =
         find(parsed.value(), "graphiti_verify_states_total");
     const obs::expo::Sample* peak =
@@ -409,14 +387,9 @@ TEST(Metricsz, VerbAnswersWithAliasFamilies)
         find(reparsed.value(), "graphiti_verify_peak_bytes");
     ASSERT_NE(states_after, nullptr);
     ASSERT_NE(peak_after, nullptr);
-#if GRAPHITI_OBS_ENABLED
     EXPECT_GT(states_after->value, 0.0) << after.value();
     EXPECT_GT(peak_after->value, 0.0) << after.value();
-#else
-    EXPECT_EQ(states_after->value, 0.0);
-    EXPECT_EQ(peak_after->value, 0.0);
-#endif
-    // Service-plane counters ride along either way.
+    // Service-plane counters ride along.
     const obs::expo::Sample* completed =
         find(reparsed.value(), "graphiti_jobs_completed_total");
     ASSERT_NE(completed, nullptr);

@@ -15,7 +15,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
+#include <filesystem>
 #include <thread>
 
 #include "bench_circuits/benchmarks.hpp"
@@ -23,7 +23,7 @@
 #include "core/compiler.hpp"
 #include "guard/governor.hpp"
 #include "guard/transaction.hpp"
-#include "guard/verify_cache.hpp"
+#include "guard/verdict_store.hpp"
 #include "refine/refinement.hpp"
 #include "rewrite/ooo_pipeline.hpp"
 #include "sim/sim.hpp"
@@ -369,14 +369,14 @@ TEST(VerifyCache, SecondCompileOfUnchangedCircuitHits)
         compiler.compileGraph(gcd, options);
     ASSERT_TRUE(first.ok()) << first.error().message;
     EXPECT_FALSE(first.value().verify_cache_hit);
-    EXPECT_EQ(compiler.verifyCache().hits(), 0u);
-    EXPECT_EQ(compiler.verifyCache().misses(), 1u);
+    EXPECT_EQ(compiler.verdictStore()->stats().hits, 0u);
+    EXPECT_EQ(compiler.verdictStore()->stats().misses, 1u);
 
     Result<CompileReport> second =
         compiler.compileGraph(gcd, options);
     ASSERT_TRUE(second.ok()) << second.error().message;
     EXPECT_TRUE(second.value().verify_cache_hit);
-    EXPECT_EQ(compiler.verifyCache().hits(), 1u);
+    EXPECT_EQ(compiler.verdictStore()->stats().hits, 1u);
     EXPECT_EQ(second.value().verify_cache_key,
               first.value().verify_cache_key);
     // The cached verdict is the stored verdict, byte for byte.
@@ -409,21 +409,23 @@ TEST(VerifyCache, MutatingOneNodeMisses)
     EXPECT_FALSE(second.value().verify_cache_hit);
     EXPECT_NE(second.value().verify_cache_key,
               first.value().verify_cache_key);
-    EXPECT_EQ(compiler.verifyCache().misses(), 2u);
+    EXPECT_EQ(compiler.verdictStore()->stats().misses, 2u);
 }
 
 TEST(VerifyCache, FilePersistenceRoundTrips)
 {
     ExprHigh gcd = circuits::buildGcdInOrder();
-    std::string path = ::testing::TempDir() + "graphiti_verify_cache.json";
-    std::remove(path.c_str());
+    guard::VerdictStoreConfig config;
+    config.dir = ::testing::TempDir() + "graphiti_verdict_store";
+    std::filesystem::remove_all(config.dir);
 
     CompileOptions options = governedOptions();
-    options.verify_cache_file = path;
 
     std::string first_json;
     {
         Compiler compiler;
+        compiler.setVerdictStore(
+            std::make_shared<guard::VerdictStore>(config));
         Result<CompileReport> first =
             compiler.compileGraph(gcd, options);
         ASSERT_TRUE(first.ok()) << first.error().message;
@@ -431,15 +433,18 @@ TEST(VerifyCache, FilePersistenceRoundTrips)
         first_json = first.value().verdict.toJson().dump(2);
     }
     {
-        // A fresh compiler (empty in-process cache) hits via the file.
+        // A fresh compiler and store hit via the shard files.
+        auto store = std::make_shared<guard::VerdictStore>(config);
+        ASSERT_TRUE(store->load().ok());
         Compiler compiler;
+        compiler.setVerdictStore(store);
         Result<CompileReport> second =
             compiler.compileGraph(gcd, options);
         ASSERT_TRUE(second.ok()) << second.error().message;
         EXPECT_TRUE(second.value().verify_cache_hit);
         EXPECT_EQ(second.value().verdict.toJson().dump(2), first_json);
     }
-    std::remove(path.c_str());
+    std::filesystem::remove_all(config.dir);
 }
 
 TEST(VerifyCache, KeyIgnoresThreadsAndTracksBudget)

@@ -54,8 +54,6 @@ compileGcd(Compiler& compiler)
     return compiler.compileGraph(circuits::buildGcdInOrder(), options);
 }
 
-#if GRAPHITI_OBS_ENABLED
-
 void
 expectAttributionExact(const obs::CritPathReport& report)
 {
@@ -179,22 +177,6 @@ TEST(ProvRing, EvictionTruncatesInsteadOfMisattributing)
     }
 }
 
-#else  // !GRAPHITI_OBS_ENABLED
-
-TEST(ProvGcd, ProfileRunErrorsWhenObsDisabled)
-{
-    // Under GRAPHITI_OBS=OFF the simulator's provenance hooks compile
-    // out; profileRun must refuse rather than return an empty profile.
-    Compiler compiler;
-    Result<ProfileBundle> bundle =
-        compiler.profileRun(circuits::buildGcdInOrder(), gcdWorkload());
-    ASSERT_FALSE(bundle.ok());
-    EXPECT_NE(bundle.error().message.find("GRAPHITI_OBS"),
-              std::string::npos);
-}
-
-#endif  // GRAPHITI_OBS_ENABLED
-
 // -------------------------------------------- TraceSink ring buffer
 
 obs::TraceRecord
@@ -298,13 +280,11 @@ TEST(StressArtifact, RendersDiagnosisMetricsAndHopTail)
     ASSERT_NE(doc.value().find("metrics"), nullptr);
     const json::Value* prov = doc.value().find("provenance");
     ASSERT_NE(prov, nullptr);
-#if GRAPHITI_OBS_ENABLED
     // The hop-log tail carries the firings leading up to the stall.
     const json::Value* tail = prov->find("tail");
     ASSERT_NE(tail, nullptr);
     ASSERT_TRUE(tail->isArray());
     EXPECT_GT(tail->asArray().size(), 0u);
-#endif
 }
 
 TEST(StressArtifact, HarnessAttachesArtifactToFailedPlan)

@@ -36,7 +36,6 @@
 #include "faults/connection_plan.hpp"
 #include "faults/fault_plan.hpp"
 #include "guard/verdict_store.hpp"
-#include "guard/verify_cache.hpp"
 #include "obs/latency.hpp"
 #include "served/client.hpp"
 #include "served/daemon.hpp"
@@ -441,17 +440,30 @@ TEST(ServedVerdictStore, CorruptShardIsSkippedNotFatal)
 }
 
 // ---------------------------------------------------------------------
-// Verify-cache persistence hardening (the satellite this PR pins).
+// Verdict store load/save hardening.
 // ---------------------------------------------------------------------
+
+/** A two-shard persistent store config rooted at a fresh @p name. */
+guard::VerdictStoreConfig
+freshStoreConfig(const std::string& name)
+{
+    guard::VerdictStoreConfig config;
+    config.dir = tempPath(name);
+    config.shards = 2;
+    std::filesystem::remove_all(config.dir);
+    std::filesystem::create_directories(config.dir);
+    return config;
+}
 
 TEST(ServedVerifyCache, CorruptEntriesAreSkippedAndCounted)
 {
-    std::string path = tempPath("verify-cache-mixed.json");
+    guard::VerdictStoreConfig config =
+        freshStoreConfig("verdict-store-mixed");
     obs::json::Value doc{obs::json::Object{}};
     doc.set("version", 1);
     obs::json::Value entries{obs::json::Array{}};
     obs::json::Value good{obs::json::Object{}};
-    good.set("key", guard::formatCacheKey(42));
+    good.set("key", guard::formatCacheKey(42));  // shard 0
     good.set("verdict", syntheticVerdict(42).toJson());
     entries.push(std::move(good));
     obs::json::Value bad{obs::json::Object{}};
@@ -461,43 +473,55 @@ TEST(ServedVerifyCache, CorruptEntriesAreSkippedAndCounted)
     obs::json::Value keyless{obs::json::Object{}};
     keyless.set("verdict", syntheticVerdict(1).toJson());
     entries.push(std::move(keyless));
+    // A valid verdict under a key formatCacheKey never writes: it
+    // must not be read as key 0 (which shard 0 would accept).
+    obs::json::Value misspelled{obs::json::Object{}};
+    misspelled.set("key", "zzz");
+    misspelled.set("verdict", syntheticVerdict(3).toJson());
+    entries.push(std::move(misspelled));
     doc.set("entries", std::move(entries));
-    ASSERT_TRUE(guard::writeJsonAtomic(path, doc).ok());
+    ASSERT_TRUE(
+        obs::json::writeFileAtomic(config.dir + "/verdicts-0.json", doc)
+            .ok());
 
-    guard::VerifyCache cache;
-    Result<bool> loaded = cache.loadFile(path);
+    guard::VerdictStore store(config);
+    Result<std::size_t> loaded = store.load();
     ASSERT_TRUE(loaded.ok()) << loaded.error().message;
-    EXPECT_TRUE(loaded.value());
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.corruptEntries(), 2u);
-    EXPECT_TRUE(cache.lookup(42).has_value());
+    EXPECT_EQ(loaded.value(), 1u);
+    EXPECT_EQ(store.stats().entries, 1u);
+    EXPECT_EQ(store.stats().corrupt_entries, 3u);
+    EXPECT_TRUE(store.lookup(42).has_value());
+    EXPECT_FALSE(store.lookup(0).has_value());
 }
 
 TEST(ServedVerifyCache, WholeFileGarbageIsAnEmptyCacheNotACrash)
 {
-    std::string path = tempPath("verify-cache-garbage.json");
+    guard::VerdictStoreConfig config =
+        freshStoreConfig("verdict-store-garbage");
     {
-        std::ofstream out(path);
+        std::ofstream out(config.dir + "/verdicts-0.json");
         out << "]]]] definitely not json {{";
     }
-    guard::VerifyCache cache;
-    Result<bool> loaded = cache.loadFile(path);
+    guard::VerdictStore store(config);
+    Result<std::size_t> loaded = store.load();
     ASSERT_TRUE(loaded.ok()) << loaded.error().message;
-    EXPECT_FALSE(loaded.value());
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_GE(cache.corruptEntries(), 1u);
+    EXPECT_EQ(loaded.value(), 0u);
+    EXPECT_EQ(store.stats().entries, 0u);
+    EXPECT_GE(store.stats().corrupt_entries, 1u);
 }
 
 TEST(ServedVerifyCache, AtomicSaveLeavesNoTempFile)
 {
-    std::string path = tempPath("verify-cache-atomic.json");
-    guard::VerifyCache cache;
-    cache.store(7, syntheticVerdict(7));
-    ASSERT_TRUE(cache.saveFile(path).ok());
-    std::ifstream saved(path);
-    EXPECT_TRUE(saved.good());
-    std::ifstream tmp(path + ".tmp");
-    EXPECT_FALSE(tmp.good());
+    guard::VerdictStoreConfig config =
+        freshStoreConfig("verdict-store-atomic");
+    config.persist_on_store = false;  // only the explicit save writes
+    guard::VerdictStore store(config);
+    store.store(7, syntheticVerdict(7));
+    std::string path = config.dir + "/verdicts-0.json";
+    EXPECT_FALSE(std::ifstream(path).good());
+    ASSERT_TRUE(store.save().ok());
+    EXPECT_TRUE(std::ifstream(path).good());
+    EXPECT_FALSE(std::ifstream(path + ".tmp").good());
 }
 
 TEST(ServedVerifyCache, FullDeviceWriteFailsLoudly)
