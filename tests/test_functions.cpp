@@ -19,6 +19,17 @@ struct OpCase
     Value expected;
 };
 
+/** Prints a case by value, e.g. "add(2, 3) = 5". gtest would otherwise
+ * dump the struct's raw bytes, pointers included, into the test name. */
+void
+PrintTo(const OpCase& c, std::ostream* os)
+{
+    *os << c.op << "(";
+    for (std::size_t i = 0; i < c.args.size(); ++i)
+        *os << (i > 0 ? ", " : "") << c.args[i].toString();
+    *os << ") = " << c.expected.toString();
+}
+
 class OperatorEval : public ::testing::TestWithParam<OpCase>
 {
 };

@@ -189,6 +189,23 @@ struct ComponentCase
     std::vector<Token> tokens;
 };
 
+/** Prints a case by value, e.g. "fork(out=2) fed 1". gtest would
+ * otherwise dump the struct's raw bytes, pointers included, into the
+ * test name. */
+void
+PrintTo(const ComponentCase& c, std::ostream* os)
+{
+    *os << c.type << "(";
+    bool first = true;
+    for (const auto& [k, v] : c.attrs) {
+        *os << (first ? "" : ", ") << k << "=" << v;
+        first = false;
+    }
+    *os << ") fed ";
+    for (std::size_t i = 0; i < c.tokens.size(); ++i)
+        *os << (i > 0 ? ", " : "") << c.tokens[i].toString();
+}
+
 class ComponentReflexivity
     : public ::testing::TestWithParam<ComponentCase>
 {
