@@ -27,7 +27,7 @@
  * client sends one ping alongside its verify load), so a cheap verb
  * never dilutes an expensive verb's percentiles. --json embeds the
  * daemon's own end-of-run stats snapshot (per-verb queue-wait vs
- * execute splits, connection counters, flight/log/span occupancy) —
+ * execute splits, connection counters, journal lane occupancy) —
  * docs/service_observability.md.
  *
  * Usage:
@@ -204,8 +204,6 @@ main(int argc, char** argv)
         // cooldown so the run measures recovery, not a long outage.
         config.scheduler.pool.breaker_backoff.cap_ms = 500.0;
     }
-    auto observer = std::make_shared<served::ServiceObserver>();
-    config.scheduler.observer = observer;
     served::Daemon daemon(config);
     Result<bool> started = daemon.start();
     if (!started.ok()) {
@@ -377,7 +375,7 @@ main(int argc, char** argv)
             daemon.scheduler().workerPool())
         worker_snapshot = pool->healthJson();
     // The service's own view — per-verb queue-wait/execute windows,
-    // connection counters, flight/log occupancy — before stop() tears
+    // connection counters, journal occupancy — before stop() tears
     // the daemon down.
     obs::json::Value service_snapshot = daemon.statsJson();
     daemon.stop();

@@ -16,7 +16,8 @@
 #   4. Observability probe (docs/service_observability.md): while the
 #      smoke daemon is up, require live --stats and --health answers
 #      (per-verb windows, lane liveness), then SIGUSR1 and require the
-#      flight-recorder JSON to appear with completed-job records.
+#      journal dump to appear with job.done events, each of which is
+#      also in the daemon's --log JSON-lines mirror.
 #      The smoke daemon also runs with --expose 0; after the verify
 #      job, an HTTP scrape of the bound port must serve the metricsz
 #      document with the contract families
@@ -52,7 +53,8 @@ WORK="$(mktemp -d)"
 SOCKET="${WORK}/served.sock"
 STORE="${WORK}/verdicts"
 DAEMON_LOG="${WORK}/daemon.log"
-FLIGHT="${WORK}/flight.json"
+JOURNAL_DUMP="${WORK}/journal.json"
+JOURNAL_LOG="${WORK}/journal.jsonl"
 DAEMON_PID=""
 
 cleanup() {
@@ -88,7 +90,8 @@ ctest --test-dir "${BUILD}" -L served --output-on-failure
 
 echo "== served gate: daemon smoke =="
 "${BUILD}/tools/graphiti-served" --socket "${SOCKET}" --workers 2 \
-    --store "${STORE}" --flight "${FLIGHT}" --expose 0 \
+    --store "${STORE}" --flight "${JOURNAL_DUMP}" --log "${JOURNAL_LOG}" \
+    --expose 0 \
     > "${DAEMON_LOG}" 2>&1 &
 DAEMON_PID=$!
 wait_for_listen "${DAEMON_PID}"
@@ -119,6 +122,12 @@ import json, sys
 stats = json.load(open(sys.argv[1]))
 assert stats["connections"]["accepted"] >= 1, "no connections counted"
 assert stats["scheduler"]["completed"] >= 2, "ping+verify not counted"
+journal = stats["journal"]
+assert journal["events"]["recorded"] >= 4, \
+    "ping+verify should journal an admit and a done each: " + str(journal)
+assert journal["spans"]["recorded"] >= 4, \
+    "ping+verify should journal queue-wait and execute spans: " \
+    + str(journal)
 verbs = stats["verbs"]
 for verb in ("ping", "verify"):
     assert verbs[verb]["ok"] >= 1, verb + " verb not accounted"
@@ -170,29 +179,34 @@ print("served gate: scrape OK (states=%g, completed=%g)"
       % (states, completed))
 PY
 
-echo "== served gate: SIGUSR1 flight dump =="
+echo "== served gate: SIGUSR1 journal dump =="
 kill -USR1 "${DAEMON_PID}"
 for _ in $(seq 1 50); do
-    [ -s "${FLIGHT}" ] && break
+    [ -s "${JOURNAL_DUMP}" ] && break
     sleep 0.1
 done
-[ -s "${FLIGHT}" ] || {
-    echo "served gate: FAIL: no flight dump after SIGUSR1"
+[ -s "${JOURNAL_DUMP}" ] || {
+    echo "served gate: FAIL: no journal dump after SIGUSR1"
     cat "${DAEMON_LOG}"
     exit 1
 }
-python3 - "${FLIGHT}" <<'PY'
+python3 - "${JOURNAL_DUMP}" "${JOURNAL_LOG}" <<'PY'
 import json, sys
 
-flight = json.load(open(sys.argv[1]))
-records = flight["records"]
-assert isinstance(records, list) and records, "empty flight ring"
-jobs = [r for r in records if r["kind"] == "job"]
-assert jobs, "no completed-job records in the flight ring"
-assert all("job_id" in r and "status" in r for r in jobs), \
-    "job records missing correlation id or status"
-print("served gate: flight dump has %d records (%d jobs)"
-      % (len(records), len(jobs)))
+dump = json.load(open(sys.argv[1]))
+records = dump["records"]
+assert isinstance(records, list) and records, "empty journal dump"
+jobs = [r for r in records if r["event"] == "job.done"]
+assert jobs, "no job.done events in the journal dump"
+assert all("job_id" in r and "status" in r.get("fields", {})
+           for r in jobs), "job.done events missing job_id or status"
+# The dump and the --log mirror come from the same records.
+mirror = [json.loads(line) for line in open(sys.argv[2]) if line.strip()]
+missing = [r for r in jobs if r not in mirror]
+assert not missing, "job.done events missing from the --log mirror: " \
+    + str(missing)
+print("served gate: journal dump has %d records (%d job.done, all "
+      "in the --log mirror)" % (len(records), len(jobs)))
 PY
 
 echo "== served gate: kill -9 / restart cache recovery =="

@@ -100,7 +100,7 @@ Result<bool> writeFile(const std::string& path, const Value& value);
 /**
  * Write @p value to @p path via write-temp-then-rename, so readers
  * never observe a torn document: they see the old file or the new
- * one, nothing in between (the verdict store and the flight recorder
+ * one, nothing in between (the verdict store and the journal dump
  * both rely on this).
  */
 Result<bool> writeFileAtomic(const std::string& path,

@@ -65,8 +65,8 @@ class Client
      *
      * @p job_id is the correlation id; empty mints one from the
      * client's seeded Rng. Either way the SAME id rides every retry
-     * attempt of this logical request, so the daemon's log and flight
-     * recorder stitch a shed-then-resubmit sequence into one story.
+     * attempt of this logical request, so the daemon's journal
+     * stitches a shed-then-resubmit sequence into one story.
      */
     Result<JobResponse> request(const JobSpec& spec,
                                 double deadline_seconds = 0.0,

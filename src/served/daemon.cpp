@@ -7,16 +7,10 @@ namespace graphiti::served {
 
 namespace json = obs::json;
 
-Daemon::Daemon(DaemonConfig config) : config_(std::move(config))
+Daemon::Daemon(DaemonConfig config)
+    : config_(std::move(config)),
+      scheduler_(std::make_unique<Scheduler>(config_.scheduler))
 {
-    // Every daemon carries a ServiceObserver: callers that configured
-    // one keep theirs (shared with their own probes); the rest get a
-    // default so stats/jobs/health always answer.
-    if (config_.scheduler.observer == nullptr)
-        config_.scheduler.observer =
-            std::make_shared<ServiceObserver>();
-    observer_ = config_.scheduler.observer;
-    scheduler_ = std::make_unique<Scheduler>(config_.scheduler);
 }
 
 Daemon::~Daemon() { stop(); }
@@ -104,7 +98,7 @@ obs::json::Value
 Daemon::statsJson() const
 {
     json::Value out{json::Object{}};
-    out.set("uptime_seconds", observer_->uptimeSeconds());
+    out.set("uptime_seconds", observer()->uptimeSeconds());
     json::Value conns{json::Object{}};
     conns.set("accepted", connections_accepted_.load());
     conns.set("malformed_frames", malformed_frames_.load());
@@ -116,20 +110,9 @@ Daemon::statsJson() const
     if (WorkerPool* pool = scheduler_->workerPool())
         out.set("workers", pool->healthJson());
     out.set("store", scheduler_->store()->stats().toJson());
-    out.set("verbs", observer_->verbsJson());
-    out.set("metrics", observer_->scope().metrics().toJson());
-    json::Value flight{json::Object{}};
-    flight.set("recorded", observer_->flight().recorded());
-    flight.set("dropped", observer_->flight().dropped());
-    out.set("flight", std::move(flight));
-    json::Value log{json::Object{}};
-    log.set("recorded", observer_->log().recorded());
-    log.set("dropped", observer_->log().dropped());
-    out.set("log", std::move(log));
-    json::Value spans{json::Object{}};
-    spans.set("recorded", observer_->spans().recorded());
-    spans.set("dropped", observer_->spans().dropped());
-    out.set("spans", std::move(spans));
+    out.set("verbs", observer()->verbsJson());
+    out.set("metrics", observer()->scope().metrics().toJson());
+    out.set("journal", observer()->journal().occupancyJson());
     return out;
 }
 
@@ -161,7 +144,7 @@ Daemon::healthJson() const
     json::Value out{json::Object{}};
     out.set("status",
             accepting && lanes_ok && breaker_ok ? "ok" : "degraded");
-    out.set("uptime_seconds", observer_->uptimeSeconds());
+    out.set("uptime_seconds", observer()->uptimeSeconds());
     out.set("scheduler", std::move(scheduler_health));
     guard::VerdictStoreStats store = scheduler_->store()->stats();
     json::Value store_health = store.toJson();
@@ -179,9 +162,9 @@ Daemon::healthJson() const
 }
 
 Result<bool>
-Daemon::dumpFlight() const
+Daemon::dumpJournal() const
 {
-    return observer_->flight().dump();
+    return observer()->journal().dump();
 }
 
 std::string
@@ -190,7 +173,7 @@ Daemon::metricsText() const
     namespace expo = obs::expo;
     expo::TextExposition out;
     const obs::MetricsRegistry& metrics =
-        observer_->scope().metrics();
+        observer()->scope().metrics();
     expo::renderRegistry(metrics, out);
 
     // Scrape-contract alias families. Completed jobs fold their
@@ -215,7 +198,7 @@ Daemon::metricsText() const
     // Service-plane counters the metrics registry does not carry.
     out.counter("service.connections",
                 static_cast<double>(connections_accepted_.load()));
-    out.gauge("service.uptime_seconds", observer_->uptimeSeconds());
+    out.gauge("service.uptime_seconds", observer()->uptimeSeconds());
     SchedulerStats sched = scheduler_->stats();
     out.counter("jobs.accepted", static_cast<double>(sched.accepted));
     out.counter("jobs.shed", static_cast<double>(sched.shed));

@@ -78,12 +78,13 @@ class Daemon
     Scheduler& scheduler() { return *scheduler_; }
     const Scheduler& scheduler() const { return *scheduler_; }
 
-    /** The observability plane. Always non-null: the daemon creates
-     * one when the config carries none, so the introspection verbs
-     * answer even for callers that never thought about observation. */
+    /** The observability plane. Always non-null: the scheduler
+     * creates one when the config carries none, so the introspection
+     * verbs answer even for callers that never thought about
+     * observation. */
     const std::shared_ptr<ServiceObserver>& observer() const
     {
-        return observer_;
+        return scheduler_->config().observer;
     }
 
     /** Connections accepted since start. */
@@ -122,9 +123,9 @@ class Daemon
      * `--expose` is enabled). */
     std::uint16_t exposePort() const { return expose_.port(); }
 
-    /** Dump the flight recorder to its configured path (SIGUSR1
-     * handler in the daemon tool; tests call it directly). */
-    Result<bool> dumpFlight() const;
+    /** Dump the journal to its configured path (SIGUSR1 handler in
+     * the daemon tool; tests call it directly). */
+    Result<bool> dumpJournal() const;
 
   private:
     void acceptLoop(net::Socket listener);
@@ -135,7 +136,6 @@ class Daemon
     obs::json::Value introspect(const std::string& kind) const;
 
     DaemonConfig config_;
-    std::shared_ptr<ServiceObserver> observer_;
     std::unique_ptr<Scheduler> scheduler_;
     std::atomic<bool> stopping_{false};
     std::atomic<std::uint64_t> next_conn_id_{1};

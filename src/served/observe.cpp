@@ -18,21 +18,11 @@ VerbStats::toJson() const
     return out;
 }
 
-ServiceObserver::ServiceObserver(std::size_t flight_capacity,
-                                 std::size_t log_capacity,
+ServiceObserver::ServiceObserver(std::size_t dump_events,
+                                 std::size_t event_capacity,
                                  std::size_t span_capacity)
-    : scope_(std::make_shared<obs::Scope>()), log_(log_capacity),
-      spans_(span_capacity), flight_(flight_capacity),
-      start_(std::chrono::steady_clock::now())
+    : journal_(dump_events, event_capacity, span_capacity)
 {
-}
-
-void
-ServiceObserver::attachTrace(
-    std::shared_ptr<obs::PerfettoTraceSink> sink)
-{
-    trace_ = sink;
-    spans_.attachSink(std::move(sink));
 }
 
 void
@@ -72,9 +62,7 @@ ServiceObserver::verbsJson() const
 double
 ServiceObserver::uptimeSeconds() const
 {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start_)
-        .count();
+    return journal_.nowMs() / 1000.0;
 }
 
 }  // namespace graphiti::served

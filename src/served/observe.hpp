@@ -9,31 +9,27 @@
  *
  *   - a service-wide obs::Scope (metrics registry; each finished
  *     job's private scope is folded into it),
- *   - a structured obs::Logger (JSON-lines, correlation ids),
- *   - an obs::SpanTracker (per-job queue-wait / execute spans on a
- *     shared timeline, one track per correlation id, optionally
- *     forwarded to a PerfettoTraceSink for one service-level trace
- *     across concurrent jobs),
- *   - an obs::FlightRecorder (bounded post-mortem ring),
+ *   - an obs::Journal: structured events correlated by job id
+ *     (mirrored to a JSON-lines file, dumped as the post-mortem) and
+ *     per-job queue-wait / execute spans on the same timeline, one
+ *     track per correlation id, optionally forwarded to a trace sink
+ *     for one service-level trace across concurrent jobs,
  *   - per-verb latency reservoirs split into queue-wait vs execute,
  *     keyed by JobSpec kind so ping traffic cannot mask compile p99.
  *
- * Emission call sites in the scheduler and daemon go through the
- * GRAPHITI_SVC_* macros, which skip the record when no observer is
- * attached.
+ * The scheduler and worker pool always hold an observer (they make
+ * their own when none is configured), so every emission site is one
+ * unconditional call.
  */
 
-#include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 
-#include "obs/flight.hpp"
+#include "obs/journal.hpp"
 #include "obs/latency.hpp"
-#include "obs/log.hpp"
 #include "obs/scope.hpp"
-#include "obs/span.hpp"
 
 namespace graphiti::served {
 
@@ -57,26 +53,26 @@ struct VerbStats
 class ServiceObserver
 {
   public:
-    explicit ServiceObserver(std::size_t flight_capacity = 256,
-                             std::size_t log_capacity = 1024,
+    /** Journal sizes: the newest events a dump writes, then the
+     * event and span lanes' capacities. */
+    explicit ServiceObserver(std::size_t dump_events = 256,
+                             std::size_t event_capacity = 1024,
                              std::size_t span_capacity = 2048);
 
-    obs::Scope& scope() { return *scope_; }
-    const obs::Scope& scope() const { return *scope_; }
-    const std::shared_ptr<obs::Scope>& scopePtr() const
+    obs::Scope& scope() { return scope_; }
+    const obs::Scope& scope() const { return scope_; }
+
+    obs::Journal& journal() { return journal_; }
+    obs::SpanTracker& spans() { return journal_.spans(); }
+
+    /** Journal one event; @p fields are key/value pairs. */
+    template <typename... Fields>
+    void event(obs::LogLevel level, const std::string& job_id,
+               const char* name, Fields&&... fields)
     {
-        return scope_;
+        journal_.event(level, job_id, name,
+                       obs::eventFields(std::forward<Fields>(fields)...));
     }
-
-    obs::Logger& log() { return log_; }
-    obs::SpanTracker& spans() { return spans_; }
-    obs::FlightRecorder& flight() { return flight_; }
-    const obs::FlightRecorder& flight() const { return flight_; }
-
-    /** Forward spans to @p sink (the tracker serializes access) and
-     * keep a handle so the daemon tool can write the trace file. */
-    void attachTrace(std::shared_ptr<obs::PerfettoTraceSink> sink);
-    obs::PerfettoTraceSink* trace() const { return trace_.get(); }
 
     /** Account one finished request under its verb. @p status is the
      * wire status ("ok" / "error" / "rejected" / "cancelled"). */
@@ -89,36 +85,12 @@ class ServiceObserver
     double uptimeSeconds() const;
 
   private:
-    std::shared_ptr<obs::Scope> scope_;
-    obs::Logger log_;
-    obs::SpanTracker spans_;
-    obs::FlightRecorder flight_;
-    std::shared_ptr<obs::PerfettoTraceSink> trace_;
+    obs::Scope scope_;
+    obs::Journal journal_;
     mutable std::mutex verbs_mutex_;
     std::map<std::string, VerbStats> verbs_;
-    std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace graphiti::served
-
-/** Log one structured service event (fields via obs::logFields). */
-#define GRAPHITI_SVC_LOG(observer, level, job_id, event, ...)          \
-    do {                                                               \
-        ::graphiti::served::ServiceObserver* svc_obs_ = (observer);    \
-        if (svc_obs_ != nullptr)                                       \
-            svc_obs_->log().log((level), (job_id), (event),            \
-                                ::graphiti::obs::logFields(            \
-                                    __VA_ARGS__));                     \
-    } while (0)
-
-/** Append one flight-recorder entry. */
-#define GRAPHITI_SVC_FLIGHT(observer, kind, ...)                       \
-    do {                                                               \
-        ::graphiti::served::ServiceObserver* svc_obs_ = (observer);    \
-        if (svc_obs_ != nullptr)                                       \
-            svc_obs_->flight().record(                                 \
-                (kind),                                                \
-                ::graphiti::obs::logFields(__VA_ARGS__));              \
-    } while (0)
 
 #endif  // GRAPHITI_SERVED_OBSERVE_HPP

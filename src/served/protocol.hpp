@@ -19,7 +19,7 @@
  * `job_id` is the correlation id (docs/service_observability.md):
  * the client mints one per logical request and reuses it across
  * retry attempts (so a shed-then-resubmit sequence shares one id in
- * the daemon's logs and flight recorder); the daemon adopts it at
+ * the daemon's journal); the daemon adopts it at
  * admission — or mints one if the request carries none — and echoes
  * it in every response.
  *

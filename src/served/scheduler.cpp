@@ -104,6 +104,8 @@ elapsedMs(std::chrono::steady_clock::time_point from,
 
 Scheduler::Scheduler(SchedulerConfig config) : config_(std::move(config))
 {
+    if (!config_.observer)
+        config_.observer = std::make_shared<ServiceObserver>();
     if (config_.isolate > 0) {
         // Isolate mode: one dispatch lane per sandboxed child, so a
         // lane never waits on a worker another lane owns.
@@ -242,65 +244,40 @@ Scheduler::completeJobLocked(const JobPtr& job, JobOutcome outcome)
     double execute_ms =
         job->started ? elapsedMs(job->started_at, now) : 0.0;
 
-    ServiceObserver* observer = config_.observer.get();
-    if (observer != nullptr) {
-        observer->recordVerb(job->spec.kind, job->outcome.status,
-                             queue_wait_ms, execute_ms);
-        // Fold the job's private counters into the service-wide
-        // scope so stats aggregates across jobs keep accumulating.
-        if (job->job_scope != nullptr)
-            observer->scope().metrics().mergeFrom(
-                job->job_scope->metrics());
-    }
-    if (observer != nullptr) {
-        // The span tree of one job: its correlation id is the track,
-        // queue-wait and execute are the phases (forwarded to the
-        // Perfetto sink when one is attached — one service-level
-        // trace across concurrent jobs).
-        double now_ms = observer->spans().nowMs();
-        observer->spans().record(job->job_id, "queue-wait",
-                                 now_ms - queue_wait_ms - execute_ms,
-                                 now_ms - execute_ms);
-        if (job->started)
-            observer->spans().record(job->job_id, "execute",
-                                     now_ms - execute_ms, now_ms);
+    ServiceObserver& observer = *config_.observer;
+    observer.recordVerb(job->spec.kind, job->outcome.status,
+                        queue_wait_ms, execute_ms);
+    // Fold the job's private counters into the service-wide scope so
+    // stats aggregates across jobs keep accumulating.
+    observer.scope().metrics().mergeFrom(job->job_scope->metrics());
 
-        std::int64_t states =
-            job->job_scope != nullptr
-                ? job->job_scope->metrics().counter("refine.states")
-                : 0;
-        json::Value flight{json::Object{}};
-        flight.set("job_id", job->job_id);
-        flight.set("client", job->client);
-        flight.set("verb", job->spec.kind);
-        flight.set("status", job->outcome.status);
-        if (!job->outcome.error.empty())
-            flight.set("reason", job->outcome.error);
-        flight.set("queue_wait_ms", queue_wait_ms);
-        flight.set("execute_ms", execute_ms);
-        flight.set("states", states);
-        if (job->outcome.result.isObject()) {
-            const json::Value* level =
-                job->outcome.result.find("verification_level");
-            if (level != nullptr)
-                flight.set("verification_level", *level);
-            const json::Value* cache_hit =
-                job->outcome.result.find("verify_cache_hit");
-            if (cache_hit != nullptr)
-                flight.set("verify_cache_hit", *cache_hit);
-        }
-        observer->flight().record("job", std::move(flight));
+    // The span tree of one job: its correlation id is the track,
+    // queue-wait and execute are the phases (forwarded to the
+    // Perfetto sink when one is attached — one service-level trace
+    // across concurrent jobs).
+    obs::Journal& journal = observer.journal();
+    double now_ms = journal.nowMs();
+    journal.span(job->job_id, "queue-wait",
+                 now_ms - queue_wait_ms - execute_ms, now_ms - execute_ms);
+    if (job->started)
+        journal.span(job->job_id, "execute", now_ms - execute_ms, now_ms);
 
-        obs::LogLevel level = job->outcome.status == "ok"
-                                  ? obs::LogLevel::Info
-                                  : obs::LogLevel::Warn;
-        observer->log().log(
-            level, job->job_id, "job.done",
-            obs::logFields("client", job->client, "verb",
-                           job->spec.kind, "status",
-                           job->outcome.status, "queue_wait_ms",
-                           queue_wait_ms, "execute_ms", execute_ms));
-    }
+    json::Value fields = obs::eventFields(
+        "client", job->client, "verb", job->spec.kind, "status",
+        job->outcome.status);
+    if (!job->outcome.error.empty())
+        fields.set("reason", job->outcome.error);
+    fields.set("queue_wait_ms", queue_wait_ms);
+    fields.set("execute_ms", execute_ms);
+    fields.set("states",
+               job->job_scope->metrics().counter("refine.states"));
+    if (job->outcome.result.isObject())
+        for (const char* key : {"verification_level", "verify_cache_hit"})
+            if (const json::Value* value = job->outcome.result.find(key))
+                fields.set(key, *value);
+    journal.event(job->outcome.status == "ok" ? obs::LogLevel::Info
+                                              : obs::LogLevel::Warn,
+                  job->job_id, "job.done", std::move(fields));
     job_done_.notify_all();
     return true;
 }
@@ -337,15 +314,10 @@ Scheduler::enforceFairShareLocked()
                          "\" over share)";
     oldest->stop.requestStop(reason);
     stats_.preempted += 1;
-    ServiceObserver* observer = config_.observer.get();
-    if (observer != nullptr)
-        observer->scope().metrics().add("served.jobs.preempted", 1);
-    GRAPHITI_SVC_FLIGHT(observer, "sched", "event", "preempt",
-                        "job_id", oldest->job_id, "client", victim,
-                        "reason", reason);
-    GRAPHITI_SVC_LOG(observer, obs::LogLevel::Warn, oldest->job_id,
-                     "job.preempt", "client", victim, "reason",
-                     reason);
+    config_.observer->scope().metrics().add("served.jobs.preempted", 1);
+    config_.observer->event(obs::LogLevel::Warn, oldest->job_id,
+                            "job.preempt", "client", victim, "reason",
+                            reason);
 }
 
 JobOutcome
@@ -355,7 +327,7 @@ Scheduler::submitAndWait(const std::string& client, JobSpec spec,
                          const std::string& job_id)
 {
     JobPtr job = std::make_shared<Job>();
-    ServiceObserver* observer = config_.observer.get();
+    ServiceObserver& observer = *config_.observer;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         std::string id = job_id.empty()
@@ -378,17 +350,11 @@ Scheduler::submitAndWait(const std::string& client, JobSpec spec,
         AdmissionDecision decision = admitJob(state);
         if (!decision.admit) {
             stats_.shed += 1;
-            if (observer != nullptr)
-                observer->scope().metrics().add("served.jobs.shed",
-                                                1);
-            GRAPHITI_SVC_FLIGHT(observer, "sched", "event", "shed",
-                                "job_id", id, "client", client, "verb",
-                                spec.kind, "reason", decision.reason,
-                                "retry_after_ms",
-                                decision.retry_after_ms);
-            GRAPHITI_SVC_LOG(observer, obs::LogLevel::Warn, id,
-                             "job.shed", "client", client, "verb",
-                             spec.kind, "reason", decision.reason);
+            observer.scope().metrics().add("served.jobs.shed", 1);
+            observer.event(obs::LogLevel::Warn, id, "job.shed", "client",
+                           client, "verb", spec.kind, "reason",
+                           decision.reason, "retry_after_ms",
+                           decision.retry_after_ms);
             JobOutcome outcome;
             outcome.job_id = id;
             outcome.status = "rejected";
@@ -397,12 +363,9 @@ Scheduler::submitAndWait(const std::string& client, JobSpec spec,
             return outcome;
         }
         stats_.accepted += 1;
-        if (observer != nullptr) {
-            observer->scope().metrics().add("served.jobs.accepted", 1);
-            observer->scope().metrics().set(
-                "served.queue.depth",
-                static_cast<double>(queue_.size() + 1));
-        }
+        observer.scope().metrics().add("served.jobs.accepted", 1);
+        observer.scope().metrics().set(
+            "served.queue.depth", static_cast<double>(queue_.size() + 1));
         double deadline = deadline_seconds;
         if (config_.max_deadline_seconds > 0 &&
             (deadline == 0 || deadline > config_.max_deadline_seconds))
@@ -428,13 +391,9 @@ Scheduler::submitAndWait(const std::string& client, JobSpec spec,
         // verbs snapshot it from the connection threads.
         job->job_scope->attachVerifyProbe(
             std::make_shared<obs::VerifyProbe>());
-        GRAPHITI_SVC_FLIGHT(observer, "sched", "event", "admit",
-                            "job_id", job->job_id, "client", client,
-                            "verb", job->spec.kind, "queued",
-                            queue_.size());
-        GRAPHITI_SVC_LOG(observer, obs::LogLevel::Debug, job->job_id,
-                         "job.admit", "client", client, "verb",
-                         job->spec.kind, "queued", queue_.size());
+        observer.event(obs::LogLevel::Debug, job->job_id, "job.admit",
+                       "client", client, "verb", job->spec.kind,
+                       "queued", queue_.size());
         queue_.push_back(job);
         enforceFairShareLocked();
         work_available_.notify_one();
@@ -507,9 +466,8 @@ Scheduler::workerLoop()
             if (run.exit_class == ExitClass::Wedged) {
                 std::lock_guard<std::mutex> lock(mutex_);
                 stats_.wedged += 1;
-                if (config_.observer != nullptr)
-                    config_.observer->scope().metrics().add(
-                        "served.jobs.wedged", 1);
+                config_.observer->scope().metrics().add(
+                    "served.jobs.wedged", 1);
             }
         } else {
             // The job's private scope catches cooperative progress
@@ -544,10 +502,8 @@ Scheduler::workerLoop()
             running_.erase(
                 std::remove(running_.begin(), running_.end(), job),
                 running_.end());
-            if (config_.observer != nullptr)
-                config_.observer->scope().metrics().set(
-                    "served.queue.depth",
-                    static_cast<double>(queue_.size()));
+            config_.observer->scope().metrics().set(
+                "served.queue.depth", static_cast<double>(queue_.size()));
             abandoned_worker = job->worker_abandoned;
             if (abandoned_worker) {
                 workers_alive_ -= 1;
@@ -566,7 +522,7 @@ void
 Scheduler::supervisorLoop()
 {
     for (;;) {
-        bool dump_flight = false;
+        bool dump_journal = false;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             if (stopping_)
@@ -583,10 +539,9 @@ Scheduler::supervisorLoop()
                     JobOutcome outcome;
                     outcome.status = "cancelled";
                     outcome.error = job->stop.reason();
-                    GRAPHITI_SVC_FLIGHT(
-                        config_.observer.get(), "sched", "event",
-                        "deadline", "job_id", job->job_id, "client",
-                        job->client, "reason", outcome.error);
+                    config_.observer->event(
+                        obs::LogLevel::Warn, job->job_id, "job.deadline",
+                        "client", job->client, "reason", outcome.error);
                     completeJobLocked(job, std::move(outcome));
                     it = queue_.erase(it);
                 } else {
@@ -623,30 +578,23 @@ Scheduler::supervisorLoop()
                     std::to_string(waited) + "s";
                 outcome.artifact = faults::failureArtifact(
                     nullptr, outcome.error, scope);
-                GRAPHITI_SVC_FLIGHT(
-                    config_.observer.get(), "sched", "event", "wedge",
-                    "job_id", job->job_id, "client", job->client,
-                    "reason", outcome.error);
-                GRAPHITI_SVC_LOG(config_.observer.get(),
-                                 obs::LogLevel::Error, job->job_id,
-                                 "job.wedge", "client", job->client,
-                                 "reason", outcome.error);
+                config_.observer->event(
+                    obs::LogLevel::Error, job->job_id, "job.wedge",
+                    "client", job->client, "reason", outcome.error);
                 completeJobLocked(job, std::move(outcome));
                 job->worker_abandoned = true;
                 stats_.wedged += 1;
-                if (config_.observer != nullptr)
-                    config_.observer->scope().metrics().add(
-                        "served.jobs.wedged", 1);
+                config_.observer->scope().metrics().add(
+                    "served.jobs.wedged", 1);
                 workers_.emplace_back([this] { workerLoop(); });
-                dump_flight = true;
+                dump_journal = true;
             }
         }
-        // A wedge is exactly what the flight recorder exists for:
-        // dump outside the scheduler lock (file IO under a lock would
-        // stall admission).
-        if (dump_flight && config_.observer != nullptr &&
-            !config_.observer->flight().dumpPath().empty())
-            (void)config_.observer->flight().dump();
+        // A wedge is exactly what the journal dump exists for: dump
+        // outside the scheduler lock (file IO under a lock would
+        // stall admission). No dump path configured is no dump.
+        if (dump_journal)
+            (void)config_.observer->journal().dump();
         std::this_thread::sleep_for(std::chrono::duration<double>(
             config_.supervisor_period_ms / 1000.0));
     }
@@ -673,26 +621,21 @@ Scheduler::jobsJson() const
         out.set("stop_requested", job->stop.stopRequested());
         if (job->stop.stopRequested())
             out.set("stop_reason", job->stop.reason());
-        if (job->job_scope != nullptr) {
-            const obs::MetricsRegistry& metrics =
-                job->job_scope->metrics();
-            out.set("states_explored",
-                    metrics.counter("refine.states"));
-            json::Value rungs{json::Object{}};
-            rungs.set("full", metrics.counter("guard.verify.full"));
-            rungs.set("bounded_partial",
-                      metrics.counter("guard.verify.bounded_partial"));
-            rungs.set("trace_inclusion",
-                      metrics.counter("guard.verify.trace_inclusion"));
-            rungs.set("none", metrics.counter("guard.verify.none"));
-            out.set("verify_rungs", std::move(rungs));
-            // Live verification progress: a tearing-tolerant snapshot
-            // of the worker's probe (samples == 0 until the first
-            // publish — the job has not reached the verify core yet).
-            if (const obs::VerifyProbe* probe =
-                    job->job_scope->verifyProbe())
-                out.set("progress", probe->snapshot().toJson());
-        }
+        const obs::MetricsRegistry& metrics = job->job_scope->metrics();
+        out.set("states_explored", metrics.counter("refine.states"));
+        json::Value rungs{json::Object{}};
+        rungs.set("full", metrics.counter("guard.verify.full"));
+        rungs.set("bounded_partial",
+                  metrics.counter("guard.verify.bounded_partial"));
+        rungs.set("trace_inclusion",
+                  metrics.counter("guard.verify.trace_inclusion"));
+        rungs.set("none", metrics.counter("guard.verify.none"));
+        out.set("verify_rungs", std::move(rungs));
+        // Live verification progress: a tearing-tolerant snapshot of
+        // the worker's probe (samples == 0 until the first publish —
+        // the job has not reached the verify core yet).
+        if (const obs::VerifyProbe* probe = job->job_scope->verifyProbe())
+            out.set("progress", probe->snapshot().toJson());
         return out;
     };
     json::Value jobs{json::Array{}};
@@ -716,7 +659,7 @@ Scheduler::liveVerifyTotals(std::int64_t& states,
     peak_bytes = 0;
     std::lock_guard<std::mutex> lock(mutex_);
     auto fold = [&](const JobPtr& job) {
-        if (job->done || job->job_scope == nullptr)
+        if (job->done)
             return;
         states += job->job_scope->metrics().counter("refine.states");
         if (const obs::VerifyProbe* probe =

@@ -74,10 +74,10 @@ struct SchedulerConfig
     /** Verdict-store shape; dir empty = in-memory only. */
     guard::VerdictStoreConfig store;
     /** The service observability plane: scheduler counters land in
-     * its scope, every job gets spans/log/flight records correlated
+     * its scope, every job gets journal events and spans correlated
      * by job_id, and each finished job's private scope is folded into
-     * the service-wide one. Null = no observation (the byte-identical
-     * -verdict contract holds either way). */
+     * the service-wide one. Null = the scheduler makes its own (the
+     * byte-identical-verdict contract holds either way). */
     std::shared_ptr<ServiceObserver> observer;
 };
 
@@ -258,9 +258,10 @@ class Scheduler
         /** Armed deadline, for the jobs verb's remaining-time column. */
         bool has_deadline = false;
         std::chrono::steady_clock::time_point deadline_at{};
-        /** Private scope installed around runJob: the jobs verb reads
-         * live progress counters off it; on completion it folds into
-         * the observer's service-wide scope. */
+        /** Private scope, set at admission and installed around
+         * runJob: the jobs verb reads live progress counters off it;
+         * on completion it folds into the observer's service-wide
+         * scope. */
         std::shared_ptr<obs::Scope> job_scope;
         JobOutcome outcome;
     };

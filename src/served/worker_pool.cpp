@@ -33,6 +33,8 @@ WorkerPool::WorkerPool(WorkerPoolConfig config, StoreHooks hooks)
 {
     if (config_.workers == 0)
         config_.workers = 1;
+    if (!config_.observer)
+        config_.observer = std::make_shared<ServiceObserver>();
 }
 
 WorkerPool::~WorkerPool() { stop(); }
@@ -54,15 +56,13 @@ WorkerPool::spawnSlotLocked(Slot& slot, bool is_respawn)
     spawned_ += 1;
     if (is_respawn)
         respawned_ += 1;
-    ServiceObserver* observer = config_.observer.get();
-    if (observer != nullptr)
-        observer->scope().metrics().add(
-            is_respawn ? "served.worker.respawned"
-                       : "served.worker.spawned",
-            1);
-    GRAPHITI_SVC_FLIGHT(observer, "worker", "event",
-                        is_respawn ? "respawn" : "spawn", "pid",
-                        slot.worker->pid());
+    config_.observer->scope().metrics().add(
+        is_respawn ? "served.worker.respawned" : "served.worker.spawned",
+        1);
+    config_.observer->event(obs::LogLevel::Info, "",
+                            is_respawn ? "worker.respawn"
+                                       : "worker.spawn",
+                            "pid", slot.worker->pid());
     return true;
 }
 
@@ -81,18 +81,11 @@ WorkerPool::recordDeathLocked(const std::string& cls,
                       config_.breaker_window_seconds));
     while (!deaths_.empty() && deaths_.front() < horizon)
         deaths_.pop_front();
-    ServiceObserver* observer = config_.observer.get();
-    if (observer != nullptr) {
-        observer->scope().metrics().add("served.worker.crashes", 1);
-        observer->scope().metrics().add(
-            "served.worker.crashes." + cls, 1);
-    }
-    GRAPHITI_SVC_FLIGHT(observer, "worker", "event", "crash", "class",
-                        cls, "job_id", job_id, "window_deaths",
-                        deaths_.size());
-    GRAPHITI_SVC_LOG(observer, obs::LogLevel::Warn, job_id,
-                     "worker.crash", "class", cls, "window_deaths",
-                     deaths_.size());
+    ServiceObserver& observer = *config_.observer;
+    observer.scope().metrics().add("served.worker.crashes", 1);
+    observer.scope().metrics().add("served.worker.crashes." + cls, 1);
+    observer.event(obs::LogLevel::Warn, job_id, "worker.crash", "class",
+                   cls, "window_deaths", deaths_.size());
 
     if (deaths_.size() < config_.breaker_deaths)
         return;
@@ -114,15 +107,9 @@ WorkerPool::recordDeathLocked(const std::string& cls,
                       cooldown_ms));
     breaker_armed_ = true;
     deaths_.clear();
-    if (observer != nullptr)
-        observer->scope().metrics().add("served.worker.breaker_trips",
-                                        1);
-    GRAPHITI_SVC_FLIGHT(observer, "worker", "event", "breaker-trip",
-                        "cooldown_ms", cooldown_ms, "trip",
-                        breaker_trips_);
-    GRAPHITI_SVC_LOG(observer, obs::LogLevel::Error, "",
-                     "worker.breaker", "cooldown_ms", cooldown_ms,
-                     "trip", breaker_trips_);
+    observer.scope().metrics().add("served.worker.breaker_trips", 1);
+    observer.event(obs::LogLevel::Error, "", "worker.breaker",
+                   "cooldown_ms", cooldown_ms, "trip", breaker_trips_);
 }
 
 double

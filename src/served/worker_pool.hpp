@@ -50,8 +50,8 @@ struct WorkerPoolConfig
     /** Cooldown shape: base doubles per consecutive trip up to cap
      * (max_attempts is unused here — the breaker never gives up). */
     BackoffPolicy breaker_backoff{8, 250.0, 10000.0};
-    /** Flight/log records (worker spawn/crash/respawn/breaker-trip)
-     * and pool counters; null = unobserved. */
+    /** Journal events (worker spawn/respawn/crash/breaker) and pool
+     * counters; null = the pool makes its own. */
     std::shared_ptr<ServiceObserver> observer;
 };
 
@@ -95,7 +95,7 @@ class WorkerPool
      * Run one job on a checked-out worker. Sheds with "rejected" +
      * retry_after_ms while the breaker is open; otherwise respawns a
      * dead slot if needed, dispatches, and records any death (class
-     * counters, breaker window, flight records). The worker's
+     * counters, breaker window, journal events). The worker's
      * heartbeats are mirrored into @p job_scope.
      */
     SandboxOutcome execute(const std::string& job_id,

@@ -3,21 +3,21 @@
  * Tests of the service observability plane (label: obs).
  *
  * The contracts under test (docs/service_observability.md):
- *   - structured logging: bounded ring, level filter, JSON-lines file
- *     mirror, monotonic timestamps;
- *   - spans: thread-safe tracking forwarded to one PerfettoTraceSink,
- *     one track per correlation id;
- *   - flight recorder: deterministic ring truncation, atomic dump and
- *     parse round-trip;
+ *   - the journal: two bounded lanes (events, spans) counting their
+ *     own evictions, events in time order under concurrent writers,
+ *     the JSON-lines mirror, spans forwarded to one PerfettoTraceSink,
+ *     an atomic dump of the newest events, and a crash path that
+ *     never deadlocks on the journal's own lock;
  *   - correlation: the id minted client-side rides every retry of one
  *     logical request, survives shed-then-resubmit, and comes back on
- *     every JobResponse — and the daemon's flight recorder stitches
- *     the shed and the eventual completion into one story;
+ *     every JobResponse — and the daemon's journal stitches the shed
+ *     and the eventual completion into one story, with exactly one
+ *     admit and one done event per job;
  *   - introspection: stats / jobs / health round-trip over the wire,
  *     including a live running-job entry with deadline remaining;
- *   - neutrality: verdicts are byte-identical with the observer
- *     attached, detached, and against the one-shot compiler, at
- *     every thread count;
+ *   - neutrality: verdicts are byte-identical with a caller's
+ *     observer, with the scheduler's own, and against the one-shot
+ *     compiler, at every thread count;
  *   - under fire: concurrent stats/jobs/health polling during a
  *     misbehaving-client soak stays answered (and TSan-clean when the
  *     suite runs under TSan).
@@ -25,9 +25,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -37,9 +42,7 @@
 #include "core/compiler.hpp"
 #include "core/job.hpp"
 #include "dot/dot.hpp"
-#include "obs/flight.hpp"
-#include "obs/log.hpp"
-#include "obs/span.hpp"
+#include "obs/journal.hpp"
 #include "obs/trace.hpp"
 #include "served/client.hpp"
 #include "served/daemon.hpp"
@@ -52,7 +55,7 @@ namespace {
 std::string
 tempPath(const std::string& name)
 {
-    return ::testing::TempDir() + name;
+    return ::testing::TempDir() + std::to_string(::getpid()) + "-" + name;
 }
 
 std::string
@@ -118,79 +121,93 @@ clientConfig(const std::string& socket_path)
 }
 
 // ---------------------------------------------------------------------
-// Logger.
+// The journal: one lock, two bounded lanes, one dump.
 // ---------------------------------------------------------------------
 
 TEST(ObsServiceLog, RingKeepsTheNewestAndCountsEvictions)
 {
-    obs::Logger logger(3);
+    obs::Journal journal(/*dump_events=*/2, /*event_capacity=*/3,
+                         /*span_capacity=*/4);
     for (int i = 0; i < 7; ++i)
-        logger.log(obs::LogLevel::Info, "job-" + std::to_string(i),
-                   "event", obs::logFields("i", i));
-    EXPECT_EQ(logger.recorded(), 7u);
-    EXPECT_EQ(logger.dropped(), 4u);
+        journal.event(obs::LogLevel::Info, "job-" + std::to_string(i),
+                      "event", obs::eventFields("i", i));
+    EXPECT_EQ(journal.events().recorded(), 7u);
+    EXPECT_EQ(journal.events().dropped(), 4u);
+    EXPECT_EQ(journal.spans().recorded(), 0u);  // lanes are separate
 
-    std::vector<obs::LogRecord> tail = logger.tail(10);
+    std::vector<obs::EventRecord> tail = journal.events().tail(10);
     ASSERT_EQ(tail.size(), 3u);
     EXPECT_EQ(tail.front().job_id, "job-4");  // oldest survivor
     EXPECT_EQ(tail.back().job_id, "job-6");
-    // Monotonic timestamps on one shared clock.
+    // Monotonic timestamps on the journal's one clock.
     EXPECT_LE(tail.front().t_ms, tail.back().t_ms);
 
-    obs::json::Value doc = logger.toJson();
-    EXPECT_EQ(doc.find("recorded")->asNumber(), 7);
-    EXPECT_EQ(doc.find("dropped")->asNumber(), 4);
-    EXPECT_EQ(doc.find("records")->asArray().size(), 3u);
+    obs::json::Value occupancy = journal.occupancyJson();
+    const obs::json::Value* events = occupancy.find("events");
+    ASSERT_NE(events, nullptr);
+    EXPECT_EQ(events->find("capacity")->asNumber(), 3);
+    EXPECT_EQ(events->find("recorded")->asNumber(), 7);
+    EXPECT_EQ(events->find("dropped")->asNumber(), 4);
+    EXPECT_EQ(occupancy.find("spans")->find("capacity")->asNumber(), 4);
+    EXPECT_EQ(occupancy.find("spans")->find("recorded")->asNumber(), 0);
 }
 
-TEST(ObsServiceLog, MinLevelFiltersAndFileMirrorsJsonLines)
+TEST(ObsServiceJournal, EventLaneEvictsAndTheFileMirrorKeepsAll)
 {
-    std::string path = tempPath("obs-service-log.jsonl");
+    std::string path = tempPath("obs-service-journal.jsonl");
     std::remove(path.c_str());
 
-    obs::Logger logger(16);
-    ASSERT_TRUE(logger.openFile(path).ok());
-    logger.setMinLevel(obs::LogLevel::Warn);
-    logger.log(obs::LogLevel::Debug, "j1", "quiet.event");
-    logger.log(obs::LogLevel::Error, "j2", "loud.event",
-               obs::logFields("reason", "wedge"));
-    EXPECT_EQ(logger.recorded(), 1u);
+    obs::Journal journal(/*dump_events=*/2, /*event_capacity=*/3,
+                         /*span_capacity=*/4);
+    ASSERT_TRUE(journal.openFile(path).ok());
+    for (int i = 0; i < 6; ++i)
+        journal.event(obs::LogLevel::Info, "job-" + std::to_string(i),
+                      "event", obs::eventFields("i", i));
+    journal.event(obs::LogLevel::Error, "", "loud.event",
+                  obs::eventFields("reason", "wedge"));
+    EXPECT_EQ(journal.events().recorded(), 7u);
+    EXPECT_EQ(journal.events().dropped(), 4u);
+    std::vector<obs::EventRecord> tail = journal.events().tail(10);
+    ASSERT_EQ(tail.size(), 3u);
 
+    // The JSON-lines mirror keeps what the ring evicted, each line
+    // the record's own JSON.
     std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::string line;
     std::vector<std::string> lines;
-    while (std::getline(in, line))
-        if (!line.empty())
-            lines.push_back(line);
-    ASSERT_EQ(lines.size(), 1u);
-    Result<obs::json::Value> parsed = obs::json::parse(lines[0]);
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    ASSERT_EQ(lines.size(), 7u);
+    for (int i = 0; i < 6; ++i) {
+        Result<obs::json::Value> line = obs::json::parse(lines[i]);
+        ASSERT_TRUE(line.ok()) << line.error().message;
+        EXPECT_EQ(line.value().find("job_id")->asString(),
+                  "job-" + std::to_string(i));
+    }
+    EXPECT_EQ(lines[6], tail.back().toJson().dump());
+    Result<obs::json::Value> parsed = obs::json::parse(lines[6]);
     ASSERT_TRUE(parsed.ok()) << parsed.error().message;
     EXPECT_EQ(parsed.value().find("event")->asString(), "loud.event");
-    EXPECT_EQ(parsed.value().find("job_id")->asString(), "j2");
     EXPECT_EQ(parsed.value().find("level")->asString(), "error");
+    EXPECT_EQ(parsed.value().find("job_id"), nullptr);  // service-level
     EXPECT_EQ(
         parsed.value().find("fields")->find("reason")->asString(),
         "wedge");
     std::remove(path.c_str());
 }
 
-// ---------------------------------------------------------------------
-// Spans.
-// ---------------------------------------------------------------------
-
-TEST(ObsServiceSpan, RecordsForwardToThePerfettoSink)
+TEST(ObsServiceJournal, SpansForwardToThePerfettoSink)
 {
     auto sink = std::make_shared<obs::PerfettoTraceSink>();
-    obs::SpanTracker tracker(8);
-    tracker.attachSink(sink);
+    obs::Journal journal(8, 8, 8);
+    journal.attachSink(sink);
 
-    tracker.record("job-1", "queue-wait", 1.0, 3.0);
-    tracker.record("job-1", "execute", 3.0, 10.0);
-    tracker.record("job-2", "execute", 4.0, 6.0);
+    journal.span("job-1", "queue-wait", 1.0, 3.0);
+    journal.span("job-1", "execute", 3.0, 10.0);
+    journal.span("job-2", "execute", 4.0, 6.0);
 
-    EXPECT_EQ(tracker.recorded(), 3u);
-    std::vector<obs::SpanRecord> tail = tracker.tail(10);
+    EXPECT_EQ(journal.spans().recorded(), 3u);
+    EXPECT_EQ(journal.events().recorded(), 0u);
+    std::vector<obs::SpanRecord> tail = journal.spans().tail(10);
     ASSERT_EQ(tail.size(), 3u);
     EXPECT_EQ(tail[0].track, "job-1");
     EXPECT_EQ(tail[0].name, "queue-wait");
@@ -204,82 +221,172 @@ TEST(ObsServiceSpan, RecordsForwardToThePerfettoSink)
     EXPECT_NE(trace.find("job-2"), std::string::npos);
 }
 
-TEST(ObsServiceSpan, ConcurrentRecordingIsLossBoundedAndSafe)
+TEST(ObsServiceJournal, ConcurrentRecordingIsLossBoundedAndOrdered)
 {
-    obs::SpanTracker tracker(64);
+    obs::Journal journal(16, 64, 32);
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t)
-        threads.emplace_back([&tracker, t] {
-            for (int i = 0; i < 100; ++i)
-                tracker.record("t" + std::to_string(t), "op",
-                               i * 1.0, i * 1.0 + 0.5);
+        threads.emplace_back([&journal, t] {
+            std::string track = "t" + std::to_string(t);
+            for (int i = 0; i < 100; ++i) {
+                journal.event(obs::LogLevel::Info, track, "op",
+                              obs::eventFields("i", i));
+                journal.span(track, "op", i * 1.0, i * 1.0 + 0.5);
+            }
         });
     for (std::thread& thread : threads)
         thread.join();
-    EXPECT_EQ(tracker.recorded(), 400u);
-    EXPECT_EQ(tracker.dropped(), 400u - 64u);
-    EXPECT_EQ(tracker.tail(1000).size(), 64u);
-}
 
-// ---------------------------------------------------------------------
-// Flight recorder.
-// ---------------------------------------------------------------------
+    // Each lane counts and evicts on its own.
+    EXPECT_EQ(journal.events().recorded(), 400u);
+    EXPECT_EQ(journal.events().dropped(), 400u - 64u);
+    EXPECT_EQ(journal.spans().recorded(), 400u);
+    EXPECT_EQ(journal.spans().dropped(), 400u - 32u);
+    EXPECT_EQ(journal.spans().tail(1000).size(), 32u);
+
+    // Stamped under the lock: the ring is in time order.
+    std::vector<obs::EventRecord> tail = journal.events().tail(1000);
+    ASSERT_EQ(tail.size(), 64u);
+    for (std::size_t i = 1; i < tail.size(); ++i)
+        EXPECT_LE(tail[i - 1].t_ms, tail[i].t_ms) << "at " << i;
+}
 
 TEST(ObsServiceFlight, DeterministicRingTruncation)
 {
-    obs::FlightRecorder recorder(4);
-    for (int i = 0; i < 10; ++i)
-        recorder.record(i % 2 == 0 ? "job" : "sched",
-                        obs::logFields("i", i));
-    EXPECT_EQ(recorder.size(), 4u);
-    EXPECT_EQ(recorder.recorded(), 10u);
-    EXPECT_EQ(recorder.dropped(), 6u);
-
-    obs::json::Value doc = recorder.toJson();
-    const obs::json::Value* records = doc.find("records");
-    ASSERT_NE(records, nullptr);
-    ASSERT_EQ(records->asArray().size(), 4u);
-    // Exactly the last four, in order, kinds alternating.
-    for (int k = 0; k < 4; ++k) {
-        const obs::json::Value& record = records->asArray()[k];
-        EXPECT_EQ(record.find("i")->asNumber(), 6 + k);
-        EXPECT_EQ(record.find("kind")->asString(),
-                  (6 + k) % 2 == 0 ? "job" : "sched");
-        EXPECT_TRUE(record.find("t_ms") != nullptr);
-    }
-}
-
-TEST(ObsServiceFlight, DumpIsAtomicAndParsesBack)
-{
-    std::string path = tempPath("obs-service-flight.json");
+    std::string path = tempPath("obs-service-truncation.json");
     std::remove(path.c_str());
 
-    obs::FlightRecorder recorder(8);
-    recorder.record("sched", obs::logFields("event", "shed", "job_id",
-                                            "j-1", "reason",
-                                            "queue full"));
-    recorder.record("job", obs::logFields("job_id", "j-1", "status",
-                                          "ok"));
-    ASSERT_TRUE(recorder.dumpTo(path).ok());
-    // Atomic discipline: no temp file left behind.
-    std::ifstream tmp(path + ".tmp");
-    EXPECT_FALSE(tmp.good());
+    // The dump window (4) is narrower than the event lane (8).
+    obs::Journal journal(4, 8, 8);
+    for (int i = 0; i < 10; ++i)
+        journal.event(obs::LogLevel::Info, "j-" + std::to_string(i),
+                      i % 2 == 0 ? "job.done" : "job.shed",
+                      obs::eventFields("i", i));
+    journal.span("j-9", "execute", 0.0, 1.0);
+    EXPECT_EQ(journal.events().recorded(), 10u);
+    EXPECT_EQ(journal.events().dropped(), 2u);
+    ASSERT_TRUE(journal.dumpTo(path).ok());
 
     std::ifstream in(path);
     std::stringstream buffer;
     buffer << in.rdbuf();
     Result<obs::json::Value> parsed = obs::json::parse(buffer.str());
     ASSERT_TRUE(parsed.ok()) << parsed.error().message;
-    const obs::json::Value* records = parsed.value().find("records");
+    const obs::json::Value& doc = parsed.value();
+    EXPECT_EQ(doc.find("capacity")->asNumber(), 4);
+    EXPECT_EQ(doc.find("recorded")->asNumber(), 10);
+    EXPECT_EQ(doc.find("dropped")->asNumber(), 6);
+    const obs::json::Value* records = doc.find("records");
     ASSERT_NE(records, nullptr);
-    ASSERT_EQ(records->asArray().size(), 2u);
-    EXPECT_EQ(records->asArray()[0].find("reason")->asString(),
-              "queue full");
-    EXPECT_EQ(records->asArray()[1].find("status")->asString(), "ok");
+    ASSERT_EQ(records->asArray().size(), 4u);
+    // Exactly the last four events, in order; spans stay out.
+    for (int k = 0; k < 4; ++k) {
+        const obs::json::Value& record = records->asArray()[k];
+        EXPECT_EQ(record.find("fields")->find("i")->asNumber(), 6 + k);
+        EXPECT_EQ(record.find("event")->asString(),
+                  (6 + k) % 2 == 0 ? "job.done" : "job.shed");
+        EXPECT_EQ(record.find("job_id")->asString(),
+                  "j-" + std::to_string(6 + k));
+        EXPECT_NE(record.find("t_ms"), nullptr);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(ObsServiceFlight, DumpIsAtomicAndParsesBack)
+{
+    std::string path = tempPath("obs-service-journal.json");
     std::remove(path.c_str());
 
+    obs::Journal journal(8, 8, 8);
+    journal.event(obs::LogLevel::Warn, "j-1", "job.shed",
+                  obs::eventFields("reason", "queue full"));
+    journal.event(obs::LogLevel::Info, "j-1", "job.done",
+                  obs::eventFields("status", "ok"));
     // dump() without a configured path is a structured error.
-    EXPECT_FALSE(recorder.dump().ok());
+    EXPECT_FALSE(journal.dump().ok());
+    EXPECT_FALSE(std::ifstream(path).good());
+
+    journal.setDumpPath(path);
+    ASSERT_TRUE(journal.dump().ok());
+    // Atomic discipline: no temp file left behind.
+    EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+
+    std::ifstream in(path);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    Result<obs::json::Value> parsed = obs::json::parse(buffer.str());
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+    const obs::json::Value& doc = parsed.value();
+    EXPECT_EQ(doc.find("recorded")->asNumber(), 2);
+    EXPECT_EQ(doc.find("dropped")->asNumber(), 0);
+    const obs::json::Value* records = doc.find("records");
+    ASSERT_NE(records, nullptr);
+    ASSERT_EQ(records->asArray().size(), 2u);
+    const obs::json::Value& shed = records->asArray()[0];
+    EXPECT_EQ(shed.find("event")->asString(), "job.shed");
+    EXPECT_EQ(shed.find("level")->asString(), "warn");
+    EXPECT_EQ(shed.find("fields")->find("reason")->asString(),
+              "queue full");
+    const obs::json::Value& done = records->asArray()[1];
+    EXPECT_EQ(done.find("job_id")->asString(), "j-1");
+    EXPECT_EQ(done.find("fields")->find("status")->asString(), "ok");
+    std::remove(path.c_str());
+}
+
+/** A sink whose span() calls the crash-dump entry point with the
+ * journal lock held by the calling thread: the shape of a fatal
+ * signal raised mid-record. */
+struct CrashingSink : obs::TraceSink
+{
+    const obs::Journal* journal = nullptr;
+    std::atomic<bool> called{false};
+    std::atomic<bool> dumped{false};
+
+    void event(const obs::TraceRecord&) override {}
+    void span(const std::string&, const std::string&, double,
+              double) override
+    {
+        dumped = journal->crashDump();
+        called = true;
+    }
+};
+
+TEST(ObsServiceJournal, CrashDumpInsideARecordReturnsWithoutWriting)
+{
+    std::string path = tempPath("obs-service-crash.json");
+    std::remove(path.c_str());
+
+    auto journal = std::make_shared<obs::Journal>(8, 8, 8);
+    journal->setDumpPath(path);
+    journal->event(obs::LogLevel::Info, "j-1", "job.admit");
+    auto sink = std::make_shared<CrashingSink>();
+    sink->journal = journal.get();
+    journal->attachSink(sink);
+
+    // The writer owns references to everything it touches, so a
+    // writer that deadlocked can be detached without dangling.
+    auto finished = std::make_shared<std::promise<void>>();
+    std::future<void> done = finished->get_future();
+    std::thread writer([journal, finished] {
+        journal->span("j-1", "execute", 0.0, 1.0);
+        finished->set_value();
+    });
+    bool returned = done.wait_for(std::chrono::seconds(10)) ==
+                    std::future_status::ready;
+    if (returned)
+        writer.join();
+    else
+        writer.detach();  // blocked for good: joining would hang
+    ASSERT_TRUE(returned)
+        << "the crash path blocked on the journal's own lock";
+    EXPECT_TRUE(sink->called.load());
+    EXPECT_FALSE(sink->dumped.load());
+    EXPECT_FALSE(std::ifstream(path).good());
+
+    // Outside the lock the same entry point does write.
+    EXPECT_TRUE(journal->crashDump());
+    EXPECT_TRUE(std::ifstream(path).good());
+    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -378,19 +485,31 @@ TEST(ObsServiceDaemon, CorrelationIdSurvivesShedThenResubmit)
     const std::string dot = gcdDot();
 
     // Pin the single worker and fill the one queue slot with jobs
-    // that cannot finish before their deadlines.
-    std::vector<std::thread> blockers;
+    // that cannot finish before their deadlines. A blocker that
+    // arrives while the other still waits in the queue is shed, so
+    // blockers retry with sleeps until admitted. jthreads join on
+    // every exit path, failed assertions included.
+    std::vector<std::jthread> blockers;
+    served::ClientConfig blocker_config = clientConfig(path);
+    blocker_config.sleep_between_retries = true;
+    blocker_config.backoff.base_ms = 5.0;
+    blocker_config.backoff.cap_ms = 20.0;
+    blocker_config.backoff.max_attempts = 50;
     for (std::uint64_t b = 0; b < 2; ++b)
         blockers.emplace_back([&, b] {
-            served::Client blocker(clientConfig(path));
-            (void)blocker.request(blockerSpec(dot, 7000 + b), 1.2);
+            // Named ids: clients of one seed mint the same series.
+            served::Client blocker(blocker_config);
+            (void)blocker.request(blockerSpec(dot, 7000 + b), 2.5,
+                                  "blocker-" + std::to_string(b));
         });
 
     // Wait until the daemon reports worker busy + queue full; the
     // introspection verbs bypass the queue, so this works under load.
     served::Client prober(clientConfig(path));
     bool saturated = false;
-    for (int i = 0; i < 400 && !saturated; ++i) {
+    auto give_up = std::chrono::steady_clock::now() +
+                   std::chrono::seconds(10);
+    while (!saturated && std::chrono::steady_clock::now() < give_up) {
         Result<obs::json::Value> jobs = prober.serviceJobs();
         ASSERT_TRUE(jobs.ok()) << jobs.error().message;
         saturated = jobs.value().find("running")->asNumber() == 1 &&
@@ -421,33 +540,45 @@ TEST(ObsServiceDaemon, CorrelationIdSurvivesShedThenResubmit)
         << "the saturated daemon should have shed at least once";
 
     daemon.stop();
-    for (std::thread& blocker : blockers)
-        blocker.join();
+    blockers.clear();
 
-    // The flight recorder stitched the story: the same id appears in
-    // a shed scheduler record AND in the final completed-job record.
-    obs::json::Value flight = observer->flight().toJson();
-    bool shed_seen = false, done_seen = false;
-    for (const obs::json::Value& record :
-         flight.find("records")->asArray()) {
-        const obs::json::Value* record_id = record.find("job_id");
-        if (record_id == nullptr || record_id->asString() != id)
+    // The journal stitched the story: the same id appears on a
+    // job.shed event AND on the job.done event of the completion.
+    // However often a job was shed and retried, it was admitted and
+    // finished exactly once.
+    bool shed_seen = false;
+    const obs::EventRecord* done = nullptr;
+    std::map<std::string, int> admits, dones;
+    std::vector<obs::EventRecord> events =
+        observer->journal().events().tail(1024);
+    for (const obs::EventRecord& record : events) {
+        if (record.event == "job.admit")
+            admits[record.job_id] += 1;
+        if (record.event == "job.done")
+            dones[record.job_id] += 1;
+        if (record.job_id != id)
             continue;
-        const std::string kind = record.find("kind")->asString();
-        const obs::json::Value* event = record.find("event");
-        if (kind == "sched" && event != nullptr &&
-            event->asString() == "shed") {
+        if (record.event == "job.shed") {
             shed_seen = true;
-            EXPECT_FALSE(record.find("reason")->asString().empty());
+            EXPECT_FALSE(
+                record.fields.find("reason")->asString().empty());
         }
-        if (kind == "job" &&
-            record.find("status")->asString() == "ok")
-            done_seen = true;
+        if (record.event == "job.done")
+            done = &record;
     }
-    EXPECT_TRUE(shed_seen)
-        << "no flight record of the shed under id " << id;
-    EXPECT_TRUE(done_seen)
-        << "no flight record of the completion under id " << id;
+    EXPECT_TRUE(shed_seen) << "no job.shed event under id " << id;
+    ASSERT_NE(done, nullptr) << "no job.done event under id " << id;
+    EXPECT_EQ(done->fields.find("status")->asString(), "ok");
+    for (const char* key :
+         {"client", "verb", "status", "queue_wait_ms", "execute_ms",
+          "states", "verification_level", "verify_cache_hit"})
+        EXPECT_NE(done->fields.find(key), nullptr) << key;
+    EXPECT_EQ(admits.size(), 3u) << "two blockers and the request";
+    EXPECT_EQ(dones.size(), 3u);
+    for (const auto& [job_id, count] : admits) {
+        EXPECT_EQ(count, 1) << job_id;
+        EXPECT_EQ(dones[job_id], 1) << job_id;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -641,7 +772,7 @@ TEST(ObsServiceDaemon, VerdictsByteIdenticalWithObserverOnAndOff)
             ASSERT_NE(verdict, nullptr);
             EXPECT_EQ(verdict->dump(2), baseline)
                 << "threads " << threads << " observer "
-                << (observed ? "on" : "off");
+                << (observed ? "caller's" : "scheduler's own");
             scheduler.stop();
         }
     }

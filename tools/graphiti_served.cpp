@@ -9,9 +9,9 @@
  * makes committed verdicts survive restarts — including kill -9.
  *
  * Observability (docs/service_observability.md): `--flight PATH`
- * arms the flight recorder — dumped on SIGUSR1, on a wedge, at exit,
- * and best-effort on fatal signals; `--log PATH` mirrors structured
- * JSON-lines logs; `--trace PATH` writes one service-level Perfetto
+ * is where the service journal is dumped — on SIGUSR1, on a wedge, at
+ * exit, and best-effort on fatal signals; `--log PATH` mirrors its
+ * events as JSON lines; `--trace PATH` writes one service-level Perfetto
  * trace (per-job span trees keyed by correlation id) at shutdown.
  * Live introspection needs no files: `graphiti-client --stats`.
  *
@@ -49,7 +49,7 @@
 namespace {
 
 std::atomic<bool> g_stop{false};
-std::atomic<bool> g_dump_flight{false};
+std::atomic<bool> g_dump_journal{false};
 
 void
 onSignal(int)
@@ -60,7 +60,7 @@ onSignal(int)
 void
 onDumpSignal(int)
 {
-    g_dump_flight.store(true);
+    g_dump_journal.store(true);
 }
 
 int
@@ -84,10 +84,9 @@ usage(const char* argv0)
         "  --max-deadline S clamp client deadlines to S seconds\n"
         "  --wedge-grace S  grace before a stopped job counts as "
         "wedged\n"
-        "  --flight PATH    flight-recorder dump target (SIGUSR1, "
-        "wedge,\n"
-        "                   exit, fatal signals)\n"
-        "  --log PATH       mirror structured logs as JSON lines\n"
+        "  --flight PATH    journal dump target (SIGUSR1, wedge, exit,\n"
+        "                   fatal signals)\n"
+        "  --log PATH       mirror journal events as JSON lines\n"
         "  --trace PATH     write a service-level Perfetto trace at "
         "shutdown\n",
         argv0);
@@ -183,16 +182,16 @@ main(int argc, char** argv)
     if (config.socket_path.empty())
         return usage(argv[0]);
 
-    auto observer = std::make_shared<served::ServiceObserver>();
-    config.scheduler.observer = observer;
+    served::Daemon daemon(config);
+    obs::Journal& journal = daemon.observer()->journal();
     if (!flight_path.empty()) {
-        observer->flight().setDumpPath(flight_path);
+        journal.setDumpPath(flight_path);
         // Best-effort post-mortem on exit / SIGSEGV / SIGABRT /
         // SIGBUS; kill -9 keeps only what an earlier dump wrote.
-        obs::installCrashDump(&observer->flight());
+        obs::installCrashDump(&journal);
     }
     if (!log_path.empty()) {
-        Result<bool> opened = observer->log().openFile(log_path);
+        Result<bool> opened = journal.openFile(log_path);
         if (!opened.ok()) {
             std::fprintf(stderr, "graphiti-served: %s\n",
                          opened.error().message.c_str());
@@ -203,10 +202,9 @@ main(int argc, char** argv)
     if (!trace_path.empty()) {
         trace = std::make_shared<obs::PerfettoTraceSink>();
         trace->setCapacity(1 << 16);
-        observer->attachTrace(trace);
+        journal.attachSink(trace);
     }
 
-    served::Daemon daemon(config);
     Result<bool> started = daemon.start();
     if (!started.ok()) {
         std::fprintf(stderr, "graphiti-served: %s\n",
@@ -229,11 +227,11 @@ main(int argc, char** argv)
     std::fflush(stdout);
 
     while (!g_stop.load()) {
-        if (g_dump_flight.exchange(false) && !flight_path.empty()) {
+        if (g_dump_journal.exchange(false) && !flight_path.empty()) {
             // SIGUSR1: dump from the main loop, where allocation and
             // locking are safe (the handler only set a flag).
-            Result<bool> dumped = daemon.dumpFlight();
-            std::printf("graphiti-served: flight recorder %s %s\n",
+            Result<bool> dumped = daemon.dumpJournal();
+            std::printf("graphiti-served: journal %s %s\n",
                         dumped.ok() ? "dumped to" : "dump failed:",
                         dumped.ok()
                             ? flight_path.c_str()
@@ -245,7 +243,7 @@ main(int argc, char** argv)
 
     daemon.stop();
     if (!flight_path.empty())
-        (void)daemon.dumpFlight();
+        (void)daemon.dumpJournal();
     if (trace != nullptr) {
         Result<bool> wrote = trace->writeFile(trace_path);
         if (!wrote.ok())
