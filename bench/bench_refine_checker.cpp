@@ -11,7 +11,6 @@
 #include "flows.hpp"
 
 #include "bench_circuits/gcd.hpp"
-#include "obs/scope.hpp"
 #include "refine/refinement.hpp"
 #include "refine/trace.hpp"
 #include "rewrite/catalog.hpp"
@@ -27,11 +26,16 @@ gcdPairs()
             Token(Value::tuple(Value(4), Value(2)))};
 }
 
+/**
+ * The theorem 5.3 instance (out-of-order GCD loop vs sequential loop)
+ * as the input budget grows. The counters are deterministic:
+ * ci/par_gate.sh ratchets them exactly at budget 3.
+ */
 void
 BM_LoopRewriteRefinement(benchmark::State& state)
 {
     std::size_t budget = static_cast<std::size_t>(state.range(0));
-    std::size_t pairs = 0, impl_states = 0, peak_bytes = 0;
+    RefinementReport last;
     for (auto _ : state) {
         Environment env(4);
         ExprHigh seq = circuits::buildGcdNormalizedLoop(env.functions());
@@ -41,75 +45,25 @@ BM_LoopRewriteRefinement(benchmark::State& state)
             {.max_states = 2000000, .input_budget = budget});
         if (!report.ok() || !report.value().refines)
             state.SkipWithError("refinement check failed");
-        else {
-            pairs = report.value().reachable_pairs;
-            impl_states = report.value().impl_states;
-            peak_bytes = report.value().explore_peak_bytes +
-                         report.value().peak_bytes;
-        }
+        else
+            last = report.take();
     }
-    state.counters["impl_states"] = static_cast<double>(impl_states);
-    state.counters["game_pairs"] = static_cast<double>(pairs);
-    // Memory footprint of the check (explore + game high-water); 0
-    // when the build compiles observability out.
-    state.counters["peak_bytes"] = static_cast<double>(peak_bytes);
+    state.counters["impl_states"] = static_cast<double>(last.impl_states);
+    state.counters["verify_states"] =
+        static_cast<double>(last.impl_states + last.spec_states);
+    state.counters["game_pairs"] =
+        static_cast<double>(last.reachable_pairs);
+    state.counters["fixpoint_iterations"] =
+        static_cast<double>(last.fixpoint_iterations);
+    // Memory footprint of the check (explore + game high-water).
+    state.counters["peak_bytes"] =
+        static_cast<double>(last.explore_peak_bytes + last.peak_bytes);
 }
 BENCHMARK(BM_LoopRewriteRefinement)
     ->Arg(1)
     ->Arg(2)
     ->Arg(3)
     ->Unit(benchmark::kMillisecond);
-
-/**
- * Thread-scaling mode (ci/par_gate.sh): the same theorem 5.3 instance
- * at the largest input budget, with the verification core fanned over
- * N worker lanes. verify_states is deterministic (byte-identical
- * verdicts at any thread count), so the perf gate compares it exactly
- * while real_time measures the scaling itself.
- */
-void
-BM_ThreadScaling(benchmark::State& state)
-{
-    std::size_t threads = static_cast<std::size_t>(state.range(0));
-    std::size_t verify_states = 0, peak_bytes = 0;
-    auto scope = std::make_shared<obs::Scope>();
-    obs::ScopedInstall install(scope.get());
-    for (auto _ : state) {
-        Environment env(4);
-        ExprHigh seq = circuits::buildGcdNormalizedLoop(env.functions());
-        ExprHigh ooo = circuits::buildGcdOutOfOrder(env.functions(), 2);
-        auto report = checkGraphRefinement(
-            ooo, seq, env, gcdPairs(),
-            {.max_states = 2000000, .input_budget = 3,
-             .threads = threads});
-        if (!report.ok() || !report.value().refines)
-            state.SkipWithError("refinement check failed");
-        else {
-            verify_states = report.value().impl_states +
-                            report.value().spec_states;
-            peak_bytes = report.value().explore_peak_bytes +
-                         report.value().peak_bytes;
-        }
-    }
-    state.counters["verify_states"] =
-        static_cast<double>(verify_states);
-    state.counters["threads"] = static_cast<double>(threads);
-    // peak_bytes is identical at every thread count (size-based
-    // estimates; docs/verification_observability.md); the pool
-    // occupancy split is the nondeterministic part worth eyeballing.
-    state.counters["peak_bytes"] = static_cast<double>(peak_bytes);
-    state.counters["pool_chunks"] = static_cast<double>(
-        scope->metrics().counter("pool.chunks"));
-    state.counters["pool_steals"] = static_cast<double>(
-        scope->metrics().counter("pool.steals"));
-}
-BENCHMARK(BM_ThreadScaling)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 /**
  * Bytes/state of the compact encoding vs the retired deep encoding.

@@ -111,7 +111,6 @@ main(int argc, char** argv)
         graphiti::CompileOptions options;
         options.obs = std::make_shared<graphiti::obs::Scope>();
         options.governed_verify = true;
-        options.threads = 0;  // hardware concurrency
         options.verify_budget.max_states = 800;
         options.verify_budget.partial_max_states = 300;
         options.verify_budget.input_budget = 1;
@@ -154,8 +153,8 @@ main(int argc, char** argv)
         report.set("verify", std::move(verify));
         // Resource telemetry next to — never inside — the
         // deterministic verify object: peak bytes are stable per
-        // budget, but pool occupancy (steals, idle) is timing-noise,
-        // so perf_compare.py ignores this whole object.
+        // budget, but states_per_second is wall-clock, so
+        // perf_compare.py compares none of it exactly.
         graphiti::obs::json::Value resources{
             graphiti::obs::json::Object{}};
         if (first.ok()) {
@@ -181,12 +180,6 @@ main(int argc, char** argv)
                                   : 0.0);
             }
         }
-        const graphiti::obs::MetricsRegistry& metrics =
-            options.obs->metrics();
-        resources.set("pool_batches", metrics.counter("pool.batches"));
-        resources.set("pool_chunks", metrics.counter("pool.chunks"));
-        resources.set("pool_idle_ns", metrics.counter("pool.idle_ns"));
-        resources.set("pool_steals", metrics.counter("pool.steals"));
         report.set("verify_resources", std::move(resources));
         report.phase("verify_probe",
                      std::chrono::duration<double>(

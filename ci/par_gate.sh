@@ -1,20 +1,18 @@
 #!/usr/bin/env bash
-# Parallel-verification gate (docs/parallelism.md):
+# Verification-core gate (docs/parallelism.md):
 #
-#   1. TSan sweep: build the `par`-labelled determinism tests with
+#   1. TSan sweep: build the `par`-labelled tests with
 #      -DGRAPHITI_SANITIZE=thread in a dedicated build tree and run
-#      them under ThreadSanitizer. The tests pin every verdict to
-#      byte-identical results at threads 1/2/8, so this doubles as the
-#      data-race and the determinism check. test_state_encoding rides
-#      in this leg so the interned state pool and the frontier spill
-#      tier (docs/parallelism.md, "Compact encoding") get the same
-#      race coverage as the worker lanes themselves.
-#   2. Scaling probe: run bench_refine_checker's BM_ThreadScaling at
-#      threads=1 and threads=4 from the regular build and require a
-#      >= 2x real-time speedup — enforced only when the machine has
-#      at least 4 hardware threads (on smaller machines the probe
-#      still runs, warn-only, and the deterministic verify_states
-#      counter is still required to match).
+#      them under ThreadSanitizer. The verification core runs on one
+#      lane, but a StopToken is still fired from another thread (the
+#      racing-cancel tests), and test_state_encoding covers the
+#      interned state pool and the frontier spill tier.
+#   2. Deterministic ratchet: run bench_refine_checker's
+#      BM_LoopRewriteRefinement/3 (the theorem 5.3 gcd instance at
+#      input budget 3) once from the regular build and require its
+#      state, pair and fixpoint-round counts to equal the recorded
+#      figures exactly. A change to exploration or the simulation
+#      game that moves any of them fails here.
 #   3. Perf gate: ci/perf_gate.sh, which also compares the
 #      deterministic verify/cache fields exactly (ci/perf_compare.py).
 #
@@ -37,61 +35,50 @@ cmake --build "${TSAN_BUILD}" --target test_parallel \
 echo "== par gate: TSan run (ctest -L par) =="
 ctest --test-dir "${TSAN_BUILD}" -L par --output-on-failure
 
-echo "== par gate: thread-scaling probe =="
+echo "== par gate: budget-3 ratchet =="
 BENCH="${BUILD}/bench/bench_refine_checker"
 if [ ! -x "${BENCH}" ]; then
     echo "par gate: ${BENCH} not built (configure+build ${BUILD} first)"
     exit 2
 fi
-SCALING="$(mktemp)"
-trap 'rm -f "${SCALING}"' EXIT
-"${BENCH}" --benchmark_filter='BM_ThreadScaling/[14]/real_time' \
-    --benchmark_out="${SCALING}" --benchmark_out_format=json \
+RATCHET="$(mktemp)"
+trap 'rm -f "${RATCHET}"' EXIT
+"${BENCH}" --benchmark_filter='BM_LoopRewriteRefinement/3$' \
+    --benchmark_min_time=0 \
+    --benchmark_out="${RATCHET}" --benchmark_out_format=json \
     > /dev/null
 
-NPROC="$(nproc)"
-python3 - "${SCALING}" "${NPROC}" <<'PY'
+python3 - "${RATCHET}" <<'PY'
 import json, sys
 
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-nproc = int(sys.argv[2])
+runs = [b for b in doc.get("benchmarks", [])
+        if b.get("name") == "BM_LoopRewriteRefinement/3"]
+if not runs:
+    sys.exit("par gate: BM_LoopRewriteRefinement/3 missing from the "
+             "benchmark output")
+run = runs[0]
+if run.get("error_occurred"):
+    sys.exit("par gate: FAIL: " + run.get("error_message", "error"))
 
-runs = {}
-for b in doc.get("benchmarks", []):
-    name = b.get("name", "")
-    if not name.startswith("BM_ThreadScaling/"):
-        continue
-    threads = int(name.split("/")[1])
-    runs[threads] = b
-
-for threads in (1, 4):
-    if threads not in runs:
-        sys.exit(f"par gate: BM_ThreadScaling/{threads} missing "
-                 "from benchmark output")
-
-states1 = runs[1].get("verify_states")
-states4 = runs[4].get("verify_states")
-if states1 != states4:
-    sys.exit("par gate: FAIL: verify_states differ across thread "
-             f"counts ({states1} vs {states4}) — verdicts must be "
-             "thread-count independent")
-print(f"par gate: verify_states identical at 1 and 4 threads "
-      f"({int(states1)})")
-
-t1 = runs[1]["real_time"]
-t4 = runs[4]["real_time"]
-speedup = t1 / t4 if t4 > 0 else 0.0
-print(f"par gate: threads=1 {t1:.1f}ms, threads=4 {t4:.1f}ms, "
-      f"speedup {speedup:.2f}x (nproc={nproc})")
-if nproc >= 4:
-    if speedup < 2.0:
-        sys.exit("par gate: FAIL: expected >= 2x speedup at 4 threads "
-                 f"on a {nproc}-thread machine, got {speedup:.2f}x")
-    print("par gate: scaling OK (>= 2x at 4 threads)")
-else:
-    print(f"par gate: WARN only: {nproc} hardware thread(s) — the 2x "
-          "requirement needs >= 4; skipping enforcement")
+expected = {
+    "game_pairs": 147186,
+    "impl_states": 1681,
+    "verify_states": 3273,
+    "fixpoint_iterations": 1,
+}
+failed = False
+for name, want in expected.items():
+    got = run.get(name)
+    if got != want:
+        print(f"par gate: FAIL: {name} = {got}, expected {want}")
+        failed = True
+if failed:
+    sys.exit(1)
+print("par gate: budget-3 counters exact ("
+      + ", ".join(f"{k}={v}" for k, v in expected.items())
+      + f"); {run['real_time']:.1f} ms")
 PY
 
 echo "== par gate: perf gate =="

@@ -25,9 +25,8 @@ on any machine yields the same value.
     clock_period_ns  is compared only via exec_time_ns
 
   explicitly ignored resource telemetry (RESOURCE_FIELDS):
-    verify_resources  peak bytes are stable, but the pool occupancy
-                      split (chunks per lane, steals, idle time) is
-                      scheduling noise — the object stays out of the
+    verify_resources  peak bytes are stable, but states_per_second is
+                      wall-clock — the object stays out of the
                       threshold comparison and exists for humans
                       reading the report
                       (docs/verification_observability.md), with one
@@ -68,14 +67,14 @@ import sys
 FLOWS = ("df_io", "df_ooo", "graphiti", "vericert")
 METRICS = ("cycles", "exec_time_ns", "lut", "ff", "dsp")
 # Deterministic fields of the top-level "verify" probe: compared for
-# exact equality, since the governed verdict is thread-count and
-# machine independent (docs/parallelism.md).
+# exact equality, since the governed verdict is machine independent
+# (docs/parallelism.md).
 VERIFY_EXACT = ("level", "verify_states", "reachable_pairs",
                 "cache_hits", "cache_misses", "second_compile_cache_hit")
 # Wall-clock fields that must never be compared (run-to-run noise).
 WALL_CLOCK_FIELDS = frozenset({"measure_seconds", "phases"})
 # Resource-telemetry objects that ride next to the deterministic ones
-# and must never be compared (pool occupancy is scheduling noise).
+# and must never be compared (wall-clock rates are noise).
 RESOURCE_FIELDS = frozenset({"verify_resources"})
 # verify_resources fields recorded into the history trajectory
 # (memory-efficiency figures of the compact state encoding).

@@ -141,11 +141,7 @@ Compiler::compileGraph(const ExprHigh& graph,
     }
 
     if (options.governed_verify) {
-        guard::VerificationBudget budget = options.verify_budget;
-        // CompileOptions::threads is the master knob; an explicitly
-        // non-default budget.threads wins over it.
-        if (budget.threads == 1)
-            budget.threads = ThreadPool::resolveThreads(options.threads);
+        const guard::VerificationBudget& budget = options.verify_budget;
         std::vector<Token> tokens = options.verify_tokens;
         if (tokens.empty())
             tokens = {Token(Value(0)), Token(Value(1))};

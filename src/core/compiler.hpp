@@ -81,15 +81,6 @@ struct CompileOptions
     /** Token domain of the governed verification; empty = {0, 1}. */
     std::vector<Token> verify_tokens;
     /**
-     * Worker lanes for the verification core (exploration, the
-     * simulation game, trace walks): 0 = hardware concurrency
-     * (default), 1 = today's sequential code path, reproduced
-     * exactly. Verdicts are byte-identical at any value
-     * (docs/parallelism.md). Overrides verify_budget.threads unless
-     * that was set explicitly (non-1).
-     */
-    std::size_t threads = 0;
-    /**
      * Memoize governed verdicts in the compiler's guard::VerdictStore,
      * keyed by a canonical structural hash of (circuits, budget, token
      * domain), so recompiling an unchanged circuit skips exploration.
@@ -139,8 +130,7 @@ struct CompileReport
      * High-water byte estimates of the governed verification's
      * exploration (both state spaces + dedup indexes) and simulation
      * game. Resource accounting only: deterministic per
-     * (seed, budget) at any thread count, 0 on a cache hit (no
-     * exploration ran).
+     * (seed, budget), 0 on a cache hit (no exploration ran).
      */
     std::size_t verify_explore_peak_bytes = 0;
     std::size_t verify_game_peak_bytes = 0;

@@ -16,7 +16,6 @@ compileOptionsToJson(const CompileOptions& options)
     out.set("reexpand", options.reexpand);
     out.set("validate", options.validate);
     out.set("governed_verify", options.governed_verify);
-    out.set("threads", options.threads);
     out.set("verify_cache", options.verify_cache);
     json::Value budget{json::Object{}};
     budget.set("max_states", options.verify_budget.max_states);
@@ -88,12 +87,6 @@ compileOptionsFromJson(const obs::json::Value& v)
     options.validate = validate.value();
     options.governed_verify = governed.value();
     options.verify_cache = cache.value();
-
-    Result<std::size_t> threads =
-        sizeField(v, "threads", options.threads);
-    if (!threads.ok())
-        return threads.error().context("options");
-    options.threads = threads.value();
 
     const json::Value* budget = v.find("budget");
     if (budget != nullptr) {

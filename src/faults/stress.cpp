@@ -5,7 +5,6 @@
 
 #include "obs/scope.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 
 namespace graphiti::faults {
 
@@ -214,15 +213,8 @@ StressHarness::run(const ExprHigh& graph,
     StressReport report;
     report.baseline_cycles = baseline.value().cycles;
 
-    // Plans are independent deterministic simulations: fan them out
-    // across the pool (slot per plan), then aggregate in plan order so
-    // first_violation and the outcome list match the sequential run.
-    std::vector<std::shared_ptr<FaultPlan>> plans = buildPlans(graph);
-    std::vector<PlanOutcome> outcomes(plans.size());
-    ThreadPool pool(ThreadPool::resolveThreads(options_.threads));
-    pool.parallelFor(plans.size(), [&](std::size_t i) {
-        const std::shared_ptr<FaultPlan>& plan = plans[i];
-        PlanOutcome& outcome = outcomes[i];
+    for (const std::shared_ptr<FaultPlan>& plan : buildPlans(graph)) {
+        PlanOutcome outcome;
         outcome.plan = plan->describe();
         outcome.seed = plan->seed();
         Result<sim::SimResult> run =
@@ -239,8 +231,6 @@ StressHarness::run(const ExprHigh& graph,
                 outcome.failure_artifact = captureFailureArtifact(
                     graph, functions, workload, options_, plan);
         }
-    });
-    for (PlanOutcome& outcome : outcomes) {
         if (outcome.completed && report.baseline_cycles > 0)
             report.worst_inflation = std::max(
                 report.worst_inflation,

@@ -71,16 +71,6 @@ struct StressOptions
     bool capture_failure_artifacts = true;
     /** Provenance firings kept in each failure artifact. */
     std::size_t artifact_tail_firings = 64;
-    /**
-     * Worker lanes the plan battery fans out over (1 = sequential,
-     * 0 = hardware concurrency). Plans are independent deterministic
-     * simulations and outcomes are merged in plan order, so the
-     * report is identical at any thread count. Per-simulation obs
-     * instrumentation only records on the calling lane (scopes are
-     * thread-local); the harness's own aggregate metrics are
-     * unaffected.
-     */
-    std::size_t threads = 1;
 };
 
 /** Outcome of one plan. */

@@ -120,7 +120,6 @@ Governor::verify(const DenotedModule& impl, const DenotedModule& spec,
         ExplorationLimits limits;
         limits.max_states = budget_.max_states;
         limits.input_budget = budget_.input_budget;
-        limits.threads = budget_.threads;
         limits.spill_bytes = budget_.spill_bytes;
         limits.stop = stop_;
         obs_rung(obs::VerifyPhase::Explore, "full");
@@ -133,8 +132,7 @@ Governor::verify(const DenotedModule& impl, const DenotedModule& spec,
             obs_rung(obs::VerifyPhase::Game, "full");
             Result<RefinementReport> played = checkRefinementOnSpaces(
                 impl_space.value(), spec_space.value(),
-                /*optimistic_frontier=*/false, stop_,
-                budget_.threads);
+                /*optimistic_frontier=*/false, stop_);
             if (played.ok()) {
                 verdict.level = VerificationLevel::Full;
                 verdict.report = played.take();
@@ -168,7 +166,6 @@ Governor::verify(const DenotedModule& impl, const DenotedModule& spec,
         ExplorationLimits limits;
         limits.max_states = budget_.partial_max_states;
         limits.input_budget = budget_.input_budget;
-        limits.threads = budget_.threads;
         limits.spill_bytes = budget_.spill_bytes;
         limits.stop = stop_;
         obs_rung(obs::VerifyPhase::Explore, "bounded-partial");
@@ -182,8 +179,7 @@ Governor::verify(const DenotedModule& impl, const DenotedModule& spec,
             obs_rung(obs::VerifyPhase::Game, "bounded-partial");
             Result<RefinementReport> played = checkRefinementOnSpaces(
                 impl_space.value(), spec_space.value(),
-                /*optimistic_frontier=*/true, stop_,
-                budget_.threads);
+                /*optimistic_frontier=*/true, stop_);
             if (played.ok()) {
                 verdict.level = VerificationLevel::BoundedPartial;
                 verdict.report = played.take();
@@ -210,11 +206,8 @@ Governor::verify(const DenotedModule& impl, const DenotedModule& spec,
     }
 
     // Rung 3: seeded randomized trace-inclusion testing. Every walk
-    // derives its own rng from (seed, walk index), so the walks fan
-    // out across the pool independently; the per-walk outcomes are
-    // then scanned in walk order, replaying the sequential control
-    // flow — lowest failing walk wins — so the verdict is identical
-    // at any thread count.
+    // derives its own rng from (seed, walk index); the first failing
+    // walk wins.
     {
         obs_rung(obs::VerifyPhase::TraceWalks, "trace-inclusion");
         // Replaying one linear trace is cheap; when the exhaustive
@@ -223,61 +216,31 @@ Governor::verify(const DenotedModule& impl, const DenotedModule& spec,
         std::size_t replay_cap =
             std::max({budget_.max_states, budget_.partial_max_states,
                       std::size_t{100000}});
-        struct Walk
-        {
-            enum class Outcome : std::uint8_t
-            {
-                Cancelled,
-                Pass,
-                Fail,
-                Error,
-            };
-            Outcome outcome = Outcome::Cancelled;
-            std::string error;
-            IoTrace trace;
-        };
-        std::vector<Walk> results(budget_.trace_walks);
-        ThreadPool pool(ThreadPool::resolveThreads(budget_.threads));
-        pool.parallelFor(results.size(), [&](std::size_t w) {
-            if (stop_.stopRequested())
-                return;  // stays Cancelled
-            Rng rng(budget_.seed ^
-                    ((w + 1) * 0x9e3779b97f4a7c15ULL));
-            IoTrace trace =
-                randomTrace(impl, input_pool, rng, budget_.trace);
-            Result<bool> admitted =
-                admitsTrace(spec, trace, replay_cap);
-            if (!admitted.ok()) {
-                results[w].outcome = Walk::Outcome::Error;
-                results[w].error = admitted.error().message;
-            } else if (admitted.value()) {
-                results[w].outcome = Walk::Outcome::Pass;
-            } else {
-                results[w].outcome = Walk::Outcome::Fail;
-                results[w].trace = std::move(trace);
-            }
-        });
         std::size_t walks = 0;
-        for (std::size_t w = 0; w < results.size(); ++w) {
-            Walk& r = results[w];
-            if (r.outcome == Walk::Outcome::Cancelled) {
+        for (std::size_t w = 0; w < budget_.trace_walks; ++w) {
+            if (stop_.stopRequested()) {
                 why << "; trace walks: cancelled (" << stop_.reason()
                     << ")";
                 break;
             }
-            if (r.outcome == Walk::Outcome::Error) {
-                why << "; trace walk " << w << ": " << r.error;
+            Rng rng(budget_.seed ^ ((w + 1) * 0x9e3779b97f4a7c15ULL));
+            IoTrace trace =
+                randomTrace(impl, input_pool, rng, budget_.trace);
+            Result<bool> admitted = admitsTrace(spec, trace, replay_cap);
+            if (!admitted.ok()) {
+                why << "; trace walk " << w << ": "
+                    << admitted.error().message;
                 break;
             }
             ++walks;
-            if (r.outcome == Walk::Outcome::Fail) {
+            if (!admitted.value()) {
                 verdict.level = VerificationLevel::TraceInclusion;
                 verdict.ok = false;
                 verdict.trace_walks_run = walks;
                 verdict.degradation_reason = why.str();
                 verdict.counterexample =
                     "impl trace the spec cannot replay:\n" +
-                    renderTrace(r.trace);
+                    renderTrace(trace);
                 GRAPHITI_OBS_COUNT("guard.verify.trace_failures", 1);
                 return verdict;
             }

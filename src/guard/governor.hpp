@@ -71,20 +71,12 @@ struct VerificationBudget
     /** Seed of the trace-inclusion rung (deterministic). */
     std::uint64_t seed = 0x677561726471ULL;
     /**
-     * Worker lanes for exploration, the simulation game and the trace
-     * walks (1 = sequential, 0 = hardware concurrency). Verdicts are
-     * byte-identical at any thread count: exploration merges in
-     * canonical order and each trace walk derives its own seed from
-     * (seed, walk index).
-     */
-    std::size_t threads = 1;
-    /**
      * Frontier spill cap per exploration (ExplorationLimits::
      * spill_bytes): a parked BoundedPartial frontier larger than this
      * parks its cold rows on disk instead of pinning them in RAM;
      * 0 disables spilling. Memory policy only — verdicts are
-     * byte-identical with or without it, so (like threads) it is
-     * excluded from the verify-cache key.
+     * byte-identical with or without it, so it is excluded from the
+     * verify-cache key.
      */
     std::size_t spill_bytes = 0;
 };

@@ -4,7 +4,6 @@
 
 #include "rewrite/catalog.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 
 namespace graphiti::guard {
 
@@ -107,22 +106,19 @@ buildHost(const ExprHigh& lhs, Rng& rng)
 }  // namespace
 
 CatalogValidityReport
-verifyCatalogValidity(std::uint64_t seed, std::size_t rounds_per_rule,
-                     std::size_t threads)
+verifyCatalogValidity(std::uint64_t seed, std::size_t rounds_per_rule)
 {
     // Fragment-safe rule set, matching the pipeline's post-check.
     ValidatorOptions options;
     options.check_token_flow = false;
 
     // Each rule is an independent property check with its own derived
-    // rng, so rules fan out across the pool; outcomes are merged in
-    // catalog order, making the report identical at any thread count.
+    // rng.
+    CatalogValidityReport report;
     std::vector<RewriteDef> defs = catalog::allRewrites();
-    std::vector<RuleValidityOutcome> outcomes(defs.size());
-    ThreadPool pool(ThreadPool::resolveThreads(threads));
-    pool.parallelFor(defs.size(), [&](std::size_t i) {
+    for (std::size_t i = 0; i < defs.size(); ++i) {
         const RewriteDef& def = defs[i];
-        RuleValidityOutcome& outcome = outcomes[i];
+        RuleValidityOutcome outcome;
         outcome.rule = def.name;
         Rng rng(seed ^ ((i + 1) * 0x9e3779b97f4a7c15ULL));
         RewriteEngine engine;
@@ -149,10 +145,6 @@ verifyCatalogValidity(std::uint64_t seed, std::size_t rounds_per_rule,
                     outcome.violations.push_back(d.toString());
         }
         outcome.skipped = outcome.applications == 0;
-    });
-
-    CatalogValidityReport report;
-    for (RuleValidityOutcome& outcome : outcomes) {
         if (!outcome.skipped)
             ++report.rules_checked;
         if (!outcome.violations.empty()) {

@@ -63,13 +63,10 @@ struct CatalogValidityReport
 /**
  * Property test: every catalog rule preserves structural validity on
  * randomized host graphs. Deterministic for a fixed @p seed: each
- * rule derives its own rng from (seed, rule index), so the sweep can
- * fan rules out across @p threads worker lanes (1 = sequential, 0 =
- * hardware concurrency) without changing the report.
+ * rule derives its own rng from (seed, rule index).
  */
 CatalogValidityReport verifyCatalogValidity(std::uint64_t seed,
-                                            std::size_t rounds_per_rule = 4,
-                                            std::size_t threads = 1);
+                                            std::size_t rounds_per_rule = 4);
 
 }  // namespace graphiti::guard
 

@@ -101,10 +101,9 @@ verificationCacheKey(const ExprHigh& transformed,
     h = fnv1a64Double(h, budget.trace.input_bias);
     h = fnv1a64(h, budget.trace.max_inputs);
     h = fnv1a64(h, budget.seed);
-    // budget.threads and budget.spill_bytes deliberately excluded:
-    // verdicts are thread-count independent by construction, and the
-    // frontier spill tier is pure memory policy — the explored space
-    // is byte-identical with or without it.
+    // budget.spill_bytes deliberately excluded: the frontier spill
+    // tier is pure memory policy — the explored space is
+    // byte-identical with or without it.
     h = fnv1a64(h, tokens.size());
     for (const Token& token : tokens)
         h = fnv1a64(h, token.toString());

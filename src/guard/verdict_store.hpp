@@ -9,8 +9,8 @@
  *
  * A governed verdict with deadline_seconds == 0 is a pure function of
  * (transformed circuit, original circuit, budget, token domain): the
- * ladder is driven by deterministic state caps and seeds, and thread
- * count never changes the result (docs/parallelism.md). The store
+ * ladder is driven by deterministic state caps and seeds
+ * (docs/parallelism.md). The store
  * keys verdicts by a canonical structural hash of exactly those
  * inputs, so recompiling an unchanged circuit skips exploration
  * entirely. Deadline-governed verdicts are wall-clock dependent and
@@ -56,7 +56,7 @@ namespace graphiti::guard {
  * Canonical cache key: FNV-1a 64 over the printed circuits (printDot
  * is a canonical rendering — round-trips parseDot), every
  * verdict-relevant budget field, and the token domain.
- * VerificationBudget::threads is deliberately excluded: thread count
+ * VerificationBudget::spill_bytes is deliberately excluded: spilling
  * never changes a verdict.
  */
 std::uint64_t verificationCacheKey(const ExprHigh& transformed,

@@ -10,8 +10,8 @@
  * existed it reported nothing until it finished or degraded. The
  * verification phases — StateSpace expansion, the simulation game,
  * the Governor ladder — publish point-in-time readings here at a
- * bounded cadence (per frontier batch / per fixpoint round, never per
- * state), and readers on *other* threads (the served `jobs` verb, the
+ * bounded cadence (every few thousand expansions / per discovery
+ * level and fixpoint round, never per state), and readers on *other* threads (the served `jobs` verb, the
  * exposition endpoint) snapshot them without taking any lock.
  *
  * Concurrency contract: the verification phases of one job run
@@ -23,9 +23,8 @@
  * `samples` counts publishes so pollers can tell fresh from stale.
  *
  * The probe is observation only: nothing in it feeds back into
- * exploration order, game verdicts or ladder decisions, so the
- * byte-identical-at-any-thread-count contract (docs/parallelism.md)
- * is untouched. Call sites in refine/ and guard/ cost one
+ * exploration order, game verdicts or ladder decisions, so verdicts
+ * stay a pure function of their inputs (docs/parallelism.md). Call sites in refine/ and guard/ cost one
  * thread-local load and a branch when no probe is attached.
  */
 

@@ -1,12 +1,11 @@
 #include "refine/refinement.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <deque>
 #include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "obs/scope.hpp"
 
@@ -30,44 +29,33 @@ pairKey(std::uint32_t impl_state, std::uint32_t spec_state)
  * pairs. The greatest fixpoint then prunes pairs with an unmatched
  * attacker move; pruning iterates because a response may itself die.
  *
- * Both phases parallelize without changing the verdict (threads > 1):
- * discovery expands pair frontiers level by level, computing response
- * sets in parallel and merging them in frontier order; pruning
- * partitions the alive set per fixpoint round — the kill set is a
- * pure function of the round's alive set, so partition boundaries
- * cannot change it — with a barrier between rounds. Spec closures
- * (and the frontier-touch memo) are precomputed before the first
- * parallel phase because their lazy memos are not thread-safe.
+ * Every response of a discovered pair is itself discovered, so the
+ * fixpoint's first round needs no scan: a move is unmatched in round 1
+ * exactly when it has no responses at all. Discovery records each
+ * pair's first such move as it enumerates the moves anyway, and
+ * prune() applies those kills as round 1. Only when round 1 killed
+ * something do the scanning rounds run.
  */
 class SimulationGame
 {
   public:
     SimulationGame(const StateSpace& impl, const StateSpace& spec,
-                   bool optimistic, StopToken stop, std::size_t threads)
+                   bool optimistic, StopToken stop)
         : impl_(impl), spec_(spec), optimistic_(optimistic),
-          stop_(std::move(stop)),
-          pool_(ThreadPool::resolveThreads(threads))
+          stop_(std::move(stop))
     {
         for (std::uint32_t s : spec.pendingFrontier())
             spec_frontier_.insert(s);
         touches_.assign(spec_.numStates(), -1);
         if (obs::Scope* obs_scope = obs::current())
             probe_ = obs_scope->verifyProbe();
-        if (pool_.size() > 1) {
-            spec_.precomputeClosures(pool_);
-            if (optimistic_ && !spec_frontier_.empty()) {
-                pool_.parallelFor(spec_.numStates(), [&](std::size_t t) {
-                    closureTouchesFrontier(
-                        static_cast<std::uint32_t>(t));
-                });
-            }
-        }
     }
 
     Result<RefinementReport>
     run()
     {
-        if (!discover() || !prune())
+        std::vector<Kill> round_one;
+        if (!discover(round_one) || !prune(std::move(round_one)))
             return err("refinement game cancelled: " + stop_.reason());
 
         RefinementReport report;
@@ -77,26 +65,6 @@ class SimulationGame
         report.fixpoint_iterations = iterations_;
         obsPublish();
         report.peak_bytes = peak_bytes_;
-        // Lane occupancy of the game's pool — one snapshot per game.
-        if (obs::Scope* scope = obs::current()) {
-            ThreadPool::PoolStats ps = pool_.stats();
-            std::uint64_t chunks = 0;
-            std::uint64_t steals = 0;
-            std::uint64_t idle_ns = 0;
-            for (const ThreadPool::LaneStats& lane : ps.lanes) {
-                chunks += lane.chunks;
-                steals += lane.steals;
-                idle_ns += lane.idle_ns;
-            }
-            scope->metrics().add(
-                "pool.chunks", static_cast<std::int64_t>(chunks));
-            scope->metrics().add(
-                "pool.steals", static_cast<std::int64_t>(steals));
-            scope->metrics().add(
-                "pool.idle_ns", static_cast<std::int64_t>(idle_ns));
-            scope->metrics().add(
-                "pool.batches", static_cast<std::int64_t>(ps.batches));
-        }
         PairKey initial = pairKey(impl_.initialState(),
                                   spec_.initialState());
         report.refines = alive_.count(initial) > 0;
@@ -195,8 +163,7 @@ class SimulationGame
     }
 
     /** Does the weak closure of spec state @p t touch an unexpanded
-     * frontier state (whose edges are unknown)? Memoized; the memo is
-     * pre-filled for every state before parallel pruning starts. */
+     * frontier state (whose edges are unknown)? Memoized. */
     bool
     closureTouchesFrontier(std::uint32_t t) const
     {
@@ -215,38 +182,56 @@ class SimulationGame
         return touches;
     }
 
+    /** A pair the fixpoint removes, with its first unmatched move and
+     * a representative dead response (none when the move had no
+     * responses at all). */
+    struct Kill
+    {
+        PairKey key = 0;
+        std::string why;
+        std::optional<PairKey> dead_response;
+    };
+
+    /** On a partial spec space, missing edges of frontier states could
+     * hold the matching response: such pairs are never killed (the
+     * optimistic bounded verdict). */
     bool
-    discover()
+    protectedPair(std::uint32_t t) const
+    {
+        return optimistic_ && closureTouchesFrontier(t);
+    }
+
+    /**
+     * Breadth-first pair discovery, one level at a time (the probe
+     * publishes once per level). Each pair's first move without any
+     * response is recorded in @p round_one.
+     */
+    bool
+    discover(std::vector<Kill>& round_one)
     {
         PairKey initial = pairKey(impl_.initialState(),
                                   spec_.initialState());
         alive_.insert(initial);
-        // Level-synchronized BFS: response sets for one frontier level
-        // are computed in parallel (read-only on the spaces), then
-        // merged into alive_ in level order — the same insertion
-        // sequence the sequential FIFO loop produces.
         std::vector<PairKey> level{initial};
         while (!level.empty()) {
             if (stop_.stopRequested())
                 return false;
-            std::vector<std::vector<PairKey>> found(level.size());
-            pool_.parallelFor(level.size(), [&](std::size_t i) {
-                std::uint32_t s =
-                    static_cast<std::uint32_t>(level[i] >> 32);
-                std::uint32_t t = static_cast<std::uint32_t>(level[i]);
-                forEachAttackerMove(
-                    s, t,
-                    [&](const std::vector<PairKey>& rs, auto /*label*/) {
-                        found[i].insert(found[i].end(), rs.begin(),
-                                        rs.end());
-                    });
-            });
             std::vector<PairKey> next;
-            for (const std::vector<PairKey>& rs : found) {
-                for (PairKey r : rs) {
-                    if (alive_.insert(r).second)
-                        next.push_back(r);
-                }
+            for (PairKey key : level) {
+                std::uint32_t s = static_cast<std::uint32_t>(key >> 32);
+                std::uint32_t t = static_cast<std::uint32_t>(key);
+                bool may_die = !protectedPair(t);
+                forEachAttackerMove(
+                    s, t, [&](const std::vector<PairKey>& rs, auto label) {
+                        for (PairKey r : rs) {
+                            if (alive_.insert(r).second)
+                                next.push_back(r);
+                        }
+                        if (may_die && rs.empty()) {
+                            round_one.push_back({key, label(), {}});
+                            may_die = false;
+                        }
+                    });
             }
             level = std::move(next);
             obsPublish();  // once per BFS level, never per pair
@@ -254,98 +239,77 @@ class SimulationGame
         return true;
     }
 
+    /**
+     * The greatest fixpoint. Round 1 applies the kills discovery
+     * recorded. Each later round's kills are scanned against the alive
+     * set the previous round left and applied together, so a kill set
+     * is a pure function of that alive set.
+     */
     bool
-    prune()
+    prune(std::vector<Kill> kills)
     {
-        // What one alive pair's scan concluded this round. Computed in
-        // parallel (slot-per-pair, read-only on alive_), applied
-        // sequentially — the kill set depends only on the round's
-        // alive set, so the verdict is thread-count independent.
-        struct Verdict
-        {
-            bool losing = false;
-            std::string why;
-            std::optional<PairKey> dead_response;
-        };
-
-        bool changed = true;
-        while (changed) {
-            changed = false;
+        while (true) {
             ++iterations_;
             if (stop_.stopRequested())
                 return false;
-            std::vector<PairKey> keys(alive_.begin(), alive_.end());
-            std::vector<Verdict> verdicts(keys.size());
-            std::atomic<bool> cancelled{false};
-            pool_.parallelForChunks(
-                keys.size(), [&](std::size_t begin, std::size_t end) {
-                    std::size_t polled = 0;
-                    for (std::size_t i = begin; i < end; ++i) {
-                        if ((++polled & 0x3ff) == 0 &&
-                            stop_.stopRequested()) {
-                            cancelled.store(true,
-                                            std::memory_order_relaxed);
-                            return;
-                        }
-                        if (cancelled.load(std::memory_order_relaxed))
-                            return;
-                        scanPair(keys[i], verdicts[i]);
-                    }
-                });
-            if (cancelled.load(std::memory_order_relaxed))
-                return false;
-            for (std::size_t i = 0; i < keys.size(); ++i) {
-                if (!verdicts[i].losing)
-                    continue;
-                PairKey key = keys[i];
-                std::uint32_t s = static_cast<std::uint32_t>(key >> 32);
-                std::uint32_t t = static_cast<std::uint32_t>(key);
-                alive_.erase(key);
-                dead_.insert(key);
-                reason_[key] = "impl move unmatched by spec: " +
-                               verdicts[i].why + " [impl state " +
-                               std::to_string(s) + ", spec state " +
-                               std::to_string(t) + "]";
-                if (verdicts[i].dead_response)
-                    descend_[key] = *verdicts[i].dead_response;
-                changed = true;
-            }
+            for (const Kill& kill : kills)
+                applyKill(kill);
             obsPublish();  // once per fixpoint round
+            if (kills.empty())
+                return true;
+            kills.clear();
+            std::size_t polled = 0;
+            for (PairKey key : alive_) {
+                if ((++polled & 0x3ff) == 0 && stop_.stopRequested())
+                    return false;
+                scanPair(key, kills);
+            }
         }
-        return true;
     }
 
-    /** Scan one alive pair for an unmatched attacker move against the
-     * current alive set. Read-only; writes only @p out. */
-    template <typename VerdictT>
     void
-    scanPair(PairKey key, VerdictT& out) const
+    applyKill(const Kill& kill)
+    {
+        std::uint32_t s = static_cast<std::uint32_t>(kill.key >> 32);
+        std::uint32_t t = static_cast<std::uint32_t>(kill.key);
+        alive_.erase(kill.key);
+        dead_.insert(kill.key);
+        reason_[kill.key] = "impl move unmatched by spec: " + kill.why +
+                            " [impl state " + std::to_string(s) +
+                            ", spec state " + std::to_string(t) + "]";
+        if (kill.dead_response)
+            descend_[kill.key] = *kill.dead_response;
+    }
+
+    /** Scan one alive pair for a move none of whose responses is
+     * alive; record it in @p kills. Read-only on the game. */
+    void
+    scanPair(PairKey key, std::vector<Kill>& kills) const
     {
         std::uint32_t s = static_cast<std::uint32_t>(key >> 32);
         std::uint32_t t = static_cast<std::uint32_t>(key);
-        // On a partial spec space, missing edges of frontier states
-        // could hold the matching response: never kill such pairs
-        // (the optimistic bounded verdict).
-        if (optimistic_ && closureTouchesFrontier(t))
+        if (protectedPair(t))
             return;
+        bool losing = false;
         forEachAttackerMove(
             s, t, [&](const std::vector<PairKey>& rs, auto label) {
-                if (out.losing)
+                if (losing)
                     return;
                 for (PairKey r : rs)
                     if (alive_.count(r) > 0)
                         return;  // some response survives
-                out.losing = true;
-                out.why = label();
+                losing = true;
+                std::optional<PairKey> dead_response;
                 if (!rs.empty())
-                    out.dead_response = rs.front();
+                    dead_response = rs.front();
+                kills.push_back({key, label(), dead_response});
             });
     }
 
     /**
      * Size-based byte estimate of the game's own tables. Bucket counts
-     * follow deterministically from the (thread-count-independent)
-     * insertion sequences; the figure feeds resource accounting only.
+     * follow deterministically from the insertion sequences; the
+     * figure feeds resource accounting only.
      */
     std::size_t
     approxBytes() const
@@ -390,7 +354,6 @@ class SimulationGame
     const StateSpace& spec_;
     bool optimistic_ = false;
     StopToken stop_;
-    ThreadPool pool_;
     std::unordered_set<std::uint32_t> spec_frontier_;
     mutable std::vector<std::int8_t> touches_;
     std::unordered_set<PairKey> alive_;
@@ -438,8 +401,7 @@ checkRefinement(const DenotedModule& impl, const DenotedModule& spec,
         return spec_space.error().context("spec");
 
     SimulationGame game(impl_space.value(), spec_space.value(),
-                        /*optimistic=*/false, limits.stop,
-                        limits.threads);
+                        /*optimistic=*/false, limits.stop);
     Result<RefinementReport> played = game.run();
     if (!played.ok())
         return played.error();
@@ -459,8 +421,7 @@ checkRefinement(const DenotedModule& impl, const DenotedModule& spec,
 
 Result<RefinementReport>
 checkRefinementOnSpaces(const StateSpace& impl, const StateSpace& spec,
-                        bool optimistic_frontier, const StopToken& stop,
-                        std::size_t threads)
+                        bool optimistic_frontier, const StopToken& stop)
 {
     if (impl.inputPorts() != spec.inputPorts() ||
         impl.outputPorts() != spec.outputPorts())
@@ -469,7 +430,7 @@ checkRefinementOnSpaces(const StateSpace& impl, const StateSpace& spec,
         if (impl.domainTokens(p).size() != spec.domainTokens(p).size())
             return err("checkRefinementOnSpaces: input domains differ");
     }
-    SimulationGame game(impl, spec, optimistic_frontier, stop, threads);
+    SimulationGame game(impl, spec, optimistic_frontier, stop);
     return game.run();
 }
 

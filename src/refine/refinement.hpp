@@ -86,14 +86,10 @@ Result<RefinementReport> checkRefinement(const DenotedModule& impl,
  * move: every spec response set it ranges over was fully expanded.
  *
  * @p stop cancels the game between fixpoint sweeps (an error).
- * @p threads fans discovery and fixpoint pruning out over a worker
- * pool (1 = sequential, 0 = hardware concurrency); the verdict —
- * including the counterexample text — is identical at any count.
  */
 Result<RefinementReport> checkRefinementOnSpaces(
     const StateSpace& impl, const StateSpace& spec,
-    bool optimistic_frontier = false, const StopToken& stop = {},
-    std::size_t threads = 1);
+    bool optimistic_frontier = false, const StopToken& stop = {});
 
 /**
  * Convenience overload: lower and denote two ExprHigh graphs in

@@ -14,11 +14,10 @@
  * cheap walk over ids instead of a deep walk over queues and tokens.
  *
  * Determinism contract (docs/parallelism.md): ids are assigned in
- * first-intern order, and all interning happens in the sequential
- * merge phase of exploration — the parallel successor phase only calls
- * the read-only find() against the frozen pool. Exploration order is
- * canonical at any thread count, so pool ids are too, and every
- * id-derived hash, shard assignment and index layout follows suit.
+ * first-intern order, and exploration interns in its one canonical
+ * worklist order, so pool ids are a pure function of the explored
+ * module, and every id-derived hash, shard assignment and index
+ * layout follows suit.
  */
 
 #include <cstdint>
@@ -35,13 +34,10 @@ class StatePool
 {
   public:
     /** Id of @p comp, interning it on first sight. Ids are dense and
-     * assigned in call order (canonical under the merge-phase-only
-     * contract above). */
+     * assigned in call order. */
     std::uint32_t intern(const CompState& comp);
 
-    /** Id of @p comp if already interned. Read-only and safe to call
-     * concurrently with other find()s while no intern() runs — the
-     * frozen-pool lookup of the parallel successor phase. */
+    /** Id of @p comp if already interned; never assigns an id. */
     std::optional<std::uint32_t> find(const CompState& comp) const;
 
     /** The interned value for @p id. */

@@ -153,9 +153,9 @@ fnv1a64(std::uint64_t h, const std::string& s)
 }
 
 /** Hash of an encoded state: FNV over the pool-id row plus budget.
- * Pool ids are canonical (merge-order interning), so this hash — and
- * everything derived from it, including index shard assignment — is
- * identical at any thread count and across park/resume. */
+ * Pool ids are canonical (worklist-order interning), so this hash —
+ * and everything derived from it, including index shard assignment —
+ * is identical across runs and across park/resume. */
 std::uint64_t
 hashRow(const std::uint32_t* row, std::size_t width,
         std::uint32_t budget)
@@ -171,13 +171,9 @@ hashRow(const std::uint32_t* row, std::size_t width,
  *
  * Keys are (pool-id row, budget) — the rows themselves live in the
  * StateSpace; the table stores only hash -> candidate state ids, so
- * deduplication no longer duplicates state storage. During the
- * parallel successor phase the table is *frozen*: workers do
- * read-only lookups (no locks needed — no writer exists until the
- * barrier). Inserts happen only in the sequential merge that follows,
- * so canonical ids are assigned in the exact order the sequential
- * worklist would have produced. Sharding keeps each map small (cache-
- * friendly merge) and lets reserve() spread one large allocation.
+ * deduplication no longer duplicates state storage. Ids are inserted
+ * in worklist order, so they are canonical. Sharding keeps each map
+ * small and lets reserve() spread one large allocation.
  */
 class ShardedStateIndex
 {
@@ -254,8 +250,8 @@ class ShardedStateIndex
     std::size_t ids_ = 0;
 };
 
-/** One successor produced while expanding a state, recorded in the
- * exact order the sequential loop enumerates them. */
+/** One successor produced while expanding a state, in enumeration
+ * order. */
 struct Succ
 {
     enum class Kind : std::uint8_t { Internal, Input, Output };
@@ -267,13 +263,6 @@ struct Succ
     /** Concrete successor, kept until the merge interns (or hits) it. */
     GraphState state;
     std::uint32_t budget = 0;
-    /** Pool-id encoding, valid when encoded — every component was
-     * already in the (frozen) pool. */
-    std::vector<std::uint32_t> row;
-    std::uint64_t hash = 0;
-    bool encoded = false;
-    /** Hit in the frozen index, resolved during the parallel phase. */
-    std::optional<std::uint32_t> known;
 };
 
 }  // namespace
@@ -306,7 +295,6 @@ StateSpace::explorePartial(const DenotedModule& mod,
 {
     StateSpace space;
     space.stop_ = limits.stop;
-    space.threads_ = ThreadPool::resolveThreads(limits.threads);
     space.spill_cap_bytes_ = limits.spill_bytes;
     space.in_ports_ = mod.inputNames();
     space.out_ports_ = mod.outputNames();
@@ -384,42 +372,27 @@ StateSpace::expand(const DenotedModule& mod, std::size_t max_states)
 
     bool capped = false;
     // Resolve one successor to a state id, interning on first sight.
-    // Succs pre-resolved against the frozen pool + index carry their
-    // encoding; everything else re-probes the live structures — a
-    // previous merge in this batch may have interned the same value.
-    // New component states are interned in slot order here, in the
-    // sequential merge only, so pool ids are canonical
-    // (docs/parallelism.md). Returns nullopt when the cap fires; the
-    // pool is deliberately not touched before the cap check, so a
-    // parked expansion leaves the pool exactly as a one-shot run
-    // would have it at the same point.
+    // New component states are interned in enumeration order, so pool
+    // ids are canonical (docs/parallelism.md). Returns nullopt when
+    // the cap fires; the pool is deliberately not touched before the
+    // cap check, so a parked expansion leaves the pool exactly as a
+    // one-shot run would have it at the same point.
     std::vector<std::uint32_t> scratch(width_);
-    auto intern = [&](Succ& s) -> std::optional<std::uint32_t> {
-        const std::uint32_t* row = nullptr;
-        std::uint64_t h = 0;
-        bool have_row = false;
-        if (s.encoded) {
-            row = s.row.data();
-            h = s.hash;
-            have_row = true;
-        } else {
-            have_row = true;
-            for (std::uint32_t c = 0; c < width_; ++c) {
-                auto id = pool_.find(s.state.comps[c]);
-                if (!id) {
-                    have_row = false;
-                    break;
-                }
-                scratch[c] = *id;
+    auto intern = [&](const Succ& s) -> std::optional<std::uint32_t> {
+        bool have_row = true;
+        for (std::uint32_t c = 0; c < width_; ++c) {
+            auto id = pool_.find(s.state.comps[c]);
+            if (!id) {
+                have_row = false;
+                break;
             }
-            if (have_row) {
-                row = scratch.data();
-                h = hashRow(row, width_, s.budget);
-            }
+            scratch[c] = *id;
         }
+        std::uint64_t h = 0;
         if (have_row) {
+            h = hashRow(scratch.data(), width_, s.budget);
             if (auto hit = index.lookup(h, [&](std::uint32_t id) {
-                    return rowEq(id, row, s.budget);
+                    return rowEq(id, scratch.data(), s.budget);
                 }))
                 return *hit;
         }
@@ -430,20 +403,18 @@ StateSpace::expand(const DenotedModule& mod, std::size_t max_states)
         if (!have_row) {
             for (std::uint32_t c = 0; c < width_; ++c)
                 scratch[c] = pool_.intern(s.state.comps[c]);
-            row = scratch.data();
-            h = hashRow(row, width_, s.budget);
+            h = hashRow(scratch.data(), width_, s.budget);
         }
         std::uint32_t id = static_cast<std::uint32_t>(numStates());
-        rows_.insert(rows_.end(), row, row + width_);
+        rows_.insert(rows_.end(), scratch.begin(), scratch.end());
         budget_.push_back(s.budget);
         index.insert(h, id);
         return id;
     };
 
-    // Bounded-cadence progress publisher: once per frontier batch in
-    // the parallel path, every kPublishEvery merges in the sequential
-    // one, and once at the end — never per state. Observation only;
-    // nothing here feeds back into exploration order.
+    // Bounded-cadence progress publisher: every kPublishEvery
+    // expansions and once at the end — never per state. Observation
+    // only; nothing here feeds back into exploration order.
     constexpr std::size_t kPublishEvery = 2048;
     auto obs_publish = [&] {
         std::size_t bytes = approxBytes() + index.approxBytes();
@@ -464,9 +435,7 @@ StateSpace::expand(const DenotedModule& mod, std::size_t max_states)
     };
 
     // Enumerate the successors of one state in the canonical order
-    // (internal, then inputs port/token-major, then outputs), then
-    // resolve each against the frozen pool + index. Read-only on
-    // *this — safe to fan out while no merge runs.
+    // (internal, then inputs port/token-major, then outputs).
     auto enumerate = [&](std::uint32_t id) {
         std::vector<Succ> out;
         GraphState state = decodeState(id);
@@ -507,43 +476,20 @@ StateSpace::expand(const DenotedModule& mod, std::size_t max_states)
                 out.push_back(std::move(s));
             }
         }
-        for (Succ& s : out) {
-            s.row.resize(width_);
-            s.encoded = true;
-            for (std::uint32_t c = 0; c < width_; ++c) {
-                auto pool_id = pool_.find(s.state.comps[c]);
-                if (!pool_id) {
-                    // A never-seen component state: the successor
-                    // cannot be interned yet, so no index probe.
-                    s.encoded = false;
-                    s.row.clear();
-                    break;
-                }
-                s.row[c] = *pool_id;
-            }
-            if (s.encoded) {
-                s.hash = hashRow(s.row.data(), width_, s.budget);
-                s.known = index.lookup(s.hash, [&](std::uint32_t id2) {
-                    return rowEq(id2, s.row.data(), s.budget);
-                });
-            }
-        }
         return out;
     };
 
-    // Replay one expanded state's successors through intern() in
-    // enumeration order — exactly what the sequential loop does
-    // inline — and stamp the state's CSR edge ranges. Returns false
-    // when the state cap fired mid-state: the partially recorded
-    // edges are rolled back and the state stays pending, same as the
-    // pre-CSR encoding dropped its edge vectors.
+    // Intern one expanded state's successors in enumeration order and
+    // stamp the state's CSR edge ranges. Returns false when the state
+    // cap fired mid-state: the partially recorded edges are rolled
+    // back and the state stays pending, same as the pre-CSR encoding
+    // dropped its edge vectors.
     auto merge = [&](std::vector<Succ>& succs) {
         std::size_t int0 = int_flat_.size();
         std::size_t in0 = in_flat_.size();
         std::size_t out0 = out_flat_.size();
         for (Succ& s : succs) {
-            std::optional<std::uint32_t> dst =
-                s.known ? s.known : intern(s);
+            std::optional<std::uint32_t> dst = intern(s);
             if (!dst) {
                 int_flat_.resize(int0);
                 in_flat_.resize(in0);
@@ -573,75 +519,23 @@ StateSpace::expand(const DenotedModule& mod, std::size_t max_states)
 
     stopped_ = false;
     stop_reason_.clear();
-    if (threads_ <= 1) {
-        // Sequential worklist — the canonical order every other mode
-        // reproduces. States are interned in ascending id order and
-        // expanded FIFO, so the pending set is always the contiguous
-        // range [expanded_, numStates()).
-        std::size_t expanded_since_publish = 0;
-        while (expanded_ < numStates() && !capped) {
-            // Cooperative cancellation: leave the state unexpanded,
-            // like a cap, so the space stays resumable + edge-exact.
-            if (stop_.stopRequested()) {
-                stopped_ = true;
-                stop_reason_ = stop_.reason();
-                break;
-            }
-            std::vector<Succ> succs = enumerate(expanded_);
-            merge(succs);
-            if (++expanded_since_publish >= kPublishEvery) {
-                expanded_since_publish = 0;
-                obs_publish();
-            }
+    // States are interned in ascending id order and expanded FIFO, so
+    // the pending set is always the contiguous range
+    // [expanded_, numStates()).
+    std::size_t expanded_since_publish = 0;
+    while (expanded_ < numStates() && !capped) {
+        // Cooperative cancellation: leave the state unexpanded, like a
+        // cap, so the space stays resumable + edge-exact.
+        if (stop_.stopRequested()) {
+            stopped_ = true;
+            stop_reason_ = stop_.reason();
+            break;
         }
-    } else {
-        // Batched frontier expansion: compute successor lists for the
-        // whole pending range in parallel against the frozen pool and
-        // index, then intern sequentially in frontier order. The
-        // pending range is in sequential-FIFO order throughout, so
-        // the merge assigns the same state ids — and interns the same
-        // pool ids in the same order — the sequential loop would
-        // (docs/parallelism.md).
-        ThreadPool pool(threads_);
-        while (expanded_ < numStates() && !capped && !stopped_) {
-            std::uint32_t lo = expanded_;
-            std::uint32_t hi = static_cast<std::uint32_t>(numStates());
-            std::vector<std::vector<Succ>> succs(hi - lo);
-            pool.parallelFor(hi - lo, [&](std::size_t i) {
-                succs[i] = enumerate(lo + static_cast<std::uint32_t>(i));
-            });
-            for (std::uint32_t id = lo; id < hi; ++id) {
-                if (capped || stopped_)
-                    break;
-                if (stop_.stopRequested()) {
-                    stopped_ = true;
-                    stop_reason_ = stop_.reason();
-                    break;
-                }
-                merge(succs[id - lo]);
-            }
+        std::vector<Succ> succs = enumerate(expanded_);
+        merge(succs);
+        if (++expanded_since_publish >= kPublishEvery) {
+            expanded_since_publish = 0;
             obs_publish();
-        }
-        // Lane occupancy of this expansion's pool — observation only,
-        // aggregated so the cost is one snapshot per expand().
-        if (obs::Scope* scope = obs::current()) {
-            ThreadPool::PoolStats ps = pool.stats();
-            std::uint64_t chunks = 0;
-            std::uint64_t steals = 0;
-            std::uint64_t idle_ns = 0;
-            for (const ThreadPool::LaneStats& lane : ps.lanes) {
-                chunks += lane.chunks;
-                steals += lane.steals;
-                idle_ns += lane.idle_ns;
-            }
-            scope->metrics().add(
-                "pool.chunks", static_cast<std::int64_t>(chunks));
-            scope->metrics().add(
-                "pool.steals", static_cast<std::int64_t>(steals));
-            scope->metrics().add(
-                "pool.idle_ns", static_cast<std::int64_t>(idle_ns));
-            scope->metrics().add(
-                "pool.batches", static_cast<std::int64_t>(ps.batches));
         }
     }
     refreshFrontier();
@@ -810,35 +704,6 @@ StateSpace::internalClosure(std::uint32_t s) const
     }
     closure_[s] = std::move(reach);
     return *closure_[s];
-}
-
-void
-StateSpace::precomputeClosures(ThreadPool& pool) const
-{
-    // Each lane writes only its own slots of closure_, so the fill is
-    // race-free; afterwards internalClosure() never writes again.
-    pool.parallelFor(numStates(), [&](std::size_t s) {
-        if (closure_[s])
-            return;
-        std::vector<std::uint32_t> reach;
-        std::vector<bool> seen(numStates(), false);
-        std::deque<std::uint32_t> frontier{
-            static_cast<std::uint32_t>(s)};
-        seen[s] = true;
-        while (!frontier.empty()) {
-            std::uint32_t cur = frontier.front();
-            frontier.pop_front();
-            reach.push_back(cur);
-            for (std::uint32_t next :
-                 internalEdges(cur)) {
-                if (!seen[next]) {
-                    seen[next] = true;
-                    frontier.push_back(next);
-                }
-            }
-        }
-        closure_[s] = std::move(reach);
-    });
 }
 
 std::uint64_t

@@ -24,13 +24,11 @@
  * and a parked frontier can spill its rows to an atomic temp file
  * (ExplorationLimits::spill_bytes) and page back on resume().
  *
- * Exploration parallelizes (ExplorationLimits::threads) without
- * changing the result: successor computation fans out over a
- * ThreadPool per frontier batch against a frozen pool + interning
- * table, and new states are then interned by one thread in the exact
- * order the sequential loop would have produced, so state ids, pool
- * ids — and every downstream verdict — are byte-identical at any
- * thread count (docs/parallelism.md).
+ * Exploration is one FIFO worklist: states are interned in the order
+ * their successors are enumerated, so state ids and pool ids are a
+ * pure function of the module, the domain and the budget — equal
+ * across runs, with or without spilling, and across park/resume
+ * (docs/parallelism.md).
  */
 
 #include <cstdint>
@@ -44,7 +42,6 @@
 #include "semantics/module.hpp"
 #include "support/cancel.hpp"
 #include "support/result.hpp"
-#include "support/thread_pool.hpp"
 
 namespace graphiti {
 
@@ -70,11 +67,6 @@ struct ExplorationLimits
     std::size_t max_states = 500000;
     /** Total number of input tokens consumed along any execution. */
     std::size_t input_budget = 3;
-    /**
-     * Worker lanes for frontier expansion (1 = the sequential loop,
-     * 0 = hardware concurrency). Any value yields the same space.
-     */
-    std::size_t threads = 1;
     /**
      * Frontier spill cap in bytes (0 = never spill). When an
      * exploration parks (cap or stop) with more than this many bytes
@@ -250,19 +242,11 @@ class StateSpace
     const std::vector<std::uint32_t>& internalClosure(std::uint32_t s) const;
 
     /**
-     * Fill the closure memo for every state, fanning the per-state
-     * BFS out over @p pool. Must be called before any multi-threaded
-     * consumer of internalClosure(): the lazy memo write is not
-     * thread-safe, but pre-filled entries are immutable thereafter.
-     */
-    void precomputeClosures(ThreadPool& pool) const;
-
-    /**
      * Deterministic structural digest of the explored space (states,
      * budgets, all three edge kinds, frontier). Two explorations that
-     * built the same space — e.g. at different thread counts, with or
-     * without spilling, or park+resume vs one-shot — agree on this
-     * value, and it is unchanged from the pre-encoding digest.
+     * built the same space — e.g. with or without spilling, or
+     * park+resume vs one-shot — agree on this value, and it is
+     * unchanged from the pre-encoding digest.
      */
     std::uint64_t fingerprint() const;
 
@@ -286,7 +270,7 @@ class StateSpace
      * component pool, encoded id rows, CSR edge tables, budgets and
      * the parked frontier. Deliberately counts sizes rather than
      * capacities, so the figure is a pure function of the space —
-     * equal at any thread count and stable per seed
+     * stable per seed
      * (docs/verification_observability.md). Spilled rows are excluded
      * (they are not in RAM); see spillBytes() and breakdown(). The
      * dedup index lives only inside expand(), so a parked partial
@@ -342,7 +326,6 @@ class StateSpace
     StopToken stop_;
     bool stopped_ = false;
     std::string stop_reason_;
-    std::size_t threads_ = 1;
     std::size_t spill_cap_bytes_ = 0;
     std::size_t peak_bytes_ = 0;
 

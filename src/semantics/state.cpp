@@ -29,8 +29,8 @@ CompState::approxBytes() const
     // Size-based estimate (counts x element sizes), deliberately
     // ignoring vector slack: capacities depend on growth history, so
     // only sizes keep the figure a pure function of state content —
-    // the property that makes peak-bytes stable per seed and equal at
-    // any thread count. Tuple payloads count as one Token (shallow).
+    // the property that makes peak-bytes stable per seed. Tuple
+    // payloads count as one Token (shallow).
     std::size_t bytes = sizeof(CompState);
     for (const auto& q : queues)
         bytes += sizeof(q) + q.size() * sizeof(Token);

@@ -126,7 +126,7 @@ struct CompState
 
     /** Size-based heap estimate in bytes: a pure function of logical
      * state content (no capacity or head-index slack), so resource
-     * accounting stays deterministic across runs and thread counts. */
+     * accounting stays deterministic across runs. */
     std::size_t approxBytes() const;
 
     /** Enqueue @p t on queue @p q. */

@@ -42,9 +42,9 @@ constexpr std::uint64_t kMiB = std::uint64_t{1} << 20;
 constexpr std::uint64_t kAsFloorBytes = 1024 * kMiB;
 constexpr std::uint64_t kAsCeilingBytes = 4096 * kMiB;
 constexpr std::uint64_t kBytesPerState = 2048;
-/** Virtual-address-space cost of one verifier thread: 8 MiB stack +
+/** Virtual-address-space cost of the verifier's lane: 8 MiB stack +
  * a 64 MiB glibc malloc arena reservation, with headroom. */
-constexpr std::uint64_t kPerThreadBytes = 128 * kMiB;
+constexpr std::uint64_t kLaneBytes = 128 * kMiB;
 
 double
 elapsedMs(std::chrono::steady_clock::time_point from,
@@ -379,21 +379,18 @@ WorkerLimits::toJson() const
 }
 
 WorkerLimits
-workerLimits(const guard::VerificationBudget& budget,
-             std::size_t threads)
+workerLimits(const guard::VerificationBudget& budget)
 {
     WorkerLimits limits;
     std::uint64_t states =
         static_cast<std::uint64_t>(budget.max_states) +
         static_cast<std::uint64_t>(budget.partial_max_states);
-    // Address space (not RSS): each verifier thread costs real
-    // virtual reservations — an 8 MiB stack plus a glibc malloc arena
-    // that maps 64 MiB up front — so the jail widens per thread.
-    std::uint64_t lanes = std::max<std::uint64_t>(threads, 1);
+    // Address space (not RSS): the verifier's lane costs real virtual
+    // reservations — an 8 MiB stack plus a glibc malloc arena that
+    // maps 64 MiB up front.
     limits.address_space_bytes =
-        std::min(kAsCeilingBytes, kAsFloorBytes +
-                                      states * kBytesPerState +
-                                      lanes * kPerThreadBytes);
+        std::min(kAsCeilingBytes,
+                 kAsFloorBytes + states * kBytesPerState + kLaneBytes);
     if (budget.deadline_seconds > 0)
         limits.cpu_seconds =
             static_cast<std::uint64_t>(budget.deadline_seconds * 2.0) +
@@ -675,16 +672,7 @@ WorkerProcess::execute(const std::string& job_id, const JobSpec& spec,
 
     // The job's jail: explicit config overrides win field by field,
     // the rest derives from the job's own verification budget.
-    // The effective verifier thread count follows the Compiler's own
-    // resolution: a non-default budget.threads wins, otherwise
-    // options.threads (0 = hardware concurrency).
-    std::size_t threads = spec.options.verify_budget.threads > 1
-                              ? spec.options.verify_budget.threads
-                              : spec.options.threads;
-    if (threads == 0)
-        threads = std::thread::hardware_concurrency();
-    WorkerLimits limits =
-        workerLimits(spec.options.verify_budget, threads);
+    WorkerLimits limits = workerLimits(spec.options.verify_budget);
     if (config_.limits.address_space_bytes > 0)
         limits.address_space_bytes = config_.limits.address_space_bytes;
     if (config_.limits.cpu_seconds > 0)

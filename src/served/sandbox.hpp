@@ -26,8 +26,8 @@
  * mold: exit classification, the last heartbeat snapshot, and the
  * rlimit jail that was in force. Never a hang, never a daemon death.
  *
- * Verdicts are byte-identical isolated vs. in-process vs. one-shot at
- * any thread count: the child runs the identical compile path, and
+ * Verdicts are byte-identical isolated vs. in-process vs. one-shot:
+ * the child runs the identical compile path, and
  * the verdict-store proxy preserves in-process cache semantics
  * (tests/test_sandbox.cpp pins this benchmark by benchmark).
  */
@@ -74,8 +74,8 @@ struct WorkerLimits
 /**
  * Derive a job's jail from its verification budget: address space is
  * a 1 GiB floor plus 2 KiB per budgeted state (full + partial
- * caps) plus 128 MiB per verifier thread (stacks and malloc-arena
- * address reservations are per-thread), clamped to 4 GiB — generous
+ * caps) plus 128 MiB for the verifier's one lane (its stack and
+ * malloc-arena address reservations), clamped to 4 GiB — generous
  * against honest peak virtual-address use (RLIMIT_AS counts mmap
  * reservations, not RSS, and allocation failures outside operator
  * new surface as SIGSEGV rather than the OOM sentinel), tight
@@ -84,8 +84,7 @@ struct WorkerLimits
  * deadline-free budget is governed by state caps, which bound work
  * but not wall-clock-to-CPU ratio).
  */
-WorkerLimits workerLimits(const guard::VerificationBudget& budget,
-                          std::size_t threads = 1);
+WorkerLimits workerLimits(const guard::VerificationBudget& budget);
 
 /** How one child exit reads after classification. */
 enum class ExitClass : std::uint8_t

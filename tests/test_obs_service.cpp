@@ -17,7 +17,7 @@
  *     including a live running-job entry with deadline remaining;
  *   - neutrality: verdicts are byte-identical with a caller's
  *     observer, with the scheduler's own, and against the one-shot
- *     compiler, at every thread count;
+ *     compiler;
  *   - under fire: concurrent stats/jobs/health polling during a
  *     misbehaving-client soak stays answered (and TSan-clean when the
  *     suite runs under TSan).
@@ -753,28 +753,21 @@ TEST(ObsServiceDaemon, VerdictsByteIdenticalWithObserverOnAndOff)
     ASSERT_TRUE(oneshot.ok()) << oneshot.error().message;
     std::string baseline = oneshot.value().verdict.toJson().dump(2);
 
-    for (std::size_t threads : {1, 2, 8}) {
-        spec.options.threads = threads;
-        for (bool observed : {true, false}) {
-            served::SchedulerConfig config;
-            config.workers = 2;
-            config.queue_capacity = 8;
-            if (observed)
-                config.observer =
-                    std::make_shared<served::ServiceObserver>();
-            served::Scheduler scheduler(config);
-            ASSERT_TRUE(scheduler.start().ok());
-            served::JobOutcome outcome =
-                scheduler.submitAndWait("t", spec);
-            ASSERT_EQ(outcome.status, "ok") << outcome.error;
-            const obs::json::Value* verdict =
-                outcome.result.find("verdict");
-            ASSERT_NE(verdict, nullptr);
-            EXPECT_EQ(verdict->dump(2), baseline)
-                << "threads " << threads << " observer "
-                << (observed ? "caller's" : "scheduler's own");
-            scheduler.stop();
-        }
+    for (bool observed : {true, false}) {
+        served::SchedulerConfig config;
+        config.workers = 2;
+        config.queue_capacity = 8;
+        if (observed)
+            config.observer = std::make_shared<served::ServiceObserver>();
+        served::Scheduler scheduler(config);
+        ASSERT_TRUE(scheduler.start().ok());
+        served::JobOutcome outcome = scheduler.submitAndWait("t", spec);
+        ASSERT_EQ(outcome.status, "ok") << outcome.error;
+        const obs::json::Value* verdict = outcome.result.find("verdict");
+        ASSERT_NE(verdict, nullptr);
+        EXPECT_EQ(verdict->dump(2), baseline)
+            << "observer " << (observed ? "caller's" : "scheduler's own");
+        scheduler.stop();
     }
 }
 

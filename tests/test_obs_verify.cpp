@@ -2,17 +2,15 @@
  * @file
  * Verification-engine telemetry
  * (docs/verification_observability.md): the live progress probe, the
- * resource accounting, the pool-occupancy counters and the exposition
- * endpoint — and, above all, their neutrality: verdicts must be
- * byte-identical with probes attached or absent, at any thread
- * count.
+ * resource accounting and the exposition endpoint — and, above all,
+ * their neutrality: verdicts must be byte-identical with probes
+ * attached or absent.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
-#include <atomic>
 #include <string>
 #include <vector>
 
@@ -24,7 +22,6 @@
 #include "refine/refinement.hpp"
 #include "served/client.hpp"
 #include "served/daemon.hpp"
-#include "support/thread_pool.hpp"
 
 namespace graphiti {
 namespace {
@@ -36,10 +33,10 @@ gcdPairs()
             Token(Value::tuple(Value(4), Value(2)))};
 }
 
-/** One theorem-5.3 refinement check (ooo gcd vs sequential gcd) at
- * @p threads lanes, run inside @p scope when non-null. */
+/** One theorem-5.3 refinement check (ooo gcd vs sequential gcd), run
+ * inside @p scope when non-null. */
 RefinementReport
-runGcdCheck(std::size_t threads, obs::Scope* scope)
+runGcdCheck(obs::Scope* scope)
 {
     obs::ScopedInstall install(scope);
     Environment env(4);
@@ -47,7 +44,7 @@ runGcdCheck(std::size_t threads, obs::Scope* scope)
     ExprHigh ooo = circuits::buildGcdOutOfOrder(env.functions(), 2);
     Result<RefinementReport> report = checkGraphRefinement(
         ooo, seq, env, gcdPairs(),
-        {.max_states = 200000, .input_budget = 2, .threads = threads});
+        {.max_states = 200000, .input_budget = 2});
     EXPECT_TRUE(report.ok()) << report.error().message;
     return report.ok() ? report.take() : RefinementReport{};
 }
@@ -130,7 +127,7 @@ TEST(VerifyTelemetry, ProbeSeesExploreAndGame)
     auto probe = std::make_shared<obs::VerifyProbe>();
     scope->attachVerifyProbe(probe);
 
-    RefinementReport report = runGcdCheck(1, scope.get());
+    RefinementReport report = runGcdCheck(scope.get());
     EXPECT_TRUE(report.refines);
 
     obs::VerifyProgress p = probe->snapshot();
@@ -146,48 +143,37 @@ TEST(VerifyTelemetry, ProbeSeesExploreAndGame)
     EXPECT_EQ(p.phase, obs::VerifyPhase::Idle);
 }
 
-TEST(VerifyTelemetry, VerdictByteIdenticalAcrossThreadsAndProbes)
+TEST(VerifyTelemetry, VerdictByteIdenticalAcrossProbes)
 {
     // The telemetry-neutrality contract at the heart of this plane:
     // same verdict-relevant fields with a probe attached, with a bare
-    // scope, and with no scope at all, at 1, 2 and 8 lanes.
-    RefinementReport baseline = runGcdCheck(1, nullptr);
+    // scope, and with no scope at all.
+    RefinementReport baseline = runGcdCheck(nullptr);
     ASSERT_TRUE(baseline.refines);
 
-    for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                std::size_t{8}}) {
-        for (bool with_probe : {false, true}) {
-            auto scope = std::make_shared<obs::Scope>();
-            if (with_probe)
-                scope->attachVerifyProbe(
-                    std::make_shared<obs::VerifyProbe>());
-            RefinementReport report =
-                runGcdCheck(threads, scope.get());
-            EXPECT_EQ(report.refines, baseline.refines);
-            EXPECT_EQ(report.counterexample, baseline.counterexample);
-            EXPECT_EQ(report.impl_states, baseline.impl_states);
-            EXPECT_EQ(report.spec_states, baseline.spec_states);
-            EXPECT_EQ(report.reachable_pairs,
-                      baseline.reachable_pairs);
-            EXPECT_EQ(report.fixpoint_iterations,
-                      baseline.fixpoint_iterations);
-        }
+    for (bool with_probe : {false, true}) {
+        auto scope = std::make_shared<obs::Scope>();
+        if (with_probe)
+            scope->attachVerifyProbe(std::make_shared<obs::VerifyProbe>());
+        RefinementReport report = runGcdCheck(scope.get());
+        EXPECT_EQ(report.refines, baseline.refines);
+        EXPECT_EQ(report.counterexample, baseline.counterexample);
+        EXPECT_EQ(report.impl_states, baseline.impl_states);
+        EXPECT_EQ(report.spec_states, baseline.spec_states);
+        EXPECT_EQ(report.reachable_pairs, baseline.reachable_pairs);
+        EXPECT_EQ(report.fixpoint_iterations,
+                  baseline.fixpoint_iterations);
     }
 }
 
-TEST(VerifyTelemetry, PeakBytesStableAcrossRunsAndThreads)
+TEST(VerifyTelemetry, PeakBytesStableAcrossRuns)
 {
-    RefinementReport first = runGcdCheck(1, nullptr);
-    RefinementReport again = runGcdCheck(1, nullptr);
+    RefinementReport first = runGcdCheck(nullptr);
+    RefinementReport again = runGcdCheck(nullptr);
     // Size-based estimates are pure functions of the explored space,
-    // so two identical runs agree exactly...
+    // so two identical runs agree exactly.
     EXPECT_EQ(first.explore_peak_bytes, again.explore_peak_bytes);
     EXPECT_EQ(first.peak_bytes, again.peak_bytes);
-    // ...and so does any thread count (the tables grow to the same
-    // final content through the same deterministic insertions).
-    RefinementReport wide = runGcdCheck(8, nullptr);
-    EXPECT_EQ(wide.explore_peak_bytes, first.explore_peak_bytes);
-    EXPECT_EQ(wide.peak_bytes, first.peak_bytes);
     EXPECT_GT(first.explore_peak_bytes, 0u);
     EXPECT_GT(first.peak_bytes, 0u);
 }
@@ -221,33 +207,6 @@ TEST(VerifyTelemetry, ParkAndResumeReachTheProbe)
     EXPECT_EQ(at_resume.parks, 1u);
     EXPECT_EQ(at_resume.resumes, 1u);
     EXPECT_GT(at_resume.states, at_park.states);
-}
-
-// ---------------------------------------------------------------------
-// Pool occupancy.
-
-TEST(PoolOccupancy, LaneChunksSumToSubmitted)
-{
-    for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                std::size_t{4}}) {
-        ThreadPool pool(threads);
-        std::atomic<std::uint64_t> touched{0};
-        for (int batch = 0; batch < 5; ++batch)
-            pool.parallelFor(257, [&](std::size_t) {
-                touched.fetch_add(1, std::memory_order_relaxed);
-            });
-        EXPECT_EQ(touched.load(), 5u * 257u);
-
-        ThreadPool::PoolStats stats = pool.stats();
-        std::uint64_t lane_chunks = 0;
-        for (const ThreadPool::LaneStats& lane : stats.lanes)
-            lane_chunks += lane.chunks;
-        // Work stealing moves chunks between lanes; it never loses or
-        // duplicates one.
-        EXPECT_EQ(lane_chunks, stats.chunks_submitted);
-        EXPECT_EQ(stats.batches, 5u);
-        EXPECT_EQ(stats.lanes.size(), pool.size());
-    }
 }
 
 // ---------------------------------------------------------------------

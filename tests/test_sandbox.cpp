@@ -19,7 +19,7 @@
  *     (shed with retry_after_ms), and a healthy job after the
  *     cooldown closes it;
  *   - byte identity: verdicts are byte-identical isolated vs.
- *     in-process one-shot on every benchmark at threads 1/2/8;
+ *     in-process one-shot on every benchmark;
  *   - CrashPlan: deterministic per-(job, site) draws, parse/render
  *     round-trip;
  *   - disconnect reap: a vanished client kills the child promptly and
@@ -192,10 +192,12 @@ TEST(SandboxLimits, DeriveFromVerificationBudget)
 {
     guard::VerificationBudget budget;  // defaults: no deadline
     WorkerLimits limits = served::workerLimits(budget);
-    // 256 MiB floor + 2 KiB per budgeted state, and no CPU jail
-    // without a wall-clock deadline to anchor it.
-    EXPECT_GE(limits.address_space_bytes, 256ull << 20);
-    EXPECT_LE(limits.address_space_bytes, 4096ull << 20);
+    // 1 GiB floor + 2 KiB per budgeted state + 128 MiB for the one
+    // verifier lane, and no CPU jail without a wall-clock deadline to
+    // anchor it.
+    std::uint64_t states = budget.max_states + budget.partial_max_states;
+    EXPECT_EQ(limits.address_space_bytes,
+              (1024ull << 20) + states * 2048 + (128ull << 20));
     EXPECT_EQ(limits.cpu_seconds, 0u);
 
     budget.deadline_seconds = 3.0;
@@ -599,22 +601,14 @@ TEST(SandboxScheduler, VerdictsByteIdenticalIsolatedVsOneShot)
             oneshot.value().verdict.toJson().dump(2);
         std::string baseline_dot = oneshot.value().output_dot;
 
-        for (std::size_t threads : {1, 2, 8}) {
-            spec.options.threads = threads;
-            served::JobOutcome out =
-                scheduler.submitAndWait("t", spec);
-            ASSERT_EQ(out.status, "ok")
-                << name << " threads " << threads << ": " << out.error;
-            const obs::json::Value* verdict = out.result.find("verdict");
-            const obs::json::Value* output_dot =
-                out.result.find("output_dot");
-            ASSERT_NE(verdict, nullptr) << name;
-            ASSERT_NE(output_dot, nullptr) << name;
-            EXPECT_EQ(verdict->dump(2), baseline_verdict)
-                << name << " threads " << threads;
-            EXPECT_EQ(output_dot->asString(), baseline_dot)
-                << name << " threads " << threads;
-        }
+        served::JobOutcome out = scheduler.submitAndWait("t", spec);
+        ASSERT_EQ(out.status, "ok") << name << ": " << out.error;
+        const obs::json::Value* verdict = out.result.find("verdict");
+        const obs::json::Value* output_dot = out.result.find("output_dot");
+        ASSERT_NE(verdict, nullptr) << name;
+        ASSERT_NE(output_dot, nullptr) << name;
+        EXPECT_EQ(verdict->dump(2), baseline_verdict) << name;
+        EXPECT_EQ(output_dot->asString(), baseline_dot) << name;
     }
     scheduler.stop();
 }

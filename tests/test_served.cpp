@@ -7,8 +7,8 @@
  *     oversized lengths are structured errors, never hangs;
  *   - byte identity: a verdict served by the daemon is byte-identical
  *     to the one the same request produces in-process through
- *     Compiler::compileGraph, benchmark by benchmark, at every thread
- *     count;
+ *     Compiler::compileGraph, benchmark by benchmark; a request still
+ *     carrying the retired "threads" option gets the same verdict;
  *   - overload honesty: a flood beyond queue capacity sheds with
  *     status "rejected" and a retry_after hint — nothing hangs,
  *     nothing is silently dropped;
@@ -712,28 +712,69 @@ TEST(ServedDaemon, VerdictsByteIdenticalToOneShotOnEveryBenchmark)
             oneshot.value().verdict.toJson().dump(2);
         std::string baseline_dot = oneshot.value().output_dot;
 
-        for (std::size_t threads : {1, 2, 8}) {
-            spec.options.threads = threads;
-            Result<served::JobResponse> response =
-                client.request(spec);
-            ASSERT_TRUE(response.ok())
-                << name << " threads " << threads << ": "
-                << response.error().message;
-            ASSERT_EQ(response.value().status, "ok")
-                << name << " threads " << threads << ": "
-                << response.value().error;
-            const obs::json::Value& result = response.value().result;
-            const obs::json::Value* verdict = result.find("verdict");
-            const obs::json::Value* output_dot =
-                result.find("output_dot");
-            ASSERT_NE(verdict, nullptr) << name;
-            ASSERT_NE(output_dot, nullptr) << name;
-            EXPECT_EQ(verdict->dump(2), baseline_verdict)
-                << name << " threads " << threads;
-            EXPECT_EQ(output_dot->asString(), baseline_dot)
-                << name << " threads " << threads;
-        }
+        Result<served::JobResponse> response = client.request(spec);
+        ASSERT_TRUE(response.ok())
+            << name << ": " << response.error().message;
+        ASSERT_EQ(response.value().status, "ok")
+            << name << ": " << response.value().error;
+        const obs::json::Value& result = response.value().result;
+        const obs::json::Value* verdict = result.find("verdict");
+        const obs::json::Value* output_dot = result.find("output_dot");
+        ASSERT_NE(verdict, nullptr) << name;
+        ASSERT_NE(output_dot, nullptr) << name;
+        EXPECT_EQ(verdict->dump(2), baseline_verdict) << name;
+        EXPECT_EQ(output_dot->asString(), baseline_dot) << name;
     }
+    daemon.stop();
+}
+
+TEST(ServedDaemon, RetiredThreadsOptionIsIgnoredOnTheWire)
+{
+    // Older clients still send options.threads; unknown option keys
+    // are ignored, so the field parses and changes nothing.
+    std::string path = socketPath("retired-threads");
+    served::DaemonConfig config;
+    config.socket_path = path;
+    config.scheduler = schedulerConfig(1, 4);
+    served::Daemon daemon(config);
+    ASSERT_TRUE(daemon.start().ok());
+
+    JobSpec spec = verifySpec(gcdDot());
+    spec.options.verify_cache = false;
+    obs::json::Value job = spec.toJson();
+    ASSERT_EQ(job.find("options")->find("threads"), nullptr);
+    obs::json::Value legacy_job = job;
+    obs::json::Value options = *legacy_job.find("options");
+    options.set("threads", 8);
+    legacy_job.set("options", std::move(options));
+
+    std::vector<std::string> verdicts;
+    for (const obs::json::Value* sent : {&job, &legacy_job}) {
+        Result<net::Socket> socket = net::connectUnix(path);
+        ASSERT_TRUE(socket.ok()) << socket.error().message;
+        served::JobRequest request;
+        request.id = verdicts.size() + 1;
+        request.job = *sent;
+        ASSERT_TRUE(served::writeFrame(socket.value(),
+                                       request.toJson().dump(), 5000)
+                        .ok());
+        std::string payload;
+        Result<bool> got =
+            served::readFrame(socket.value(), payload, 60000);
+        ASSERT_TRUE(got.ok() && got.value());
+        Result<obs::json::Value> parsed = obs::json::parse(payload);
+        ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+        Result<served::JobResponse> response =
+            served::jobResponseFromJson(parsed.value());
+        ASSERT_TRUE(response.ok()) << response.error().message;
+        ASSERT_EQ(response.value().status, "ok")
+            << response.value().error;
+        const obs::json::Value* verdict =
+            response.value().result.find("verdict");
+        ASSERT_NE(verdict, nullptr);
+        verdicts.push_back(verdict->dump(2));
+    }
+    EXPECT_EQ(verdicts[1], verdicts[0]);
     daemon.stop();
 }
 

@@ -7,9 +7,9 @@
  * to disk. None of that may be observable: this suite re-implements
  * the pre-encoding deep-state sequential BFS as a reference and
  * asserts fingerprints are byte-identical to it on the gcd instance
- * and on every table-2 benchmark, at threads 1/2/8; that governed
- * verdict JSON and counterexample text do not depend on thread count
- * or on the spill tier; that park+resume under a tiny spill_bytes
+ * and on every table-2 benchmark; that governed verdict JSON and
+ * counterexample text do not depend on the spill tier or on parking;
+ * that park+resume under a tiny spill_bytes
  * reproduces the one-shot space — pool ids included; and that the
  * TokenQueue head-index pop is invisible to ==/hash()/toString().
  */
@@ -27,8 +27,6 @@
 
 namespace graphiti {
 namespace {
-
-const std::size_t kThreadCounts[] = {1, 2, 8};
 
 std::vector<Token>
 gcdPairs()
@@ -247,7 +245,7 @@ referenceExplore(const DenotedModule& mod, const InputDomain& domain,
 // Old-vs-new fingerprint equivalence.
 // ---------------------------------------------------------------------
 
-TEST(EncodingEquivalence, GcdMatchesDeepReferenceAtEveryThreadCount)
+TEST(EncodingEquivalence, GcdMatchesDeepReferenceAndRepeats)
 {
     GcdInstance gcd;
     InputDomain domain = InputDomain::uniform(gcd.impl, gcdPairs());
@@ -255,23 +253,21 @@ TEST(EncodingEquivalence, GcdMatchesDeepReferenceAtEveryThreadCount)
         RefSpace ref = referenceExplore(*mod, domain, 400000, 2);
         ASSERT_TRUE(ref.frontier.empty());
         std::size_t base_bytes = 0;
-        for (std::size_t threads : kThreadCounts) {
+        for (int run = 0; run < 2; ++run) {
             ExplorationLimits limits;
             limits.max_states = 400000;
             limits.input_budget = 2;
-            limits.threads = threads;
             Result<StateSpace> space =
                 StateSpace::explore(*mod, domain, limits);
             ASSERT_TRUE(space.ok()) << space.error().message;
             EXPECT_EQ(space.value().fingerprint(), ref.fingerprint())
-                << "threads=" << threads;
+                << "run " << run;
             // Size-based accounting: capacity-independent, so equal
-            // at every thread count.
-            if (threads == 1)
+            // on every run.
+            if (run == 0)
                 base_bytes = space.value().approxBytes();
             else
-                EXPECT_EQ(space.value().approxBytes(), base_bytes)
-                    << "threads=" << threads;
+                EXPECT_EQ(space.value().approxBytes(), base_bytes);
         }
     }
 }
@@ -293,18 +289,14 @@ TEST(EncodingEquivalence, EveryBenchmarkMatchesDeepReferenceParked)
                 .take();
         InputDomain domain = InputDomain::uniform(mod, toks);
         RefSpace ref = referenceExplore(mod, domain, kCap, 1);
-        for (std::size_t threads : kThreadCounts) {
-            ExplorationLimits limits;
-            limits.max_states = kCap;
-            limits.input_budget = 1;
-            limits.threads = threads;
-            Result<StateSpace> space =
-                StateSpace::explorePartial(mod, domain, limits);
-            ASSERT_TRUE(space.ok())
-                << name << ": " << space.error().message;
-            EXPECT_EQ(space.value().fingerprint(), ref.fingerprint())
-                << name << " diverges at threads=" << threads;
-        }
+        ExplorationLimits limits;
+        limits.max_states = kCap;
+        limits.input_budget = 1;
+        Result<StateSpace> space =
+            StateSpace::explorePartial(mod, domain, limits);
+        ASSERT_TRUE(space.ok()) << name << ": " << space.error().message;
+        EXPECT_EQ(space.value().fingerprint(), ref.fingerprint())
+            << name << " diverges";
     }
 }
 
@@ -312,11 +304,11 @@ TEST(EncodingEquivalence, EveryBenchmarkMatchesDeepReferenceParked)
 // Verdicts, counterexamples, and describeState.
 // ---------------------------------------------------------------------
 
-TEST(EncodingEquivalence, CounterexampleTextIdenticalAcrossThreads)
+TEST(EncodingEquivalence, CounterexampleTextIdenticalAfterSpilledResume)
 {
-    // add vs mul genuinely fails; the counterexample text decodes
-    // concrete states through the pool and must not depend on the
-    // thread count.
+    // add vs mul genuinely fails; the counterexample text names state
+    // ids, so it must not depend on whether exploration parked,
+    // spilled its frontier and resumed.
     Environment env(4);
     ExprHigh add;
     add.addNode("n", "operator", {{"op", "add"}});
@@ -329,22 +321,37 @@ TEST(EncodingEquivalence, CounterexampleTextIdenticalAcrossThreads)
     mul.bindInput(1, PortRef{"n", "in1"});
     mul.bindOutput(0, PortRef{"n", "out0"});
 
-    std::string base;
-    for (std::size_t threads : kThreadCounts) {
-        auto report = checkGraphRefinement(
-            add, mul, env,
-            {Token(Value(2)), Token(Value(3))},
-            {.max_states = 10000, .input_budget = 2,
-             .threads = threads, .stop = {}});
-        ASSERT_TRUE(report.ok()) << report.error().message;
-        EXPECT_FALSE(report.value().refines);
-        ASSERT_FALSE(report.value().counterexample.empty());
-        if (threads == 1)
-            base = report.value().counterexample;
-        else
-            EXPECT_EQ(report.value().counterexample, base)
-                << "threads=" << threads;
-    }
+    std::vector<Token> tokens = {Token(Value(2)), Token(Value(3))};
+    auto report = checkGraphRefinement(
+        add, mul, env, tokens,
+        {.max_states = 10000, .input_budget = 2, .stop = {}});
+    ASSERT_TRUE(report.ok()) << report.error().message;
+    EXPECT_FALSE(report.value().refines);
+    ASSERT_FALSE(report.value().counterexample.empty());
+
+    auto resumed = [&](const ExprHigh& g) {
+        DenotedModule mod =
+            DenotedModule::denote(lowerToExprLow(g).value(), env).take();
+        StateSpace space =
+            StateSpace::explorePartial(
+                mod, InputDomain::uniform(mod, tokens),
+                {.max_states = 3,
+                 .input_budget = 2,
+                 .spill_bytes = 4,
+                 .stop = {}})
+                .take();
+        EXPECT_FALSE(space.complete());
+        while (!space.complete())
+            EXPECT_TRUE(space.resume(mod, 3).ok());
+        return space;
+    };
+    StateSpace impl = resumed(add);
+    StateSpace spec = resumed(mul);
+    EXPECT_GT(impl.spillStats().pages_in, 0u);
+    Result<RefinementReport> replayed = checkRefinementOnSpaces(impl, spec);
+    ASSERT_TRUE(replayed.ok()) << replayed.error().message;
+    EXPECT_EQ(replayed.value().counterexample,
+              report.value().counterexample);
 }
 
 TEST(EncodingEquivalence, DescribeStateDecodesThePool)
@@ -472,24 +479,20 @@ TEST(SpillTier, GovernedVerdictByteIdenticalWithAndWithoutSpill)
     GcdInstance gcd;
     std::string base;
     for (std::size_t spill : {std::size_t{0}, std::size_t{512}}) {
-        for (std::size_t threads : kThreadCounts) {
-            guard::VerificationBudget budget;
-            budget.max_states = 400;
-            budget.partial_max_states = 200;
-            budget.input_budget = 1;
-            budget.trace_walks = 2;
-            budget.threads = threads;
-            budget.spill_bytes = spill;
-            guard::Governor governor(budget);
-            guard::VerificationVerdict verdict = governor.verifyGraphs(
-                gcd.ooo, gcd.seq, gcd.env, gcdPairs());
-            std::string json = verdict.toJson().dump(2);
-            if (base.empty())
-                base = json;
-            else
-                EXPECT_EQ(json, base) << "spill=" << spill
-                                      << " threads=" << threads;
-        }
+        guard::VerificationBudget budget;
+        budget.max_states = 400;
+        budget.partial_max_states = 200;
+        budget.input_budget = 1;
+        budget.trace_walks = 2;
+        budget.spill_bytes = spill;
+        guard::Governor governor(budget);
+        guard::VerificationVerdict verdict = governor.verifyGraphs(
+            gcd.ooo, gcd.seq, gcd.env, gcdPairs());
+        std::string json = verdict.toJson().dump(2);
+        if (base.empty())
+            base = json;
+        else
+            EXPECT_EQ(json, base) << "spill=" << spill;
     }
 }
 

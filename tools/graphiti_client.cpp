@@ -23,7 +23,7 @@
  * Usage:
  *     graphiti-client --socket PATH [--tcp PORT] KIND
  *                     [--dot FILE | --benchmark NAME]
- *                     [--deadline S] [--threads N] [--attempts N]
+ *                     [--deadline S] [--attempts N]
  *                     [--max-states N] [--partial-states N]
  *                     [--input-budget N] [--trace-walks N]
  *     graphiti-client --socket PATH [--tcp PORT]
@@ -57,7 +57,7 @@ usage(const char* argv0)
         stderr,
         "usage: %s --socket PATH [--tcp PORT] KIND\n"
         "          [--dot FILE | --benchmark NAME] [--deadline S]\n"
-        "          [--threads N] [--attempts N]\n"
+        "          [--attempts N]\n"
         "       %s --socket PATH [--tcp PORT]\n"
         "          --stats | --jobs | --health | --metricsz\n"
         "          [--watch [--interval S]] | --watch-job ID\n"
@@ -68,7 +68,6 @@ usage(const char* argv0)
         "  --deadline S     per-job wall-clock deadline in seconds\n"
         "  --job-id ID      correlation id for the job (default "
         "minted)\n"
-        "  --threads N      verification worker lanes on the daemon\n"
         "  --attempts N     retry budget (default 5)\n"
         "  --max-states N   full-exploration state cap (verify)\n"
         "  --partial-states N  partial-exploration state cap\n"
@@ -111,7 +110,6 @@ main(int argc, char** argv)
     std::string dot_file;
     std::string benchmark;
     double deadline_seconds = 0.0;
-    std::size_t threads = 0;
     guard::VerificationBudget budget;
     bool budget_set = false;
     bool watch = false;
@@ -151,11 +149,6 @@ main(int argc, char** argv)
             if (v == nullptr)
                 return usage(argv[0]);
             deadline_seconds = std::atof(v);
-        } else if (arg == "--threads") {
-            const char* v = value();
-            if (v == nullptr)
-                return usage(argv[0]);
-            threads = static_cast<std::size_t>(std::atoi(v));
         } else if (arg == "--attempts") {
             const char* v = value();
             if (v == nullptr)
@@ -310,7 +303,6 @@ main(int argc, char** argv)
 
     JobSpec spec;
     spec.kind = kind;
-    spec.options.threads = threads;
     if (budget_set)
         spec.options.verify_budget = budget;
     if (!dot_file.empty()) {
