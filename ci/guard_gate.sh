@@ -8,8 +8,9 @@
 #     after the out-of-order pipeline with zero rollbacks.
 #  2. Governed report smoke: graphiti-report --governed reaches the
 #     "full" rung on the gcd benchmark and records it in metrics.json.
-#  3. Sanitizer build: the guard suite (validator fuzz included) and
-#     the core suite run clean under ASan + UBSan.
+#  3. Sanitizer build: the guard suite (validator fuzz included), the
+#     core suite, the simulator tests and the stress profile run clean
+#     under ASan + UBSan.
 #
 # Usage: ci/guard_gate.sh [build-dir-prefix]   (default: build-guard)
 
@@ -69,5 +70,7 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}"
 (cd "${PREFIX}-asan" && ctest -L guard --output-on-failure)
 (cd "${PREFIX}-asan" && ctest -R "^(Compiler|Validator)" \
     --output-on-failure)
+(cd "${PREFIX}-asan" && ctest -L stress --output-on-failure)
+(cd "${PREFIX}-asan" && ctest -R "^(Sim|SimEdge)\." --output-on-failure)
 
 echo "guard gate: all checks passed"

@@ -10,13 +10,14 @@ namespace graphiti::faults {
 
 namespace {
 
-/** Run one simulation of @p graph under @p injector. */
+/** Run one simulation of @p graph under @p injector; a failed run
+ * leaves its watchdog diagnosis in @p diagnosis, when given. */
 Result<sim::SimResult>
 simulate(const ExprHigh& graph, std::shared_ptr<FnRegistry> functions,
-         const Workload& workload, const sim::SimConfig& base_config,
-         std::shared_ptr<sim::FaultInjector> injector)
+         const Workload& workload, sim::SimConfig config,
+         std::shared_ptr<sim::FaultInjector> injector,
+         std::optional<sim::StuckDiagnosis>* diagnosis = nullptr)
 {
-    sim::SimConfig config = base_config;
     config.faults = std::move(injector);
     Result<sim::Simulator> built =
         sim::Simulator::build(graph, std::move(functions), config);
@@ -25,8 +26,11 @@ simulate(const ExprHigh& graph, std::shared_ptr<FnRegistry> functions,
     sim::Simulator simulator = built.take();
     for (const auto& [name, data] : workload.memories)
         simulator.setMemory(name, data);
-    return simulator.run(workload.inputs, workload.expected_outputs,
-                         workload.serial_io);
+    Result<sim::SimResult> run = simulator.run(
+        workload.inputs, workload.expected_outputs, workload.serial_io);
+    if (diagnosis != nullptr)
+        *diagnosis = simulator.lastDiagnosis();
+    return run;
 }
 
 /**
@@ -122,24 +126,15 @@ captureFailureArtifact(const ExprHigh& graph,
         std::make_shared<obs::ProvenanceTracker>(prov_config));
 
     sim::SimConfig config = options.sim;
-    config.faults = plan;
     config.obs = scope;
-    Result<sim::Simulator> built =
-        sim::Simulator::build(graph, std::move(functions), config);
-    if (!built.ok())
-        return {};
-    sim::Simulator simulator = built.take();
-    for (const auto& [name, data] : workload.memories)
-        simulator.setMemory(name, data);
-    Result<sim::SimResult> rerun = simulator.run(
-        workload.inputs, workload.expected_outputs, workload.serial_io);
+    std::optional<sim::StuckDiagnosis> diagnosis;
+    Result<sim::SimResult> rerun =
+        simulate(graph, std::move(functions), workload, config,
+                 std::move(plan), &diagnosis);
     if (rerun.ok())
         return {};  // did not reproduce; nothing trustworthy to dump
-
-    const sim::StuckDiagnosis* diagnosis =
-        simulator.lastDiagnosis() ? &*simulator.lastDiagnosis()
-                                  : nullptr;
-    return failureArtifact(diagnosis, rerun.error().message, *scope,
+    return failureArtifact(diagnosis ? &*diagnosis : nullptr,
+                           rerun.error().message, *scope,
                            options.artifact_tail_firings);
 }
 
@@ -168,68 +163,69 @@ failureArtifact(const sim::StuckDiagnosis* diagnosis,
 }
 
 std::vector<std::shared_ptr<FaultPlan>>
-StressHarness::buildPlans(const ExprHigh& graph) const
+stressPlans(const StressOptions& options, const ExprHigh& graph)
 {
     std::vector<std::shared_ptr<FaultPlan>> plans;
-    for (std::size_t i = 0; i < options_.random_plans; ++i) {
+    for (std::size_t i = 0; i < options.random_plans; ++i) {
         // (name, index)-derived seeds: adding another plan family can
         // never shift or collide with the random plans' schedules.
-        std::uint64_t seed =
-            derivePlanSeed(options_.base_seed, "random", i);
+        std::uint64_t seed = derivePlanSeed(options.base_seed, "random", i);
         plans.push_back(std::make_shared<FaultPlan>(
-            FaultPlan::random(seed, options_.plan_config)));
+            FaultPlan::random(seed, options.plan_config)));
     }
-    if (options_.structured) {
+    if (options.structured) {
         plans.push_back(
             std::make_shared<FaultPlan>(FaultPlan::singleSlot()));
         plans.push_back(std::make_shared<FaultPlan>(
-            FaultPlan::maxBackpressure(options_.plan_config.horizon)));
+            FaultPlan::maxBackpressure(options.plan_config.horizon)));
         std::size_t channels = sim::Simulator::channelCount(graph);
-        std::size_t starves =
-            std::min(channels, options_.max_starve_plans);
+        std::size_t starves = std::min(channels, options.max_starve_plans);
         for (std::size_t k = 0; k < starves; ++k) {
             // Sample channel indices evenly across the circuit.
             std::size_t ch = starves == 0 ? 0 : k * channels / starves;
             plans.push_back(std::make_shared<FaultPlan>(
                 FaultPlan::starveChannel(
-                    ch, options_.plan_config.horizon / 4)));
+                    ch, options.plan_config.horizon / 4)));
         }
     }
     return plans;
 }
 
+namespace {
+
+/** StressHarness::run, also handing back the fault-free baseline. */
 Result<StressReport>
-StressHarness::run(const ExprHigh& graph,
-                   std::shared_ptr<FnRegistry> functions,
-                   const Workload& workload) const
+runBattery(const StressOptions& options, const ExprHigh& graph,
+           std::shared_ptr<FnRegistry> functions,
+           const Workload& workload, sim::SimResult& baseline)
 {
     GRAPHITI_OBS_TIMER(obs_timer, "stress.run_seconds");
     auto start = std::chrono::steady_clock::now();
-    Result<sim::SimResult> baseline =
-        simulate(graph, functions, workload, options_.sim, nullptr);
-    if (!baseline.ok())
-        return baseline.error().context("stress baseline run");
+    Result<sim::SimResult> base =
+        simulate(graph, functions, workload, options.sim, nullptr);
+    if (!base.ok())
+        return base.error().context("stress baseline run");
+    baseline = base.take();
 
     StressReport report;
-    report.baseline_cycles = baseline.value().cycles;
+    report.baseline_cycles = baseline.cycles;
 
-    for (const std::shared_ptr<FaultPlan>& plan : buildPlans(graph)) {
+    for (const std::shared_ptr<FaultPlan>& plan :
+         stressPlans(options, graph)) {
         PlanOutcome outcome;
         outcome.plan = plan->describe();
         outcome.seed = plan->seed();
         Result<sim::SimResult> run =
-            simulate(graph, functions, workload, options_.sim, plan);
+            simulate(graph, functions, workload, options.sim, plan);
         if (run.ok()) {
             outcome.completed = true;
             outcome.cycles = run.value().cycles;
-            outcome.detail =
-                firstDifference(run.value(), baseline.value());
+            outcome.detail = firstDifference(run.value(), baseline);
             outcome.matched = outcome.detail.empty();
         } else {
             outcome.detail = run.error().message;
-            if (options_.capture_failure_artifacts)
-                outcome.failure_artifact = captureFailureArtifact(
-                    graph, functions, workload, options_, plan);
+            outcome.failure_artifact = captureFailureArtifact(
+                graph, functions, workload, options, plan);
         }
         if (outcome.completed && report.baseline_cycles > 0)
             report.worst_inflation = std::max(
@@ -250,56 +246,61 @@ StressHarness::run(const ExprHigh& graph,
     return report;
 }
 
+}  // namespace
+
+Result<StressReport>
+StressHarness::run(const ExprHigh& graph,
+                   std::shared_ptr<FnRegistry> functions,
+                   const Workload& workload) const
+{
+    sim::SimResult baseline;
+    return runBattery(options_, graph, std::move(functions), workload,
+                      baseline);
+}
+
 Result<StressReport>
 StressHarness::runPair(const ExprHigh& original,
                        const ExprHigh& transformed,
                        std::shared_ptr<FnRegistry> functions,
                        const Workload& workload) const
 {
-    Result<StressReport> orig = run(original, functions, workload);
+    sim::SimResult base_orig;
+    sim::SimResult base_ooo;
+    Result<StressReport> orig =
+        runBattery(options_, original, functions, workload, base_orig);
     if (!orig.ok())
         return orig.error().context("stress original");
-    Result<StressReport> ooo = run(transformed, functions, workload);
+    Result<StressReport> ooo =
+        runBattery(options_, transformed, functions, workload, base_ooo);
     if (!ooo.ok())
         return ooo.error().context("stress transformed");
 
     StressReport merged;
-    merged.invariant_holds = orig.value().invariant_holds &&
-                             ooo.value().invariant_holds;
     merged.baseline_cycles = orig.value().baseline_cycles;
-    merged.seconds = orig.value().seconds + ooo.value().seconds;
-    merged.worst_inflation = std::max(orig.value().worst_inflation,
-                                      ooo.value().worst_inflation);
-    merged.first_violation = !orig.value().first_violation.empty()
-                                 ? "orig: " + orig.value().first_violation
-                                 : ooo.value().first_violation.empty()
-                                       ? std::string()
-                                       : "ooo: " +
-                                             ooo.value().first_violation;
-    for (PlanOutcome& o : orig.value().outcomes) {
-        o.plan = "orig: " + o.plan;
-        merged.outcomes.push_back(std::move(o));
-    }
-    for (PlanOutcome& o : ooo.value().outcomes) {
-        o.plan = "ooo: " + o.plan;
-        merged.outcomes.push_back(std::move(o));
+    for (auto [part, prefix] : {std::pair{&orig.value(), "orig: "},
+                                std::pair{&ooo.value(), "ooo: "}}) {
+        merged.invariant_holds =
+            merged.invariant_holds && part->invariant_holds;
+        merged.seconds += part->seconds;
+        merged.worst_inflation =
+            std::max(merged.worst_inflation, part->worst_inflation);
+        if (merged.first_violation.empty() &&
+            !part->first_violation.empty())
+            merged.first_violation = prefix + part->first_violation;
+        for (PlanOutcome& o : part->outcomes) {
+            o.plan = prefix + o.plan;
+            merged.outcomes.push_back(std::move(o));
+        }
     }
 
     // Cross-check: the rewritten circuit's fault-free behavior must
     // match the original's in program order.
-    Result<sim::SimResult> base_orig =
-        simulate(original, functions, workload, options_.sim, nullptr);
-    Result<sim::SimResult> base_ooo = simulate(
-        transformed, functions, workload, options_.sim, nullptr);
-    if (base_orig.ok() && base_ooo.ok()) {
-        std::string diff =
-            firstDifference(base_ooo.value(), base_orig.value());
-        if (!diff.empty()) {
-            merged.invariant_holds = false;
-            if (merged.first_violation.empty())
-                merged.first_violation =
-                    "transformed baseline diverges: " + diff;
-        }
+    std::string diff = firstDifference(base_ooo, base_orig);
+    if (!diff.empty()) {
+        merged.invariant_holds = false;
+        if (merged.first_violation.empty())
+            merged.first_violation =
+                "transformed baseline diverges: " + diff;
     }
     return merged;
 }

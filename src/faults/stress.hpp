@@ -62,13 +62,6 @@ struct StressOptions
     /** Cap on starve-one-channel plans (sampled evenly when the
      * circuit has more channels). */
     std::size_t max_starve_plans = 12;
-    /**
-     * Re-run failing plans with an obs scope attached and store a
-     * post-mortem JSON artifact (watchdog diagnosis + metrics
-     * snapshot + provenance hop-log tail) on the outcome. Plans are
-     * deterministic, so the re-run reproduces the failure exactly.
-     */
-    bool capture_failure_artifacts = true;
     /** Provenance firings kept in each failure artifact. */
     std::size_t artifact_tail_firings = 64;
 };
@@ -82,7 +75,8 @@ struct PlanOutcome
     bool matched = false;       ///< outputs+memories equal baseline
     std::size_t cycles = 0;
     std::string detail;         ///< error or first mismatch
-    /** Post-mortem JSON for plans that failed to complete (see
+    /** Post-mortem JSON of a plan that failed to complete, from a
+     * deterministic re-run with an obs scope attached (see
      * failureArtifact); empty otherwise. */
     std::string failure_artifact;
 };
@@ -125,6 +119,11 @@ std::string failureArtifact(const sim::StuckDiagnosis* diagnosis,
                             const obs::Scope& scope,
                             std::size_t tail_firings = 64);
 
+/** The plans StressHarness runs on @p graph: the seeded random plans,
+ * then, when options.structured, the structured adversaries. */
+std::vector<std::shared_ptr<FaultPlan>>
+stressPlans(const StressOptions& options, const ExprHigh& graph);
+
 /** The hazard-stress harness. */
 class StressHarness
 {
@@ -146,8 +145,10 @@ class StressHarness
     /**
      * Stress @p original and @p transformed under the same workload
      * and additionally require their baselines to agree (the
-     * program-order equivalence the rewrites promise). Outcomes are
-     * prefixed "orig:" / "ooo:".
+     * program-order equivalence the rewrites promise). Each battery's
+     * fault-free baseline serves the cross-check, so a pair costs
+     * 2 + 2 x plans simulations. Outcomes are prefixed "orig:" /
+     * "ooo:".
      */
     Result<StressReport> runPair(const ExprHigh& original,
                                  const ExprHigh& transformed,
@@ -157,9 +158,6 @@ class StressHarness
     const StressOptions& options() const { return options_; }
 
   private:
-    std::vector<std::shared_ptr<FaultPlan>>
-    buildPlans(const ExprHigh& graph) const;
-
     StressOptions options_;
 };
 

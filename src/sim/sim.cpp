@@ -1,6 +1,7 @@
 #include "sim/sim.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
 
 #include "arch/buffers.hpp"
@@ -56,8 +57,8 @@ StuckDiagnosis::toString() const
 
 namespace {
 
-/** Component model dispatched by the per-cycle step (the string
- * `type` is kept for diagnostics only). */
+/** Component model dispatched by the per-cycle step, in the order of
+ * kKindNames (the string `type` is kept for diagnostics only). */
 enum class NodeKind : std::uint8_t
 {
     Fork,
@@ -79,27 +80,32 @@ enum class NodeKind : std::uint8_t
     Unknown,
 };
 
+constexpr const char* kKindNames[] = {
+    "fork", "join", "split", "mux", "merge", "branch", "init", "buffer",
+    "sink", "source", "constant", "operator", "pure", "load", "store",
+    "tagger",
+};
+static_assert(std::size(kKindNames) ==
+              static_cast<std::size_t>(NodeKind::Unknown));
+
 NodeKind
 kindOf(const std::string& type)
 {
-    if (type == "fork") return NodeKind::Fork;
-    if (type == "join") return NodeKind::Join;
-    if (type == "split") return NodeKind::Split;
-    if (type == "mux") return NodeKind::Mux;
-    if (type == "merge") return NodeKind::Merge;
-    if (type == "branch") return NodeKind::Branch;
-    if (type == "init") return NodeKind::Init;
-    if (type == "buffer") return NodeKind::Buffer;
-    if (type == "sink") return NodeKind::Sink;
-    if (type == "source") return NodeKind::Source;
-    if (type == "constant") return NodeKind::Constant;
-    if (type == "operator") return NodeKind::Operator;
-    if (type == "pure") return NodeKind::Pure;
-    if (type == "load") return NodeKind::Load;
-    if (type == "store") return NodeKind::Store;
-    if (type == "tagger") return NodeKind::Tagger;
-    return NodeKind::Unknown;
+    auto it = std::find(std::begin(kKindNames), std::end(kKindNames), type);
+    return static_cast<NodeKind>(it - std::begin(kKindNames));
 }
+
+/** Load unit latency in cycles, unless the node sets `latency`. */
+constexpr int kLoadLatency = 2;
+/** Watchdog: cycles without any token movement, in-flight computation
+ * or fault hold before the run is declared deadlocked. */
+constexpr std::size_t kStallWindow = 4;
+/** Post-output drain: extra cycles allowed (past the last output and
+ * past any fault horizon) for in-flight side effects — e.g. a store
+ * racing the final output token — to land before final memories are
+ * read. Drain stops early once the circuit quiesces; it is not
+ * counted in SimResult::cycles. */
+constexpr std::size_t kDrainLimit = 4096;
 
 /** Per-node mutable simulation state. */
 struct SimNode
@@ -107,9 +113,17 @@ struct SimNode
     std::string name;
     std::string type;
     NodeKind kind = NodeKind::Unknown;
-    AttrMap attrs;
     std::vector<int> in_channels;   // -1 when dangling
     std::vector<int> out_channels;  // -1 when dangling
+    /** Listed in SimConfig::trace_nodes. */
+    bool traced = false;
+
+    // Resolved at build: operator, constant/init value, load/store
+    // memory (nullptr if not installed: the node fails when it fires).
+    std::string op;
+    Value value;
+    std::string memory;
+    std::vector<double>* mem = nullptr;
 
     /** Cycle of the node's last token movement. */
     std::optional<std::size_t> last_fire;
@@ -162,10 +176,10 @@ class Simulator::Impl
     run(const std::vector<std::vector<Token>>& inputs,
         std::size_t expected_outputs, bool serial_io)
     {
+        memories_ = owner_.memories_;
         Result<bool> built = build();
         if (!built.ok())
             return built.error();
-        memories_ = owner_.memories_;
         faults_ = owner_.config_.faults.get();
 
         obs_ = owner_.config_.obs ? owner_.config_.obs.get()
@@ -184,15 +198,13 @@ class Simulator::Impl
 
         SimResult result;
         result.outputs.resize(output_channels_.size());
+        trace_ = &result.trace;
 
-        // Ready-worklist schedule: only nodes adjacent to a channel
-        // that changed last cycle (or with in-flight pipeline state)
-        // are stepped, in node-index order so traces and obs events
-        // are identical to the full sweep. Fault hooks may flip a
-        // channel's valid/ready without any token movement, so fault
-        // runs fall back to stepping everything.
-        const bool worklist =
-            faults_ == nullptr && !owner_.config_.full_sweep;
+        // Ready-worklist schedule: a node steps, in node-index order,
+        // only when a channel next to it changed, it holds pipeline
+        // tokens, or a fault held it back last cycle. Fault hooks are
+        // pure, so a sleeping node — blocked for another reason, with
+        // nothing around it changed since — could not move anyway.
         awake_.assign(nodes_.size(), 1);
         next_awake_.assign(nodes_.size(), 0);
 
@@ -200,50 +212,9 @@ class Simulator::Impl
         std::size_t last_output = 0;
         for (std::size_t cycle = 0; cycle < owner_.config_.max_cycles;
              ++cycle) {
-            if (owner_.config_.stop.stopRequested())
-                return err("simulation cancelled at cycle " +
-                           std::to_string(cycle) + ": " +
-                           owner_.config_.stop.reason());
-            moves_ = 0;
-            pipeline_busy_ = false;
-            fault_hold_ = false;
-            output_moved_ = false;
-            cycle_ = cycle;
-            trace_ = &result.trace;
-
-            feedInputs(result, serial_io);
-            for (std::size_t i = 0; i < nodes_.size(); ++i) {
-                if (worklist && !awake_[i])
-                    continue;
-                stepping_ = i;
-                SimNode& node = nodes_[i];
-                std::size_t before = moves_;
-                Result<bool> fired = step(node);
-                if (!fired.ok())
-                    return fired.error().context(
-                        "cycle " + std::to_string(cycle) + ", node " +
-                        node.name);
-                if (moves_ > before) {
-                    if (sink_ != nullptr)
-                        observeFire(node, cycle);
-                    node.last_fire = cycle;
-                    next_awake_[i] = 1;  // internal state advanced
-                }
-                // Pipelined units must tick every cycle while tokens
-                // are in flight or waiting on output space.
-                if (!node.pipeline.empty() || !node.completion.empty())
-                    next_awake_[i] = 1;
-            }
-            stepping_ = kNoNode;
-            provBlocked();
-            collectOutputs(result);
-            commitStaged();
-            awake_.swap(next_awake_);
-            std::fill(next_awake_.begin(), next_awake_.end(),
-                      std::uint8_t{0});
-            if (obs_ != nullptr)
-                observeCycle();
-
+            Result<bool> ticked = tick(cycle, &result, serial_io);
+            if (!ticked.ok())
+                return ticked.error();
             if (done(result, expected_outputs)) {
                 result.cycles = cycle + 1;
                 Result<bool> drained = drain(cycle + 1);
@@ -262,7 +233,7 @@ class Simulator::Impl
                 last_progress = cycle;
             if (output_moved_)
                 last_output = cycle;
-            if (cycle - last_progress > owner_.config_.stall_window) {
+            if (cycle - last_progress > kStallWindow) {
                 return stuck(StuckKind::Deadlock, result,
                              expected_outputs, last_progress,
                              last_output,
@@ -288,6 +259,62 @@ class Simulator::Impl
 
   private:
     /**
+     * Simulate one cycle: offer inputs, step every awake node once in
+     * index order, collect outputs and commit pushes. While draining
+     * (@p result is nullptr) inputs, outputs and observers are idle.
+     */
+    Result<bool>
+    tick(std::size_t cycle, SimResult* result, bool serial_io)
+    {
+        const bool draining = result == nullptr;
+        auto at = [&] {
+            return (draining ? "drain cycle " : "cycle ") +
+                   std::to_string(cycle);
+        };
+        if (owner_.config_.stop.stopRequested())
+            return err("simulation cancelled at " + at() + ": " +
+                       owner_.config_.stop.reason());
+        moves_ = 0;
+        pipeline_busy_ = false;
+        fault_hold_ = false;
+        output_moved_ = false;
+        cycle_ = cycle;
+        if (!draining)
+            feedInputs(*result, serial_io);
+        for (std::size_t i = 0; i < nodes_.size(); ++i) {
+            if (!awake_[i])
+                continue;
+            stepping_ = i;
+            SimNode& node = nodes_[i];
+            std::size_t before = moves_;
+            Result<bool> fired = step(node);
+            if (!fired.ok())
+                return fired.error().context(at() + ", node " + node.name);
+            if (moves_ > before) {
+                if (sink_ != nullptr && !draining)
+                    observeFire(node, cycle_);
+                node.last_fire = cycle_;
+                next_awake_[i] = 1;  // internal state advanced
+            }
+            // Pipelined units must tick every cycle while tokens are
+            // in flight or waiting on output space.
+            if (!node.pipeline.empty() || !node.completion.empty())
+                next_awake_[i] = 1;
+        }
+        stepping_ = kNoNode;
+        if (!draining) {
+            provBlocked();
+            collectOutputs(*result);
+        }
+        commitStaged();
+        awake_.swap(next_awake_);
+        std::fill(next_awake_.begin(), next_awake_.end(), std::uint8_t{0});
+        if (!draining && obs_ != nullptr)
+            observeCycle();
+        return true;
+    }
+
+    /**
      * Post-output settling phase. The final output token can race
      * side effects on parallel fork branches (matvec's store of
      * result[i] vs. the result token), so final memory read at the
@@ -300,27 +327,11 @@ class Simulator::Impl
     drain(std::size_t start_cycle)
     {
         std::size_t horizon = faults_ ? faults_->horizon() : 0;
-        std::size_t limit = std::max(start_cycle, horizon) +
-                            owner_.config_.drain_limit;
+        std::size_t limit = std::max(start_cycle, horizon) + kDrainLimit;
         for (std::size_t cycle = start_cycle; cycle < limit; ++cycle) {
-            if (owner_.config_.stop.stopRequested())
-                return err("simulation cancelled during drain: " +
-                           owner_.config_.stop.reason());
-            moves_ = 0;
-            pipeline_busy_ = false;
-            fault_hold_ = false;
-            cycle_ = cycle;
-            for (SimNode& node : nodes_) {
-                std::size_t before = moves_;
-                Result<bool> fired = step(node);
-                if (!fired.ok())
-                    return fired.error().context(
-                        "drain cycle " + std::to_string(cycle) +
-                        ", node " + node.name);
-                if (moves_ > before)
-                    node.last_fire = cycle;
-            }
-            commitStaged();
+            Result<bool> ticked = tick(cycle, nullptr, false);
+            if (!ticked.ok())
+                return ticked.error();
             if (moves_ == 0 && !pipeline_busy_ && !fault_hold_)
                 break;
         }
@@ -337,6 +348,8 @@ class Simulator::Impl
         std::vector<std::pair<std::string, std::size_t>> node_index;
         node_index.reserve(g.nodes().size());
 
+        const std::vector<std::string>& traced =
+            owner_.config_.trace_nodes;
         for (const NodeDecl& decl : g.nodes()) {
             Result<Signature> sig = signatureOf(decl.type, decl.attrs);
             if (!sig.ok())
@@ -345,16 +358,33 @@ class Simulator::Impl
             node.name = decl.name;
             node.type = decl.type;
             node.kind = kindOf(decl.type);
-            node.attrs = decl.attrs;
             node.in_channels.assign(sig.value().inputs.size(), -1);
             node.out_channels.assign(sig.value().outputs.size(), -1);
+            node.traced = std::find(traced.begin(), traced.end(),
+                                    decl.name) != traced.end();
             if (node.kind == NodeKind::Operator) {
-                node.latency = attrInt(
-                    decl.attrs, "latency",
-                    operatorLatency(attrStr(decl.attrs, "op", "")));
-            } else if (node.kind == NodeKind::Load) {
+                node.op = attrStr(decl.attrs, "op", "");
                 node.latency = attrInt(decl.attrs, "latency",
-                                       owner_.config_.load_latency);
+                                       operatorLatency(node.op));
+            } else if (node.kind == NodeKind::Load ||
+                       node.kind == NodeKind::Store) {
+                node.memory = attrStr(decl.attrs, "memory", "mem");
+                auto mem = memories_.find(node.memory);
+                if (mem != memories_.end())
+                    node.mem = &mem->second;
+                if (node.kind == NodeKind::Load)
+                    node.latency =
+                        attrInt(decl.attrs, "latency", kLoadLatency);
+            } else if (node.kind == NodeKind::Constant) {
+                Result<Value> value =
+                    parseConstant(attrStr(decl.attrs, "value", "0"));
+                if (!value.ok())
+                    return value.error().context("sim build: " +
+                                                 decl.name);
+                node.value = value.take();
+            } else if (node.kind == NodeKind::Init) {
+                node.value =
+                    Value(attrStr(decl.attrs, "value", "false") == "true");
             } else if (node.kind == NodeKind::Pure) {
                 node.latency = attrInt(decl.attrs, "latency", 0);
                 node.fn = owner_.functions_->find(
@@ -380,8 +410,30 @@ class Simulator::Impl
             return it->second;
         };
 
-        auto port_number = [](const std::string& port) {
-            return std::stoi(port.substr(port.find_first_of("0123456789")));
+        // Attach channel @p ch to the port @p end names ("out3" is
+        // slot 3). The validator does not check port names, so a port
+        // without a number, or past the node's arity, fails the build.
+        auto bind = [&](const PortRef& end, bool output, int ch) {
+            std::size_t n = find_node(end.inst);
+            std::vector<int>& slots =
+                output ? nodes_[n].out_channels : nodes_[n].in_channels;
+            const std::string& port = end.port;
+            const char* last = port.data() + port.size();
+            std::size_t index = slots.size();
+            auto [stop, ec] = std::from_chars(
+                port.data() + std::min(port.find_first_of("0123456789"),
+                                       port.size()),
+                last, index);
+            if (ec != std::errc{} || stop != last || index >= slots.size())
+                return false;
+            slots[index] = ch;
+            (output ? channel_producer_ : channel_consumer_)[ch] =
+                static_cast<int>(n);
+            return true;
+        };
+        auto bad_port = [&](int ch) {
+            return err("sim build: edge " + channel_desc_[ch] +
+                       " names a port its node does not have");
         };
 
         // Buffer placement (Josipovic et al. [40], as adapted by
@@ -416,12 +468,8 @@ class Simulator::Impl
                 base, base > owner_.config_.channel_slots,
                 e.src.inst + "." + e.src.port + " -> " + e.dst.inst +
                     "." + e.dst.port);
-            std::size_t src = find_node(e.src.inst);
-            std::size_t dst = find_node(e.dst.inst);
-            nodes_[src].out_channels[port_number(e.src.port)] = ch;
-            nodes_[dst].in_channels[port_number(e.dst.port)] = ch;
-            channel_producer_[ch] = static_cast<int>(src);
-            channel_consumer_[ch] = static_cast<int>(dst);
+            if (!bind(e.src, true, ch) || !bind(e.dst, false, ch))
+                return bad_port(ch);
         }
         for (std::size_t i = 0; i < g.inputs().size(); ++i) {
             if (!g.inputs()[i])
@@ -430,10 +478,8 @@ class Simulator::Impl
                                  "input#" + std::to_string(i) + " -> " +
                                      g.inputs()[i]->inst + "." +
                                      g.inputs()[i]->port);
-            std::size_t dst = find_node(g.inputs()[i]->inst);
-            nodes_[dst].in_channels[port_number(g.inputs()[i]->port)] =
-                ch;
-            channel_consumer_[ch] = static_cast<int>(dst);
+            if (!bind(*g.inputs()[i], false, ch))
+                return bad_port(ch);
             input_channels_.push_back(ch);
         }
         for (std::size_t i = 0; i < g.outputs().size(); ++i) {
@@ -443,14 +489,27 @@ class Simulator::Impl
                                  g.outputs()[i]->inst + "." +
                                      g.outputs()[i]->port + " -> output#" +
                                      std::to_string(i));
-            std::size_t src = find_node(g.outputs()[i]->inst);
-            nodes_[src].out_channels[port_number(g.outputs()[i]->port)] =
-                ch;
-            channel_producer_[ch] = static_cast<int>(src);
+            if (!bind(*g.outputs()[i], true, ch))
+                return bad_port(ch);
             output_channels_.push_back(ch);
         }
         staged_.assign(channels_.size(), {});
         return true;
+    }
+
+    /** A fault hid a token or refused space: that counts as watchdog
+     * progress, and the held node steps again next cycle. */
+    void
+    holdByFault(int ch, const char* what)
+    {
+        fault_hold_ = true;
+        if (stepping_ != kNoNode)
+            next_awake_[stepping_] = 1;
+        if (obs_ != nullptr)
+            ++stat_fault_holds_;
+        if (sink_ != nullptr)
+            sink_->event(TraceEvent{cycle_, channel_desc_[ch], ch,
+                                    obs::EventKind::Fault, what});
     }
 
     bool
@@ -460,9 +519,7 @@ class Simulator::Impl
             return false;
         if (faults_ != nullptr &&
             faults_->dropValid(static_cast<std::size_t>(ch), cycle_)) {
-            fault_hold_ = true;  // a consumable token was hidden
-            if (obs_ != nullptr)
-                observeFault(ch, "drop-valid");
+            holdByFault(ch, "drop-valid");  // a consumable token was hidden
             return false;
         }
         return true;
@@ -503,9 +560,7 @@ class Simulator::Impl
             return false;
         if (faults_ != nullptr &&
             faults_->dropReady(static_cast<std::size_t>(ch), cycle_)) {
-            fault_hold_ = true;  // available space was refused
-            if (obs_ != nullptr)
-                observeFault(ch, "drop-ready");
+            holdByFault(ch, "drop-ready");  // available space was refused
             return false;
         }
         return true;
@@ -535,14 +590,20 @@ class Simulator::Impl
         }
     }
 
+    /** Record an event of a traced node; @p token, when given, is
+     * appended to the detail. */
     void
-    trace(const SimNode& node, const std::string& detail,
+    trace(const SimNode& node, const char* detail,
+          const Token* token = nullptr,
           obs::EventKind kind = obs::EventKind::Fire)
     {
-        for (const std::string& wanted : owner_.config_.trace_nodes)
-            if (wanted == node.name)
-                trace_->push_back(
-                    TraceEvent{cycle_, node.name, -1, kind, detail});
+        if (!node.traced)
+            return;
+        std::string text = detail;
+        if (token != nullptr)
+            text += " " + token->toString();
+        trace_->push_back(
+            TraceEvent{cycle_, node.name, -1, kind, std::move(text)});
     }
 
     void
@@ -562,7 +623,8 @@ class Simulator::Impl
             if (hasSpace(ch)) {
                 push(ch, input_streams_[i][pos]);
                 ++pos;
-                provInput(static_cast<int>(i), ch);
+                if (prov_ != nullptr)
+                    prov_->onBirth(ch, static_cast<int>(i), cycle_);
             }
         }
     }
@@ -584,7 +646,9 @@ class Simulator::Impl
                 }
                 result.outputs[i].push_back(ch.slots.front());
                 ch.slots.pop_front();
-                provOutput(static_cast<int>(i), output_channels_[i]);
+                if (prov_ != nullptr)
+                    prov_->onOutput(static_cast<int>(i),
+                                    output_channels_[i], cycle_);
                 ++moves_;
                 output_moved_ = true;
             }
@@ -700,7 +764,7 @@ class Simulator::Impl
                  std::move(node.completion.front()));
             node.completion.pop_front();
             provEmit(node);
-            trace(node, "emit", obs::EventKind::Emit);
+            trace(node, "emit", nullptr, obs::EventKind::Emit);
         }
     }
 
@@ -719,7 +783,7 @@ class Simulator::Impl
             provFire(node, node.in_channels.data(), 1,
                      node.out_channels.data(),
                      node.out_channels.size());
-            trace(node, "fire " + t.toString());
+            trace(node, "fire", &t);
             return true;
         }
         if (node.kind == NodeKind::Join) {
@@ -779,7 +843,7 @@ class Simulator::Impl
                 return true;
             pop(node.in_channels[0]);
             Token t = pop(data_ch);
-            trace(node, std::string("fire ") + (sel ? "loop" : "entry"));
+            trace(node, sel ? "fire loop" : "fire entry");
             push(node.out_channels[0], std::move(t));
             const int mux_ins[2] = {node.in_channels[0], data_ch};
             provFire(node, mux_ins, 2, node.out_channels.data(), 1);
@@ -793,9 +857,8 @@ class Simulator::Impl
             for (int port : {0, 1}) {
                 if (hasToken(node.in_channels[port])) {
                     Token t = pop(node.in_channels[port]);
-                    trace(node, std::string("fire ") +
-                                    (port == 0 ? "loop" : "entry") +
-                                    " " + t.toString());
+                    trace(node, port == 0 ? "fire loop" : "fire entry",
+                          &t);
                     push(node.out_channels[0], std::move(t));
                     provFire(node, &node.in_channels[port], 1,
                              node.out_channels.data(), 1);
@@ -830,9 +893,7 @@ class Simulator::Impl
                 return true;
             if (!node.init_done) {
                 node.init_done = true;
-                push(node.out_channels[0],
-                     Token(Value(attrStr(node.attrs, "value", "false") ==
-                                 "true")));
+                push(node.out_channels[0], Token(node.value));
                 provSpawn(node, node.out_channels[0]);
                 trace(node, "initial");
                 return true;
@@ -872,11 +933,7 @@ class Simulator::Impl
                 !hasSpace(node.out_channels[0]))
                 return true;
             Token trigger = pop(node.in_channels[0]);
-            Result<Value> v =
-                parseConstantValue(attrStr(node.attrs, "value", "0"));
-            if (!v.ok())
-                return v.error();
-            Token out(v.take());
+            Token out(node.value);
             out.tag = trigger.tag;
             push(node.out_channels[0], std::move(out));
             provFire(node, node.in_channels.data(), 1,
@@ -902,24 +959,21 @@ class Simulator::Impl
                 std::vector<Value> args;
                 for (const Token* t : heads)
                     args.push_back(t->value);
-                Result<Value> v = evalOperator(
-                    attrStr(node.attrs, "op", ""), args);
+                Result<Value> v = evalOperator(node.op, args);
                 if (!v.ok())
                     return v.error();
                 result.value = v.take();
             } else if (node.kind == NodeKind::Pure) {
                 result.value = (*node.fn)(heads[0]->value);
             } else {  // load
-                std::string mem = attrStr(node.attrs, "memory", "mem");
-                auto it = memories_.find(mem);
-                if (it == memories_.end())
-                    return err("load from unknown memory " + mem);
+                if (node.mem == nullptr)
+                    return err("load from unknown memory " + node.memory);
                 std::int64_t addr = heads[0]->value.asInt();
                 if (addr < 0 ||
-                    addr >= static_cast<std::int64_t>(it->second.size()))
-                    return err("load out of bounds: " + mem + "[" +
+                    addr >= static_cast<std::int64_t>(node.mem->size()))
+                    return err("load out of bounds: " + node.memory + "[" +
                                std::to_string(addr) + "]");
-                result.value = Value(it->second[addr]);
+                result.value = Value((*node.mem)[addr]);
             }
             result.tag = tag;
             for (int ch : node.in_channels)
@@ -943,16 +997,14 @@ class Simulator::Impl
             std::optional<Tag> tag;
             if (!tagsAgree({&addr_tok, &data_tok}, tag))
                 return err("tag mismatch at store");
-            std::string mem = attrStr(node.attrs, "memory", "mem");
-            auto it = memories_.find(mem);
-            if (it == memories_.end())
-                return err("store to unknown memory " + mem);
+            if (node.mem == nullptr)
+                return err("store to unknown memory " + node.memory);
             std::int64_t addr = addr_tok.value.asInt();
             if (addr < 0 ||
-                addr >= static_cast<std::int64_t>(it->second.size()))
-                return err("store out of bounds: " + mem + "[" +
+                addr >= static_cast<std::int64_t>(node.mem->size()))
+                return err("store out of bounds: " + node.memory + "[" +
                            std::to_string(addr) + "]");
-            it->second[addr] = data_tok.value.toDouble();
+            (*node.mem)[addr] = data_tok.value.toDouble();
             pop(node.in_channels[0]);
             pop(node.in_channels[1]);
             Token done{Value(addr)};
@@ -973,7 +1025,7 @@ class Simulator::Impl
                                          node.num_tags);
                 const std::int64_t alloc_idx = node.next_alloc;
                 node.next_alloc += 1;
-                trace(node, "tag " + t.toString());
+                trace(node, "tag", &t);
                 push(node.out_channels[0], std::move(t));
                 provTagAlloc(node, alloc_idx);
             }
@@ -1004,7 +1056,7 @@ class Simulator::Impl
                     --node.returned_count;
                     const std::int64_t commit_idx = node.next_commit;
                     node.next_commit += 1;
-                    trace(node, "untag " + out.toString());
+                    trace(node, "untag", &out);
                     push(node.out_channels[1], std::move(out));
                     provTagCommit(node, commit_idx);
                 }
@@ -1077,20 +1129,6 @@ class Simulator::Impl
     {
         if (prov_ != nullptr)
             prov_->onSpawn(provNodeIndex(node), channel, cycle_);
-    }
-
-    void
-    provInput(int port, int channel)
-    {
-        if (prov_ != nullptr)
-            prov_->onBirth(channel, port, cycle_);
-    }
-
-    void
-    provOutput(int port, int channel)
-    {
-        if (prov_ != nullptr)
-            prov_->onOutput(port, channel, cycle_);
     }
 
     void
@@ -1181,12 +1219,6 @@ class Simulator::Impl
             prov_->endRun(cycles);
     }
 
-    static Result<Value>
-    parseConstantValue(const std::string& text)
-    {
-        return parseConstant(text);
-    }
-
     /** Declare one valid/ready/data signal triple per channel. */
     void
     setupVcd()
@@ -1232,16 +1264,6 @@ class Simulator::Impl
                         static_cast<double>(cycle - *node.last_fire - 1));
         sink_->event(
             TraceEvent{cycle, node.name, -1, obs::EventKind::Fire, {}});
-    }
-
-    void
-    observeFault(int channel, const char* what)
-    {
-        ++stat_fault_holds_;
-        if (sink_ != nullptr)
-            sink_->event(TraceEvent{cycle_, channel_desc_[channel],
-                                    channel, obs::EventKind::Fault,
-                                    what});
     }
 
     /** Per-cycle bookkeeping: local stats, occupancy tracks, VCD. */

@@ -16,8 +16,8 @@
  *    init, constant, sink, tagger) fire at most once per cycle and
  *    their token traversal costs one cycle;
  *  - operators, loads and pure bodies are fully pipelined units with
- *    initiation interval 1 and a per-op latency (operatorLatency or
- *    the node's `latency` attribute);
+ *    initiation interval 1 and a per-op latency (operatorLatency, two
+ *    cycles for a load, or the node's `latency` attribute);
  *  - stores commit to memory when both operands are available.
  *
  * Tagged execution: tokens carry the Tagger's reorder tags; since all
@@ -26,12 +26,12 @@
  * checks this invariant and reports a hard error on violation.
  *
  * Fault injection: a FaultInjector installed in SimConfig is consulted
- * every cycle and may suppress a channel's valid signal (stall burst),
- * suppress its ready signal (backpressure), stretch an operator's
- * latency (jitter) or shrink a channel's slot count (squeeze). The
- * latency-insensitivity theorems of the paper promise that none of
- * these change the output token sequences; src/faults builds seeded
- * plans on top of these hooks to test exactly that.
+ * by every node that steps and may suppress a channel's valid signal
+ * (stall burst), suppress its ready signal (backpressure), stretch an
+ * operator's latency (jitter) or shrink a channel's slot count
+ * (squeeze). The latency-insensitivity theorems of the paper promise
+ * that none of these change the output token sequences; src/faults
+ * builds seeded plans on top of these hooks to test exactly that.
  */
 
 #include <cstdint>
@@ -62,6 +62,10 @@ namespace graphiti::sim {
  * All faults must be silent at and after horizon(): the watchdog
  * treats a fault that blocks an otherwise-possible move as progress,
  * so an unbounded fault schedule could mask a real deadlock.
+ *
+ * Hooks must be pure functions of their arguments. The simulator
+ * steps only the nodes whose surroundings changed (or that a fault
+ * held back last cycle), so a sleeping node's hooks are not queried.
  */
 class FaultInjector
 {
@@ -70,30 +74,24 @@ class FaultInjector
 
     /** Extra latency cycles for a token accepted by @p node now. */
     virtual int
-    latencyJitter(const std::string& node, std::size_t cycle)
+    latencyJitter(const std::string& /*node*/, std::size_t /*cycle*/)
     {
-        (void)node;
-        (void)cycle;
         return 0;
     }
 
     /** Suppress the valid signal of @p channel this cycle (the head
      * token, if any, is invisible to its consumer). */
     virtual bool
-    dropValid(std::size_t channel, std::size_t cycle)
+    dropValid(std::size_t /*channel*/, std::size_t /*cycle*/)
     {
-        (void)channel;
-        (void)cycle;
         return false;
     }
 
     /** Suppress the ready signal of @p channel this cycle (producers
      * see it as full). */
     virtual bool
-    dropReady(std::size_t channel, std::size_t cycle)
+    dropReady(std::size_t /*channel*/, std::size_t /*cycle*/)
     {
-        (void)channel;
-        (void)cycle;
         return false;
     }
 
@@ -104,10 +102,9 @@ class FaultInjector
      * them below @p base changes the circuit, not just its timing.
      */
     virtual std::size_t
-    adjustCapacity(std::size_t channel, std::size_t base, bool pinned)
+    adjustCapacity(std::size_t /*channel*/, std::size_t base,
+                   bool /*pinned*/)
     {
-        (void)channel;
-        (void)pinned;
         return base;
     }
 
@@ -123,8 +120,6 @@ struct SimConfig
     std::size_t channel_slots = 2;
     /** Cycle limit before the run is declared hung. */
     std::size_t max_cycles = 10'000'000;
-    /** Load unit latency in cycles. */
-    int load_latency = 2;
     /** Record per-cycle firing events of these nodes (figure 2d/2e
      * traces). */
     std::vector<std::string> trace_nodes;
@@ -136,9 +131,6 @@ struct SimConfig
      * its VCD writer. Falls back to obs::current() when unset.
      */
     std::shared_ptr<obs::Scope> obs;
-    /** Watchdog: cycles without any token movement or in-flight
-     * computation before the run is declared deadlocked. */
-    std::size_t stall_window = 4;
     /** Watchdog: cycles without output progress (while internal
      * activity continues) before the run is declared livelocked. */
     std::size_t livelock_window = 200'000;
@@ -148,20 +140,6 @@ struct SimConfig
      * structured "cancelled" error instead of running to max_cycles.
      */
     StopToken stop;
-    /** Post-output drain: extra cycles allowed (past the last output
-     * and past any fault horizon) for in-flight side effects — e.g. a
-     * store racing the final output token — to land before final
-     * memories are read. Drain stops early once the circuit
-     * quiesces; it is not counted in SimResult::cycles. */
-    std::size_t drain_limit = 4096;
-    /**
-     * Validation knob: step every node every cycle instead of only
-     * the ready worklist (nodes adjacent to a channel that changed
-     * last cycle). Fault injection forces the full sweep internally;
-     * cycle counts, outputs and traces are identical either way
-     * (asserted by tests/test_parallel.cpp).
-     */
-    bool full_sweep = false;
 };
 
 /** Watchdog verdict for a run that stopped making progress. */
@@ -285,7 +263,6 @@ class Simulator
         std::deque<Token> slots;
         std::size_t capacity = 2;
 
-        bool full() const { return slots.size() >= capacity; }
         bool empty() const { return slots.empty(); }
     };
 

@@ -143,6 +143,64 @@ TEST(SimEdge, CycleLimitReported)
     EXPECT_NE(r.error().message.find("cycle limit"), std::string::npos);
 }
 
+/** input#0 -> fork(out=2) -> output#0 via f.out1, with f.out0 and
+ * f.@p port each feeding a sink. */
+Result<sim::SimResult>
+runForkWithPort(const std::string& port)
+{
+    ExprHigh g;
+    g.addNode("f", "fork", {{"out", "2"}});
+    g.addNode("snk", "sink");
+    g.addNode("snk2", "sink");
+    g.bindInput(0, PortRef{"f", "in0"});
+    g.connect("f", "out0", "snk", "in0");
+    g.connect("f", port, "snk2", "in0");
+    g.bindOutput(0, PortRef{"f", "out1"});
+    auto registry = std::make_shared<FnRegistry>();
+    Result<sim::Simulator> s = sim::Simulator::build(g, registry);
+    if (!s.ok())
+        return s.error();
+    return s.take().run({{Token(Value(1))}}, 1);
+}
+
+TEST(SimEdge, UnknownMemoryFailsOnlyWhenFired)
+{
+    // The memory is resolved when the run is built, but a load that
+    // never fires may name a memory nobody installed.
+    ExprHigh g;
+    g.addNode("ld", "load", {{"memory", "absent"}});
+    g.bindInput(0, PortRef{"ld", "in0"});
+    g.bindOutput(0, PortRef{"ld", "out0"});
+    auto registry = std::make_shared<FnRegistry>();
+    sim::Simulator s = sim::Simulator::build(g, registry).take();
+    EXPECT_TRUE(s.run({{}}, 0).ok());
+    auto r = s.run({{Token(Value(0))}}, 1);
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.error().message.find("load from unknown memory absent"),
+              std::string::npos)
+        << r.error().message;
+}
+
+TEST(SimEdge, PortPastArityIsABuildError)
+{
+    // fork(out=2) has no out7: binding it used to write past the end
+    // of the node's channel table and still report ok.
+    Result<sim::SimResult> r = runForkWithPort("out7");
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.error().message.find("sim build: edge f.out7 -> snk2.in0"),
+              std::string::npos)
+        << r.error().message;
+}
+
+TEST(SimEdge, PortWithoutNumberIsABuildError)
+{
+    Result<sim::SimResult> r = runForkWithPort("out");
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.error().message.find("sim build: edge f.out -> snk2.in0"),
+              std::string::npos)
+        << r.error().message;
+}
+
 // ---------------------------------------------------------------------
 // Engine bounds and stats.
 // ---------------------------------------------------------------------

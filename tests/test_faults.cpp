@@ -145,6 +145,55 @@ TEST(Stress, TaggedOooLoopIsLatencyInsensitive)
         << report.value().first_violation;
 }
 
+/** input#0 -> constant(@p value) -> output#0. */
+ExprHigh
+constantCircuit(const std::string& value)
+{
+    ExprHigh g;
+    g.addNode("c", "constant", {{"value", value}});
+    g.bindInput(0, PortRef{"c", "in0"});
+    g.bindOutput(0, PortRef{"c", "out0"});
+    return g;
+}
+
+TEST(Stress, PairWithDivergentBaselinesIsReported)
+{
+    // Each circuit is latency-insensitive on its own; only the
+    // cross-check of the two fault-free baselines can catch them.
+    Workload w;
+    w.inputs = {intStream({1, 2, 3})};
+    w.expected_outputs = 3;
+    StressHarness harness(smokeOptions());
+    Result<StressReport> report =
+        harness.runPair(constantCircuit("1"), constantCircuit("2"),
+                        std::make_shared<FnRegistry>(), w);
+    ASSERT_TRUE(report.ok()) << report.error().message;
+    EXPECT_FALSE(report.value().invariant_holds);
+    EXPECT_EQ(report.value().first_violation.rfind(
+                  "transformed baseline diverges: output#0[0]", 0),
+              0u)
+        << report.value().first_violation;
+    for (const PlanOutcome& o : report.value().outcomes)
+        EXPECT_TRUE(o.matched) << o.plan << ": " << o.detail;
+}
+
+TEST(Stress, PairSimulatesEachBaselineOnce)
+{
+    obs::Scope scope;
+    obs::ScopedInstall install(&scope);
+    StressOptions options;
+    options.random_plans = 1;
+    options.structured = false;
+    StressHarness harness(options);
+    Environment env;
+    Result<StressReport> report = harness.runPair(
+        circuits::buildGcdInOrder(), circuits::buildGcdInOrder(),
+        env.functionsPtr(), gcdWorkload(2));
+    ASSERT_TRUE(report.ok()) << report.error().message;
+    // Two baselines plus one plan on each circuit.
+    EXPECT_EQ(scope.metrics().counter("sim.runs"), 4);
+}
+
 // ---------------------------------------------------------------------
 // The acceptance matrix: every evaluation benchmark, original and
 // rewritten, under the full plan battery.

@@ -27,6 +27,7 @@
 #include "bench_circuits/benchmarks.hpp"
 #include "bench_circuits/gcd.hpp"
 #include "core/compiler.hpp"
+#include "faults/stress.hpp"
 #include "guard/governor.hpp"
 #include "guard/verdict_store.hpp"
 #include "refine/refinement.hpp"
@@ -772,18 +773,18 @@ TEST(VerifyCache, KeyIgnoresSpillBytesAndTracksBudget)
 }
 
 // ---------------------------------------------------------------------
-// Simulator ready-worklist: identical results on every benchmark.
+// Simulator schedule: the ready worklist reproduces, plan by plan, the
+// results of the full sweep it replaced. Each row below was recorded
+// by the full-sweep simulator on one benchmark circuit under the
+// fault-free run followed by the default stress battery.
 // ---------------------------------------------------------------------
 
 sim::SimResult
 simulateBenchmark(const ExprHigh& g,
                   const circuits::BenchmarkSpec& spec,
-                  std::shared_ptr<FnRegistry> registry, bool full_sweep)
+                  std::shared_ptr<FnRegistry> registry)
 {
-    sim::SimConfig config;
-    config.full_sweep = full_sweep;
-    sim::Simulator simulator =
-        sim::Simulator::build(g, registry, config).take();
+    sim::Simulator simulator = sim::Simulator::build(g, registry).take();
     for (const auto& [name, data] : spec.memories)
         simulator.setMemory(name, data);
     Result<sim::SimResult> r = simulator.run(
@@ -792,45 +793,141 @@ simulateBenchmark(const ExprHigh& g,
     return r.ok() ? r.take() : sim::SimResult{};
 }
 
-TEST(SimWorklist, CycleCountsMatchFullSweepOnEveryBenchmark)
+struct ScheduleDigest
 {
-    for (const std::string& name : circuits::benchmarkNames()) {
-        circuits::BenchmarkSpec spec =
-            circuits::buildBenchmark(name).take();
-        auto registry = std::make_shared<FnRegistry>();
-        sim::SimResult fast =
-            simulateBenchmark(spec.df_io, spec, registry, false);
-        sim::SimResult slow =
-            simulateBenchmark(spec.df_io, spec, registry, true);
-        EXPECT_EQ(fast.cycles, slow.cycles) << name;
-        ASSERT_EQ(fast.outputs.size(), slow.outputs.size()) << name;
-        for (std::size_t p = 0; p < fast.outputs.size(); ++p) {
-            ASSERT_EQ(fast.outputs[p].size(), slow.outputs[p].size())
-                << name << " port " << p;
-            for (std::size_t i = 0; i < fast.outputs[p].size(); ++i)
-                EXPECT_TRUE(fast.outputs[p][i] == slow.outputs[p][i])
-                    << name << " port " << p << " token " << i;
+    /** FNV-1a 64 over every plan's cycles, outputs and memories. */
+    std::uint64_t digest = 0;
+    /** Per-plan cycle counts, space separated ("x" = failed run). */
+    std::string cycles;
+};
+
+ScheduleDigest
+scheduleDigest(const ExprHigh& g, const circuits::BenchmarkSpec& spec,
+               std::shared_ptr<FnRegistry> registry)
+{
+    // The fault-free run, then StressHarness's default plan battery.
+    std::vector<std::shared_ptr<sim::FaultInjector>> plans = {nullptr};
+    for (const auto& plan : faults::stressPlans({}, g))
+        plans.push_back(plan);
+    std::ostringstream text;
+    ScheduleDigest out;
+    for (const auto& plan : plans) {
+        sim::SimConfig config;
+        config.faults = plan;
+        sim::Simulator s =
+            sim::Simulator::build(g, registry, config).take();
+        for (const auto& [name, data] : spec.memories)
+            s.setMemory(name, data);
+        Result<sim::SimResult> r =
+            s.run(spec.inputs, spec.expected_outputs, spec.serial_io);
+        if (!r.ok()) {
+            text << "failed\n";
+            out.cycles += " x";
+            continue;
         }
-        EXPECT_EQ(fast.memories, slow.memories) << name;
+        out.cycles += " " + std::to_string(r.value().cycles);
+        text << r.value().cycles << "\n";
+        for (const auto& port : r.value().outputs) {
+            for (const Token& t : port)
+                text << t.toString() << ",";
+            text << "\n";
+        }
+        for (const auto& [name, data] : r.value().memories) {
+            text << name << ":";
+            for (double d : data)
+                text << std::hexfloat << d << std::defaultfloat << ",";
+            text << "\n";
+        }
+    }
+    std::uint64_t h = 1469598103934665603ULL;
+    for (unsigned char c : text.str()) {
+        h ^= c;
+        h *= 1099511628211ULL;
+    }
+    out.digest = h;
+    out.cycles.erase(0, 1);
+    return out;
+}
+
+struct ScheduleRow
+{
+    const char* benchmark;
+    bool transformed;
+    std::uint64_t digest;
+    const char* cycles;
+};
+
+const ScheduleRow kFullSweepRows[] = {
+    {"bicg", false, 0x78b61a9e62bfd303ULL,
+     "9235 18895 10537 9820 18887 18882 10532 18438 10057 10256 10255 "
+     "10213 10257 10254 10248 10238 10224 10224 10251 10244 9235"},
+    {"bicg", true, 0x78b61a9e62bfd303ULL,
+     "9235 18895 10537 9820 18887 18882 10532 18438 10057 10256 10255 "
+     "10213 10257 10254 10248 10238 10224 10224 10251 10244 9235"},
+    {"gemm", false, 0x31b59e6651cadd5cULL,
+     "44093 57651 44961 57677 44808 44957 57756 57040 45287 45114 45108 "
+     "45102 45096 45115 45113 45104 45106 45094 45107 45102 44180"},
+    {"gemm", true, 0x9b443579a91ea6ebULL,
+     "4972 6277 6338 6242 6271 6298 6283 5004 6206 5966 5944 5943 5968 "
+     "5975 5968 5980 5950 5942 5988 5992 4993"},
+    {"gsum-many", false, 0xd31d5b37dc216928ULL,
+     "8029 8693 10785 8750 10723 8754 10761 9936 9280 9050 9050 9038 "
+     "9038 9050 9048 9042 9041 9034 9046 9041 9038"},
+    {"gsum-many", true, 0x2bcb1880ad717bfeULL,
+     "3948 4655 4704 4689 4701 4655 4696 3955 5069 4957 4931 4930 4953 "
+     "4936 4942 4944 4932 4928 4402 4970 4969"},
+    {"gsum-single", false, 0x574a3168d66e3bbaULL,
+     "9160 9724 11351 9798 11324 9775 11366 10560 10270 10181 10181 "
+     "10169 10169 10181 10179 10173 10172 10165 10177 10172 10169"},
+    {"gsum-single", true, 0x3b316772522eebffULL,
+     "22840 23365 23433 23377 23365 23356 23412 22840 23970 23851 23825 "
+     "23824 23847 23830 23836 23838 23826 23822 23296 23862 23861"},
+    {"matvec", false, 0xcfa9ea40673b3eceULL,
+     "7374 8069 10264 8021 10226 8042 10260 9521 8568 8395 8394 8383 "
+     "8382 8395 8393 8387 8382 8390 8386 8382 7466"},
+    {"matvec", true, 0xc170a8dca81a8008ULL,
+     "994 1333 1428 1408 1397 1409 1371 1040 1410 1995 1974 1973 1995 "
+     "1973 2007 1975 2010 1972 2013 2014 1070"},
+    {"mvt", false, 0xbe50c13484266857ULL,
+     "7384 10348 8205 10398 8160 10217 10300 9531 8578 8405 8373 8374 "
+     "8392 8386 8402 8392 8402 8392 8401 8396 7477"},
+    {"mvt", true, 0x61a3fac74df6e3d8ULL,
+     "2122 2716 2737 2754 2728 2790 2782 2157 3086 3114 3092 3093 3126 "
+     "3123 3091 3128 3115 3089 2122 3144 3141"},
+};
+
+void
+expectMatchesFullSweep(bool transformed)
+{
+    for (const ScheduleRow& row : kFullSweepRows) {
+        if (row.transformed != transformed)
+            continue;
+        circuits::BenchmarkSpec spec =
+            circuits::buildBenchmark(row.benchmark).take();
+        Environment env;
+        ExprHigh g = spec.df_io;
+        if (transformed) {
+            Result<PipelineResult> ooo = runOooPipeline(
+                spec.df_io, env,
+                {.num_tags = spec.num_tags, .reexpand = true});
+            ASSERT_TRUE(ooo.ok()) << ooo.error().message;
+            g = ooo.value().graph;
+        }
+        ScheduleDigest got = scheduleDigest(g, spec, env.functionsPtr());
+        EXPECT_EQ(got.digest, row.digest)
+            << row.benchmark << " per-plan cycles\n  got:  "
+            << got.cycles << "\n  want: " << row.cycles;
     }
 }
 
-TEST(SimWorklist, TransformedCircuitMatchesFullSweep)
+TEST(SimSchedule, DfIoMatchesFullSweepUnderStressBattery)
 {
-    circuits::BenchmarkSpec spec =
-        circuits::buildBenchmark("matvec").take();
-    Environment env;
-    PipelineOptions popts;
-    popts.num_tags = spec.num_tags;
-    Result<PipelineResult> transformed =
-        runOooPipeline(spec.df_io, env, popts);
-    ASSERT_TRUE(transformed.ok());
-    sim::SimResult fast = simulateBenchmark(
-        transformed.value().graph, spec, env.functionsPtr(), false);
-    sim::SimResult slow = simulateBenchmark(
-        transformed.value().graph, spec, env.functionsPtr(), true);
-    EXPECT_EQ(fast.cycles, slow.cycles);
-    EXPECT_EQ(fast.memories, slow.memories);
+    expectMatchesFullSweep(false);
+}
+
+TEST(SimSchedule, TransformedMatchesFullSweepUnderStressBattery)
+{
+    expectMatchesFullSweep(true);
 }
 
 // ---------------------------------------------------------------------
@@ -895,7 +992,7 @@ TEST(ParallelCancel, RacingCancelMidSimulationStaysStructured)
             .take();
     auto registry = std::make_shared<FnRegistry>();
     sim::SimResult baseline =
-        simulateBenchmark(spec.df_io, spec, registry, false);
+        simulateBenchmark(spec.df_io, spec, registry);
     ASSERT_GT(baseline.cycles, 0u);
 
     for (int lag_us : {0, 30, 60, 120, 250, 500}) {
@@ -927,7 +1024,7 @@ TEST(ParallelCancel, RacingCancelMidSimulationStaysStructured)
         // Nothing leaked across runs: a fresh run reproduces the
         // baseline exactly.
         sim::SimResult after =
-            simulateBenchmark(spec.df_io, spec, registry, false);
+            simulateBenchmark(spec.df_io, spec, registry);
         EXPECT_EQ(after.cycles, baseline.cycles) << "lag " << lag_us;
     }
 }

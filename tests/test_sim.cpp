@@ -276,6 +276,129 @@ TEST(Sim, TraceShowsPipelinedModulo)
     EXPECT_GT(min_accept_gap(io_trace), 2u);
 }
 
+/** One trace event per line: "cycle node kind detail". */
+std::string
+renderTrace(const std::vector<TraceEvent>& trace)
+{
+    std::string out;
+    for (const TraceEvent& ev : trace)
+        out += std::to_string(ev.cycle) + " " + ev.node + " " +
+               obs::toString(ev.kind) + " " + ev.detail + "\n";
+    return out;
+}
+
+TEST(Sim, TaggedGcdTraceGolden)
+{
+    // Every node of the tagged gcd loop traced on two problems: the
+    // exact event list, detail text included, is pinned.
+    Environment env;
+    Result<PipelineResult> tagged = runOooPipeline(
+        circuits::buildGcdInOrder(), env, {.num_tags = 8, .reexpand = true});
+    ASSERT_TRUE(tagged.ok()) << tagged.error().message;
+    std::vector<std::string> all;
+    for (const NodeDecl& n : tagged.value().graph.nodes())
+        all.push_back(n.name);
+    std::vector<TraceEvent> trace;
+    runGcdStream(tagged.value().graph, env.functionsPtr(),
+                 {{1071, 462}, {48, 18}}, false, &trace, all);
+    EXPECT_EQ(renderTrace(trace), R"(1 joinF0 fire fire
+2 tagger0 fire tag (1071, 462)#0
+2 joinF0 fire fire
+3 tagger0 fire tag (48, 18)#1
+3 merge0 fire fire entry (1071, 462)#0
+4 split00 fire fire
+4 merge0 fire fire entry (48, 18)#1
+5 forkB0 fire fire 462#0
+5 split00 fire fire
+6 forkB0 fire fire 18#1
+6 mod0 fire accept
+7 mod0 fire accept
+10 mod0 emit emit
+11 head00 fire fire 147#0
+11 mod0 emit emit
+12 head00 fire fire 12#1
+12 tail00 fire fire 147#0
+13 join00 fire fire
+13 tail00 fire fire 12#1
+14 join00 fire fire
+14 ne0 fire accept
+15 ne0 emit emit
+15 ne0 fire accept
+16 ne0 emit emit
+16 branch1 fire loop
+17 merge0 fire fire loop (462, 147)#0
+17 branch1 fire loop
+18 split00 fire fire
+18 merge0 fire fire loop (18, 12)#1
+19 forkB0 fire fire 147#0
+19 split00 fire fire
+20 forkB0 fire fire 12#1
+20 mod0 fire accept
+21 mod0 fire accept
+24 mod0 emit emit
+25 head00 fire fire 21#0
+25 mod0 emit emit
+26 head00 fire fire 6#1
+26 tail00 fire fire 21#0
+27 join00 fire fire
+27 tail00 fire fire 6#1
+28 join00 fire fire
+28 ne0 fire accept
+29 ne0 emit emit
+29 ne0 fire accept
+30 ne0 emit emit
+30 branch1 fire loop
+31 merge0 fire fire loop (147, 21)#0
+31 branch1 fire loop
+32 split00 fire fire
+32 merge0 fire fire loop (12, 6)#1
+33 forkB0 fire fire 21#0
+33 split00 fire fire
+34 forkB0 fire fire 6#1
+34 mod0 fire accept
+35 mod0 fire accept
+38 mod0 emit emit
+39 head00 fire fire 0#0
+39 mod0 emit emit
+40 head00 fire fire 0#1
+40 tail00 fire fire 0#0
+41 join00 fire fire
+41 tail00 fire fire 0#1
+42 join00 fire fire
+42 ne0 fire accept
+43 ne0 emit emit
+43 ne0 fire accept
+44 ne0 emit emit
+44 branch1 fire exit
+45 tagger0 fire untag (21, 0)
+45 branch1 fire exit
+46 tagger0 fire untag (6, 0)
+46 splitF0 fire fire
+47 splitF0 fire fire
+)");
+}
+
+TEST(Sim, InOrderGcdTraceGolden)
+{
+    // The in-order loop's muxes and inits, which the tagged loop
+    // replaces.
+    auto registry = std::make_shared<FnRegistry>();
+    std::vector<TraceEvent> trace;
+    runGcdStream(circuits::buildGcdInOrder(), registry, {{1071, 462}},
+                 false, &trace, {"muxA", "initA", "branchA", "forkCond"});
+    EXPECT_EQ(renderTrace(trace), R"(0 initA fire initial
+1 muxA fire fire entry
+12 forkCond fire fire true
+13 branchA fire loop
+14 muxA fire fire loop
+25 forkCond fire fire true
+26 branchA fire loop
+27 muxA fire fire loop
+38 forkCond fire fire false
+39 branchA fire exit
+)");
+}
+
 TEST(Sim, SerialIoThrottlesOutOfOrder)
 {
     // gsum-single's situation: each input depends on the previous
