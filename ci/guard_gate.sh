@@ -71,6 +71,6 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}"
 (cd "${PREFIX}-asan" && ctest -R "^(Compiler|Validator)" \
     --output-on-failure)
 (cd "${PREFIX}-asan" && ctest -L stress --output-on-failure)
-(cd "${PREFIX}-asan" && ctest -R "^(Sim|SimEdge)\." --output-on-failure)
+(cd "${PREFIX}-asan" && ctest -R "^(Sim|SimEdge|SimSchedule)\." --output-on-failure)
 
 echo "guard gate: all checks passed"

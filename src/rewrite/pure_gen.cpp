@@ -127,12 +127,13 @@ compileTerm(const eg::TermExpr& term, std::shared_ptr<FnRegistry> registry)
                 return a;
             args.push_back(a.take());
         }
-        return PureFn([op, args](const Value& v) {
+        return PureFn([op, fn = operatorFn(op), args](const Value& v) {
             std::vector<Value> values;
             values.reserve(args.size());
             for (const PureFn& arg : args)
                 values.push_back(arg(v));
-            Result<Value> result = evalOperator(op, values);
+            Result<Value> result =
+                fn != nullptr ? fn(values) : evalOperator(op, values);
             if (!result.ok())
                 throw std::runtime_error(
                     "body function diverged (as would the circuit): " +

@@ -530,7 +530,7 @@ class OperatorComponent : public Component
   public:
     OperatorComponent(std::string op, std::size_t capacity)
         : Component(capacity), op_(std::move(op)),
-          arity_(operatorArity(op_))
+          arity_(operatorArity(op_)), fn_(operatorFn(op_))
     {
     }
 
@@ -565,7 +565,8 @@ class OperatorComponent : public Component
         std::optional<Tag> tag;
         if (!tagsCompatible(fronts, tag))
             return {};
-        Result<Value> result = evalOperator(op_, args);
+        Result<Value> result =
+            fn_ != nullptr ? fn_(args) : evalOperator(op_, args);
         if (!result.ok())
             return {};  // e.g. division by zero: the operator is stuck
         CompState next = state;
@@ -579,6 +580,7 @@ class OperatorComponent : public Component
   private:
     std::string op_;
     int arity_;
+    OperatorFn fn_;
 };
 
 /** Pure: applies a registered unary function; tags ride along. */

@@ -26,7 +26,19 @@ namespace graphiti {
 /** A unary pure function over values, the payload of Pure components. */
 using PureFn = std::function<Value(const Value&)>;
 
-/** Evaluate operator @p op on @p args (arities per operatorArity). */
+/** An operator's evaluator over its arguments (arities per
+ * operatorArity). */
+using OperatorFn = Result<Value> (*)(const std::vector<Value>& args);
+
+/**
+ * The evaluator of operator @p op, or nullptr for an unknown op.
+ * Resolve it once and call it per evaluation: the lookup is a string
+ * search, the call is not.
+ */
+OperatorFn operatorFn(const std::string& op);
+
+/** Evaluate operator @p op on @p args: operatorFn(op)(args), or an
+ * "unknown integer operator" error. */
 Result<Value> evalOperator(const std::string& op,
                            const std::vector<Value>& args);
 

@@ -1,7 +1,10 @@
 #include "sim/sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
+#include <deque>
+#include <span>
 #include <sstream>
 
 #include "arch/buffers.hpp"
@@ -106,6 +109,72 @@ constexpr std::size_t kStallWindow = 4;
  * read. Drain stops early once the circuit quiesces; it is not
  * counted in SimResult::cycles. */
 constexpr std::size_t kDrainLimit = 4096;
+/** Largest initial ring of a channel. Wider channels (the unbounded
+ * graph outputs) start here and double when full. */
+constexpr std::size_t kRingStart = 64;
+
+/**
+ * One elastic channel: its buffered tokens in a power-of-two ring, and
+ * how many tokens were pushed this cycle but not yet committed (they
+ * take up space but their consumer cannot see them yet).
+ */
+struct Channel
+{
+    std::vector<Token> ring;
+    std::size_t head = 0;  ///< ring index of the oldest token
+    std::size_t size = 0;
+    std::size_t capacity = 2;
+    std::size_t staged = 0;
+    /** Node producing / consuming the channel (-1 = graph I/O). */
+    int producer = -1;
+    int consumer = -1;
+
+    explicit Channel(std::size_t slots)
+        : ring(std::bit_ceil(std::min(slots, kRingStart))), capacity(slots)
+    {
+    }
+
+    bool empty() const { return size == 0; }
+    const Token& front() const { return ring[head]; }
+
+    Token
+    popFront()
+    {
+        Token t = std::move(ring[head]);
+        head = (head + 1) & (ring.size() - 1);
+        --size;
+        return t;
+    }
+
+    void
+    pushBack(Token t)
+    {
+        if (size == ring.size())
+            grow();
+        ring[(head + size) & (ring.size() - 1)] = std::move(t);
+        ++size;
+    }
+
+    /** Double the ring, oldest token first. Only a channel wider than
+     * kRingStart fills its ring: in practice a graph output during the
+     * drain, when nothing collects it. */
+    void
+    grow()
+    {
+        std::vector<Token> bigger(ring.size() * 2);
+        for (std::size_t i = 0; i < size; ++i)
+            bigger[i] = std::move(ring[(head + i) & (ring.size() - 1)]);
+        ring.swap(bigger);
+        head = 0;
+    }
+};
+
+/** Set bit @p i of the word bitset @p set. */
+void
+mark(std::vector<std::uint64_t>& set, std::size_t i)
+{
+    set[i / 64] |= std::uint64_t{1} << (i % 64);
+}
 
 /** Per-node mutable simulation state. */
 struct SimNode
@@ -118,9 +187,11 @@ struct SimNode
     /** Listed in SimConfig::trace_nodes. */
     bool traced = false;
 
-    // Resolved at build: operator, constant/init value, load/store
-    // memory (nullptr if not installed: the node fails when it fires).
+    // Resolved at build: operator (opfn is nullptr for an unknown op:
+    // the node fails when it fires), constant/init value, load/store
+    // memory (nullptr if not installed: likewise).
     std::string op;
+    OperatorFn opfn = nullptr;
     Value value;
     std::string memory;
     std::vector<double>* mem = nullptr;
@@ -150,8 +221,7 @@ struct SimNode
 };
 
 bool
-tagsAgree(const std::vector<const Token*>& tokens,
-          std::optional<Tag>& common)
+tagsAgree(std::span<const Token* const> tokens, std::optional<Tag>& common)
 {
     common.reset();
     for (const Token* t : tokens) {
@@ -205,8 +275,11 @@ class Simulator::Impl
         // tokens, or a fault held it back last cycle. Fault hooks are
         // pure, so a sleeping node — blocked for another reason, with
         // nothing around it changed since — could not move anyway.
-        awake_.assign(nodes_.size(), 1);
-        next_awake_.assign(nodes_.size(), 0);
+        const std::size_t words = (nodes_.size() + 63) / 64;
+        awake_.assign(words, ~std::uint64_t{0});
+        if (nodes_.size() % 64 != 0)
+            awake_.back() = (std::uint64_t{1} << nodes_.size() % 64) - 1;
+        next_awake_.assign(words, 0);
 
         std::size_t last_progress = 0;
         std::size_t last_output = 0;
@@ -281,25 +354,31 @@ class Simulator::Impl
         cycle_ = cycle;
         if (!draining)
             feedInputs(*result, serial_io);
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-            if (!awake_[i])
-                continue;
-            stepping_ = i;
-            SimNode& node = nodes_[i];
-            std::size_t before = moves_;
-            Result<bool> fired = step(node);
-            if (!fired.ok())
-                return fired.error().context(at() + ", node " + node.name);
-            if (moves_ > before) {
-                if (sink_ != nullptr && !draining)
-                    observeFire(node, cycle_);
-                node.last_fire = cycle_;
-                next_awake_[i] = 1;  // internal state advanced
+        for (std::size_t w = 0; w < awake_.size(); ++w) {
+            // Take the lowest awake node of the word and clear its bit.
+            // The word is re-read after every step: a pop() may wake a
+            // later node of this word for this same cycle.
+            while (std::uint64_t bits = awake_[w]) {
+                awake_[w] = bits & (bits - 1);
+                const std::size_t i = w * 64 + std::countr_zero(bits);
+                stepping_ = i;
+                SimNode& node = nodes_[i];
+                std::size_t before = moves_;
+                Result<bool> fired = step(node);
+                if (!fired.ok())
+                    return fired.error().context(at() + ", node " +
+                                                 node.name);
+                if (moves_ > before) {
+                    if (sink_ != nullptr && !draining)
+                        observeFire(node, cycle_);
+                    node.last_fire = cycle_;
+                    mark(next_awake_, i);  // internal state advanced
+                }
+                // Pipelined units must tick every cycle while tokens
+                // are in flight or waiting on output space.
+                if (!node.pipeline.empty() || !node.completion.empty())
+                    mark(next_awake_, i);
             }
-            // Pipelined units must tick every cycle while tokens are
-            // in flight or waiting on output space.
-            if (!node.pipeline.empty() || !node.completion.empty())
-                next_awake_[i] = 1;
         }
         stepping_ = kNoNode;
         if (!draining) {
@@ -308,7 +387,7 @@ class Simulator::Impl
         }
         commitStaged();
         awake_.swap(next_awake_);
-        std::fill(next_awake_.begin(), next_awake_.end(), std::uint8_t{0});
+        std::fill(next_awake_.begin(), next_awake_.end(), 0);
         if (!draining && obs_ != nullptr)
             observeCycle();
         return true;
@@ -364,6 +443,7 @@ class Simulator::Impl
                                     decl.name) != traced.end();
             if (node.kind == NodeKind::Operator) {
                 node.op = attrStr(decl.attrs, "op", "");
+                node.opfn = operatorFn(node.op);
                 node.latency = attrInt(decl.attrs, "latency",
                                        operatorLatency(node.op));
             } else if (node.kind == NodeKind::Load ||
@@ -427,7 +507,7 @@ class Simulator::Impl
             if (ec != std::errc{} || stop != last || index >= slots.size())
                 return false;
             slots[index] = ch;
-            (output ? channel_producer_ : channel_consumer_)[ch] =
+            (output ? channels_[ch].producer : channels_[ch].consumer) =
                 static_cast<int>(n);
             return true;
         };
@@ -451,10 +531,8 @@ class Simulator::Impl
             if (faults != nullptr)
                 capacity = std::max<std::size_t>(
                     1, faults->adjustCapacity(ch, base, pinned));
-            channels_.push_back(Channel{{}, capacity});
+            channels_.emplace_back(capacity);
             channel_desc_.push_back(std::move(description));
-            channel_producer_.push_back(-1);
-            channel_consumer_.push_back(-1);
             return ch;
         };
         for (const Edge& e : g.edges()) {
@@ -493,7 +571,6 @@ class Simulator::Impl
                 return bad_port(ch);
             output_channels_.push_back(ch);
         }
-        staged_.assign(channels_.size(), {});
         return true;
     }
 
@@ -504,7 +581,7 @@ class Simulator::Impl
     {
         fault_hold_ = true;
         if (stepping_ != kNoNode)
-            next_awake_[stepping_] = 1;
+            mark(next_awake_, stepping_);
         if (obs_ != nullptr)
             ++stat_fault_holds_;
         if (sink_ != nullptr)
@@ -528,24 +605,21 @@ class Simulator::Impl
     const Token&
     peek(int ch) const
     {
-        return channels_[ch].slots.front();
+        return channels_[ch].front();
     }
 
     Token
     pop(int ch)
     {
-        Token t = channels_[ch].slots.front();
-        channels_[ch].slots.pop_front();
+        Channel& c = channels_[ch];
+        Token t = c.popFront();
         ++moves_;
         // The producer gained space. The sequential sweep makes a pop
         // visible to later-indexed nodes within the same cycle, so a
         // producer not yet stepped wakes now; otherwise next cycle.
-        int p = channel_producer_[ch];
-        if (p >= 0) {
-            if (static_cast<std::size_t>(p) > stepping_)
-                awake_[p] = 1;
-            else
-                next_awake_[p] = 1;
+        if (c.producer >= 0) {
+            std::size_t p = static_cast<std::size_t>(c.producer);
+            mark(p > stepping_ ? awake_ : next_awake_, p);
         }
         return t;
     }
@@ -555,8 +629,8 @@ class Simulator::Impl
     {
         if (ch < 0)
             return true;  // dangling outputs drop tokens
-        if (channels_[ch].slots.size() + staged_[ch].size() >=
-            channels_[ch].capacity)
+        const Channel& c = channels_[ch];
+        if (c.size + c.staged >= c.capacity)
             return false;
         if (faults_ != nullptr &&
             faults_->dropReady(static_cast<std::size_t>(ch), cycle_)) {
@@ -571,23 +645,26 @@ class Simulator::Impl
     {
         if (ch < 0)
             return;
-        staged_[ch].push_back(std::move(t));
+        Channel& c = channels_[ch];
+        ++c.staged;
+        staged_.emplace_back(ch, std::move(t));
         ++moves_;
         // Staged tokens become visible at commitStaged, so the
         // consumer can first use this one next cycle.
-        int c = channel_consumer_[ch];
-        if (c >= 0)
-            next_awake_[c] = 1;
+        if (c.consumer >= 0)
+            mark(next_awake_, static_cast<std::size_t>(c.consumer));
     }
 
+    /** Append this cycle's pushes to their channels, in push order
+     * (which keeps every channel FIFO). */
     void
     commitStaged()
     {
-        for (std::size_t ch = 0; ch < channels_.size(); ++ch) {
-            for (Token& t : staged_[ch])
-                channels_[ch].slots.push_back(std::move(t));
-            staged_[ch].clear();
+        for (auto& [ch, t] : staged_) {
+            channels_[ch].staged = 0;
+            channels_[ch].pushBack(std::move(t));
         }
+        staged_.clear();
     }
 
     /** Record an event of a traced node; @p token, when given, is
@@ -642,10 +719,9 @@ class Simulator::Impl
                             cycle_, "output#" + std::to_string(i),
                             output_channels_[i],
                             obs::EventKind::Output,
-                            ch.slots.front().toString()});
+                            ch.front().toString()});
                 }
-                result.outputs[i].push_back(ch.slots.front());
-                ch.slots.pop_front();
+                result.outputs[i].push_back(ch.popFront());
                 if (prov_ != nullptr)
                     prov_->onOutput(static_cast<int>(i),
                                     output_channels_[i], cycle_);
@@ -682,10 +758,9 @@ class Simulator::Impl
         for (std::size_t ch = 0; ch < channels_.size(); ++ch) {
             if (channels_[ch].empty())
                 continue;
-            d.occupied_channels.push_back(
-                ChannelStatus{channel_desc_[ch],
-                              channels_[ch].slots.size(),
-                              channels_[ch].capacity});
+            d.occupied_channels.push_back(ChannelStatus{
+                channel_desc_[ch], channels_[ch].size,
+                channels_[ch].capacity});
         }
         for (const SimNode& node : nodes_) {
             BlockedNode b;
@@ -697,7 +772,7 @@ class Simulator::Impl
                             node.returned_count;
             for (int ch : node.in_channels)
                 if (ch >= 0)
-                    b.held_tokens += channels_[ch].slots.size();
+                    b.held_tokens += channels_[ch].size;
             if (b.held_tokens == 0)
                 continue;  // only the wavefront holding tokens
             for (std::size_t i = 0; i < node.in_channels.size(); ++i) {
@@ -708,8 +783,7 @@ class Simulator::Impl
             }
             for (std::size_t i = 0; i < node.out_channels.size(); ++i) {
                 int ch = node.out_channels[i];
-                if (ch >= 0 && channels_[ch].slots.size() >=
-                                   channels_[ch].capacity)
+                if (ch >= 0 && channels_[ch].size >= channels_[ch].capacity)
                     b.waiting_on.push_back(
                         "out" + std::to_string(i) + " full");
             }
@@ -740,6 +814,20 @@ class Simulator::Impl
         provEnd(cycle_);
         owner_.diagnosis_ = std::move(d);
         return err(headline + ": " + rendered);
+    }
+
+    /** Point heads_ at the head token of every input of @p node;
+     * false when one is empty (or hidden by a fault). */
+    bool
+    gatherHeads(const SimNode& node)
+    {
+        heads_.clear();
+        for (int ch : node.in_channels) {
+            if (!hasToken(ch))
+                return false;
+            heads_.push_back(&peek(ch));
+        }
+        return true;
     }
 
     /** Advance pipelined units and drain completions. */
@@ -778,30 +866,28 @@ class Simulator::Impl
                 if (!hasSpace(ch))
                     return true;
             Token t = pop(node.in_channels[0]);
-            for (int ch : node.out_channels)
-                push(ch, t);
-            provFire(node, node.in_channels.data(), 1,
-                     node.out_channels.data(),
-                     node.out_channels.size());
             trace(node, "fire", &t);
+            // Copies for all outputs but the last, which takes t.
+            const std::size_t outs = node.out_channels.size();
+            for (std::size_t k = 0; k < outs; ++k)
+                push(node.out_channels[k],
+                     k + 1 < outs ? Token(t) : std::move(t));
+            provFire(node, node.in_channels.data(), 1,
+                     node.out_channels.data(), outs);
             return true;
         }
         if (node.kind == NodeKind::Join) {
             if (!hasSpace(node.out_channels[0]))
                 return true;
-            std::vector<const Token*> heads;
-            for (int ch : node.in_channels) {
-                if (!hasToken(ch))
-                    return true;
-                heads.push_back(&peek(ch));
-            }
+            if (!gatherHeads(node))
+                return true;
             std::optional<Tag> tag;
-            if (!tagsAgree(heads, tag))
+            if (!tagsAgree(heads_, tag))
                 return err("tag mismatch at join (tokens from "
                            "different iterations met)");
-            Value v = heads.back()->value;
-            for (std::size_t i = heads.size() - 1; i-- > 0;)
-                v = Value::tuple(heads[i]->value, std::move(v));
+            Value v = heads_.back()->value;
+            for (std::size_t i = heads_.size() - 1; i-- > 0;)
+                v = Value::tuple(heads_[i]->value, std::move(v));
             for (int ch : node.in_channels)
                 pop(ch);
             Token out(std::move(v));
@@ -873,8 +959,9 @@ class Simulator::Impl
                 return true;
             const Token& data = peek(node.in_channels[0]);
             const Token& cond = peek(node.in_channels[1]);
+            const Token* pair[] = {&data, &cond};
             std::optional<Tag> tag;
-            if (!tagsAgree({&data, &cond}, tag))
+            if (!tagsAgree(pair, tag))
                 return err("tag mismatch at branch");
             int out = cond.value.asBool() ? 0 : 1;
             if (!hasSpace(node.out_channels[out]))
@@ -945,30 +1032,28 @@ class Simulator::Impl
             node.kind == NodeKind::Load) {
             advancePipeline(node);
             // Accept at most one new token set per cycle (II = 1).
-            std::vector<const Token*> heads;
-            for (int ch : node.in_channels) {
-                if (!hasToken(ch))
-                    return true;
-                heads.push_back(&peek(ch));
-            }
+            if (!gatherHeads(node))
+                return true;
             std::optional<Tag> tag;
-            if (!tagsAgree(heads, tag))
+            if (!tagsAgree(heads_, tag))
                 return err("tag mismatch at " + node.type);
             Token result;
             if (node.kind == NodeKind::Operator) {
-                std::vector<Value> args;
-                for (const Token* t : heads)
-                    args.push_back(t->value);
-                Result<Value> v = evalOperator(node.op, args);
+                args_.clear();
+                for (const Token* t : heads_)
+                    args_.push_back(t->value);
+                Result<Value> v = node.opfn != nullptr
+                                      ? node.opfn(args_)
+                                      : evalOperator(node.op, args_);
                 if (!v.ok())
                     return v.error();
                 result.value = v.take();
             } else if (node.kind == NodeKind::Pure) {
-                result.value = (*node.fn)(heads[0]->value);
+                result.value = (*node.fn)(heads_[0]->value);
             } else {  // load
                 if (node.mem == nullptr)
                     return err("load from unknown memory " + node.memory);
-                std::int64_t addr = heads[0]->value.asInt();
+                std::int64_t addr = heads_[0]->value.asInt();
                 if (addr < 0 ||
                     addr >= static_cast<std::int64_t>(node.mem->size()))
                     return err("load out of bounds: " + node.memory + "[" +
@@ -994,8 +1079,9 @@ class Simulator::Impl
                 return true;
             const Token& addr_tok = peek(node.in_channels[0]);
             const Token& data_tok = peek(node.in_channels[1]);
+            const Token* pair[] = {&addr_tok, &data_tok};
             std::optional<Tag> tag;
-            if (!tagsAgree({&addr_tok, &data_tok}, tag))
+            if (!tagsAgree(pair, tag))
                 return err("tag mismatch at store");
             if (node.mem == nullptr)
                 return err("store to unknown memory " + node.memory);
@@ -1034,22 +1120,23 @@ class Simulator::Impl
                 Token t = pop(node.in_channels[1]);
                 if (!t.tag)
                     return err("untagged token returned to tagger");
-                provTagReturn(node, *t.tag);
-                std::size_t slot = *t.tag;
-                if (slot >= node.returned.size())
-                    node.returned.resize(slot + 1);
-                if (!node.returned[slot]) {
-                    node.returned[slot] = std::move(t);
-                    ++node.returned_count;
-                }
+                const Tag slot = *t.tag;
+                if (static_cast<std::int64_t>(slot) >= node.num_tags)
+                    return err("tag " + std::to_string(slot) +
+                               " was never allocated");
+                if (node.returned[slot])
+                    return err("tag " + std::to_string(slot) +
+                               " returned to tagger twice");
+                provTagReturn(node, slot);
+                node.returned[slot] = std::move(t);
+                ++node.returned_count;
             }
             // Commit the oldest outstanding tag in program order.
             if (node.next_commit < node.next_alloc &&
                 hasSpace(node.out_channels[1])) {
                 std::size_t wanted = static_cast<std::size_t>(
                     node.next_commit % node.num_tags);
-                if (wanted < node.returned.size() &&
-                    node.returned[wanted]) {
+                if (node.returned[wanted]) {
                     Token out = std::move(*node.returned[wanted]);
                     out.tag.reset();
                     node.returned[wanted].reset();
@@ -1198,8 +1285,8 @@ class Simulator::Impl
             bool backpressured = false;
             if (!starved) {
                 for (int ch : node.out_channels) {
-                    if (ch >= 0 && channels_[ch].slots.size() +
-                                           staged_[ch].size() >=
+                    if (ch >= 0 && channels_[ch].size +
+                                           channels_[ch].staged >=
                                        channels_[ch].capacity) {
                         backpressured = true;
                         break;
@@ -1278,7 +1365,7 @@ class Simulator::Impl
             last_occupancy_.assign(channels_.size(),
                                    static_cast<std::size_t>(-1));
         for (std::size_t ch = 0; ch < channels_.size(); ++ch) {
-            std::size_t occupancy = channels_[ch].slots.size();
+            std::size_t occupancy = channels_[ch].size;
             in_flight += occupancy;
             if (sink_ != nullptr && occupancy != last_occupancy_[ch]) {
                 sink_->counter("occupancy " + channel_desc_[ch],
@@ -1292,7 +1379,7 @@ class Simulator::Impl
                              occupancy < channels_[ch].capacity);
                 if (occupancy > 0)
                     vcd_->sample(cycle_, vcd_data_[ch],
-                                 vcdValueOf(channels_[ch].slots.front()));
+                                 vcdValueOf(channels_[ch].front()));
             }
         }
         max_in_flight_ = std::max(max_in_flight_, in_flight);
@@ -1337,16 +1424,18 @@ class Simulator::Impl
     std::vector<SimNode> nodes_;
     std::vector<Channel> channels_;
     std::vector<std::string> channel_desc_;
-    /** Node producing / consuming each channel (-1 = graph I/O). */
-    std::vector<int> channel_producer_;
-    std::vector<int> channel_consumer_;
-    /** Ready-worklist wake flags for this and the next cycle. */
-    std::vector<std::uint8_t> awake_;
-    std::vector<std::uint8_t> next_awake_;
+    /** Ready-worklist wake sets for this and the next cycle: bit i of
+     * word i / 64 is node i. */
+    std::vector<std::uint64_t> awake_;
+    std::vector<std::uint64_t> next_awake_;
     /** Index of the node currently stepping (kNoNode outside the
      * sweep); decides same-cycle vs next-cycle wakes in pop(). */
     std::size_t stepping_ = kNoNode;
-    std::vector<std::deque<Token>> staged_;
+    /** This cycle's pushes, in push order (see commitStaged). */
+    std::vector<std::pair<int, Token>> staged_;
+    /** Per-firing scratch: input head tokens, operator arguments. */
+    std::vector<const Token*> heads_;
+    std::vector<Value> args_;
     std::vector<int> input_channels_;
     std::vector<int> output_channels_;
     std::vector<std::vector<Token>> input_streams_;

@@ -35,7 +35,6 @@
  */
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -257,14 +256,6 @@ class Simulator
 
   private:
     Simulator() = default;
-
-    struct Channel
-    {
-        std::deque<Token> slots;
-        std::size_t capacity = 2;
-
-        bool empty() const { return slots.empty(); }
-    };
 
     class Impl;
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "bench_circuits/gcd.hpp"
 #include "dot/dot.hpp"
 #include "rewrite/engine.hpp"
@@ -199,6 +201,137 @@ TEST(SimEdge, PortWithoutNumberIsABuildError)
     EXPECT_NE(r.error().message.find("sim build: edge f.out -> snk2.in0"),
               std::string::npos)
         << r.error().message;
+}
+
+/** One @p type node whose every port is graph I/O: input i feeds
+ * in<i>, out<j> is output j. */
+ExprHigh
+loneNode(const std::string& type, const AttrMap& attrs, int ins, int outs)
+{
+    ExprHigh g;
+    g.addNode("n", type, attrs);
+    for (int i = 0; i < ins; ++i)
+        g.bindInput(i, PortRef{"n", "in" + std::to_string(i)});
+    for (int j = 0; j < outs; ++j)
+        g.bindOutput(j, PortRef{"n", "out" + std::to_string(j)});
+    return g;
+}
+
+/**
+ * Run @p g on @p inputs: the run must fail with an error containing
+ * @p message — a hard error, not a watchdog verdict, and not an
+ * exception.
+ */
+void
+expectSimError(const ExprHigh& g,
+               const std::vector<std::vector<Token>>& inputs,
+               const std::string& message)
+{
+    auto registry = std::make_shared<FnRegistry>();
+    sim::Simulator s = sim::Simulator::build(g, registry).take();
+    s.setMemory("mem", {0, 0, 0, 0});
+    std::optional<Result<sim::SimResult>> r;
+    EXPECT_NO_THROW(r.emplace(s.run(inputs, 1)));
+    ASSERT_TRUE(r.has_value());
+    ASSERT_FALSE(r->ok());
+    EXPECT_NE(r->error().message.find(message), std::string::npos)
+        << r->error().message;
+    EXPECT_FALSE(s.lastDiagnosis().has_value());
+}
+
+TEST(SimEdge, JoinTagMismatchIsAnError)
+{
+    expectSimError(loneNode("join", {}, 2, 1),
+                   {{Token(Value(1), 0)}, {Token(Value(2), 1)}},
+                   "tag mismatch at join (tokens from different "
+                   "iterations met)");
+}
+
+TEST(SimEdge, BranchTagMismatchIsAnError)
+{
+    expectSimError(loneNode("branch", {}, 2, 2),
+                   {{Token(Value(1), 2)}, {Token(Value(true), 3)}},
+                   "tag mismatch at branch");
+}
+
+TEST(SimEdge, StoreTagMismatchIsAnError)
+{
+    expectSimError(loneNode("store", {}, 2, 1),
+                   {{Token(Value(1), 0)}, {Token(Value(5), 1)}},
+                   "tag mismatch at store");
+}
+
+TEST(SimEdge, OperatorTagMismatchIsAnError)
+{
+    expectSimError(loneNode("operator", {{"op", "add"}}, 2, 1),
+                   {{Token(Value(1), 0)}, {Token(Value(2), 1)}},
+                   "tag mismatch at operator");
+}
+
+TEST(SimEdge, UntaggedTokenReturnedToTaggerIsAnError)
+{
+    expectSimError(loneNode("tagger", {{"tags", "4"}}, 2, 2),
+                   {{}, {Token(Value(1))}},
+                   "untagged token returned to tagger");
+}
+
+TEST(SimEdge, TagReturnedTwiceIsAnError)
+{
+    // Two fresh tokens take tags 0 and 1; tag 1 comes back twice
+    // while tag 0 is still outstanding, so the first copy is parked
+    // in the reorder buffer when the second arrives.
+    expectSimError(loneNode("tagger", {{"tags", "4"}}, 2, 2),
+                   {{Token(Value(10)), Token(Value(11))},
+                    {Token(Value(11), 1), Token(Value(11), 1)}},
+                   "tag 1 returned to tagger twice");
+}
+
+TEST(SimEdge, TagNeverAllocatedIsAnError)
+{
+    expectSimError(loneNode("tagger", {{"tags", "4"}}, 2, 2),
+                   {{}, {Token(Value(1), 7)}},
+                   "tag 7 was never allocated");
+}
+
+TEST(SimEdge, DrainGrowsAnUnboundedOutputRing)
+{
+    // A source drives a constant into output#0 and, three buffers
+    // later, a store of mem[2] = 5. The run is done at the first
+    // output, before the store's data arrives; the drain then steps
+    // the never-quiet source for its full bound, pushing thousands of
+    // tokens into the uncollected output channel.
+    ExprHigh g;
+    g.addNode("src", "source");
+    g.addNode("f", "fork", {{"out", "3"}});
+    g.addNode("out", "constant", {{"value", "7"}});
+    g.addNode("addr", "constant", {{"value", "2"}});
+    g.addNode("b0", "buffer");
+    g.addNode("b1", "buffer");
+    g.addNode("b2", "buffer");
+    g.addNode("data", "constant", {{"value", "5"}});
+    g.addNode("st", "store");
+    g.addNode("snk", "sink");
+    g.connect("src", "out0", "f", "in0");
+    g.connect("f", "out0", "out", "in0");
+    g.connect("f", "out1", "addr", "in0");
+    g.connect("f", "out2", "b0", "in0");
+    g.connect("b0", "out0", "b1", "in0");
+    g.connect("b1", "out0", "b2", "in0");
+    g.connect("b2", "out0", "data", "in0");
+    g.connect("addr", "out0", "st", "in0");
+    g.connect("data", "out0", "st", "in1");
+    g.connect("st", "out0", "snk", "in0");
+    g.bindOutput(0, PortRef{"out", "out0"});
+    auto registry = std::make_shared<FnRegistry>();
+    sim::Simulator s = sim::Simulator::build(g, registry).take();
+    s.setMemory("mem", {0, 0, 0, 0});
+    Result<sim::SimResult> r = s.run({}, 1);
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    ASSERT_EQ(r.value().outputs.size(), 1u);
+    ASSERT_EQ(r.value().outputs[0].size(), 1u);
+    EXPECT_EQ(r.value().outputs[0][0].value.asInt(), 7);
+    EXPECT_EQ(r.value().memories.at("mem"),
+              (std::vector<double>{0, 0, 5, 0}));
 }
 
 // ---------------------------------------------------------------------

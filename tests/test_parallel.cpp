@@ -930,6 +930,54 @@ TEST(SimSchedule, TransformedMatchesFullSweepUnderStressBattery)
     expectMatchesFullSweep(true);
 }
 
+// Ten gcd loops side by side: 130+ nodes, so the wake set spans more
+// than one 64-bit word and wakes cross word boundaries. The digests
+// were recorded by the byte-per-node worklist simulator.
+TEST(SimSchedule, WideFarmMatchesRecordedDigest)
+{
+    constexpr int kCopies = 10;
+    circuits::BenchmarkSpec spec;
+    spec.name = "gcd-farm";
+    spec.df_io = circuits::buildGcdFarm(kCopies);
+    ASSERT_GT(spec.df_io.numNodes(), 128u);
+    const std::pair<int, int> pairs[] = {
+        {48, 18}, {1071, 462}, {7, 13}, {90, 35}};
+    spec.inputs.resize(2 * kCopies);
+    for (int k = 0; k < kCopies; ++k) {
+        for (auto [a, b] : pairs) {
+            spec.inputs[2 * k].emplace_back(Value(a + k));
+            spec.inputs[2 * k + 1].emplace_back(Value(b));
+        }
+    }
+    spec.expected_outputs = std::size(pairs);
+    PipelineOptions options;
+    options.num_tags = 4;
+
+    const ScheduleRow rows[] = {
+        {"gcd-farm", false, 0xe8df03485d106353ULL,
+         "275 330 351 315 357 328 326 275 422 1206 1067 1285 1259 1219 "
+         "1247 1195 1142 1169 1195 1194 1207"},
+        {"gcd-farm", true, 0x5215f6352b971639ULL,
+         "93 142 117 124 131 119 149 96 148 1089 1104 1102 1092 1075 "
+         "1114 1087 1105 1076 1115 1028 1088"},
+    };
+    for (const ScheduleRow& row : rows) {
+        Environment env;
+        ExprHigh g = spec.df_io;
+        if (row.transformed) {
+            Result<PipelineResult> ooo =
+                runOooPipeline(spec.df_io, env, options);
+            ASSERT_TRUE(ooo.ok()) << ooo.error().message;
+            g = ooo.value().graph;
+        }
+        ScheduleDigest got = scheduleDigest(g, spec, env.functionsPtr());
+        EXPECT_EQ(got.digest, row.digest)
+            << row.benchmark << (row.transformed ? " transformed" : "")
+            << " per-plan cycles\n  got:  " << got.cycles
+            << "\n  want: " << row.cycles;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Cancellation races: a second thread fires the token while the
 // exploration / simulation is in flight. The staggered delays sweep
