@@ -129,70 +129,6 @@ BENCHMARK(BM_EncodingFootprint)
     ->Arg(3)
     ->Unit(benchmark::kMillisecond);
 
-/**
- * Spill-tier round trip: park an exploration whose frontier exceeds
- * spill_bytes, then resume to completion — completion must go through
- * the spill file, and the run reports how much paging cost. The
- * fingerprint is asserted against a one-shot exploration, so the
- * benchmark doubles as an end-to-end spill correctness probe.
- */
-void
-BM_FrontierSpill(benchmark::State& state)
-{
-    Environment env(4);
-    ExprHigh ooo = circuits::buildGcdOutOfOrder(env.functions(), 2);
-    DenotedModule impl =
-        DenotedModule::denote(lowerToExprLow(ooo).value(), env).take();
-    InputDomain domain = InputDomain::uniform(impl, gcdPairs());
-    Result<StateSpace> one_shot = StateSpace::explore(
-        impl, domain, {.max_states = 2000000, .input_budget = 3});
-    if (!one_shot.ok()) {
-        state.SkipWithError("one-shot exploration failed");
-        return;
-    }
-    std::uint64_t want = one_shot.value().fingerprint();
-
-    std::size_t spills = 0, spilled_bytes = 0, paged_in_bytes = 0;
-    std::size_t states = 0;
-    for (auto _ : state) {
-        Result<StateSpace> parked = StateSpace::explorePartial(
-            impl, domain,
-            {.max_states = 800, .input_budget = 3,
-             .spill_bytes = 256});
-        if (!parked.ok() || parked.value().complete() ||
-            parked.value().spillBytes() == 0) {
-            state.SkipWithError("exploration did not park + spill");
-            continue;
-        }
-        StateSpace space = parked.take();
-        bool ok = true;
-        while (!space.complete()) {
-            Result<bool> more = space.resume(impl, 400);
-            if (!more.ok()) {
-                state.SkipWithError("resume failed");
-                ok = false;
-                break;
-            }
-        }
-        if (!ok)
-            continue;
-        if (space.fingerprint() != want) {
-            state.SkipWithError("spilled space diverged from one-shot");
-            continue;
-        }
-        spills = space.spillStats().spills;
-        spilled_bytes = space.spillStats().spilled_bytes;
-        paged_in_bytes = space.spillStats().paged_in_bytes;
-        states = space.numStates();
-    }
-    state.counters["verify_states"] = static_cast<double>(states);
-    state.counters["spills"] = static_cast<double>(spills);
-    state.counters["spilled_bytes"] = static_cast<double>(spilled_bytes);
-    state.counters["paged_in_bytes"] =
-        static_cast<double>(paged_in_bytes);
-}
-BENCHMARK(BM_FrontierSpill)->Unit(benchmark::kMillisecond);
-
 void
 BM_CatalogRewriteRefinement(benchmark::State& state)
 {

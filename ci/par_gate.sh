@@ -6,7 +6,7 @@
 #      them under ThreadSanitizer. The verification core runs on one
 #      lane, but a StopToken is still fired from another thread (the
 #      racing-cancel tests), and test_state_encoding covers the
-#      interned state pool and the frontier spill tier.
+#      interned state pool and parked frontiers.
 #   2. Deterministic ratchet: run bench_refine_checker's
 #      BM_LoopRewriteRefinement/3 (the theorem 5.3 gcd instance at
 #      input budget 3) once from the regular build and require its

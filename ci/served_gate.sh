@@ -37,7 +37,10 @@
 #      silence.
 #   8. Sanitizer leg: the served-labelled suite (sandbox tests
 #      included) runs clean under ASan + UBSan in a separate build
-#      tree. Skip with SERVED_GATE_ASAN=0.
+#      tree. float-cast-overflow is added explicitly: GCC's
+#      -fsanitize=undefined leaves it out, and it is the check that
+#      reports a wire double cast to an out-of-range integer. Skip
+#      with SERVED_GATE_ASAN=0.
 #
 # Usage: ci/served_gate.sh [build-dir]    (default: build)
 
@@ -326,7 +329,8 @@ echo "== served gate: crash-storm soak (--isolate --crash-rate) =="
 
 if [ "${SERVED_GATE_ASAN:-1}" = "1" ]; then
     echo "== served gate: sanitizer leg (ASan + UBSan) =="
-    cmake -B "${BUILD}-asan" -S . -DGRAPHITI_SANITIZE=address,undefined
+    cmake -B "${BUILD}-asan" -S . \
+        -DGRAPHITI_SANITIZE=address,undefined,float-cast-overflow
     cmake --build "${BUILD}-asan" -j "${JOBS}" \
         --target test_served test_sandbox
     (cd "${BUILD}-asan" && ctest -L served --output-on-failure)

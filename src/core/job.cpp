@@ -27,7 +27,6 @@ compileOptionsToJson(const CompileOptions& options)
     budget.set("trace_max_inputs",
                options.verify_budget.trace.max_inputs);
     budget.set("seed", options.verify_budget.seed);
-    budget.set("spill_bytes", options.verify_budget.spill_bytes);
     out.set("budget", std::move(budget));
     return out;
 }
@@ -40,10 +39,10 @@ sizeField(const json::Value& v, const char* key, std::size_t fallback)
     const json::Value* f = v.find(key);
     if (f == nullptr)
         return fallback;
-    if (!f->isNumber() || f->asNumber() < 0)
-        return err(std::string("field \"") + key +
-                   "\" must be a non-negative number");
-    return static_cast<std::size_t>(f->asNumber());
+    Result<std::uint64_t> n = json::exactCount(*f);
+    if (!n.ok())
+        return n.error().context(std::string("field \"") + key + "\"");
+    return static_cast<std::size_t>(n.value());
 }
 
 Result<bool>
@@ -107,11 +106,9 @@ compileOptionsFromJson(const obs::json::Value& v)
         Result<std::size_t> inputs =
             sizeField(*budget, "trace_max_inputs", b.trace.max_inputs);
         Result<std::size_t> seed = sizeField(*budget, "seed", b.seed);
-        Result<std::size_t> spill =
-            sizeField(*budget, "spill_bytes", b.spill_bytes);
         for (const Result<std::size_t>* r :
              {&max_states, &partial, &input_budget, &walks, &steps,
-              &inputs, &seed, &spill})
+              &inputs, &seed})
             if (!r->ok())
                 return r->error().context("options.budget");
         b.max_states = max_states.value();
@@ -121,7 +118,6 @@ compileOptionsFromJson(const obs::json::Value& v)
         b.trace.max_steps = steps.value();
         b.trace.max_inputs = inputs.value();
         b.seed = static_cast<std::uint64_t>(seed.value());
-        b.spill_bytes = spill.value();
     }
     return options;
 }

@@ -120,7 +120,6 @@ Governor::verify(const DenotedModule& impl, const DenotedModule& spec,
         ExplorationLimits limits;
         limits.max_states = budget_.max_states;
         limits.input_budget = budget_.input_budget;
-        limits.spill_bytes = budget_.spill_bytes;
         limits.stop = stop_;
         obs_rung(obs::VerifyPhase::Explore, "full");
         Result<StateSpace> impl_space =
@@ -166,7 +165,6 @@ Governor::verify(const DenotedModule& impl, const DenotedModule& spec,
         ExplorationLimits limits;
         limits.max_states = budget_.partial_max_states;
         limits.input_budget = budget_.input_budget;
-        limits.spill_bytes = budget_.spill_bytes;
         limits.stop = stop_;
         obs_rung(obs::VerifyPhase::Explore, "bounded-partial");
         Result<StateSpace> impl_space =

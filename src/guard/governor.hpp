@@ -70,15 +70,6 @@ struct VerificationBudget
     TraceGenOptions trace;
     /** Seed of the trace-inclusion rung (deterministic). */
     std::uint64_t seed = 0x677561726471ULL;
-    /**
-     * Frontier spill cap per exploration (ExplorationLimits::
-     * spill_bytes): a parked BoundedPartial frontier larger than this
-     * parks its cold rows on disk instead of pinning them in RAM;
-     * 0 disables spilling. Memory policy only — verdicts are
-     * byte-identical with or without it, so it is excluded from the
-     * verify-cache key.
-     */
-    std::size_t spill_bytes = 0;
 };
 
 /** The honest outcome of a governed verification. */

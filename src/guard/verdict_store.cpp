@@ -61,13 +61,19 @@ fieldString(const obs::json::Value& v, const char* key)
     return (f != nullptr && f->isString()) ? f->asString() : "";
 }
 
-std::size_t
-fieldCount(const obs::json::Value& v, const char* key)
+/** Read count field @p key into @p out, which stays as it is when the
+ * field is absent; false when the field is not an exact non-negative
+ * integer. */
+bool
+readCount(const obs::json::Value& v, const char* key, std::size_t& out)
 {
     const obs::json::Value* f = v.find(key);
-    return (f != nullptr && f->isNumber())
-               ? static_cast<std::size_t>(f->asNumber())
-               : 0;
+    if (f == nullptr)
+        return true;
+    Result<std::uint64_t> n = obs::json::exactCount(*f);
+    if (n.ok())
+        out = static_cast<std::size_t>(n.value());
+    return n.ok();
 }
 
 /** Size-based byte estimate of one verdict (strings deep, capacity
@@ -101,9 +107,6 @@ verificationCacheKey(const ExprHigh& transformed,
     h = fnv1a64Double(h, budget.trace.input_bias);
     h = fnv1a64(h, budget.trace.max_inputs);
     h = fnv1a64(h, budget.seed);
-    // budget.spill_bytes deliberately excluded: the frontier spill
-    // tier is pure memory policy — the explored space is
-    // byte-identical with or without it.
     h = fnv1a64(h, tokens.size());
     for (const Token& token : tokens)
         h = fnv1a64(h, token.toString());
@@ -144,18 +147,20 @@ verdictFromJson(const obs::json::Value& v)
     verdict.degradation_reason = fieldString(v, "degradation_reason");
     verdict.counterexample = fieldString(v, "counterexample");
     if (const obs::json::Value* game = v.find("game")) {
-        verdict.report.impl_states = fieldCount(*game, "impl_states");
-        verdict.report.spec_states = fieldCount(*game, "spec_states");
-        verdict.report.reachable_pairs =
-            fieldCount(*game, "reachable_pairs");
-        verdict.report.fixpoint_iterations =
-            fieldCount(*game, "fixpoint_iterations");
+        RefinementReport& report = verdict.report;
+        if (!readCount(*game, "impl_states", report.impl_states) ||
+            !readCount(*game, "spec_states", report.spec_states) ||
+            !readCount(*game, "reachable_pairs", report.reachable_pairs) ||
+            !readCount(*game, "fixpoint_iterations",
+                       report.fixpoint_iterations))
+            return err("verdict JSON has a malformed game count");
         // toJson does not serialize the game-side duplicates; restore
         // them consistently with how the compiler consumes verdicts.
-        verdict.report.refines = verdict.ok;
-        verdict.report.counterexample = verdict.counterexample;
+        report.refines = verdict.ok;
+        report.counterexample = verdict.counterexample;
     }
-    verdict.trace_walks_run = fieldCount(v, "trace_walks_run");
+    if (!readCount(v, "trace_walks_run", verdict.trace_walks_run))
+        return err("verdict JSON has a malformed trace_walks_run");
     return verdict;
 }
 
@@ -244,7 +249,7 @@ VerdictStore::store(std::uint64_t key,
                 ++evicted;
             }
         }
-        if (!config_.dir.empty() && config_.persist_on_store)
+        if (!config_.dir.empty())
             persistShardLocked(index);
     }
     if (evicted > 0) {
@@ -359,23 +364,6 @@ VerdictStore::load()
     GRAPHITI_OBS_COUNT("guard.verify.cache_corrupt",
                        static_cast<std::int64_t>(corrupt));
     return loaded;
-}
-
-Result<bool>
-VerdictStore::save() const
-{
-    if (config_.dir.empty())
-        return false;
-    ::mkdir(config_.dir.c_str(), 0755);
-    for (std::size_t index = 0; index < shards_.size(); ++index) {
-        const Shard& shard = shards_[index];
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        Result<bool> wrote = obs::json::writeFileAtomic(
-            shardPath(index), shardJsonLocked(shard));
-        if (!wrote.ok())
-            return wrote.error().context("verdict store save");
-    }
-    return true;
 }
 
 VerdictStoreStats

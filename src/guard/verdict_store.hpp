@@ -56,8 +56,6 @@ namespace graphiti::guard {
  * Canonical cache key: FNV-1a 64 over the printed circuits (printDot
  * is a canonical rendering — round-trips parseDot), every
  * verdict-relevant budget field, and the token domain.
- * VerificationBudget::spill_bytes is deliberately excluded: spilling
- * never changes a verdict.
  */
 std::uint64_t verificationCacheKey(const ExprHigh& transformed,
                                    const ExprHigh& original,
@@ -85,9 +83,6 @@ struct VerdictStoreConfig
     std::size_t shards = 8;
     /** LRU cap per shard; 0 = unbounded. */
     std::size_t max_entries_per_shard = 1024;
-    /** Persist the owning shard on every store (write-through). Off,
-     * verdicts only reach disk on an explicit save(). */
-    bool persist_on_store = true;
 };
 
 /** Counters of one store; see VerdictStore::stats. */
@@ -130,14 +125,11 @@ class VerdictStore
     /**
      * Load every shard file from the configured directory.
      * Corruption-tolerant: bad files/entries — including keys not
-     * spelled exactly as formatCacheKey writes them — are skipped and
-     * counted. Returns the number of entries loaded.
+     * spelled exactly as formatCacheKey writes them and counts that
+     * are not exact non-negative integers — are skipped and counted.
+     * Returns the number of entries loaded.
      */
     Result<std::size_t> load();
-
-    /** Persist every shard now (also happens per-store when
-     * persist_on_store). */
-    Result<bool> save() const;
 
     VerdictStoreStats stats() const;
     const VerdictStoreConfig& config() const { return config_; }

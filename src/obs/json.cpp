@@ -88,6 +88,17 @@ Value::sortKeys()
     return *this;
 }
 
+Result<std::uint64_t>
+exactCount(const Value& v)
+{
+    constexpr double kLimit = 9007199254740992.0;  // 2^53
+    // The negated range test also rejects NaN.
+    if (!v.isNumber() || !(v.asNumber() >= 0 && v.asNumber() < kLimit) ||
+        v.asNumber() != std::floor(v.asNumber()))
+        return err("must be a non-negative integer below 2^53");
+    return static_cast<std::uint64_t>(v.asNumber());
+}
+
 namespace {
 
 std::string

@@ -91,6 +91,14 @@ class Value
         repr_;
 };
 
+/**
+ * @p v as an unsigned integer. Only integral numbers in [0, 2^53) —
+ * the range a double holds exactly — convert; a negative, fractional,
+ * too large or non-numeric value is an error, never a wrapped or
+ * truncated cast. Callers prefix the field name.
+ */
+Result<std::uint64_t> exactCount(const Value& v);
+
 /** Parse a JSON document; fails with position info on malformed text. */
 Result<Value> parse(const std::string& text);
 

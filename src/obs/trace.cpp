@@ -119,91 +119,23 @@ PerfettoTraceSink::toJson() const
     out.set("displayTimeUnit", "ms");
     if (dropped_ > 0)
         out.set("droppedEvents", dropped_);
-    if (spilled_ > 0)
-        out.set("spilledEvents", spilled_);
     return out;
 }
 
 void
 PerfettoTraceSink::bufferEvent(json::Value event)
 {
-    if (capacity_ != 0 && events_.size() >= capacity_) {
-        if (!spill_path_.empty()) {
-            spillAll();
-        } else {
-            while (events_.size() >= capacity_) {
-                events_.pop_front();
-                ++dropped_;
-            }
-        }
+    while (capacity_ != 0 && events_.size() >= capacity_) {
+        events_.pop_front();
+        ++dropped_;
     }
     events_.push_back(std::move(event));
-}
-
-void
-PerfettoTraceSink::spillAll()
-{
-    std::ofstream out(spill_path_, std::ios::app);
-    if (!out) {
-        // Spill target went away: degrade to dropping the oldest.
-        while (capacity_ != 0 && events_.size() >= capacity_) {
-            events_.pop_front();
-            ++dropped_;
-        }
-        return;
-    }
-    for (const json::Value& ev : events_)
-        out << ev.dump() << '\n';
-    spilled_ += events_.size();
-    events_.clear();
-}
-
-Result<bool>
-PerfettoTraceSink::setSpillFile(const std::string& path)
-{
-    std::ofstream out(path, std::ios::trunc);
-    if (!out)
-        return err("cannot open spill file " + path + " for writing");
-    spill_path_ = path;
-    return true;
 }
 
 Result<bool>
 PerfettoTraceSink::writeFile(const std::string& path) const
 {
-    if (spilled_ == 0)
-        return json::writeFile(path, toJson());
-
-    // Stitch the spilled prefix and the live buffer back together
-    // without materialising the whole document in memory.
-    std::ofstream out(path);
-    if (!out)
-        return err("cannot open " + path + " for writing");
-    out << "{\"traceEvents\":[";
-    bool first = true;
-    std::ifstream spill(spill_path_);
-    std::string line;
-    while (std::getline(spill, line)) {
-        if (line.empty())
-            continue;
-        if (!first)
-            out << ',';
-        out << line;
-        first = false;
-    }
-    for (const json::Value& ev : events_) {
-        if (!first)
-            out << ',';
-        out << ev.dump();
-        first = false;
-    }
-    out << "],\"displayTimeUnit\":\"ms\"";
-    if (dropped_ > 0)
-        out << ",\"droppedEvents\":" << dropped_;
-    out << "}";
-    if (!out)
-        return err("write to " + path + " failed");
-    return true;
+    return json::writeFile(path, toJson());
 }
 
 VcdWriter::VcdWriter(std::string module_name, std::string timescale)

@@ -93,9 +93,7 @@ class TraceSink
  *
  * By default the buffer is unbounded (short runs keep everything, the
  * historical behaviour). Long runs can bound it with setCapacity():
- * when full, the oldest events are dropped — or, with setSpillFile(),
- * flushed to disk and stitched back into a complete document by
- * writeFile().
+ * when full, the oldest events are dropped.
  */
 class PerfettoTraceSink : public TraceSink
 {
@@ -113,24 +111,12 @@ class PerfettoTraceSink : public TraceSink
     void setCapacity(std::size_t max_events) { capacity_ = max_events; }
     std::size_t capacity() const { return capacity_; }
 
-    /**
-     * Flush-on-overflow target: events evicted by the capacity bound
-     * are appended to @p path (one JSON event per line) instead of
-     * being dropped. The file is truncated now; writeFile() stitches
-     * the spilled prefix and the live buffer back into one complete
-     * traceEvents document.
-     */
-    Result<bool> setSpillFile(const std::string& path);
-
-    /** Events lost to the capacity bound (no spill file set). */
+    /** Events lost to the capacity bound. */
     std::size_t droppedEvents() const { return dropped_; }
-    /** Events flushed to the spill file. */
-    std::size_t spilledEvents() const { return spilled_; }
 
-    /** The buffered window only (spilled events live on disk). */
+    /** The buffered window. */
     json::Value toJson() const;
     std::string dump() const { return toJson().dump(); }
-    /** The full document: spilled prefix + buffered window. */
     Result<bool> writeFile(const std::string& path) const;
 
   private:
@@ -138,15 +124,11 @@ class PerfettoTraceSink : public TraceSink
     int trackId(const std::string& name);
     /** Buffer one rendered event, honouring the capacity bound. */
     void bufferEvent(json::Value event);
-    /** Append the whole buffer to the spill file and clear it. */
-    void spillAll();
 
     std::deque<json::Value> events_;
     std::map<std::string, int> tracks_;
     std::size_t capacity_ = 0;
     std::size_t dropped_ = 0;
-    std::size_t spilled_ = 0;
-    std::string spill_path_;
 };
 
 /**

@@ -59,13 +59,6 @@ VerifyProbe::recordPark()
 }
 
 void
-VerifyProbe::recordResume()
-{
-    resumes_.fetch_add(1, std::memory_order_relaxed);
-    samples_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void
 VerifyProbe::notePeakBytes(std::uint64_t bytes)
 {
     std::uint64_t seen = peak_bytes_.load(std::memory_order_relaxed);
@@ -99,7 +92,6 @@ VerifyProbe::snapshot() const
     p.deadline_remaining_s =
         deadline_remaining_s_.load(std::memory_order_relaxed);
     p.parks = parks_.load(std::memory_order_relaxed);
-    p.resumes = resumes_.load(std::memory_order_relaxed);
     p.peak_bytes = peak_bytes_.load(std::memory_order_relaxed);
     p.samples = samples_.load(std::memory_order_relaxed);
     return p;
@@ -118,7 +110,6 @@ VerifyProgress::toJson() const
     out.set("parks", parks);
     out.set("peak_bytes", peak_bytes);
     out.set("phase", toString(phase));
-    out.set("resumes", resumes);
     out.set("round", round);
     out.set("rung", rung);
     out.set("samples", samples);

@@ -69,9 +69,8 @@ struct VerifyProgress
     std::uint64_t alive = 0;
     /** Wall-clock headroom; negative when no deadline governs. */
     double deadline_remaining_s = -1.0;
-    /** Explorations parked (cap/stop) and resumed over the job. */
+    /** Explorations parked (cap/stop) over the job. */
     std::uint64_t parks = 0;
-    std::uint64_t resumes = 0;
     /** High-water byte estimate across phases (see peakBytes()). */
     std::uint64_t peak_bytes = 0;
     /** Publishes ever made; 0 means the probe never fired. */
@@ -102,8 +101,6 @@ class VerifyProbe
 
     /** Record a parked (capped/stopped) exploration. */
     void recordPark();
-    /** Record an exploration resuming from a parked frontier. */
-    void recordResume();
 
     /** Raise the peak-bytes high-water mark. */
     void notePeakBytes(std::uint64_t bytes);
@@ -131,7 +128,6 @@ class VerifyProbe
     std::atomic<std::uint64_t> alive_{0};
     std::atomic<double> deadline_remaining_s_{-1.0};
     std::atomic<std::uint64_t> parks_{0};
-    std::atomic<std::uint64_t> resumes_{0};
     std::atomic<std::uint64_t> peak_bytes_{0};
     std::atomic<std::uint64_t> samples_{0};
 };

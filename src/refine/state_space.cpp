@@ -1,125 +1,13 @@
 #include "refine/state_space.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <sstream>
-#include <stdexcept>
 
 #include "obs/scope.hpp"
 
 namespace graphiti {
-
-namespace detail {
-
-/**
- * Disk parking for cold frontier rows.
- *
- * Created with the write-temp+rename pattern (like the Perfetto sink
- * and the verdict store): the row words are written to a `.tmp`
- * sibling, fsynced, then renamed into place, so a crash never leaves
- * a half-written spill file under the final name. The file holds raw
- * little-endian-of-this-process uint32 words — it never outlives the
- * process (the destructor unlinks it), so no portable format is
- * needed.
- */
-class FrontierSpill
-{
-  public:
-    /** Spill @p words uint32 values; nullptr on any I/O failure (the
-     * caller then simply keeps the rows in RAM). */
-    static std::unique_ptr<FrontierSpill>
-    create(const std::uint32_t* data, std::size_t words)
-    {
-        static std::atomic<std::uint64_t> counter{0};
-        const char* tmpdir = std::getenv("TMPDIR");
-        std::string dir =
-            (tmpdir != nullptr && *tmpdir != '\0') ? tmpdir : "/tmp";
-        std::string path = dir + "/graphiti-frontier-" +
-                           std::to_string(::getpid()) + "-" +
-                           std::to_string(counter.fetch_add(1)) +
-                           ".spill";
-        std::string tmp = path + ".tmp";
-        int wfd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0600);
-        if (wfd < 0)
-            return nullptr;
-        const char* bytes = reinterpret_cast<const char*>(data);
-        std::size_t total = words * sizeof(std::uint32_t);
-        std::size_t done = 0;
-        while (done < total) {
-            ssize_t n = ::write(wfd, bytes + done, total - done);
-            if (n <= 0) {
-                ::close(wfd);
-                ::unlink(tmp.c_str());
-                return nullptr;
-            }
-            done += static_cast<std::size_t>(n);
-        }
-        ::fsync(wfd);
-        ::close(wfd);
-        if (::rename(tmp.c_str(), path.c_str()) != 0) {
-            ::unlink(tmp.c_str());
-            return nullptr;
-        }
-        int rfd = ::open(path.c_str(), O_RDONLY);
-        if (rfd < 0) {
-            ::unlink(path.c_str());
-            return nullptr;
-        }
-        auto spill = std::unique_ptr<FrontierSpill>(new FrontierSpill);
-        spill->path_ = std::move(path);
-        spill->fd_ = rfd;
-        spill->words_ = words;
-        return spill;
-    }
-
-    ~FrontierSpill()
-    {
-        if (fd_ >= 0)
-            ::close(fd_);
-        if (!path_.empty())
-            ::unlink(path_.c_str());
-    }
-
-    FrontierSpill(const FrontierSpill&) = delete;
-    FrontierSpill& operator=(const FrontierSpill&) = delete;
-
-    std::size_t words() const { return words_; }
-    std::size_t bytes() const { return words_ * sizeof(std::uint32_t); }
-
-    bool
-    readWords(std::size_t word_off, std::size_t nwords,
-              std::uint32_t* out) const
-    {
-        char* dst = reinterpret_cast<char*>(out);
-        std::size_t total = nwords * sizeof(std::uint32_t);
-        std::size_t off = word_off * sizeof(std::uint32_t);
-        std::size_t done = 0;
-        while (done < total) {
-            ssize_t n = ::pread(fd_, dst + done, total - done,
-                                static_cast<off_t>(off + done));
-            if (n <= 0)
-                return false;
-            done += static_cast<std::size_t>(n);
-        }
-        return true;
-    }
-
-  private:
-    FrontierSpill() = default;
-
-    std::string path_;
-    int fd_ = -1;
-    std::size_t words_ = 0;
-};
-
-}  // namespace detail
 
 InputDomain
 InputDomain::uniform(const DenotedModule& mod, std::vector<Token> tokens)
@@ -155,7 +43,7 @@ fnv1a64(std::uint64_t h, const std::string& s)
 /** Hash of an encoded state: FNV over the pool-id row plus budget.
  * Pool ids are canonical (worklist-order interning), so this hash —
  * and everything derived from it, including index shard assignment —
- * is identical across runs and across park/resume. */
+ * is identical across runs. */
 std::uint64_t
 hashRow(const std::uint32_t* row, std::size_t width,
         std::uint32_t budget)
@@ -267,11 +155,6 @@ struct Succ
 
 }  // namespace
 
-StateSpace::StateSpace() = default;
-StateSpace::~StateSpace() = default;
-StateSpace::StateSpace(StateSpace&&) noexcept = default;
-StateSpace& StateSpace::operator=(StateSpace&&) noexcept = default;
-
 Result<StateSpace>
 StateSpace::explore(const DenotedModule& mod, const InputDomain& domain,
                     const ExplorationLimits& limits)
@@ -294,8 +177,6 @@ StateSpace::explorePartial(const DenotedModule& mod,
                            const ExplorationLimits& limits)
 {
     StateSpace space;
-    space.stop_ = limits.stop;
-    space.spill_cap_bytes_ = limits.spill_bytes;
     space.in_ports_ = mod.inputNames();
     space.out_ports_ = mod.outputNames();
     for (const LowPortId& port : space.in_ports_) {
@@ -312,62 +193,36 @@ StateSpace::explorePartial(const DenotedModule& mod,
     space.int_off_.push_back(0);
     space.in_off_.push_back(0);
     space.out_off_.push_back(0);
-    space.refreshFrontier();
-
-    Result<bool> expanded = space.expand(
-        mod, std::max<std::size_t>(1, limits.max_states));
-    if (!expanded.ok())
-        return expanded.error();
+    space.expand(mod, limits);
     return space;
 }
 
-Result<bool>
-StateSpace::resume(const DenotedModule& mod,
-                   std::size_t additional_states)
-{
-    if (complete())
-        return true;
-    GRAPHITI_OBS_COUNT("refine.resumes", 1);
-    GRAPHITI_OBS_VPROBE(recordResume());
-    return expand(mod, numStates() + additional_states);
-}
-
-Result<bool>
-StateSpace::expand(const DenotedModule& mod, std::size_t max_states)
+void
+StateSpace::expand(const DenotedModule& mod,
+                   const ExplorationLimits& limits)
 {
     GRAPHITI_OBS_TIMER(obs_timer, "refine.explore_seconds");
-    // A parked space may hold its cold frontier rows on disk; page
-    // them back before anything dereferences rows_.
-    Result<bool> paged = pageBackSpill();
-    if (!paged.ok())
-        return paged;
-    std::size_t states_before = numStates();
+    const std::size_t max_states =
+        std::max<std::size_t>(1, limits.max_states);
+    const std::size_t states_before = numStates();
     auto obs_start = std::chrono::steady_clock::now();
     obs::VerifyProbe* probe = nullptr;
     if (obs::Scope* obs_scope = obs::current())
         probe = obs_scope->verifyProbe();
-    // Rebuild the dedup index from the interned states; a parked
-    // partial space carries no index, only its frontier. Reserve for
-    // the whole run up front (capped — max_states defaults large).
+    // The dedup index lives only for this pass: a parked partial space
+    // carries no index, only its frontier. Reserve for the whole run
+    // up front (capped — max_states defaults large).
     ShardedStateIndex index;
-    index.reserve(std::max(numStates(),
-                           std::min<std::size_t>(max_states, 1 << 16)));
-    for (std::uint32_t i = 0;
-         i < static_cast<std::uint32_t>(numStates()); ++i)
-        index.insert(
-            hashRow(rows_.data() + std::size_t{i} * width_, width_,
-                    budget_[i]),
-            i);
-
-    frontier_.clear();
+    index.reserve(std::min<std::size_t>(max_states, 1 << 16));
+    index.insert(hashRow(row(0).data(), width_, budget_[0]), 0);
 
     // Does interned state @p id match the probe row + budget?
-    auto rowEq = [&](std::uint32_t id, const std::uint32_t* row,
+    auto rowEq = [&](std::uint32_t id, const std::uint32_t* probe_row,
                      std::uint32_t budget) {
         if (budget_[id] != budget)
             return false;
-        const std::uint32_t* r = rows_.data() + std::size_t{id} * width_;
-        return std::equal(r, r + width_, row);
+        std::span<const std::uint32_t> r = row(id);
+        return std::equal(r.begin(), r.end(), probe_row);
     };
 
     bool capped = false;
@@ -517,18 +372,16 @@ StateSpace::expand(const DenotedModule& mod, std::size_t max_states)
         return true;
     };
 
-    stopped_ = false;
-    stop_reason_.clear();
     // States are interned in ascending id order and expanded FIFO, so
     // the pending set is always the contiguous range
     // [expanded_, numStates()).
     std::size_t expanded_since_publish = 0;
     while (expanded_ < numStates() && !capped) {
         // Cooperative cancellation: leave the state unexpanded, like a
-        // cap, so the space stays resumable + edge-exact.
-        if (stop_.stopRequested()) {
+        // cap, so the space stays edge-exact.
+        if (limits.stop.stopRequested()) {
             stopped_ = true;
-            stop_reason_ = stop_.reason();
+            stop_reason_ = limits.stop.reason();
             break;
         }
         std::vector<Succ> succs = enumerate(expanded_);
@@ -538,7 +391,9 @@ StateSpace::expand(const DenotedModule& mod, std::size_t max_states)
             obs_publish();
         }
     }
-    refreshFrontier();
+    for (std::uint32_t id = expanded_;
+         id < static_cast<std::uint32_t>(numStates()); ++id)
+        frontier_.push_back(id);
 
     obs_publish();
     if (!frontier_.empty()) {
@@ -566,99 +421,16 @@ StateSpace::expand(const DenotedModule& mod, std::size_t max_states)
                 static_cast<double>(grown) / seconds);
     }
 
-    // Cold frontier rows past the byte cap park on disk until the
-    // next expand() pages them back. Memory policy only — happens
-    // after the fingerprint-visible state is final.
-    maybeSpill();
-
-    // Memoized closures may predate the new edges; recompute lazily.
+    // Weak closures are memoized on first use, one slot per state.
     closure_.assign(numStates(), std::nullopt);
-    return true;
-}
-
-void
-StateSpace::refreshFrontier()
-{
-    frontier_.clear();
-    for (std::uint32_t id = expanded_;
-         id < static_cast<std::uint32_t>(numStates()); ++id)
-        frontier_.push_back(id);
-}
-
-void
-StateSpace::maybeSpill()
-{
-    if (spill_cap_bytes_ == 0 || width_ == 0 || complete())
-        return;
-    std::size_t row_bytes = std::size_t{width_} * sizeof(std::uint32_t);
-    std::size_t pending = numStates() - expanded_;
-    if (pending * row_bytes <= spill_cap_bytes_)
-        return;
-    // Keep the hottest rows (expanded first on resume) up to the cap;
-    // spill the cold tail.
-    std::size_t keep = spill_cap_bytes_ / row_bytes;
-    std::uint32_t cut =
-        expanded_ + static_cast<std::uint32_t>(keep);
-    std::size_t words = (numStates() - cut) * std::size_t{width_};
-    auto spill =
-        detail::FrontierSpill::create(
-            rows_.data() + std::size_t{cut} * width_, words);
-    if (spill == nullptr)
-        return;  // I/O trouble: degrade to keeping rows in RAM.
-    spill_ = std::move(spill);
-    spill_start_ = cut;
-    rows_.resize(std::size_t{cut} * width_);
-    spill_stats_.spills += 1;
-    spill_stats_.spilled_bytes += words * sizeof(std::uint32_t);
-    GRAPHITI_OBS_COUNT("refine.spills", 1);
-    GRAPHITI_OBS_COUNT("refine.spilled_bytes",
-                       static_cast<std::int64_t>(
-                           words * sizeof(std::uint32_t)));
-}
-
-Result<bool>
-StateSpace::pageBackSpill()
-{
-    if (spill_ == nullptr)
-        return true;
-    std::size_t words = spill_->words();
-    std::size_t base = rows_.size();
-    rows_.resize(base + words);
-    if (!spill_->readWords(0, words, rows_.data() + base)) {
-        rows_.resize(base);
-        return err("failed to page back spilled frontier rows");
-    }
-    spill_stats_.pages_in += 1;
-    spill_stats_.paged_in_bytes += words * sizeof(std::uint32_t);
-    GRAPHITI_OBS_COUNT("refine.spill_pages_in", 1);
-    spill_.reset();
-    spill_start_ = 0;
-    return true;
-}
-
-void
-StateSpace::readRow(std::uint32_t s, std::uint32_t* out) const
-{
-    if (spill_ == nullptr || s < spill_start_) {
-        const std::uint32_t* r = rows_.data() + std::size_t{s} * width_;
-        std::copy(r, r + width_, out);
-        return;
-    }
-    std::size_t off = std::size_t{s - spill_start_} * width_;
-    if (!spill_->readWords(off, width_, out))
-        throw std::runtime_error(
-            "spilled frontier row unreadable for state " +
-            std::to_string(s));
 }
 
 GraphState
 StateSpace::decodeState(std::uint32_t s) const
 {
-    std::vector<std::uint32_t> row(width_);
-    readRow(s, row.data());
     GraphState state;
     state.comps.reserve(width_);
-    for (std::uint32_t id : row)
+    for (std::uint32_t id : row(s))
         state.comps.push_back(pool_.value(id));
     return state;
 }
@@ -666,18 +438,15 @@ StateSpace::decodeState(std::uint32_t s) const
 std::vector<std::uint32_t>
 StateSpace::encodedRow(std::uint32_t s) const
 {
-    std::vector<std::uint32_t> row(width_);
-    readRow(s, row.data());
-    return row;
+    std::span<const std::uint32_t> r = row(s);
+    return {r.begin(), r.end()};
 }
 
 std::size_t
 StateSpace::tokensInFlight(std::uint32_t s) const
 {
-    std::vector<std::uint32_t> row(width_);
-    readRow(s, row.data());
     std::size_t n = 0;
-    for (std::uint32_t id : row)
+    for (std::uint32_t id : row(s))
         n += pool_.tokensOf(id);
     return n;
 }
@@ -766,14 +535,7 @@ StateSpace::breakdown() const
               int_flat_.size() * sizeof(std::uint32_t) +
               in_flat_.size() * sizeof(InputEdge) +
               out_flat_.size() * sizeof(OutputEdge);
-    b.spill = spillBytes();
     return b;
-}
-
-std::size_t
-StateSpace::spillBytes() const
-{
-    return spill_ == nullptr ? 0 : spill_->bytes();
 }
 
 std::string

@@ -107,9 +107,12 @@ jobRequestFromJson(const obs::json::Value& v)
         return err("request must be a JSON object");
     JobRequest request;
     const json::Value* id = v.find("id");
-    if (id == nullptr || !id->isNumber() || id->asNumber() < 0)
-        return err("request \"id\" must be a non-negative number");
-    request.id = static_cast<std::uint64_t>(id->asNumber());
+    if (id == nullptr)
+        return err("request has no \"id\"");
+    Result<std::uint64_t> request_id = json::exactCount(*id);
+    if (!request_id.ok())
+        return request_id.error().context("request \"id\"");
+    request.id = request_id.value();
     const json::Value* job = v.find("job");
     if (job == nullptr)
         return err("request has no \"job\"");
@@ -162,9 +165,12 @@ jobResponseFromJson(const obs::json::Value& v)
         return err("response must be a JSON object");
     JobResponse response;
     const json::Value* id = v.find("id");
-    if (id == nullptr || !id->isNumber())
-        return err("response \"id\" must be a number");
-    response.id = static_cast<std::uint64_t>(id->asNumber());
+    if (id == nullptr)
+        return err("response has no \"id\"");
+    Result<std::uint64_t> response_id = json::exactCount(*id);
+    if (!response_id.ok())
+        return response_id.error().context("response \"id\"");
+    response.id = response_id.value();
     const json::Value* job_id = v.find("job_id");
     if (job_id != nullptr && job_id->isString())
         response.job_id = job_id->asString();

@@ -105,10 +105,10 @@ TEST(VerifyProbe, ProgressJsonKeysAreSorted)
         "alive",      "deadline_remaining_s",
         "frontier",   "pairs",
         "parks",      "peak_bytes",
-        "phase",      "resumes",
-        "round",      "rung",
-        "samples",    "states",
-        "states_cap_pct", "states_per_second"};
+        "phase",      "round",
+        "rung",       "samples",
+        "states",     "states_cap_pct",
+        "states_per_second"};
     std::size_t pos = 0;
     for (const std::string& key : keys) {
         std::size_t at = dump.find("\"" + key + "\"");
@@ -178,7 +178,7 @@ TEST(VerifyTelemetry, PeakBytesStableAcrossRuns)
     EXPECT_GT(first.peak_bytes, 0u);
 }
 
-TEST(VerifyTelemetry, ParkAndResumeReachTheProbe)
+TEST(VerifyTelemetry, ParkReachesTheProbe)
 {
     auto scope = std::make_shared<obs::Scope>();
     auto probe = std::make_shared<obs::VerifyProbe>();
@@ -195,18 +195,22 @@ TEST(VerifyTelemetry, ParkAndResumeReachTheProbe)
     ASSERT_TRUE(parked.ok()) << parked.error().message;
     ASSERT_FALSE(parked.value().complete());
 
+    // The park a `--watch-job` poller tails: counted once, with the
+    // parked space's final state and frontier sizes.
     obs::VerifyProgress at_park = probe->snapshot();
-    StateSpace space = parked.take();
-    ASSERT_TRUE(space.resume(mod, 100000).ok());
-    EXPECT_TRUE(space.complete());
-    obs::VerifyProgress at_resume = probe->snapshot();
-
-    // The park -> resume transition a `--watch-job` poller tails.
     EXPECT_EQ(at_park.parks, 1u);
-    EXPECT_EQ(at_park.resumes, 0u);
-    EXPECT_EQ(at_resume.parks, 1u);
-    EXPECT_EQ(at_resume.resumes, 1u);
-    EXPECT_GT(at_resume.states, at_park.states);
+    EXPECT_EQ(at_park.states, parked.value().numStates());
+    EXPECT_EQ(at_park.frontier, parked.value().pendingFrontier().size());
+
+    // A complete exploration publishes more states and parks nothing.
+    Result<StateSpace> full = StateSpace::explorePartial(
+        mod, domain, {.max_states = 100000, .input_budget = 3});
+    ASSERT_TRUE(full.ok()) << full.error().message;
+    ASSERT_TRUE(full.value().complete());
+    obs::VerifyProgress at_full = probe->snapshot();
+    EXPECT_EQ(at_full.parks, 1u);
+    EXPECT_EQ(at_full.frontier, 0u);
+    EXPECT_GT(at_full.states, at_park.states);
 }
 
 // ---------------------------------------------------------------------

@@ -9,13 +9,14 @@
  * benchmark's governed verdict, on optimistic partial spaces and on
  * instances that need several kill rounds. Plus the verification
  * cache (hit on an unchanged circuit, miss after mutating one node,
- * JSON file persistence), StopToken cancellation parking a resumable
- * frontier, cancellation fired from another thread, and the simulator
- * worklist against the full sweep.
+ * JSON file persistence), capped or StopToken-parked spaces being
+ * exact prefixes of the one-shot space, cancellation fired from
+ * another thread, and the simulator worklist against the full sweep.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <optional>
@@ -383,69 +384,116 @@ benchGcdPairs()
 }
 
 // ---------------------------------------------------------------------
-// Exploration: park/resume and cancellation.
+// Exploration: a parked space is a prefix of the one-shot space.
 // ---------------------------------------------------------------------
 
-TEST(ParallelExplore, ParkedFrontierResumesToTheOneShotSpace)
+/**
+ * @p part must be the one-shot space @p full cut at part.numStates():
+ * same budgets and pool-id rows for every state, identical internal,
+ * input and output edges for every expanded state, no edges on the
+ * rest, and that rest — [expanded, numStates()) — as its pending
+ * frontier. A space parked by the cap (not the stop token) must also
+ * have stopped exactly where the next expansion needed a new state.
+ */
+void
+expectPrefixOf(const StateSpace& part, const StateSpace& full,
+               const std::string& what)
 {
-    GcdInstance gcd;
-    InputDomain domain = InputDomain::uniform(gcd.impl, gcdPairs());
-
-    ExplorationLimits one_shot;
-    one_shot.max_states = 400000;
-    one_shot.input_budget = 2;
-    Result<StateSpace> full =
-        StateSpace::explore(gcd.impl, domain, one_shot);
-    ASSERT_TRUE(full.ok()) << full.error().message;
-
-    ExplorationLimits capped = one_shot;
-    capped.max_states = 90;
-    Result<StateSpace> partial =
-        StateSpace::explorePartial(gcd.impl, domain, capped);
-    ASSERT_TRUE(partial.ok()) << partial.error().message;
-    ASSERT_FALSE(partial.value().complete());
-    StateSpace space = partial.take();
-    while (!space.complete()) {
-        Result<bool> more = space.resume(gcd.impl, 200);
-        ASSERT_TRUE(more.ok()) << more.error().message;
+    ASSERT_TRUE(full.complete()) << what;
+    ASSERT_LE(part.numStates(), full.numStates()) << what;
+    const auto n = static_cast<std::uint32_t>(part.numStates());
+    const auto expanded =
+        n - static_cast<std::uint32_t>(part.pendingFrontier().size());
+    for (std::uint32_t s = 0; s < n; ++s) {
+        ASSERT_EQ(part.budget(s), full.budget(s)) << what << " " << s;
+        ASSERT_EQ(part.encodedRow(s), full.encodedRow(s))
+            << what << " " << s;
+        if (s >= expanded) {
+            EXPECT_TRUE(part.internalEdges(s).empty() &&
+                        part.inputEdges(s).empty() &&
+                        part.outputEdges(s).empty())
+                << what << " pending " << s;
+            continue;
+        }
+        auto ints = part.internalEdges(s);
+        auto full_ints = full.internalEdges(s);
+        ASSERT_TRUE(std::equal(ints.begin(), ints.end(),
+                               full_ints.begin(), full_ints.end()))
+            << what << " internal edges of " << s;
+        auto ins = part.inputEdges(s);
+        auto full_ins = full.inputEdges(s);
+        ASSERT_EQ(ins.size(), full_ins.size()) << what << " " << s;
+        for (std::size_t e = 0; e < ins.size(); ++e)
+            ASSERT_TRUE(ins[e].port_idx == full_ins[e].port_idx &&
+                        ins[e].token_idx == full_ins[e].token_idx &&
+                        ins[e].dst == full_ins[e].dst)
+                << what << " input edge " << e << " of " << s;
+        auto outs = part.outputEdges(s);
+        auto full_outs = full.outputEdges(s);
+        ASSERT_EQ(outs.size(), full_outs.size()) << what << " " << s;
+        for (std::size_t e = 0; e < outs.size(); ++e)
+            ASSERT_TRUE(outs[e].port_idx == full_outs[e].port_idx &&
+                        outs[e].token == full_outs[e].token &&
+                        outs[e].dst == full_outs[e].dst)
+                << what << " output edge " << e << " of " << s;
     }
-    EXPECT_EQ(space.numStates(), full.value().numStates());
-    EXPECT_EQ(space.fingerprint(), full.value().fingerprint());
+    std::vector<std::uint32_t> pending;
+    for (std::uint32_t s = expanded; s < n; ++s)
+        pending.push_back(s);
+    EXPECT_EQ(part.pendingFrontier(), pending) << what;
+    if (!part.stopped() && !part.complete()) {
+        // The cap fired on the first pending state: one of its
+        // successors is a state the partial space had no room for.
+        bool needs_new_state = false;
+        for (std::uint32_t dst : full.internalEdges(expanded))
+            needs_new_state |= dst >= n;
+        for (const auto& e : full.inputEdges(expanded))
+            needs_new_state |= e.dst >= n;
+        for (const auto& e : full.outputEdges(expanded))
+            needs_new_state |= e.dst >= n;
+        EXPECT_TRUE(needs_new_state) << what;
+    }
 }
 
-TEST(ParallelExplore, StopTokenParksResumableFrontier)
+TEST(ParallelExplore, ParkedSpaceIsAPrefixOfTheOneShotSpace)
 {
     GcdInstance gcd;
-    InputDomain domain = InputDomain::uniform(gcd.impl, gcdPairs());
+    for (const DenotedModule* mod : {&gcd.impl, &gcd.spec}) {
+        const std::string side = mod == &gcd.impl ? "impl" : "spec";
+        InputDomain domain = InputDomain::uniform(*mod, gcdPairs());
+        ExplorationLimits one_shot;
+        one_shot.max_states = 400000;
+        one_shot.input_budget = 2;
+        Result<StateSpace> full =
+            StateSpace::explore(*mod, domain, one_shot);
+        ASSERT_TRUE(full.ok()) << full.error().message;
 
-    StopToken stop;
-    stop.requestStop("test cancellation");
-    ExplorationLimits limits;
-    limits.max_states = 400000;
-    limits.input_budget = 2;
-    limits.stop = stop;
-    Result<StateSpace> parked =
-        StateSpace::explorePartial(gcd.impl, domain, limits);
-    ASSERT_TRUE(parked.ok()) << parked.error().message;
-    ASSERT_TRUE(parked.value().stopped());
-    EXPECT_EQ(parked.value().stopReason(), "test cancellation");
-    ASSERT_FALSE(parked.value().pendingFrontier().empty());
+        for (std::size_t cap : {1, 4, 90}) {
+            ExplorationLimits capped = one_shot;
+            capped.max_states = cap;
+            Result<StateSpace> partial =
+                StateSpace::explorePartial(*mod, domain, capped);
+            ASSERT_TRUE(partial.ok()) << partial.error().message;
+            ASSERT_FALSE(partial.value().complete());
+            EXPECT_EQ(partial.value().numStates(), cap);
+            expectPrefixOf(partial.value(), full.value(),
+                           side + " cap " + std::to_string(cap));
+        }
 
-    // Clear the token and resume to completion: the final space is
-    // exactly the one-shot space.
-    StateSpace space = parked.take();
-    space.setStopToken({});
-    while (!space.complete()) {
-        Result<bool> more = space.resume(gcd.impl, 100000);
-        ASSERT_TRUE(more.ok()) << more.error().message;
+        StopToken stop;
+        stop.requestStop("test cancellation");
+        ExplorationLimits stopped = one_shot;
+        stopped.stop = stop;
+        Result<StateSpace> parked =
+            StateSpace::explorePartial(*mod, domain, stopped);
+        ASSERT_TRUE(parked.ok()) << parked.error().message;
+        ASSERT_TRUE(parked.value().stopped());
+        EXPECT_EQ(parked.value().stopReason(), "test cancellation");
+        // A token fired before the first expansion parks the initial
+        // state, un-expanded, as the whole frontier.
+        EXPECT_EQ(parked.value().numStates(), 1u);
+        expectPrefixOf(parked.value(), full.value(), side + " stopped");
     }
-    ExplorationLimits one_shot;
-    one_shot.max_states = 400000;
-    one_shot.input_budget = 2;
-    Result<StateSpace> full =
-        StateSpace::explore(gcd.impl, domain, one_shot);
-    ASSERT_TRUE(full.ok()) << full.error().message;
-    EXPECT_EQ(space.fingerprint(), full.value().fingerprint());
 }
 
 // ---------------------------------------------------------------------
@@ -749,16 +797,14 @@ TEST(VerifyCache, FilePersistenceRoundTrips)
     std::filesystem::remove_all(config.dir);
 }
 
-TEST(VerifyCache, KeyIgnoresSpillBytesAndTracksBudget)
+TEST(VerifyCache, KeyTracksBudget)
 {
     ExprHigh gcd = circuits::buildGcdInOrder();
     std::vector<Token> tokens = {Token(Value(0)), Token(Value(1))};
     guard::VerificationBudget a;
-    guard::VerificationBudget b = a;
-    b.spill_bytes = 1 << 20;  // memory policy: verdicts are unchanged
     EXPECT_EQ(
         guard::verificationCacheKey(gcd, gcd, a, tokens),
-        guard::verificationCacheKey(gcd, gcd, b, tokens));
+        guard::verificationCacheKey(gcd, gcd, a, tokens));
 
     guard::VerificationBudget c = a;
     c.max_states = a.max_states / 2;  // different assurance: new key
@@ -982,11 +1028,11 @@ TEST(SimSchedule, WideFarmMatchesRecordedDigest)
 // Cancellation races: a second thread fires the token while the
 // exploration / simulation is in flight. The staggered delays sweep
 // the cancel point across the run; every landing spot must be clean —
-// a parked-and-resumable frontier or a structured "cancelled" error,
-// never a crash, a hang, or a corrupted verdict afterwards.
+// a parked prefix of the one-shot space or a structured "cancelled"
+// error, never a crash, a hang, or a corrupted verdict afterwards.
 // ---------------------------------------------------------------------
 
-TEST(ParallelCancel, RacingCancelMidExploreParksThenResumesToOneShot)
+TEST(ParallelCancel, RacingCancelMidExploreParksAPrefixOfOneShot)
 {
     GcdInstance gcd;
     InputDomain domain = InputDomain::uniform(gcd.impl, gcdPairs());
@@ -1012,24 +1058,17 @@ TEST(ParallelCancel, RacingCancelMidExploreParksThenResumesToOneShot)
         canceller.join();
         ASSERT_TRUE(raced.ok())
             << "lag " << lag_us << ": " << raced.error().message;
-        StateSpace space = raced.take();
-        if (space.stopped()) {
-            EXPECT_EQ(space.stopReason(), "racing cancel");
-            // The parked frontier resumes — with the token cleared —
-            // to exactly the one-shot space.
-            space.setStopToken({});
-            while (!space.complete()) {
-                Result<bool> more = space.resume(gcd.impl, 100000);
-                ASSERT_TRUE(more.ok()) << more.error().message;
-            }
-        }
+        const StateSpace& space = raced.value();
         // Whether the cancel landed mid-flight or after the finish
-        // line, the final space is the one-shot space, byte for byte.
-        ASSERT_TRUE(space.complete()) << "lag " << lag_us;
-        EXPECT_EQ(space.numStates(), full.value().numStates())
-            << "lag " << lag_us;
-        EXPECT_EQ(space.fingerprint(), full.value().fingerprint())
-            << "lag " << lag_us;
+        // line, the space is the one-shot space cut where the token
+        // was seen — the whole of it when the token came too late.
+        if (space.stopped())
+            EXPECT_EQ(space.stopReason(), "racing cancel");
+        else
+            EXPECT_EQ(space.fingerprint(), full.value().fingerprint())
+                << "lag " << lag_us;
+        expectPrefixOf(space, full.value(),
+                       "lag " + std::to_string(lag_us));
     }
 }
 

@@ -215,41 +215,6 @@ TEST(TraceSinkRing, CapacityDropsOldest)
     EXPECT_NE(dump.find("\"ts\":99"), std::string::npos);
 }
 
-TEST(TraceSinkRing, SpillFileKeepsFullDocument)
-{
-    std::string dir = ::testing::TempDir();
-    std::string spill = dir + "/graphiti_spill.jsonl";
-    std::string out = dir + "/graphiti_trace.json";
-
-    obs::PerfettoTraceSink sink;
-    sink.setCapacity(8);
-    Result<bool> set = sink.setSpillFile(spill);
-    ASSERT_TRUE(set.ok()) << set.error().message;
-    for (std::size_t i = 0; i < 100; ++i)
-        sink.event(fireRecord(i));
-    EXPECT_EQ(sink.droppedEvents(), 0u);
-    EXPECT_GT(sink.spilledEvents(), 0u);
-    ASSERT_TRUE(sink.writeFile(out).ok());
-
-    // The stitched document is valid JSON containing every event.
-    std::string text;
-    {
-        FILE* f = fopen(out.c_str(), "rb");
-        ASSERT_NE(f, nullptr);
-        char buf[4096];
-        std::size_t n;
-        while ((n = fread(buf, 1, sizeof buf, f)) > 0)
-            text.append(buf, n);
-        fclose(f);
-    }
-    Result<json::Value> parsed = json::parse(text);
-    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
-    const json::Value* events = parsed.value().find("traceEvents");
-    ASSERT_NE(events, nullptr);
-    ASSERT_TRUE(events->isArray());
-    EXPECT_EQ(events->asArray().size(), 101u);
-}
-
 // ------------------------------------- stress failure artifacts
 
 TEST(StressArtifact, RendersDiagnosisMetricsAndHopTail)

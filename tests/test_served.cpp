@@ -8,7 +8,10 @@
  *   - byte identity: a verdict served by the daemon is byte-identical
  *     to the one the same request produces in-process through
  *     Compiler::compileGraph, benchmark by benchmark; a request still
- *     carrying the retired "threads" option gets the same verdict;
+ *     carrying the retired "threads" option or frontier spill cap
+ *     gets the same verdict and cache key;
+ *   - wire integers: ids and budget counts that are not exact
+ *     non-negative integers are rejected, never cast;
  *   - overload honesty: a flood beyond queue capacity sheds with
  *     status "rejected" and a retry_after hint — nothing hangs,
  *     nothing is silently dropped;
@@ -225,6 +228,42 @@ TEST(ServedProtocol, RequestAndResponseJsonRoundTrip)
     EXPECT_FALSE(response_back.value().ok());
 }
 
+TEST(ServedProtocol, InexactIntegersAreRejectedNotCast)
+{
+    // A double cast to an integer wraps or truncates: 1e300 would
+    // become 0 ("full check skipped"), 2.5 would become 2, and 2^53+1
+    // already parses as 2^53. Each must be an error instead.
+    for (const char* bad :
+         {"1e300", "2.5", "9007199254740993", "-1", "\"7\"", "null"}) {
+        std::string text = bad;
+        Result<obs::json::Value> options = obs::json::parse(
+            "{\"budget\":{\"max_states\":" + text + "}}");
+        ASSERT_TRUE(options.ok()) << text;
+        EXPECT_FALSE(compileOptionsFromJson(options.value()).ok())
+            << "budget max_states " << text;
+
+        Result<obs::json::Value> request = obs::json::parse(
+            "{\"id\":" + text + ",\"job\":{\"kind\":\"ping\"}}");
+        ASSERT_TRUE(request.ok()) << text;
+        EXPECT_FALSE(served::jobRequestFromJson(request.value()).ok())
+            << "request id " << text;
+
+        Result<obs::json::Value> response = obs::json::parse(
+            "{\"id\":" + text + ",\"status\":\"ok\"}");
+        ASSERT_TRUE(response.ok()) << text;
+        EXPECT_FALSE(served::jobResponseFromJson(response.value()).ok())
+            << "response id " << text;
+    }
+    // The largest exact count still parses, unchanged.
+    Result<obs::json::Value> edge = obs::json::parse(
+        "{\"id\":9007199254740991,\"job\":{\"kind\":\"ping\"}}");
+    ASSERT_TRUE(edge.ok());
+    Result<served::JobRequest> request =
+        served::jobRequestFromJson(edge.value());
+    ASSERT_TRUE(request.ok()) << request.error().message;
+    EXPECT_EQ(request.value().id, 9007199254740991u);
+}
+
 // ---------------------------------------------------------------------
 // Backoff.
 // ---------------------------------------------------------------------
@@ -395,7 +434,7 @@ TEST(ServedVerdictStore, PersistsWriteThroughAndReloads)
         store.store(5, syntheticVerdict(5));
         store.store(std::uint64_t{1} << 48,
                     syntheticVerdict(6));  // lands in the other shard
-        // No explicit save: persist_on_store already wrote through.
+        // Every store() already wrote its shard through.
     }
     guard::VerdictStore reloaded(config);
     Result<std::size_t> loaded = reloaded.load();
@@ -514,14 +553,44 @@ TEST(ServedVerifyCache, AtomicSaveLeavesNoTempFile)
 {
     guard::VerdictStoreConfig config =
         freshStoreConfig("verdict-store-atomic");
-    config.persist_on_store = false;  // only the explicit save writes
     guard::VerdictStore store(config);
-    store.store(7, syntheticVerdict(7));
     std::string path = config.dir + "/verdicts-0.json";
     EXPECT_FALSE(std::ifstream(path).good());
-    ASSERT_TRUE(store.save().ok());
+    store.store(7, syntheticVerdict(7));
     EXPECT_TRUE(std::ifstream(path).good());
     EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+}
+
+TEST(ServedVerifyCache, InexactCountInAnEntryIsCorrupt)
+{
+    // A shard file is read back from disk: a count that is not an
+    // exact non-negative integer makes its entry corrupt, exactly like
+    // any other malformed entry, instead of a silently cast count.
+    guard::VerdictStoreConfig config =
+        freshStoreConfig("verdict-store-inexact");
+    std::string entries =
+        "{\"key\":\"" + guard::formatCacheKey(42) + "\",\"verdict\":" +
+        syntheticVerdict(42).toJson().dump() + "}";
+    for (const char* bad : {"1e300", "2.5", "9007199254740993", "-1"}) {
+        entries += ",{\"key\":\"" + guard::formatCacheKey(43) +
+                   "\",\"verdict\":{\"level\":\"full\",\"ok\":true,"
+                   "\"game\":{\"impl_states\":" + bad + "}}}";
+        entries += ",{\"key\":\"" + guard::formatCacheKey(44) +
+                   "\",\"verdict\":{\"level\":\"full\",\"ok\":true,"
+                   "\"trace_walks_run\":" + bad + "}}";
+    }
+    {
+        std::ofstream out(config.dir + "/verdicts-0.json");
+        out << "{\"version\":1,\"entries\":[" << entries << "]}";
+    }
+    guard::VerdictStore store(config);
+    Result<std::size_t> loaded = store.load();
+    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+    EXPECT_EQ(loaded.value(), 1u);
+    EXPECT_EQ(store.stats().corrupt_entries, 8u);
+    EXPECT_TRUE(store.lookup(42).has_value());
+    EXPECT_FALSE(store.lookup(43).has_value());
+    EXPECT_FALSE(store.lookup(44).has_value());
 }
 
 TEST(ServedVerifyCache, FullDeviceWriteFailsLoudly)
@@ -728,6 +797,58 @@ TEST(ServedDaemon, VerdictsByteIdenticalToOneShotOnEveryBenchmark)
     daemon.stop();
 }
 
+/** Send @p job as request @p id over a fresh connection to the daemon
+ * at @p path; the "ok" response's result object. */
+obs::json::Value
+serveJob(const std::string& path, std::uint64_t id,
+         const obs::json::Value& job)
+{
+    Result<net::Socket> socket = net::connectUnix(path);
+    EXPECT_TRUE(socket.ok()) << socket.error().message;
+    if (!socket.ok())
+        return {};
+    served::JobRequest request;
+    request.id = id;
+    request.job = job;
+    EXPECT_TRUE(served::writeFrame(socket.value(),
+                                   request.toJson().dump(), 5000)
+                    .ok());
+    std::string payload;
+    Result<bool> got = served::readFrame(socket.value(), payload, 60000);
+    EXPECT_TRUE(got.ok() && got.value());
+    Result<obs::json::Value> parsed = obs::json::parse(payload);
+    EXPECT_TRUE(parsed.ok()) << parsed.error().message;
+    if (!parsed.ok())
+        return {};
+    Result<served::JobResponse> response =
+        served::jobResponseFromJson(parsed.value());
+    EXPECT_TRUE(response.ok()) << response.error().message;
+    if (!response.ok())
+        return {};
+    EXPECT_EQ(response.value().status, "ok") << response.value().error;
+    return response.value().result;
+}
+
+/** @p job with @p field set to @p value inside its options (or, with
+ * @p in_budget, inside options.budget). */
+obs::json::Value
+withLegacyField(obs::json::Value job, bool in_budget, const char* field,
+                obs::json::Value value)
+{
+    obs::json::Value options = *job.find("options");
+    if (in_budget) {
+        obs::json::Value budget = *options.find("budget");
+        EXPECT_EQ(budget.find(field), nullptr);
+        budget.set(field, std::move(value));
+        options.set("budget", std::move(budget));
+    } else {
+        EXPECT_EQ(options.find(field), nullptr);
+        options.set(field, std::move(value));
+    }
+    job.set("options", std::move(options));
+    return job;
+}
+
 TEST(ServedDaemon, RetiredThreadsOptionIsIgnoredOnTheWire)
 {
     // Older clients still send options.threads; unknown option keys
@@ -742,39 +863,46 @@ TEST(ServedDaemon, RetiredThreadsOptionIsIgnoredOnTheWire)
     JobSpec spec = verifySpec(gcdDot());
     spec.options.verify_cache = false;
     obs::json::Value job = spec.toJson();
-    ASSERT_EQ(job.find("options")->find("threads"), nullptr);
-    obs::json::Value legacy_job = job;
-    obs::json::Value options = *legacy_job.find("options");
-    options.set("threads", 8);
-    legacy_job.set("options", std::move(options));
+    obs::json::Value legacy_job = withLegacyField(job, false, "threads", 8);
+    obs::json::Value fresh = serveJob(path, 1, job);
+    obs::json::Value legacy = serveJob(path, 2, legacy_job);
+    ASSERT_NE(fresh.find("verdict"), nullptr);
+    ASSERT_NE(legacy.find("verdict"), nullptr);
+    EXPECT_EQ(legacy.find("verdict")->dump(2),
+              fresh.find("verdict")->dump(2));
+    daemon.stop();
+}
 
-    std::vector<std::string> verdicts;
-    for (const obs::json::Value* sent : {&job, &legacy_job}) {
-        Result<net::Socket> socket = net::connectUnix(path);
-        ASSERT_TRUE(socket.ok()) << socket.error().message;
-        served::JobRequest request;
-        request.id = verdicts.size() + 1;
-        request.job = *sent;
-        ASSERT_TRUE(served::writeFrame(socket.value(),
-                                       request.toJson().dump(), 5000)
-                        .ok());
-        std::string payload;
-        Result<bool> got =
-            served::readFrame(socket.value(), payload, 60000);
-        ASSERT_TRUE(got.ok() && got.value());
-        Result<obs::json::Value> parsed = obs::json::parse(payload);
-        ASSERT_TRUE(parsed.ok()) << parsed.error().message;
-        Result<served::JobResponse> response =
-            served::jobResponseFromJson(parsed.value());
-        ASSERT_TRUE(response.ok()) << response.error().message;
-        ASSERT_EQ(response.value().status, "ok")
-            << response.value().error;
-        const obs::json::Value* verdict =
-            response.value().result.find("verdict");
-        ASSERT_NE(verdict, nullptr);
-        verdicts.push_back(verdict->dump(2));
+TEST(ServedDaemon, RetiredSpillBytesBudgetFieldIsIgnoredOnTheWire)
+{
+    // Older clients may still send the retired frontier spill cap in
+    // options.budget; it parses, and the verdict JSON and the verify
+    // cache key are byte-identical to the same request without it.
+    std::string path = socketPath("retired-spill");
+    served::DaemonConfig config;
+    config.socket_path = path;
+    config.scheduler = schedulerConfig(1, 4);
+    served::Daemon daemon(config);
+    ASSERT_TRUE(daemon.start().ok());
+
+    JobSpec spec = verifySpec(gcdDot());
+    spec.options.verify_cache = false;
+    obs::json::Value job = spec.toJson();
+    obs::json::Value legacy_job =
+        withLegacyField(job, true, "spill_bytes", 1 << 20);
+    Result<JobSpec> parsed = jobSpecFromJson(legacy_job);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+    EXPECT_EQ(compileOptionsToJson(parsed.value().options).dump(),
+              compileOptionsToJson(spec.options).dump());
+
+    obs::json::Value fresh = serveJob(path, 1, job);
+    obs::json::Value legacy = serveJob(path, 2, legacy_job);
+    for (const char* key : {"verdict", "verify_cache_key"}) {
+        ASSERT_NE(fresh.find(key), nullptr) << key;
+        ASSERT_NE(legacy.find(key), nullptr) << key;
+        EXPECT_EQ(legacy.find(key)->dump(2), fresh.find(key)->dump(2))
+            << key;
     }
-    EXPECT_EQ(verdicts[1], verdicts[0]);
     daemon.stop();
 }
 

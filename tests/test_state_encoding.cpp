@@ -3,14 +3,11 @@
  * Equivalence tests of the compact state encoding (label: par).
  *
  * The exploration core stores interned pool-id rows + CSR edge tables
- * instead of deep GraphState copies, and can spill a parked frontier
- * to disk. None of that may be observable: this suite re-implements
- * the pre-encoding deep-state sequential BFS as a reference and
- * asserts fingerprints are byte-identical to it on the gcd instance
- * and on every table-2 benchmark; that governed verdict JSON and
- * counterexample text do not depend on the spill tier or on parking;
- * that park+resume under a tiny spill_bytes
- * reproduces the one-shot space — pool ids included; and that the
+ * instead of deep GraphState copies. None of that may be observable:
+ * this suite re-implements the pre-encoding deep-state sequential BFS
+ * as a reference and asserts fingerprints are byte-identical to it on
+ * the gcd instance and on every table-2 benchmark (parked frontiers
+ * included); that describeState decodes the pool; and that the
  * TokenQueue head-index pop is invisible to ==/hash()/toString().
  */
 
@@ -21,8 +18,6 @@
 
 #include "bench_circuits/benchmarks.hpp"
 #include "bench_circuits/gcd.hpp"
-#include "guard/governor.hpp"
-#include "refine/refinement.hpp"
 #include "refine/state_space.hpp"
 
 namespace graphiti {
@@ -301,58 +296,8 @@ TEST(EncodingEquivalence, EveryBenchmarkMatchesDeepReferenceParked)
 }
 
 // ---------------------------------------------------------------------
-// Verdicts, counterexamples, and describeState.
+// describeState.
 // ---------------------------------------------------------------------
-
-TEST(EncodingEquivalence, CounterexampleTextIdenticalAfterSpilledResume)
-{
-    // add vs mul genuinely fails; the counterexample text names state
-    // ids, so it must not depend on whether exploration parked,
-    // spilled its frontier and resumed.
-    Environment env(4);
-    ExprHigh add;
-    add.addNode("n", "operator", {{"op", "add"}});
-    add.bindInput(0, PortRef{"n", "in0"});
-    add.bindInput(1, PortRef{"n", "in1"});
-    add.bindOutput(0, PortRef{"n", "out0"});
-    ExprHigh mul;
-    mul.addNode("n", "operator", {{"op", "mul"}});
-    mul.bindInput(0, PortRef{"n", "in0"});
-    mul.bindInput(1, PortRef{"n", "in1"});
-    mul.bindOutput(0, PortRef{"n", "out0"});
-
-    std::vector<Token> tokens = {Token(Value(2)), Token(Value(3))};
-    auto report = checkGraphRefinement(
-        add, mul, env, tokens,
-        {.max_states = 10000, .input_budget = 2, .stop = {}});
-    ASSERT_TRUE(report.ok()) << report.error().message;
-    EXPECT_FALSE(report.value().refines);
-    ASSERT_FALSE(report.value().counterexample.empty());
-
-    auto resumed = [&](const ExprHigh& g) {
-        DenotedModule mod =
-            DenotedModule::denote(lowerToExprLow(g).value(), env).take();
-        StateSpace space =
-            StateSpace::explorePartial(
-                mod, InputDomain::uniform(mod, tokens),
-                {.max_states = 3,
-                 .input_budget = 2,
-                 .spill_bytes = 4,
-                 .stop = {}})
-                .take();
-        EXPECT_FALSE(space.complete());
-        while (!space.complete())
-            EXPECT_TRUE(space.resume(mod, 3).ok());
-        return space;
-    };
-    StateSpace impl = resumed(add);
-    StateSpace spec = resumed(mul);
-    EXPECT_GT(impl.spillStats().pages_in, 0u);
-    Result<RefinementReport> replayed = checkRefinementOnSpaces(impl, spec);
-    ASSERT_TRUE(replayed.ok()) << replayed.error().message;
-    EXPECT_EQ(replayed.value().counterexample,
-              report.value().counterexample);
-}
 
 TEST(EncodingEquivalence, DescribeStateDecodesThePool)
 {
@@ -375,125 +320,6 @@ TEST(EncodingEquivalence, DescribeStateDecodesThePool)
     ASSERT_GT(s.numStates(), 0u);
     std::size_t width = s.encodedRow(0).size();
     EXPECT_LT(s.pool().size(), s.numStates() * width / 4);
-}
-
-// ---------------------------------------------------------------------
-// Spill tier.
-// ---------------------------------------------------------------------
-
-TEST(SpillTier, ParkSpillsAndResumesToTheOneShotSpace)
-{
-    GcdInstance gcd;
-    InputDomain domain = InputDomain::uniform(gcd.impl, gcdPairs());
-
-    ExplorationLimits one_shot;
-    one_shot.max_states = 400000;
-    one_shot.input_budget = 2;
-    Result<StateSpace> full =
-        StateSpace::explore(gcd.impl, domain, one_shot);
-    ASSERT_TRUE(full.ok()) << full.error().message;
-
-    // Park under a tiny spill cap: the cold frontier rows must leave
-    // RAM for the spill file.
-    ExplorationLimits capped = one_shot;
-    capped.max_states = 90;
-    capped.spill_bytes = 256;
-    Result<StateSpace> partial =
-        StateSpace::explorePartial(gcd.impl, domain, capped);
-    ASSERT_TRUE(partial.ok()) << partial.error().message;
-    StateSpace space = partial.take();
-    ASSERT_FALSE(space.complete());
-    ASSERT_GT(space.spillBytes(), 0u);
-    EXPECT_EQ(space.spillStats().spills, 1u);
-    EXPECT_EQ(space.breakdown().spill, space.spillBytes());
-
-    // An identically-capped park without the spill tier: same
-    // fingerprint, same decoded states — the spill is pure memory
-    // policy, and spilled rows stay readable on demand.
-    ExplorationLimits no_spill = capped;
-    no_spill.spill_bytes = 0;
-    Result<StateSpace> resident =
-        StateSpace::explorePartial(gcd.impl, domain, no_spill);
-    ASSERT_TRUE(resident.ok()) << resident.error().message;
-    EXPECT_EQ(space.fingerprint(), resident.value().fingerprint());
-    EXPECT_GT(resident.value().approxBytes(), space.approxBytes());
-    std::uint32_t last =
-        static_cast<std::uint32_t>(space.numStates()) - 1;
-    EXPECT_EQ(space.describeState(last),
-              resident.value().describeState(last));
-    EXPECT_EQ(space.tokensInFlight(last),
-              resident.value().tokensInFlight(last));
-
-    // Resume pages the rows back and completes to the one-shot space.
-    while (!space.complete()) {
-        Result<bool> more = space.resume(gcd.impl, 200);
-        ASSERT_TRUE(more.ok()) << more.error().message;
-    }
-    EXPECT_EQ(space.spillBytes(), 0u);
-    EXPECT_GE(space.spillStats().pages_in, 1u);
-    EXPECT_EQ(space.spillStats().paged_in_bytes,
-              space.spillStats().spilled_bytes);
-    EXPECT_EQ(space.numStates(), full.value().numStates());
-    EXPECT_EQ(space.fingerprint(), full.value().fingerprint());
-}
-
-TEST(SpillTier, PoolIdsStableAcrossParkAndResume)
-{
-    GcdInstance gcd;
-    InputDomain domain = InputDomain::uniform(gcd.spec, gcdPairs());
-
-    ExplorationLimits one_shot;
-    one_shot.max_states = 400000;
-    one_shot.input_budget = 2;
-    Result<StateSpace> full =
-        StateSpace::explore(gcd.spec, domain, one_shot);
-    ASSERT_TRUE(full.ok()) << full.error().message;
-
-    ExplorationLimits capped = one_shot;
-    capped.max_states = 60;
-    capped.spill_bytes = 128;
-    Result<StateSpace> partial =
-        StateSpace::explorePartial(gcd.spec, domain, capped);
-    ASSERT_TRUE(partial.ok()) << partial.error().message;
-    StateSpace space = partial.take();
-    while (!space.complete()) {
-        Result<bool> more = space.resume(gcd.spec, 150);
-        ASSERT_TRUE(more.ok()) << more.error().message;
-    }
-    // Canonical interning: the resumed space assigned the exact pool
-    // ids the one-shot run did, for every state row.
-    ASSERT_EQ(space.numStates(), full.value().numStates());
-    EXPECT_EQ(space.pool().size(), full.value().pool().size());
-    for (std::uint32_t s = 0;
-         s < static_cast<std::uint32_t>(space.numStates()); ++s)
-        ASSERT_EQ(space.encodedRow(s), full.value().encodedRow(s))
-            << "state " << s;
-}
-
-TEST(SpillTier, GovernedVerdictByteIdenticalWithAndWithoutSpill)
-{
-    // Budgets that drive the ladder onto the BoundedPartial rung: the
-    // parked frontier then exceeds the tiny spill cap, so the whole
-    // game (including describeState reads for any counterexample)
-    // runs against a spilled space — and must not be able to tell.
-    GcdInstance gcd;
-    std::string base;
-    for (std::size_t spill : {std::size_t{0}, std::size_t{512}}) {
-        guard::VerificationBudget budget;
-        budget.max_states = 400;
-        budget.partial_max_states = 200;
-        budget.input_budget = 1;
-        budget.trace_walks = 2;
-        budget.spill_bytes = spill;
-        guard::Governor governor(budget);
-        guard::VerificationVerdict verdict = governor.verifyGraphs(
-            gcd.ooo, gcd.seq, gcd.env, gcdPairs());
-        std::string json = verdict.toJson().dump(2);
-        if (base.empty())
-            base = json;
-        else
-            EXPECT_EQ(json, base) << "spill=" << spill;
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -17,7 +17,7 @@
  * saturated or wedged. --watch polls the selected verb (default
  * stats) every --interval seconds, printing one JSON line per poll,
  * until interrupted. --watch-job ID tails one job's live verification
- * progress (states, frontier, game rounds, rung, parks/resumes) until
+ * progress (states, frontier, game rounds, rung, parks) until
  * the job leaves the live table.
  *
  * Usage:
@@ -73,8 +73,6 @@ usage(const char* argv0)
         "  --partial-states N  partial-exploration state cap\n"
         "  --input-budget N input tokens per explored execution\n"
         "  --trace-walks N  trace-inclusion walk count\n"
-        "  --spill-bytes N  frontier spill cap per exploration "
-        "(0 = off)\n"
         "  --stats          service counters, per-verb latency "
         "windows\n"
         "  --jobs           live job table (phase, deadline, rungs)\n"
@@ -176,8 +174,7 @@ main(int argc, char** argv)
                 return usage(argv[0]);
             interval_seconds = std::atof(v);
         } else if (arg == "--max-states" || arg == "--partial-states" ||
-                   arg == "--input-budget" || arg == "--trace-walks" ||
-                   arg == "--spill-bytes") {
+                   arg == "--input-budget" || arg == "--trace-walks") {
             const char* v = value();
             if (v == nullptr)
                 return usage(argv[0]);
@@ -188,8 +185,6 @@ main(int argc, char** argv)
                 budget.partial_max_states = n;
             else if (arg == "--input-budget")
                 budget.input_budget = n;
-            else if (arg == "--spill-bytes")
-                budget.spill_bytes = n;
             else
                 budget.trace_walks = n;
             budget_set = true;
