@@ -455,8 +455,11 @@ expectPrefixOf(const StateSpace& part, const StateSpace& full,
     }
 }
 
-TEST(ParallelExplore, ParkedSpaceIsAPrefixOfTheOneShotSpace)
+TEST(ParallelExplore, ParkedFrontierResumesToTheOneShotSpace)
 {
+    // A space parked at a cap is the one-shot space cut at the cap,
+    // so exploring again with more room carries its frontier on to
+    // exactly the one-shot space.
     GcdInstance gcd;
     for (const DenotedModule* mod : {&gcd.impl, &gcd.spec}) {
         const std::string side = mod == &gcd.impl ? "impl" : "spec";
@@ -476,9 +479,32 @@ TEST(ParallelExplore, ParkedSpaceIsAPrefixOfTheOneShotSpace)
             ASSERT_TRUE(partial.ok()) << partial.error().message;
             ASSERT_FALSE(partial.value().complete());
             EXPECT_EQ(partial.value().numStates(), cap);
+            ASSERT_FALSE(partial.value().pendingFrontier().empty());
             expectPrefixOf(partial.value(), full.value(),
                            side + " cap " + std::to_string(cap));
         }
+
+        Result<StateSpace> roomier =
+            StateSpace::explorePartial(*mod, domain, one_shot);
+        ASSERT_TRUE(roomier.ok()) << roomier.error().message;
+        ASSERT_TRUE(roomier.value().complete()) << side;
+        EXPECT_EQ(roomier.value().numStates(), full.value().numStates())
+            << side;
+        EXPECT_EQ(roomier.value().fingerprint(),
+                  full.value().fingerprint())
+            << side;
+    }
+}
+
+TEST(ParallelExplore, StopTokenParksResumableFrontier)
+{
+    GcdInstance gcd;
+    for (const DenotedModule* mod : {&gcd.impl, &gcd.spec}) {
+        const std::string side = mod == &gcd.impl ? "impl" : "spec";
+        InputDomain domain = InputDomain::uniform(*mod, gcdPairs());
+        ExplorationLimits one_shot;
+        one_shot.max_states = 400000;
+        one_shot.input_budget = 2;
 
         StopToken stop;
         stop.requestStop("test cancellation");
@@ -492,6 +518,15 @@ TEST(ParallelExplore, ParkedSpaceIsAPrefixOfTheOneShotSpace)
         // A token fired before the first expansion parks the initial
         // state, un-expanded, as the whole frontier.
         EXPECT_EQ(parked.value().numStates(), 1u);
+        ASSERT_FALSE(parked.value().pendingFrontier().empty());
+
+        // With the token cleared, the same exploration runs from that
+        // frontier to the one-shot space, of which the parked space
+        // is a prefix.
+        Result<StateSpace> full =
+            StateSpace::explore(*mod, domain, one_shot);
+        ASSERT_TRUE(full.ok()) << full.error().message;
+        EXPECT_FALSE(full.value().stopped()) << side;
         expectPrefixOf(parked.value(), full.value(), side + " stopped");
     }
 }
