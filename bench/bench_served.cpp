@@ -12,13 +12,10 @@
  * after sending, deadline-zero floods, junk payloads — and the run
  * asserts the daemon answered every *healthy* request anyway.
  *
- * With --isolate N jobs run in sandboxed worker processes
- * (docs/service.md, "Process isolation"); the same latency
- * reservoirs then measure the isolation overhead against an
- * in-thread run (the perf gate records both and compares p50/p99 —
- * the budgeted ceiling is 2x). --crash-rate R arms a seeded
- * faults::CrashPlan in every worker, so a fraction R of compiles
- * die mid-job; the run then reports the answered rate — every
+ * Jobs run in the daemon's sandboxed worker processes
+ * (docs/service.md, "Process isolation"). --crash-rate R arms a
+ * seeded faults::CrashPlan in every worker, so a fraction R of
+ * compiles die mid-job; the run then reports the answered rate — every
  * request must still get *some* structured response (ok, error, or
  * an honest shed) while workers are dying and respawning, and the
  * exit status only tolerates error/shed responses, never silence.
@@ -33,7 +30,7 @@
  * Usage:
  *     bench_served [--clients N] [--requests N] [--workers N]
  *                  [--queue N] [--misbehave] [--seed S] [--json PATH]
- *                  [--isolate N] [--crash-rate R]
+ *                  [--crash-rate R]
  *
  * Exit status: 0 when every healthy request got a response and the
  * report (when requested) was written; 1 otherwise.
@@ -68,9 +65,7 @@ struct Args
     bool misbehave = false;
     std::uint64_t seed = 0x5e4ed5ULL;
     std::string json_path;
-    /** 0 = in-thread lanes; N = sandboxed worker processes. */
-    std::size_t isolate = 0;
-    /** Seeded CrashPlan rate armed in every worker (needs --isolate). */
+    /** Seeded CrashPlan rate armed in every worker. */
     double crash_rate = 0.0;
 };
 
@@ -138,8 +133,6 @@ main(int argc, char** argv)
             ok = size_flag(args.workers);
         else if (arg == "--queue")
             ok = size_flag(args.queue);
-        else if (arg == "--isolate")
-            ok = size_flag(args.isolate);
         else if (arg == "--crash-rate") {
             const char* v = value();
             ok = v != nullptr;
@@ -180,20 +173,12 @@ main(int argc, char** argv)
         circuits_pool.emplace_back(printDot(graph), spec.num_tags);
     }
 
-    if (args.crash_rate > 0.0 && args.isolate == 0) {
-        std::fprintf(stderr,
-                     "--crash-rate needs --isolate (crashes are "
-                     "injected into worker processes)\n");
-        return 1;
-    }
-
     std::string socket_path = "/tmp/graphiti-bench-served-" +
                               std::to_string(::getpid()) + ".sock";
     served::DaemonConfig config;
     config.socket_path = socket_path;
     config.scheduler.workers = args.workers;
     config.scheduler.queue_capacity = args.queue;
-    config.scheduler.isolate = args.isolate;
     if (args.crash_rate > 0.0) {
         char plan_text[64];
         std::snprintf(plan_text, sizeof plan_text, "seed=%llu,rate=%g",
@@ -368,12 +353,10 @@ main(int argc, char** argv)
 
     served::SchedulerStats sched = daemon.scheduler().stats();
     guard::VerdictStoreStats store = daemon.scheduler().store()->stats();
-    // Worker-tier view (isolate mode only): spawn/respawn/crash
-    // counters and the breaker — the storm's footprint.
-    obs::json::Value worker_snapshot;
-    if (const served::WorkerPool* pool =
-            daemon.scheduler().workerPool())
-        worker_snapshot = pool->healthJson();
+    // Worker-tier view: spawn/respawn/crash counters and the breaker
+    // — the storm's footprint.
+    obs::json::Value worker_snapshot =
+        daemon.scheduler().workerPool().healthJson();
     // The service's own view — per-verb queue-wait/execute windows,
     // connection counters, journal occupancy — before stop() tears
     // the daemon down.
@@ -415,9 +398,7 @@ main(int argc, char** argv)
     std::printf("  scheduler %s\n", sched.toJson().dump().c_str());
     std::printf("  healthy answered %zu / %zu\n", healthy_answered,
                 healthy_sent);
-    if (args.isolate > 0)
-        std::printf("  workers %s\n",
-                    worker_snapshot.dump().c_str());
+    std::printf("  workers %s\n", worker_snapshot.dump().c_str());
     if (args.crash_rate > 0.0)
         std::printf("  crash storm: %zu error, %zu shed, %zu silent "
                     "(answered rate %.1f%%)\n",
@@ -462,9 +443,7 @@ main(int argc, char** argv)
         doc.set("store", store.toJson());
         doc.set("healthy_sent", healthy_sent);
         doc.set("healthy_answered", healthy_answered);
-        doc.set("isolate", args.isolate);
-        if (args.isolate > 0)
-            doc.set("workers", worker_snapshot);
+        doc.set("workers", worker_snapshot);
         if (args.crash_rate > 0.0) {
             doc.set("crash_rate", args.crash_rate);
             doc.set("error_responses", errors);

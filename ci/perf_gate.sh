@@ -19,13 +19,9 @@
 # slow drift a per-run threshold cannot see. The history file is
 # per-machine working state, not a checked-in artifact.
 #
-# Isolation overhead (docs/service.md, "Process isolation"): the gate
-# also runs bench_served back-to-back in-thread and --isolate with the
-# same seed and load, records the verify p50/p99 overhead ratios and
-# the crash-storm answered rate to BENCH_history.jsonl, and warns when
-# the ratio blows the 2x budget (wall-clock ratios are advisory, never
-# blocking — only the same-machine back-to-back pairing makes them
-# meaningful at all).
+# Crash storm (docs/service.md, "Process isolation"): the gate also
+# runs bench_served with a seeded worker crash rate and records the
+# answered rate to BENCH_history.jsonl (advisory, never blocking).
 #
 # Repository benchmark smoke (perfbench/README.md): the gate configures
 # perfbench/ into a temp dir, builds it from the current sources, runs
@@ -54,43 +50,26 @@ if [ ! -x "${BENCH}" ]; then
 fi
 
 CURRENT="$(mktemp)"
-INTHREAD="$(mktemp)"
-ISOLATED="$(mktemp)"
 STORM="$(mktemp)"
-trap 'rm -f "${CURRENT}" "${INTHREAD}" "${ISOLATED}" "${STORM}"' EXIT
+trap 'rm -f "${CURRENT}" "${STORM}"' EXIT
 "${BENCH}" --json "${CURRENT}" > /dev/null
 
 python3 ci/perf_compare.py "${BASELINE}" "${CURRENT}" \
     --history BENCH_history.jsonl "${@:2}"
 
-# --- Isolation overhead: in-thread vs --isolate, same seed and load,
-# back to back on the same machine, plus a crash-storm answered-rate
-# probe. Advisory: records to history and warns past 2x, never fails.
+# --- Crash-storm answered-rate probe. Advisory: records to history,
+# never fails.
 SERVED="${BUILD}/bench/bench_served"
 if [ -x "${SERVED}" ]; then
-    "${SERVED}" --clients 2 --requests 4 --workers 2 \
-        --json "${INTHREAD}" > /dev/null
-    "${SERVED}" --clients 2 --requests 4 --workers 2 --isolate 2 \
-        --json "${ISOLATED}" > /dev/null
-    "${SERVED}" --clients 2 --requests 6 --workers 2 --isolate 2 \
+    "${SERVED}" --clients 2 --requests 6 --workers 2 \
         --crash-rate 0.3 --json "${STORM}" > /dev/null
-    python3 - "${INTHREAD}" "${ISOLATED}" "${STORM}" <<'EOF'
+    python3 - "${STORM}" <<'EOF'
 import datetime, json, sys
-inthread, isolated, storm = (json.load(open(p)) for p in sys.argv[1:4])
-def p(doc, q):
-    return float(doc["latency"]["verify"][q])
-metrics = {}
-for q in ("p50", "p99"):
-    base, iso = p(inthread, q), p(isolated, q)
-    ratio = iso / base if base > 0 else 0.0
-    metrics[f"served.isolate.overhead_{q}"] = round(ratio, 3)
-    tag = "OK" if ratio < 2.0 else "WARN: blew the 2x budget"
-    print(f"perf gate: isolate overhead {q}: {base:.1f}ms -> "
-          f"{iso:.1f}ms ({ratio:.2f}x) [{tag}]")
-metrics["served.isolate.answered_rate"] = storm.get("answered_rate", 0.0)
+storm = json.load(open(sys.argv[1]))
+metrics = {"served.storm.answered_rate": storm.get("answered_rate", 0.0)}
 crashes = storm.get("workers", {}).get("crashes", 0)
 print(f"perf gate: crash storm: answered rate "
-      f"{100.0 * metrics['served.isolate.answered_rate']:.1f}% "
+      f"{100.0 * metrics['served.storm.answered_rate']:.1f}% "
       f"through {crashes} worker death(s)")
 entry = {"ts": datetime.datetime.now(datetime.timezone.utc)
                .strftime("%Y-%m-%dT%H:%M:%SZ"),
@@ -100,16 +79,15 @@ with open("BENCH_history.jsonl", "a") as f:
                        separators=(",", ":")) + "\n")
 EOF
 else
-    echo "perf gate: skip: ${SERVED} not built (isolation overhead" \
-         "not measured)"
+    echo "perf gate: skip: ${SERVED} not built (crash storm not" \
+         "measured)"
 fi
 
 # --- Repository benchmark smoke: build perfbench/ out of tree and run
 # each workload briefly, traced. Blocking: a workload that does not
 # build, run or answer every op correctly fails the gate.
 PERFBENCH_BUILD="$(mktemp -d)"
-trap 'rm -f "${CURRENT}" "${INTHREAD}" "${ISOLATED}" "${STORM}";
-      rm -rf "${PERFBENCH_BUILD}"' EXIT
+trap 'rm -f "${CURRENT}" "${STORM}"; rm -rf "${PERFBENCH_BUILD}"' EXIT
 cmake -S perfbench -B "${PERFBENCH_BUILD}" -DCMAKE_BUILD_TYPE=Release \
     > /dev/null
 cmake --build "${PERFBENCH_BUILD}" --target perfbench \

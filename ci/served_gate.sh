@@ -15,7 +15,10 @@
 #      an unclean death, not just a polite shutdown.
 #   4. Observability probe (docs/service_observability.md): while the
 #      smoke daemon is up, require live --stats and --health answers
-#      (per-verb windows, lane liveness), then SIGUSR1 and require the
+#      (per-verb windows, lane liveness, and a compile.seconds timer
+#      counting every completed verify job — proof that the sandboxed
+#      children's metrics cross the process boundary), then SIGUSR1
+#      and require the
 #      journal dump to appear with job.done events, each of which is
 #      also in the daemon's --log JSON-lines mirror.
 #      The smoke daemon also runs with --expose 0; after the verify
@@ -26,12 +29,13 @@
 #      clients, a deterministic slice of them hostile (half-written
 #      frames, mid-job disconnects, deadline-zero floods, junk) — and
 #      require every healthy request answered.
-#   6. Isolate smoke (docs/service.md, "Process isolation"): boot the
-#      daemon with --isolate and a targeted GRAPHITI_CRASH_PLAN, kill
-#      one worker mid-compile via its job id, and require a structured
-#      error with a post-mortem artifact, an ok follow-up job on the
-#      same daemon, and a health report showing the respawn.
-#   7. Crash-storm soak: bench_served --isolate --crash-rate — workers
+#   6. Crash-containment smoke (docs/service.md, "Process isolation"):
+#      boot the default daemon with a targeted GRAPHITI_CRASH_PLAN,
+#      kill one worker mid-compile via its job id, and require a
+#      structured error with a post-mortem artifact, an ok follow-up
+#      job on the same daemon, and a health report showing the
+#      respawn.
+#   7. Crash-storm soak: bench_served --crash-rate — workers
 #      die at a seeded rate while every request still gets a
 #      structured response (ok, error, or an honest shed), never
 #      silence.
@@ -136,6 +140,14 @@ for verb in ("ping", "verify"):
     assert verbs[verb]["ok"] >= 1, verb + " verb not accounted"
     assert "queue_wait" in verbs[verb] and "execute" in verbs[verb], \
         verb + " verb missing its split latency windows"
+# Jobs run in sandboxed children; their timers reach the service
+# scope only by riding the children's frames.
+compiles = sum(verbs.get(verb, {}).get("ok", 0)
+               for verb in ("compile", "verify"))
+timer = stats["metrics"]["timers"].get("compile.seconds", {})
+assert timer.get("count", 0) >= compiles, \
+    "compile.seconds counted %s of %d compile/verify jobs" \
+    % (timer.get("count", 0), compiles)
 
 health = json.load(open(sys.argv[2]))
 assert health["status"] == "ok", "daemon not healthy: " + str(health)
@@ -257,13 +269,13 @@ echo "== served gate: misbehaving-client soak =="
     --requests "${SOAK_REQUESTS}" --workers 2 --queue 4 --misbehave \
     --json "${WORK}/soak.json"
 
-echo "== served gate: isolate smoke (crash containment) =="
-# Boot with sandboxed workers and a targeted crash plan: only the job
+echo "== served gate: crash-containment smoke =="
+# Boot the default daemon with a targeted crash plan: only the job
 # whose id starts with "doom" is killed (SIGSEGV mid-compile); every
 # other job must be untouched by the plan.
 GRAPHITI_CRASH_PLAN="seed=1,kill=doom:segv" \
     "${BUILD}/tools/graphiti-served" --socket "${SOCKET}" \
-    --isolate 2 > "${DAEMON_LOG}" 2>&1 &
+    --workers 2 > "${DAEMON_LOG}" 2>&1 &
 DAEMON_PID=$!
 wait_for_listen "${DAEMON_PID}"
 
@@ -301,8 +313,8 @@ grep -q '"status": "ok"' "${WORK}/after-doom.json" || {
     exit 1
 }
 "${BUILD}/tools/graphiti-client" --socket "${SOCKET}" --health \
-    > "${WORK}/health-isolate.json"
-python3 - "${WORK}/health-isolate.json" <<'PY'
+    > "${WORK}/health-crash.json"
+python3 - "${WORK}/health-crash.json" <<'PY'
 import json, sys
 
 health = json.load(open(sys.argv[1]))
@@ -314,7 +326,7 @@ assert pool["crashes_by_class"].get("crash", 0) >= 1, \
     "crash not classified: " + str(pool)
 assert health["status"] == "ok", \
     "daemon should be healthy after the respawn: " + str(health)
-print("served gate: isolate health OK (respawned=%d, crashes=%s)"
+print("served gate: post-crash health OK (respawned=%d, crashes=%s)"
       % (pool["respawned"], pool["crashes_by_class"]))
 PY
 kill "${DAEMON_PID}" 2> /dev/null || true
@@ -322,9 +334,9 @@ wait "${DAEMON_PID}" 2> /dev/null || true
 DAEMON_PID=""
 rm -f "${SOCKET}"
 
-echo "== served gate: crash-storm soak (--isolate --crash-rate) =="
+echo "== served gate: crash-storm soak (--crash-rate) =="
 "${BUILD}/bench/bench_served" --clients "${SOAK_CLIENTS}" \
-    --requests "${SOAK_REQUESTS}" --isolate 2 --crash-rate 0.25 \
+    --requests "${SOAK_REQUESTS}" --workers 2 --crash-rate 0.25 \
     --json "${WORK}/storm.json"
 
 if [ "${SERVED_GATE_ASAN:-1}" = "1" ]; then

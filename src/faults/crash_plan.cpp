@@ -247,7 +247,7 @@ executeCrashAction(CrashAction action)
         }
     }
     case CrashAction::BusyLoop: {
-        // Spin without yielding or heartbeating: the supervisor's
+        // Spin without yielding or heartbeating: the parent's wedge
         // SIGKILL is the only way out. volatile keeps the loop a real
         // loop (an empty infinite loop is UB the optimizer may drop).
         volatile std::uint64_t spin = 0;

@@ -147,6 +147,44 @@ MetricsRegistry::mergeFrom(const MetricsRegistry& other)
 }
 
 void
+MetricsRegistry::replaceWith(const json::Value& snapshot)
+{
+    auto entries = [&](const char* key) -> const json::Object* {
+        const json::Value* field = snapshot.find(key);
+        return field != nullptr && field->isObject() ? &field->asObject()
+                                                     : nullptr;
+    };
+    auto number = [](const json::Value& object, const char* key) {
+        const json::Value* field = object.find(key);
+        return field != nullptr && field->isNumber() ? field->asNumber()
+                                                     : 0.0;
+    };
+    std::map<std::string, std::int64_t> counters;
+    std::map<std::string, double> gauges;
+    std::map<std::string, TimerStats> timers;
+    if (const json::Object* object = entries("counters"))
+        for (const auto& [name, value] : *object)
+            if (value.isNumber())
+                counters[name] =
+                    static_cast<std::int64_t>(value.asNumber());
+    if (const json::Object* object = entries("gauges"))
+        for (const auto& [name, value] : *object)
+            if (value.isNumber())
+                gauges[name] = value.asNumber();
+    if (const json::Object* object = entries("timers"))
+        for (const auto& [name, value] : *object)
+            timers[name] = TimerStats{
+                static_cast<std::uint64_t>(number(value, "count")),
+                number(value, "total_seconds"),
+                number(value, "min_seconds"),
+                number(value, "max_seconds")};
+    std::lock_guard<std::mutex> lock(mutex_);
+    counters_ = std::move(counters);
+    gauges_ = std::move(gauges);
+    timers_ = std::move(timers);
+}
+
+void
 MetricsRegistry::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -99,6 +99,15 @@ class MetricsRegistry
      */
     void mergeFrom(const MetricsRegistry& other);
 
+    /**
+     * Replace every metric with the contents of a toJson() snapshot
+     * (fields that are not numbers are skipped). The served scheduler
+     * mirrors a sandboxed job's scope this way: each frame from the
+     * child carries the whole registry, so a later snapshot never
+     * reads lower than an earlier one.
+     */
+    void replaceWith(const json::Value& snapshot);
+
     /** Drop every metric. */
     void clear();
 

@@ -40,7 +40,7 @@ StatePool::approxBytes() const
 {
     // Unordered-map node: hash link + cached hash, plus the bucket
     // array; candidate vectors count their elements. Same node model
-    // as the state index so the breakdown sums consistently.
+    // as the state index so StateSpace::approxBytes sums consistently.
     constexpr std::size_t kNodeOverhead = 2 * sizeof(void*);
     std::size_t bytes = value_bytes_;
     bytes += tokens_.size() * sizeof(std::size_t);

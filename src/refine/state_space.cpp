@@ -193,18 +193,11 @@ StateSpace::explorePartial(const DenotedModule& mod,
     space.int_off_.push_back(0);
     space.in_off_.push_back(0);
     space.out_off_.push_back(0);
-    space.expand(mod, limits);
-    return space;
-}
 
-void
-StateSpace::expand(const DenotedModule& mod,
-                   const ExplorationLimits& limits)
-{
     GRAPHITI_OBS_TIMER(obs_timer, "refine.explore_seconds");
     const std::size_t max_states =
         std::max<std::size_t>(1, limits.max_states);
-    const std::size_t states_before = numStates();
+    const std::size_t states_before = space.numStates();
     auto obs_start = std::chrono::steady_clock::now();
     obs::VerifyProbe* probe = nullptr;
     if (obs::Scope* obs_scope = obs::current())
@@ -214,14 +207,15 @@ StateSpace::expand(const DenotedModule& mod,
     // up front (capped — max_states defaults large).
     ShardedStateIndex index;
     index.reserve(std::min<std::size_t>(max_states, 1 << 16));
-    index.insert(hashRow(row(0).data(), width_, budget_[0]), 0);
+    index.insert(
+        hashRow(space.row(0).data(), space.width_, space.budget_[0]), 0);
 
     // Does interned state @p id match the probe row + budget?
     auto rowEq = [&](std::uint32_t id, const std::uint32_t* probe_row,
                      std::uint32_t budget) {
-        if (budget_[id] != budget)
+        if (space.budget_[id] != budget)
             return false;
-        std::span<const std::uint32_t> r = row(id);
+        std::span<const std::uint32_t> r = space.row(id);
         return std::equal(r.begin(), r.end(), probe_row);
     };
 
@@ -232,11 +226,11 @@ StateSpace::expand(const DenotedModule& mod,
     // the cap fires; the pool is deliberately not touched before the
     // cap check, so a parked expansion leaves the pool exactly as a
     // one-shot run would have it at the same point.
-    std::vector<std::uint32_t> scratch(width_);
+    std::vector<std::uint32_t> scratch(space.width_);
     auto intern = [&](const Succ& s) -> std::optional<std::uint32_t> {
         bool have_row = true;
-        for (std::uint32_t c = 0; c < width_; ++c) {
-            auto id = pool_.find(s.state.comps[c]);
+        for (std::uint32_t c = 0; c < space.width_; ++c) {
+            auto id = space.pool_.find(s.state.comps[c]);
             if (!id) {
                 have_row = false;
                 break;
@@ -245,24 +239,24 @@ StateSpace::expand(const DenotedModule& mod,
         }
         std::uint64_t h = 0;
         if (have_row) {
-            h = hashRow(scratch.data(), width_, s.budget);
+            h = hashRow(scratch.data(), space.width_, s.budget);
             if (auto hit = index.lookup(h, [&](std::uint32_t id) {
                     return rowEq(id, scratch.data(), s.budget);
                 }))
                 return *hit;
         }
-        if (numStates() >= max_states) {
+        if (space.numStates() >= max_states) {
             capped = true;
             return std::nullopt;
         }
         if (!have_row) {
-            for (std::uint32_t c = 0; c < width_; ++c)
-                scratch[c] = pool_.intern(s.state.comps[c]);
-            h = hashRow(scratch.data(), width_, s.budget);
+            for (std::uint32_t c = 0; c < space.width_; ++c)
+                scratch[c] = space.pool_.intern(s.state.comps[c]);
+            h = hashRow(scratch.data(), space.width_, s.budget);
         }
-        std::uint32_t id = static_cast<std::uint32_t>(numStates());
-        rows_.insert(rows_.end(), scratch.begin(), scratch.end());
-        budget_.push_back(s.budget);
+        std::uint32_t id = static_cast<std::uint32_t>(space.numStates());
+        space.rows_.insert(space.rows_.end(), scratch.begin(), scratch.end());
+        space.budget_.push_back(s.budget);
         index.insert(h, id);
         return id;
     };
@@ -272,19 +266,19 @@ StateSpace::expand(const DenotedModule& mod,
     // only; nothing here feeds back into exploration order.
     constexpr std::size_t kPublishEvery = 2048;
     auto obs_publish = [&] {
-        std::size_t bytes = approxBytes() + index.approxBytes();
-        peak_bytes_ = std::max(peak_bytes_, bytes);
+        std::size_t bytes = space.approxBytes() + index.approxBytes();
+        space.peak_bytes_ = std::max(space.peak_bytes_, bytes);
         if (probe == nullptr)
             return;
         double seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() -
                              obs_start)
                              .count();
-        std::size_t grown = numStates() - states_before;
+        std::size_t grown = space.numStates() - states_before;
         probe->publishExplore(
-            numStates(), numStates() - expanded_,
+            space.numStates(), space.numStates() - space.expanded_,
             seconds > 0.0 ? static_cast<double>(grown) / seconds : 0.0,
-            100.0 * static_cast<double>(numStates()) /
+            100.0 * static_cast<double>(space.numStates()) /
                 static_cast<double>(max_states));
         probe->notePeakBytes(bytes);
     };
@@ -293,8 +287,8 @@ StateSpace::expand(const DenotedModule& mod,
     // (internal, then inputs port/token-major, then outputs).
     auto enumerate = [&](std::uint32_t id) {
         std::vector<Succ> out;
-        GraphState state = decodeState(id);
-        std::uint32_t budget = budget_[id];
+        GraphState state = space.decodeState(id);
+        std::uint32_t budget = space.budget_[id];
         for (GraphState& next : mod.internalSteps(state)) {
             Succ s;
             s.kind = Succ::Kind::Internal;
@@ -303,11 +297,11 @@ StateSpace::expand(const DenotedModule& mod,
             out.push_back(std::move(s));
         }
         if (budget > 0) {
-            for (std::uint32_t p = 0; p < in_ports_.size(); ++p) {
-                const auto& toks = domain_tokens_[p];
+            for (std::uint32_t p = 0; p < space.in_ports_.size(); ++p) {
+                const auto& toks = space.domain_tokens_[p];
                 for (std::uint32_t t = 0; t < toks.size(); ++t) {
                     for (GraphState& next :
-                         mod.inputStep(state, in_ports_[p], toks[t])) {
+                         mod.inputStep(state, space.in_ports_[p], toks[t])) {
                         Succ s;
                         s.kind = Succ::Kind::Input;
                         s.port_idx = p;
@@ -319,9 +313,9 @@ StateSpace::expand(const DenotedModule& mod,
                 }
             }
         }
-        for (std::uint32_t p = 0; p < out_ports_.size(); ++p) {
+        for (std::uint32_t p = 0; p < space.out_ports_.size(); ++p) {
             for (auto& [token, next] :
-                 mod.outputStep(state, out_ports_[p])) {
+                 mod.outputStep(state, space.out_ports_[p])) {
                 Succ s;
                 s.kind = Succ::Kind::Output;
                 s.port_idx = p;
@@ -340,35 +334,38 @@ StateSpace::expand(const DenotedModule& mod,
     // back and the state stays pending, same as the pre-CSR encoding
     // dropped its edge vectors.
     auto merge = [&](std::vector<Succ>& succs) {
-        std::size_t int0 = int_flat_.size();
-        std::size_t in0 = in_flat_.size();
-        std::size_t out0 = out_flat_.size();
+        std::size_t int0 = space.int_flat_.size();
+        std::size_t in0 = space.in_flat_.size();
+        std::size_t out0 = space.out_flat_.size();
         for (Succ& s : succs) {
             std::optional<std::uint32_t> dst = intern(s);
             if (!dst) {
-                int_flat_.resize(int0);
-                in_flat_.resize(in0);
-                out_flat_.resize(out0);
+                space.int_flat_.resize(int0);
+                space.in_flat_.resize(in0);
+                space.out_flat_.resize(out0);
                 return false;
             }
             switch (s.kind) {
             case Succ::Kind::Internal:
-                int_flat_.push_back(*dst);
+                space.int_flat_.push_back(*dst);
                 break;
             case Succ::Kind::Input:
-                in_flat_.push_back(
+                space.in_flat_.push_back(
                     InputEdge{s.port_idx, s.token_idx, *dst});
                 break;
             case Succ::Kind::Output:
-                out_flat_.push_back(
+                space.out_flat_.push_back(
                     OutputEdge{s.port_idx, std::move(s.token), *dst});
                 break;
             }
         }
-        int_off_.push_back(static_cast<std::uint32_t>(int_flat_.size()));
-        in_off_.push_back(static_cast<std::uint32_t>(in_flat_.size()));
-        out_off_.push_back(static_cast<std::uint32_t>(out_flat_.size()));
-        ++expanded_;
+        space.int_off_.push_back(
+            static_cast<std::uint32_t>(space.int_flat_.size()));
+        space.in_off_.push_back(
+            static_cast<std::uint32_t>(space.in_flat_.size()));
+        space.out_off_.push_back(
+            static_cast<std::uint32_t>(space.out_flat_.size()));
+        ++space.expanded_;
         return true;
     };
 
@@ -376,41 +373,41 @@ StateSpace::expand(const DenotedModule& mod,
     // the pending set is always the contiguous range
     // [expanded_, numStates()).
     std::size_t expanded_since_publish = 0;
-    while (expanded_ < numStates() && !capped) {
+    while (space.expanded_ < space.numStates() && !capped) {
         // Cooperative cancellation: leave the state unexpanded, like a
         // cap, so the space stays edge-exact.
         if (limits.stop.stopRequested()) {
-            stopped_ = true;
-            stop_reason_ = limits.stop.reason();
+            space.stopped_ = true;
+            space.stop_reason_ = limits.stop.reason();
             break;
         }
-        std::vector<Succ> succs = enumerate(expanded_);
+        std::vector<Succ> succs = enumerate(space.expanded_);
         merge(succs);
         if (++expanded_since_publish >= kPublishEvery) {
             expanded_since_publish = 0;
             obs_publish();
         }
     }
-    for (std::uint32_t id = expanded_;
-         id < static_cast<std::uint32_t>(numStates()); ++id)
-        frontier_.push_back(id);
+    for (std::uint32_t id = space.expanded_;
+         id < static_cast<std::uint32_t>(space.numStates()); ++id)
+        space.frontier_.push_back(id);
 
     obs_publish();
-    if (!frontier_.empty()) {
+    if (!space.frontier_.empty()) {
         // Exploration parked (cap or stop) with work left over.
         GRAPHITI_OBS_COUNT("refine.parks", 1);
         if (probe != nullptr)
             probe->recordPark();
     }
     if (obs::Scope* scope = obs::current()) {
-        std::size_t grown = numStates() - states_before;
+        std::size_t grown = space.numStates() - states_before;
         scope->metrics().add("refine.states",
                              static_cast<std::int64_t>(grown));
         scope->metrics().add("refine.explorations");
         scope->metrics().set("refine.frontier",
-                             static_cast<double>(frontier_.size()));
+                             static_cast<double>(space.frontier_.size()));
         scope->metrics().setMax("refine.peak_bytes",
-                                static_cast<double>(peak_bytes_));
+                                static_cast<double>(space.peak_bytes_));
         double seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() -
                              obs_start)
@@ -422,7 +419,8 @@ StateSpace::expand(const DenotedModule& mod,
     }
 
     // Weak closures are memoized on first use, one slot per state.
-    closure_.assign(numStates(), std::nullopt);
+    space.closure_.assign(space.numStates(), std::nullopt);
+    return space;
 }
 
 GraphState
@@ -522,20 +520,6 @@ StateSpace::approxBytes() const
     bytes += budget_.size() * sizeof(std::uint32_t);
     bytes += frontier_.size() * sizeof(std::uint32_t);
     return bytes;
-}
-
-StateSpace::MemoryBreakdown
-StateSpace::breakdown() const
-{
-    MemoryBreakdown b;
-    b.pool = pool_.approxBytes();
-    b.rows = rows_.size() * sizeof(std::uint32_t);
-    b.edges = (int_off_.size() + in_off_.size() + out_off_.size()) *
-                  sizeof(std::uint32_t) +
-              int_flat_.size() * sizeof(std::uint32_t) +
-              in_flat_.size() * sizeof(InputEdge) +
-              out_flat_.size() * sizeof(OutputEdge);
-    return b;
 }
 
 std::string

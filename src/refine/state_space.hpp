@@ -115,14 +115,6 @@ class StateSpace
         const T* last_ = nullptr;
     };
 
-    /** Where the bytes of a space live (all size-based estimates). */
-    struct MemoryBreakdown
-    {
-        std::size_t pool = 0;   ///< interned CompState arena + index
-        std::size_t rows = 0;   ///< encoded id rows
-        std::size_t edges = 0;  ///< CSR offset + flat edge arrays
-    };
-
     /**
      * Explore @p mod under @p domain and @p limits: explorePartial
      * that fails unless the space came out complete.
@@ -132,7 +124,8 @@ class StateSpace
                                       const ExplorationLimits& limits);
 
     /**
-     * The one worklist pass behind explore: when max_states is
+     * The one worklist pass behind explore: interns the initial
+     * state, then expands states FIFO until done. When max_states is
      * reached (or the stop token fires) the partial space is returned
      * (complete() == false) with the unexpanded states as its pending
      * frontier instead of aborting. Edges recorded so far are exact;
@@ -220,29 +213,24 @@ class StateSpace
     std::vector<std::uint32_t> encodedRow(std::uint32_t s) const;
 
     /**
-     * Size-based RAM estimate of the explored space: the interned
-     * component pool, encoded id rows, CSR edge tables, budgets and
-     * the parked frontier. Deliberately counts sizes rather than
-     * capacities, so the figure is a pure function of the space —
-     * stable per seed
+     * Size-based RAM estimate of the explored space, the sum of three
+     * pools plus budgets and the parked frontier: the interned
+     * component-state pool (each distinct CompState once, with its
+     * index), the encoded id rows (width × 4 bytes per state), and the
+     * CSR edge tables (three offsets per state plus the flat successor
+     * lists). Deliberately counts sizes rather than capacities, so the
+     * figure is a pure function of the space — stable per seed
      * (docs/verification_observability.md). The dedup index lives
      * only inside exploration, so a parked partial space costs
      * exactly this.
      */
     std::size_t approxBytes() const;
 
-    /** Per-tier decomposition of the space's footprint. */
-    MemoryBreakdown breakdown() const;
-
     /** High-water approxBytes() + dedup-index estimate seen while
      * exploring this space. */
     std::size_t peakBytes() const { return peak_bytes_; }
 
   private:
-    /** The worklist loop: expand frontier states until done, the
-     * stop token fires or max_states are interned. */
-    void expand(const DenotedModule& mod, const ExplorationLimits& limits);
-
     template <typename T>
     EdgeSpan<T>
     edgeSpan(const std::vector<std::uint32_t>& off,

@@ -107,8 +107,7 @@ Daemon::statsJson() const
     conns.set("malformed_requests", malformed_requests_.load());
     out.set("connections", std::move(conns));
     out.set("scheduler", scheduler_->stats().toJson());
-    if (WorkerPool* pool = scheduler_->workerPool())
-        out.set("workers", pool->healthJson());
+    out.set("workers", scheduler_->workerPool().healthJson());
     out.set("store", scheduler_->store()->stats().toJson());
     out.set("verbs", observer()->verbsJson());
     out.set("metrics", observer()->scope().metrics().toJson());
@@ -138,8 +137,7 @@ Daemon::healthJson() const
         lanes_ok = alive->asNumber() >= configured->asNumber();
     // An open crash-loop breaker is exactly the degradation health
     // exists to report: the daemon answers, but sheds compiles.
-    WorkerPool* pool = scheduler_->workerPool();
-    bool breaker_ok = pool == nullptr || !pool->breakerOpen();
+    bool breaker_ok = !scheduler_->workerPool().breakerOpen();
 
     json::Value out{json::Object{}};
     out.set("status",
@@ -215,29 +213,22 @@ Daemon::metricsText() const
     out.counter("expose.scrapes",
                 static_cast<double>(expose_.scrapes()));
 
-    // Worker-tier families (isolate mode only): pool gauges, crash
-    // counters by exit class, breaker state.
-    if (WorkerPool* pool = scheduler_->workerPool()) {
-        WorkerPoolStats workers = pool->stats();
-        out.gauge("worker.pool_size",
-                  static_cast<double>(workers.configured));
-        out.gauge("worker.live", static_cast<double>(workers.live));
-        out.gauge("worker.busy", static_cast<double>(workers.busy));
-        out.counter("worker.spawned",
-                    static_cast<double>(workers.spawned));
-        out.counter("worker.respawned",
-                    static_cast<double>(workers.respawned));
-        out.counter("worker.crashes",
-                    static_cast<double>(workers.crashes));
-        for (const auto& [cls, count] : workers.crashes_by_class)
-            out.sample("graphiti_worker_crashes_total{class=\"" + cls +
-                           "\"}",
-                       static_cast<double>(count));
-        out.gauge("worker.breaker_open",
-                  workers.breaker_open ? 1.0 : 0.0);
-        out.counter("worker.breaker_trips",
-                    static_cast<double>(workers.breaker_trips));
-    }
+    // Worker-tier families: pool gauges, crash counters by exit class,
+    // breaker state.
+    WorkerPoolStats workers = scheduler_->workerPool().stats();
+    out.gauge("worker.pool_size", static_cast<double>(workers.configured));
+    out.gauge("worker.live", static_cast<double>(workers.live));
+    out.gauge("worker.busy", static_cast<double>(workers.busy));
+    out.counter("worker.spawned", static_cast<double>(workers.spawned));
+    out.counter("worker.respawned",
+                static_cast<double>(workers.respawned));
+    out.counter("worker.crashes", static_cast<double>(workers.crashes));
+    for (const auto& [cls, count] : workers.crashes_by_class)
+        out.sample("graphiti_worker_crashes_total{class=\"" + cls + "\"}",
+                   static_cast<double>(count));
+    out.gauge("worker.breaker_open", workers.breaker_open ? 1.0 : 0.0);
+    out.counter("worker.breaker_trips",
+                static_cast<double>(workers.breaker_trips));
     return out.str();
 }
 

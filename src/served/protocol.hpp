@@ -32,10 +32,11 @@
  *   rejected   admission control shed the job before it ran;
  *              "retry_after_ms" tells the client when the queue is
  *              likely to have drained. Retry with backoff.
- *   cancelled  the job was parked by its deadline, a disconnect, or
- *              fair-share preemption; "error" carries the stop
- *              reason, "artifact" a failure post-mortem when the
- *              supervisor declared the job wedged.
+ *   cancelled  the job was stopped by its deadline, a disconnect,
+ *              fair-share preemption or shutdown before it could
+ *              answer; "error" carries the stop reason, "artifact" a
+ *              post-mortem when its worker ignored the stop past the
+ *              wedge grace and was killed.
  */
 
 #include <cstdint>

@@ -1,14 +1,16 @@
 #include "served/sandbox.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
+#include <condition_variable>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <new>
 #include <thread>
 
+#include <poll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -129,21 +131,35 @@ applyJobLimits(const WorkerLimits& limits)
 }
 
 /**
- * Child-side verdict store: forwards lookups and commits to the
- * parent over the worker socketpair, so the shared store's memory and
- * files are only ever touched by the daemon process. The job thread
- * is the socket's only reader during a job (the heartbeat thread only
- * writes, under the shared write mutex), so a lookup can synchronously
- * await its reply frame.
+ * The child's side of one job's socket, and the job's verdict store.
+ * Lookups and commits are forwarded to the parent, so the shared
+ * store's memory and files are only ever touched by the daemon
+ * process. The control loop is the socket's only reader: a lookup
+ * waits for the reply frame the loop hands over. One mutex orders
+ * every write.
  */
-class ProxyVerdictStore final : public guard::VerdictStore
+class ChildLink final : public guard::VerdictStore
 {
   public:
-    ProxyVerdictStore(const net::Socket& socket,
-                      std::mutex& write_mutex, int timeout_ms)
-        : socket_(socket), write_mutex_(write_mutex),
-          timeout_ms_(timeout_ms)
+    ChildLink(const net::Socket& socket, int timeout_ms)
+        : socket_(socket), timeout_ms_(timeout_ms)
     {
+    }
+
+    Result<bool>
+    send(const json::Value& frame)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return writeFrame(socket_, frame.dump(), timeout_ms_);
+    }
+
+    /** Control loop: hand one store reply to the waiting lookup. */
+    void
+    deliver(json::Value reply)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        reply_ = std::move(reply);
+        replied_.notify_all();
     }
 
     std::optional<guard::VerificationVerdict>
@@ -152,23 +168,22 @@ class ProxyVerdictStore final : public guard::VerdictStore
         json::Value msg{json::Object{}};
         msg.set("op", "store_get");
         msg.set("key", std::to_string(key));
+        std::optional<json::Value> reply;
         {
-            std::lock_guard<std::mutex> lock(write_mutex_);
+            std::unique_lock<std::mutex> lock(mutex_);
+            reply_.reset();
             if (!writeFrame(socket_, msg.dump(), timeout_ms_).ok())
                 return std::nullopt;
+            replied_.wait_for(lock, std::chrono::milliseconds(timeout_ms_),
+                              [this] { return reply_.has_value(); });
+            reply.swap(reply_);
         }
-        std::string payload;
-        Result<bool> got = readFrame(socket_, payload, timeout_ms_);
-        if (!got.ok() || !got.take())
+        if (!reply)
             return std::nullopt;  // parent gone: behave as a miss
-        Result<json::Value> doc = json::parse(payload);
-        if (!doc.ok())
-            return std::nullopt;
-        json::Value reply = doc.take();
-        const json::Value* hit = reply.find("hit");
+        const json::Value* hit = reply->find("hit");
         if (hit == nullptr || !hit->isBool() || !hit->asBool())
             return std::nullopt;
-        const json::Value* verdict = reply.find("verdict");
+        const json::Value* verdict = reply->find("verdict");
         if (verdict == nullptr)
             return std::nullopt;
         Result<guard::VerificationVerdict> parsed =
@@ -186,24 +201,36 @@ class ProxyVerdictStore final : public guard::VerdictStore
         msg.set("op", "store_put");
         msg.set("key", std::to_string(key));
         msg.set("verdict", verdict.toJson());
-        std::lock_guard<std::mutex> lock(write_mutex_);
-        (void)writeFrame(socket_, msg.dump(), timeout_ms_);
+        (void)send(msg);
     }
 
     std::size_t approxBytes() const override { return 0; }
 
   private:
     const net::Socket& socket_;
-    std::mutex& write_mutex_;
     int timeout_ms_;
+    std::mutex mutex_;
+    std::condition_variable replied_;
+    std::optional<json::Value> reply_;
 };
 
-/** Run one job frame inside the child. */
+/** Attach the job scope's whole registry and probe snapshot. */
+void
+addProgress(json::Value& frame, const obs::Scope& scope)
+{
+    frame.set("metrics", scope.metrics().toJson());
+    if (const obs::VerifyProbe* probe = scope.verifyProbe())
+        frame.set("progress", probe->snapshot().toJson());
+}
+
+/** Run one job frame inside the child. @p wake is the read and write
+ * end of the pipe the job signals its end on. */
 void
 runChildJob(const net::Socket& socket, const SandboxConfig& config,
-            const faults::CrashPlan& plan, const json::Value& frame)
+            const faults::CrashPlan& plan, const json::Value& frame,
+            const int wake[2])
 {
-    std::uint64_t serial = parseU64Field(frame, "serial");
+    std::string serial = std::to_string(parseU64Field(frame, "serial"));
     const json::Value* id_field = frame.find("job_id");
     std::string job_id = id_field != nullptr && id_field->isString()
                              ? id_field->asString()
@@ -219,7 +246,7 @@ runChildJob(const net::Socket& socket, const SandboxConfig& config,
 
     json::Value done_frame{json::Object{}};
     done_frame.set("op", "result");
-    done_frame.set("serial", std::to_string(serial));
+    done_frame.set("serial", serial);
 
     const json::Value* spec_field = frame.find("spec");
     JobSpec spec;
@@ -245,72 +272,110 @@ runChildJob(const net::Socket& socket, const SandboxConfig& config,
 
     // The fault seam: a planned death executes exactly here — after
     // the job frame is accepted (the parent has a serial in flight to
-    // classify against), before any work. BusyLoop spins without ever
-    // starting the heartbeat thread, so it exercises the parent's
-    // wedge detection rather than its crash classification.
+    // classify against), before any work. BusyLoop spins before the
+    // control loop starts, so it neither heartbeats nor takes a stop:
+    // it exercises the parent's wedge clock rather than its crash
+    // classification.
     faults::CrashAction fate = plan.action(job_id, "run");
     if (fate != faults::CrashAction::None)
         faults::executeCrashAction(fate);  // fatal classes never return
 
     auto scope = std::make_shared<obs::Scope>();
     scope->attachVerifyProbe(std::make_shared<obs::VerifyProbe>());
+    auto link = std::make_shared<ChildLink>(socket, config.io_timeout_ms);
+    // Fired by the parent's stop frame: the ladder unwinds exactly as
+    // it would in-process, and a verdict made after it fired is never
+    // committed to the store.
+    StopToken stop = StopToken::manual();
 
-    std::mutex write_mutex;
-    std::atomic<bool> finished{false};
-    std::thread heartbeat([&] {
-        auto last_beat = std::chrono::steady_clock::now() -
-                         std::chrono::hours(1);
-        while (!finished.load(std::memory_order_acquire)) {
+    // The control loop: heartbeats on their period, stop frames and
+    // store replies as they arrive, and out the moment the job ends.
+    // The job itself stays on this (warm) thread.
+    std::thread control([&] {
+        auto period = std::chrono::duration_cast<
+            std::chrono::steady_clock::duration>(
+            std::chrono::duration<double, std::milli>(
+                config.heartbeat_period_ms));
+        auto next_beat = std::chrono::steady_clock::now() + period;
+        std::string payload;
+        for (;;) {
             auto now = std::chrono::steady_clock::now();
-            if (elapsedMs(last_beat, now) >=
-                config.heartbeat_period_ms) {
-                last_beat = now;
+            if (now >= next_beat) {
+                next_beat = now + period;
                 json::Value beat{json::Object{}};
                 beat.set("op", "heartbeat");
-                beat.set("serial", std::to_string(serial));
-                beat.set("states",
-                         scope->metrics().counter("refine.states"));
-                if (const obs::VerifyProbe* probe =
-                        scope->verifyProbe())
-                    beat.set("progress",
-                             probe->snapshot().toJson());
-                std::lock_guard<std::mutex> lock(write_mutex);
-                if (!writeFrame(socket, beat.dump(),
-                                config.io_timeout_ms)
-                         .ok())
-                    return;  // parent gone; the job will find out too
+                beat.set("serial", serial);
+                addProgress(beat, *scope);
+                // A failed write means the parent is gone; the read
+                // below sees the EOF.
+                (void)link->send(beat);
             }
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(5));
+            int wait_ms = static_cast<int>(
+                std::chrono::ceil<std::chrono::milliseconds>(next_beat -
+                                                             now)
+                    .count());
+            struct pollfd fds[2] = {{socket.fd(), POLLIN, 0},
+                                    {wake[0], POLLIN, 0}};
+            if (::poll(fds, 2, std::max(wait_ms, 0)) < 0) {
+                if (errno == EINTR)
+                    continue;
+                _exit(1);
+            }
+            if (fds[1].revents != 0)
+                return;
+            if (fds[0].revents == 0)
+                continue;
+            Result<bool> got =
+                readFrame(socket, payload, config.io_timeout_ms);
+            if (!got.ok() || !got.take())
+                _exit(0);  // parent gone: nobody waits for the result
+            Result<json::Value> doc = json::parse(payload);
+            if (!doc.ok())
+                continue;
+            json::Value msg = doc.take();
+            const json::Value* op = msg.find("op");
+            std::string verb =
+                op != nullptr && op->isString() ? op->asString() : "";
+            if (verb == "store") {
+                link->deliver(std::move(msg));
+            } else if (verb == "stop" &&
+                       std::to_string(parseU64Field(msg, "serial")) ==
+                           serial) {
+                const json::Value* reason = msg.find("reason");
+                stop.requestStop(reason != nullptr && reason->isString()
+                                     ? reason->asString()
+                                     : "stop requested");
+            }
         }
     });
 
     {
         obs::ScopedInstall install(scope.get());
         Compiler compiler;
-        compiler.setVerdictStore(std::make_shared<ProxyVerdictStore>(
-            socket, write_mutex, config.io_timeout_ms));
-        // Cancellation/deadline policy lives in the parent: it kills
-        // the process group instead of firing a token, so the child
-        // runs under a token that never fires.
-        StopToken stop = StopToken::manual();
+        compiler.setVerdictStore(link);
         Result<json::Value> run = runJob(compiler, spec, stop);
         if (run.ok()) {
             done_frame.set("status", "ok");
             done_frame.set("result", run.take());
+        } else if (stop.stopRequested()) {
+            done_frame.set("status", "cancelled");
+            done_frame.set("error",
+                           stop.reason() + ": " + run.error().message);
         } else {
             done_frame.set("status", "error");
             done_frame.set("error", run.error().message);
         }
     }
-    finished.store(true, std::memory_order_release);
-    heartbeat.join();
-    // Final totals ride the result frame: a job faster than one
+    char byte = 1;
+    while (::write(wake[1], &byte, 1) < 0 && errno == EINTR) {
+    }
+    control.join();
+    while (::read(wake[0], &byte, 1) < 0 && errno == EINTR) {
+    }
+    // Final metrics ride the result frame: a job faster than one
     // heartbeat period still reports exact accounting.
-    done_frame.set("states", scope->metrics().counter("refine.states"));
-    if (const obs::VerifyProbe* probe = scope->verifyProbe())
-        done_frame.set("progress", probe->snapshot().toJson());
-    (void)writeFrame(socket, done_frame.dump(), config.io_timeout_ms);
+    addProgress(done_frame, *scope);
+    (void)link->send(done_frame);
 }
 
 /** The child process: ready handshake, then a job loop until
@@ -332,6 +397,10 @@ childMain(net::Socket socket, const SandboxConfig& config)
             plan = parsed.take();
     }
 
+    int wake[2];
+    if (::pipe(wake) != 0)
+        _exit(1);
+
     json::Value ready{json::Object{}};
     ready.set("op", "ready");
     ready.set("pid", static_cast<std::int64_t>(::getpid()));
@@ -352,8 +421,10 @@ childMain(net::Socket socket, const SandboxConfig& config)
             op != nullptr && op->isString() ? op->asString() : "";
         if (verb == "shutdown")
             _exit(0);
+        // Anything else (a stop that crossed its job's result) is
+        // stale: ignored.
         if (verb == "job")
-            runChildJob(socket, config, plan, frame);
+            runChildJob(socket, config, plan, frame, wake);
     }
 }
 
@@ -406,7 +477,6 @@ toString(ExitClass cls)
     case ExitClass::Exit: return "exit";
     case ExitClass::Crash: return "crash";
     case ExitClass::Resource: return "resource";
-    case ExitClass::Cancelled: return "cancelled";
     case ExitClass::Wedged: return "wedged";
     }
     return "clean";
@@ -417,16 +487,10 @@ classifyExit(int wait_status, KillContext context,
              const WorkerLimits& limits)
 {
     ExitStatus out;
-    if (context == KillContext::Stop) {
-        out.cls = ExitClass::Cancelled;
-        out.code = WIFSIGNALED(wait_status) ? WTERMSIG(wait_status) : 0;
-        out.detail = "killed on stop request";
-        return out;
-    }
     if (context == KillContext::Wedge) {
         out.cls = ExitClass::Wedged;
         out.code = WIFSIGNALED(wait_status) ? WTERMSIG(wait_status) : 0;
-        out.detail = "killed after heartbeat silence";
+        out.detail = "killed past the wedge grace";
         return out;
     }
     if (WIFEXITED(wait_status)) {
@@ -550,7 +614,6 @@ WorkerProcess::spawn(const std::vector<int>& close_fds)
     ::close(fds[1]);
     socket_ = net::Socket(fds[0]);
     pid_ = pid;
-    last_exit_ = ExitStatus{};
     last_heartbeat_ = HeartbeatSnapshot{};
     std::string payload;
     Result<bool> got =
@@ -583,10 +646,9 @@ WorkerProcess::reap(KillContext context, const WorkerLimits& limits)
     if (pid_ > 0)
         while (::waitpid(pid_, &status, 0) < 0 && errno == EINTR) {
         }
-    last_exit_ = classifyExit(status, context, limits);
     pid_ = -1;
     socket_.close();
-    return last_exit_;
+    return classifyExit(status, context, limits);
 }
 
 void
@@ -601,8 +663,6 @@ WorkerProcess::shutdown()
         int status = 0;
         pid_t reaped = ::waitpid(pid_, &status, WNOHANG);
         if (reaped == pid_) {
-            last_exit_ =
-                classifyExit(status, KillContext::None, config_.limits);
             pid_ = -1;
             socket_.close();
             return;
@@ -613,28 +673,30 @@ WorkerProcess::shutdown()
 }
 
 void
-WorkerProcess::mirrorHeartbeat(const json::Value& beat,
-                               obs::Scope* job_scope)
+WorkerProcess::mirrorFrame(const json::Value& frame,
+                           obs::Scope* job_scope)
 {
-    auto now = std::chrono::steady_clock::now();
     last_heartbeat_.seen = true;
-    last_heartbeat_.at = now;
-    const json::Value* states = beat.find("states");
-    if (states != nullptr && states->isNumber())
-        last_heartbeat_.states =
-            static_cast<std::int64_t>(states->asNumber());
-    if (const json::Value* progress = beat.find("progress"))
+    last_heartbeat_.at = std::chrono::steady_clock::now();
+    const json::Value* metrics = frame.find("metrics");
+    if (metrics != nullptr) {
+        const json::Value* counters = metrics->find("counters");
+        const json::Value* states =
+            counters != nullptr ? counters->find("refine.states")
+                                : nullptr;
+        if (states != nullptr && states->isNumber())
+            last_heartbeat_.states =
+                static_cast<std::int64_t>(states->asNumber());
+    }
+    if (const json::Value* progress = frame.find("progress"))
         last_heartbeat_.progress = *progress;
     if (job_scope == nullptr)
         return;
-    // Heartbeats carry totals; the job scope accumulates deltas so
-    // the jobs verb and liveVerifyTotals read isolated jobs exactly
-    // like in-thread ones.
-    std::int64_t delta = last_heartbeat_.states - mirrored_states_;
-    if (delta > 0) {
-        job_scope->metrics().add("refine.states", delta);
-        mirrored_states_ = last_heartbeat_.states;
-    }
+    // Every frame carries the child's whole job-scope registry, and
+    // the child's counters only grow: replacing keeps the parent's
+    // view monotonic and, after the result frame, exact.
+    if (metrics != nullptr)
+        job_scope->metrics().replaceWith(*metrics);
     obs::VerifyProbe* probe = job_scope->verifyProbe();
     if (probe == nullptr || !last_heartbeat_.progress.isObject())
         return;
@@ -666,7 +728,7 @@ WorkerProcess::execute(const std::string& job_id, const JobSpec& spec,
     SandboxOutcome outcome;
     if (!alive()) {
         outcome.status = "error";
-        outcome.error = "isolated worker not running";
+        outcome.error = "sandboxed worker not running";
         return outcome;
     }
 
@@ -680,8 +742,7 @@ WorkerProcess::execute(const std::string& job_id, const JobSpec& spec,
 
     std::uint64_t serial = next_serial_++;
     last_heartbeat_ = HeartbeatSnapshot{};
-    mirrored_states_ = 0;
-    // For the post-mortem artifact: reap() clears pid_ before fail()
+    // For the post-mortem artifact: reap() clears pid_ before died()
     // builds it.
     const int child_pid = pid_;
 
@@ -692,26 +753,32 @@ WorkerProcess::execute(const std::string& job_id, const JobSpec& spec,
     frame.set("spec", spec.toJson());
     frame.set("limits", limits.toJson());
 
-    double timeout_s = config_.heartbeat_timeout_seconds > 0
-                           ? config_.heartbeat_timeout_seconds
-                           : 5.0;
+    const double grace_ms = config_.wedge_grace_seconds * 1000.0;
+    // When the stop was forwarded; unset while the job runs unstopped.
+    std::optional<std::chrono::steady_clock::time_point> stop_sent;
 
-    auto fail = [&](const ExitStatus& exit_status) {
+    // Reap the dead (or just killed) child and answer with its
+    // classified exit and post-mortem.
+    auto died = [&](KillContext context) {
+        ExitStatus exit_status = reap(context, limits);
         outcome.exit_class = exit_status.cls;
         outcome.worker_died = true;
-        if (exit_status.cls == ExitClass::Cancelled) {
-            outcome.status = "cancelled";
-            outcome.error = stop.reason().empty()
-                                ? std::string("stop requested")
-                                : stop.reason();
-            return;
-        }
         outcome.status = "error";
         switch (exit_status.cls) {
         case ExitClass::Wedged:
-            outcome.error = "worker wedged: no heartbeat for " +
-                            std::to_string(timeout_s) + "s (" +
-                            exit_status.detail + ")";
+            if (stop_sent) {
+                // The child ignored the forwarded stop: the job ends
+                // as a cancellation, with the wedge post-mortem.
+                outcome.status = "cancelled";
+                outcome.error = "job wedged: ignored stop request (" +
+                                stop.reason() + ") for " +
+                                std::to_string(config_.wedge_grace_seconds) +
+                                "s";
+            } else {
+                outcome.error = "worker wedged: no heartbeat for " +
+                                std::to_string(config_.wedge_grace_seconds) +
+                                "s (" + exit_status.detail + ")";
+            }
             break;
         case ExitClass::Resource:
             outcome.error = "worker exceeded its resource jail: " +
@@ -732,57 +799,49 @@ WorkerProcess::execute(const std::string& job_id, const JobSpec& spec,
         outcome.artifact = crashArtifact(job_id, exit_status,
                                          last_heartbeat_, limits,
                                          child_pid);
+        return outcome;
     };
 
     if (!writeFrame(socket_, frame.dump(), config_.io_timeout_ms)
-             .ok()) {
-        // Dead before it could accept the job (crashed between jobs).
-        ExitStatus exit_status = reap(KillContext::None, limits);
-        fail(exit_status);
-        return outcome;
-    }
+             .ok())
+        return died(KillContext::None);  // crashed between jobs
 
     auto last_seen = std::chrono::steady_clock::now();
     std::string payload;
     for (;;) {
-        if (stop.stopRequested()) {
-            // Deadline, disconnect or preemption: isolation trades
-            // the cooperative ladder unwind for containment — the
-            // process group dies now and the lane frees immediately.
+        auto now = std::chrono::steady_clock::now();
+        if (!stop_sent && stop.stopRequested()) {
+            // Deadline, disconnect, preemption or shutdown: the child
+            // fires its job's token and the ladder unwinds there.
+            json::Value msg{json::Object{}};
+            msg.set("op", "stop");
+            msg.set("serial", std::to_string(serial));
+            msg.set("reason", stop.reason());
+            if (!writeFrame(socket_, msg.dump(), config_.io_timeout_ms)
+                     .ok())
+                return died(KillContext::None);
+            stop_sent = now;
+        }
+        // One wedge clock: the wait since the stop once one was sent,
+        // heartbeat silence before that.
+        if (elapsedMs(stop_sent ? *stop_sent : last_seen, now) >
+            grace_ms) {
             (void)::kill(-pid_, SIGKILL);
             (void)::kill(pid_, SIGKILL);
-            ExitStatus exit_status = reap(KillContext::Stop, limits);
-            fail(exit_status);
-            return outcome;
+            return died(KillContext::Wedge);
         }
         Result<bool> readable = net::waitReadable(
             socket_, static_cast<int>(config_.poll_slice_ms));
-        if (readable.ok() && !readable.value()) {
-            // Poll slice elapsed with no traffic: wedge check.
-            if (elapsedMs(last_seen, std::chrono::steady_clock::now())
-                > timeout_s * 1000.0) {
-                (void)::kill(-pid_, SIGKILL);
-                (void)::kill(pid_, SIGKILL);
-                ExitStatus exit_status =
-                    reap(KillContext::Wedge, limits);
-                fail(exit_status);
-                return outcome;
-            }
+        if (!readable.ok())
+            return died(KillContext::None);
+        if (!readable.value())
             continue;
-        }
-        if (!readable.ok()) {
-            ExitStatus exit_status = reap(KillContext::None, limits);
-            fail(exit_status);
-            return outcome;
-        }
         Result<bool> got =
             readFrame(socket_, payload, config_.io_timeout_ms);
         if (!got.ok() || !got.take()) {
             // EOF or torn frame: the child died mid-job. waitpid
             // tells the honest story.
-            ExitStatus exit_status = reap(KillContext::None, limits);
-            fail(exit_status);
-            return outcome;
+            return died(KillContext::None);
         }
         Result<json::Value> doc = json::parse(payload);
         if (!doc.ok())
@@ -793,7 +852,7 @@ WorkerProcess::execute(const std::string& job_id, const JobSpec& spec,
             op != nullptr && op->isString() ? op->asString() : "";
         last_seen = std::chrono::steady_clock::now();
         if (verb == "heartbeat") {
-            mirrorHeartbeat(msg, job_scope);
+            mirrorFrame(msg, job_scope);
         } else if (verb == "store_get") {
             std::uint64_t key = parseU64Field(msg, "key");
             json::Value reply{json::Object{}};
@@ -806,12 +865,8 @@ WorkerProcess::execute(const std::string& job_id, const JobSpec& spec,
                 reply.set("verdict", verdict->toJson());
             if (!writeFrame(socket_, reply.dump(),
                             config_.io_timeout_ms)
-                     .ok()) {
-                ExitStatus exit_status =
-                    reap(KillContext::None, limits);
-                fail(exit_status);
-                return outcome;
-            }
+                     .ok())
+                return died(KillContext::None);
         } else if (verb == "store_put") {
             std::uint64_t key = parseU64Field(msg, "key");
             const json::Value* verdict = msg.find("verdict");
@@ -822,10 +877,7 @@ WorkerProcess::execute(const std::string& job_id, const JobSpec& spec,
                     hooks.store(key, parsed.take());
             }
         } else if (verb == "result") {
-            // The result frame carries the job's final totals (states,
-            // probe snapshot) — mirror them like a last heartbeat so
-            // accounting is exact even for sub-heartbeat-period jobs.
-            mirrorHeartbeat(msg, job_scope);
+            mirrorFrame(msg, job_scope);
             const json::Value* status = msg.find("status");
             outcome.status =
                 status != nullptr && status->isString()

@@ -3,33 +3,41 @@
 
 /**
  * @file
- * Process isolation for served compile jobs (docs/service.md,
- * "Process isolation").
+ * Process isolation for served compile jobs: the daemon runs every
+ * job here (docs/service.md, "Process isolation").
  *
  * A WorkerProcess forks one sandboxed child and speaks the existing
  * length-prefixed JSON frames (served/protocol.hpp) over a
  * socketpair. The child applies resource jails derived from the
- * job's VerificationBudget (soft RLIMIT_AS / RLIMIT_CPU), runs the
- * same core::runJob seam the in-thread lanes use, streams back
- * heartbeats carrying its VerifyProbe progress, and proxies verdict
- * cache traffic to the parent — every real store write stays in the
+ * job's VerificationBudget (soft RLIMIT_AS / RLIMIT_CPU), runs
+ * core::runJob on a fresh Compiler, and proxies verdict cache
+ * traffic to the parent — every real store write stays in the
  * daemon, so a dying child can never tear the store or leave a
  * half-committed verdict.
+ *
+ * While the job runs, one control loop in the child owns its socket:
+ * it sends heartbeats carrying the job scope's whole MetricsRegistry
+ * and VerifyProbe progress, takes the parent's stop frames (firing
+ * the job's StopToken, so the governed ladder unwinds and reports the
+ * rung it still reached), hands store replies to the job, and sends
+ * the result the moment the job ends. The result frame carries the
+ * final metrics, so the parent's job scope reads exactly what an
+ * in-process run would have recorded.
  *
  * The parent classifies every child exit via waitpid into an honest
  * structured outcome: a clean result, a deterministic error, a crash
  * (SIGSEGV/SIGABRT/SIGBUS/...), a resource-jail death (SIGXCPU, the
- * OOM exit sentinel, an unexplained SIGKILL), a cancellation (the
- * parent SIGKILLed the child's process group on stop request), or a
- * wedge (heartbeat-silent past the timeout → SIGKILL). Crash-class
- * outcomes carry a post-mortem artifact in the faults::failureArtifact
- * mold: exit classification, the last heartbeat snapshot, and the
- * rlimit jail that was in force. Never a hang, never a daemon death.
+ * OOM exit sentinel, an unexplained SIGKILL), or a wedge (heartbeat
+ * silence, or a stop left unanswered, past the wedge grace →
+ * SIGKILL). Crash-class outcomes carry a post-mortem artifact in the
+ * faults::failureArtifact mold: exit classification, the last
+ * heartbeat snapshot, and the rlimit jail that was in force. Never a
+ * hang, never a daemon death.
  *
- * Verdicts are byte-identical isolated vs. in-process vs. one-shot:
- * the child runs the identical compile path, and
- * the verdict-store proxy preserves in-process cache semantics
- * (tests/test_sandbox.cpp pins this benchmark by benchmark).
+ * Verdicts are byte-identical sandboxed vs. one-shot: the child runs
+ * the identical compile path, and the verdict-store proxy preserves
+ * in-process cache semantics (tests/test_sandbox.cpp pins this
+ * benchmark by benchmark).
  */
 
 #include <chrono>
@@ -93,8 +101,7 @@ enum class ExitClass : std::uint8_t
     Exit,       ///< exited nonzero (tool died politely)
     Crash,      ///< fatal signal: SIGSEGV/SIGABRT/SIGBUS/SIGILL/...
     Resource,   ///< the jail: SIGXCPU, OOM sentinel, stray SIGKILL
-    Cancelled,  ///< parent killed the group on a stop request
-    Wedged,     ///< parent killed the group after heartbeat silence
+    Wedged,     ///< parent killed the group past the wedge grace
 };
 
 const char* toString(ExitClass cls);
@@ -103,8 +110,7 @@ const char* toString(ExitClass cls);
 enum class KillContext : std::uint8_t
 {
     None,  ///< the child died on its own
-    Stop,  ///< SIGKILLed on stop request (deadline/disconnect/preempt)
-    Wedge, ///< SIGKILLed after heartbeat silence
+    Wedge, ///< SIGKILLed past the wedge grace
 };
 
 /** One classified child exit. */
@@ -120,9 +126,9 @@ struct ExitStatus
 /**
  * Classify one waitpid status. Pure function — the exit-
  * classification table in tests/test_sandbox.cpp drives it directly.
- * @p context records a kill the parent itself sent (those always win:
- * a SIGKILL the parent sent is a cancellation or a wedge, not a
- * resource death); @p limits disambiguates jail deaths.
+ * @p context records a kill the parent itself sent (it always wins:
+ * a SIGKILL the parent sent is a wedge, not a resource death);
+ * @p limits disambiguates jail deaths.
  */
 ExitStatus classifyExit(int wait_status, KillContext context,
                         const WorkerLimits& limits);
@@ -163,7 +169,9 @@ struct SandboxOutcome
     /** Classification of a worker death behind this outcome; Clean
      * when the worker answered normally and is still alive. */
     ExitClass exit_class = ExitClass::Clean;
-    /** True when the worker process died producing this outcome. */
+    /** True when the worker process died producing this outcome —
+     * always the child's doing (crash, exit, jail or wedge). A job
+     * that unwound on a stop answered normally: not a death. */
     bool worker_died = false;
 };
 
@@ -184,12 +192,13 @@ struct SandboxConfig
 {
     /** Child heartbeat cadence while a job runs. */
     double heartbeat_period_ms = 50.0;
-    /** Heartbeat silence before the parent declares the child wedged
-     * and SIGKILLs its group; 0 = inherit the scheduler's
+    /** The one wedge clock: heartbeat silence from a running child,
+     * or the wait for its result after a stop was forwarded, before
+     * the parent SIGKILLs its group. The scheduler sets it from its
      * wedge_grace_seconds. */
-    double heartbeat_timeout_seconds = 0.0;
-    /** Parent poll slice: stop tokens and heartbeat age are checked
-     * at this cadence, so a disconnect kills the child within it. */
+    double wedge_grace_seconds = 5.0;
+    /** Parent poll slice: stop tokens and the wedge clock are checked
+     * at this cadence, so a stop reaches the child within it. */
     double poll_slice_ms = 20.0;
     /** Frame IO timeout (handshake, store replies, result frames). */
     int io_timeout_ms = 30000;
@@ -233,21 +242,21 @@ class WorkerProcess
 
     /**
      * Run one job in the child and wait for its outcome. Polls
-     * @p stop every poll slice — on fire the child's process group is
-     * SIGKILLed and the outcome reports "cancelled". Store traffic is
-     * answered through @p hooks; heartbeat progress is mirrored into
-     * @p job_scope so the jobs verb stays live. Any child death is
-     * classified into a structured error with artifact; after one,
+     * @p stop every poll slice; once it fires, the stop and its reason
+     * are forwarded to the child, whose job unwinds cooperatively and
+     * answers as usual. A child that has not answered a wedge grace
+     * after the stop is SIGKILLed: "cancelled" with the wedge
+     * artifact. Store traffic is answered through @p hooks; each
+     * heartbeat and the result replace @p job_scope's metrics with the
+     * child's, so the jobs verb stays live and completion folds the
+     * same figures an in-process run records. Any child death is
+     * classified into a structured outcome with artifact; after one,
      * alive() is false and the pool respawns.
      */
     SandboxOutcome execute(const std::string& job_id,
                            const JobSpec& spec, const StopToken& stop,
                            obs::Scope* job_scope,
                            const StoreHooks& hooks);
-
-    /** Classification of the last death observed by execute();
-     * Clean/code 0 when the worker has not died. */
-    const ExitStatus& lastExit() const { return last_exit_; }
 
     /** Polite shutdown: a shutdown frame, a bounded wait, then the
      * kill escalation. */
@@ -259,19 +268,16 @@ class WorkerProcess
   private:
     /** Reap the dead/killed child and classify (waitpid). */
     ExitStatus reap(KillContext context, const WorkerLimits& limits);
-    /** Mirror one heartbeat into the job's scope/probe. */
-    void mirrorHeartbeat(const obs::json::Value& beat,
-                         obs::Scope* job_scope);
+    /** Mirror one heartbeat or result frame into the job's scope and
+     * probe. */
+    void mirrorFrame(const obs::json::Value& frame,
+                     obs::Scope* job_scope);
 
     SandboxConfig config_;
     net::Socket socket_;
     int pid_ = -1;
     std::uint64_t next_serial_ = 1;
     HeartbeatSnapshot last_heartbeat_;
-    /** states counter already folded into the current job's scope
-     * (heartbeats carry totals; the scope wants deltas). */
-    std::int64_t mirrored_states_ = 0;
-    ExitStatus last_exit_;
 };
 
 }  // namespace graphiti::served

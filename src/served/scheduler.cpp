@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "faults/stress.hpp"
 #include "obs/scope.hpp"
 
 namespace graphiti::served {
@@ -106,19 +105,26 @@ Scheduler::Scheduler(SchedulerConfig config) : config_(std::move(config))
 {
     if (!config_.observer)
         config_.observer = std::make_shared<ServiceObserver>();
-    if (config_.isolate > 0) {
-        // Isolate mode: one dispatch lane per sandboxed child, so a
-        // lane never waits on a worker another lane owns.
-        config_.workers = config_.isolate;
-        config_.pool.workers = config_.isolate;
-        if (config_.pool.sandbox.heartbeat_timeout_seconds <= 0.0)
-            config_.pool.sandbox.heartbeat_timeout_seconds =
-                config_.wedge_grace_seconds;
-        config_.pool.observer = config_.observer;
-    }
     if (config_.workers == 0)
         config_.workers = 1;
+    // One dispatch lane per sandboxed child, so a lane never waits on
+    // a worker another lane owns.
+    config_.pool.workers = config_.workers;
+    config_.pool.sandbox.wedge_grace_seconds = config_.wedge_grace_seconds;
+    config_.pool.observer = config_.observer;
     store_ = std::make_shared<guard::VerdictStore>(config_.store);
+    // Children proxy their verdict traffic here: every real store
+    // write stays in this (parent) process, so a dying child can
+    // never tear the store.
+    StoreHooks hooks;
+    hooks.lookup = [this](std::uint64_t key) {
+        return store_->lookup(key);
+    };
+    hooks.store = [this](std::uint64_t key,
+                         const guard::VerificationVerdict& verdict) {
+        store_->store(key, verdict);
+    };
+    pool_ = std::make_unique<WorkerPool>(config_.pool, std::move(hooks));
 }
 
 Scheduler::~Scheduler() { stop(); }
@@ -136,26 +142,9 @@ Scheduler::start()
         if (!loaded.ok())
             return loaded.error().context("Scheduler::start");
     }
-    if (config_.isolate > 0) {
-        // Sandbox children proxy their verdict traffic here: every
-        // real store write stays in this (parent) process, so a dying
-        // child can never tear the store.
-        StoreHooks hooks;
-        hooks.lookup = [this](std::uint64_t key) {
-            return store_->lookup(key);
-        };
-        hooks.store = [this](std::uint64_t key,
-                             const guard::VerificationVerdict& verdict) {
-            store_->store(key, verdict);
-        };
-        pool_ = std::make_unique<WorkerPool>(config_.pool,
-                                             std::move(hooks));
-        Result<bool> forked = pool_->start();
-        if (!forked.ok()) {
-            pool_.reset();
-            return forked.error().context("Scheduler::start");
-        }
-    }
+    Result<bool> forked = pool_->start();
+    if (!forked.ok())
+        return forked.error().context("Scheduler::start");
     started_ = true;
     stopping_ = false;
     for (std::size_t i = 0; i < config_.workers; ++i)
@@ -196,10 +185,10 @@ Scheduler::stop()
         worker.join();
     if (supervisor.joinable())
         supervisor.join();
-    // Lanes are drained (running children were stop-killed by their
-    // lanes' poll loops); shut the idle sandbox workers down politely.
-    if (pool_ != nullptr)
-        pool_->stop();
+    // Lanes are drained (running children answered their forwarded
+    // stops or were killed past the grace); shut the idle sandbox
+    // workers down politely.
+    pool_->stop();
     std::lock_guard<std::mutex> lock(mutex_);
     started_ = false;
 }
@@ -444,59 +433,28 @@ Scheduler::workerLoop()
             running_.push_back(job);
         }
 
+        // The job runs in a sandboxed child; this lane only
+        // dispatches, forwards a stop, mirrors the child's metrics and
+        // maps the outcome. Whatever the child does — crash, OOM,
+        // wedge — lands here as a structured SandboxOutcome.
+        SandboxOutcome run = pool_->execute(job->job_id, job->spec,
+                                            job->stop,
+                                            job->job_scope.get());
         JobOutcome outcome;
-        if (job->stop.stopRequested()) {
-            // Expired (or disconnected) before any work: a cheap
-            // cancel, not a burned worker slot — the shape a
-            // deadline-zero flood takes.
-            outcome.status = "cancelled";
-            outcome.error = job->stop.reason();
-        } else if (pool_ != nullptr) {
-            // Isolate mode: the job runs in a sandboxed child; this
-            // lane only dispatches, mirrors heartbeats and maps the
-            // outcome. Whatever the child does — crash, OOM, wedge —
-            // lands here as a structured SandboxOutcome.
-            SandboxOutcome run = pool_->execute(
-                job->job_id, job->spec, job->stop, job->job_scope.get());
-            outcome.status = run.status;
-            outcome.result = std::move(run.result);
-            outcome.error = std::move(run.error);
-            outcome.artifact = std::move(run.artifact);
-            outcome.retry_after_ms = run.retry_after_ms;
-            if (run.exit_class == ExitClass::Wedged) {
-                std::lock_guard<std::mutex> lock(mutex_);
-                stats_.wedged += 1;
-                config_.observer->scope().metrics().add(
-                    "served.jobs.wedged", 1);
-            }
-        } else {
-            // The job's private scope catches cooperative progress
-            // counters (refine.states, guard.verify.*) so the jobs
-            // verb can report them live; it folds into the service
-            // scope at completion.
-            obs::ScopedInstall obs_install(job->job_scope.get());
-            // Fresh Compiler per job (the Compiler is not
-            // thread-safe); the shared store carries verdicts across
-            // jobs, workers and restarts.
-            Compiler compiler;
-            compiler.setVerdictStore(store_);
-            Result<json::Value> run =
-                runJob(compiler, job->spec, job->stop);
-            if (run.ok()) {
-                outcome.status = "ok";
-                outcome.result = run.take();
-            } else if (job->stop.stopRequested()) {
-                outcome.status = "cancelled";
-                outcome.error = job->stop.reason() + ": " +
-                                run.error().message;
-            } else {
-                outcome.status = "error";
-                outcome.error = run.error().message;
-            }
+        outcome.status = run.status;
+        outcome.result = std::move(run.result);
+        outcome.error = std::move(run.error);
+        outcome.artifact = std::move(run.artifact);
+        outcome.retry_after_ms = run.retry_after_ms;
+        bool wedged = run.exit_class == ExitClass::Wedged;
+        if (wedged) {
+            std::lock_guard<std::mutex> lock(mutex_);
+            stats_.wedged += 1;
+            config_.observer->scope().metrics().add("served.jobs.wedged",
+                                                    1);
         }
         completeJob(job, std::move(outcome));
 
-        bool abandoned_worker = false;
         {
             std::lock_guard<std::mutex> lock(mutex_);
             running_.erase(
@@ -504,17 +462,12 @@ Scheduler::workerLoop()
                 running_.end());
             config_.observer->scope().metrics().set(
                 "served.queue.depth", static_cast<double>(queue_.size()));
-            abandoned_worker = job->worker_abandoned;
-            if (abandoned_worker) {
-                workers_alive_ -= 1;
-                workers_abandoned_ += 1;
-            }
         }
-        // The supervisor declared this job wedged and already spawned
-        // a replacement lane; this thread retires instead of doubling
-        // the worker count.
-        if (abandoned_worker)
-            return;
+        // A wedge is exactly what the journal dump exists for: dump
+        // outside the scheduler lock (file IO under a lock would stall
+        // admission). No dump path configured is no dump.
+        if (wedged)
+            (void)config_.observer->journal().dump();
     }
 }
 
@@ -522,13 +475,11 @@ void
 Scheduler::supervisorLoop()
 {
     for (;;) {
-        bool dump_journal = false;
         {
-            std::unique_lock<std::mutex> lock(mutex_);
+            std::lock_guard<std::mutex> lock(mutex_);
             if (stopping_)
                 return;
-            auto now = std::chrono::steady_clock::now();
-            supervisor_heartbeat_ = now;
+            supervisor_heartbeat_ = std::chrono::steady_clock::now();
             supervisor_seen_ = true;
 
             // Queued jobs whose tokens already fired (deadline-zero
@@ -548,53 +499,7 @@ Scheduler::supervisorLoop()
                     ++it;
                 }
             }
-
-            for (const JobPtr& job : running_) {
-                if (job->done || !job->stop.stopRequested())
-                    continue;
-                if (!job->stop_seen) {
-                    // Heartbeat zero: the token fired; give the
-                    // worker the grace window to unwind honestly.
-                    job->stop_seen = true;
-                    job->stop_requested_at = now;
-                    continue;
-                }
-                double waited =
-                    std::chrono::duration<double>(
-                        now - job->stop_requested_at)
-                        .count();
-                if (waited < config_.wedge_grace_seconds)
-                    continue;
-                // Wedged: the job ignored its stop token past the
-                // grace period. Answer the client with a failure
-                // artifact, abandon the stuck worker lane and spawn a
-                // replacement so throughput recovers.
-                obs::Scope scope;
-                JobOutcome outcome;
-                outcome.status = "cancelled";
-                outcome.error =
-                    "job wedged: ignored stop request (" +
-                    job->stop.reason() + ") for " +
-                    std::to_string(waited) + "s";
-                outcome.artifact = faults::failureArtifact(
-                    nullptr, outcome.error, scope);
-                config_.observer->event(
-                    obs::LogLevel::Error, job->job_id, "job.wedge",
-                    "client", job->client, "reason", outcome.error);
-                completeJobLocked(job, std::move(outcome));
-                job->worker_abandoned = true;
-                stats_.wedged += 1;
-                config_.observer->scope().metrics().add(
-                    "served.jobs.wedged", 1);
-                workers_.emplace_back([this] { workerLoop(); });
-                dump_journal = true;
-            }
         }
-        // A wedge is exactly what the journal dump exists for: dump
-        // outside the scheduler lock (file IO under a lock would
-        // stall admission). No dump path configured is no dump.
-        if (dump_journal)
-            (void)config_.observer->journal().dump();
         std::this_thread::sleep_for(std::chrono::duration<double>(
             config_.supervisor_period_ms / 1000.0));
     }
@@ -680,7 +585,6 @@ Scheduler::healthJson() const
     out.set("accepting", started_ && !stopping_);
     out.set("workers_configured", config_.workers);
     out.set("workers_alive", workers_alive_);
-    out.set("workers_abandoned", workers_abandoned_);
     out.set("queue_depth", queue_.size());
     out.set("queue_capacity", config_.queue_capacity);
     out.set("running", running_.size());
@@ -688,8 +592,7 @@ Scheduler::healthJson() const
         out.set("supervisor_heartbeat_age_ms",
                 elapsedMs(supervisor_heartbeat_,
                           std::chrono::steady_clock::now()));
-    if (pool_ != nullptr)
-        out.set("worker_pool", pool_->healthJson());
+    out.set("worker_pool", pool_->healthJson());
     return out;
 }
 

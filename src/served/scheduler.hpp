@@ -5,23 +5,23 @@
  * @file
  * Job scheduling for the served daemon: admission control with a
  * bounded queue and honest load-shedding, per-client fair-share
- * accounting with StopToken preemption, per-job deadlines, and a
- * supervisor watchdog that turns wedged jobs into failure artifacts
- * instead of dead workers.
+ * accounting with StopToken preemption, and per-job deadlines.
  *
  * The policy itself — admit/shed, victim selection — is pure
  * functions over plain counts, unit-tested without any threads; the
- * Scheduler wires them to a worker pool. Every job runs on a fresh
- * Compiler (the Compiler is not thread-safe) sharing one
- * guard::VerdictStore, so verdicts committed by any worker survive
- * both concurrency and daemon restarts.
+ * Scheduler wires them to lanes. Each lane owns one sandboxed child
+ * of the WorkerPool and runs every job there, on a fresh Compiler
+ * whose verdict traffic is proxied to one shared guard::VerdictStore
+ * in this process, so verdicts committed by any worker survive both
+ * concurrency and daemon restarts.
  *
  * Degradation is never silent: a shed job gets status "rejected" with
- * a retry_after hint; a deadline/preemption unwinds through the
- * governed ladder and reports the rung it still reached; a wedged job
- * (ignoring its stop token past the grace period) is answered with a
- * failure artifact by the supervisor while the stuck worker is
- * abandoned and replaced.
+ * a retry_after hint; a deadline, disconnect or preemption is
+ * forwarded to the child, whose governed ladder unwinds and reports
+ * the rung it still reached; a child that ignores the stop past the
+ * wedge grace is SIGKILLed and respawned, and its job is answered
+ * "cancelled" with the wedge artifact. A supervisor thread expires
+ * queued jobs whose tokens fired before a lane took them.
  */
 
 #include <chrono>
@@ -49,27 +49,24 @@ namespace graphiti::served {
 /** Scheduler tuning. */
 struct SchedulerConfig
 {
-    /** Worker threads executing jobs. */
+    /** Sandboxed worker processes, one dispatch lane each. */
     std::size_t workers = 2;
     /** Jobs waiting beyond the running ones before shedding starts. */
     std::size_t queue_capacity = 8;
     /** Ceiling clamped onto any client-requested deadline; 0 = no
      * ceiling. */
     double max_deadline_seconds = 0.0;
-    /** Seconds a job may keep running after its stop token fired
-     * before the supervisor declares it wedged. */
+    /** Seconds a child may take to answer a stopped job — and may
+     * stay heartbeat-silent while running one — before it is
+     * SIGKILLed as wedged (overrides pool.sandbox's value). */
     double wedge_grace_seconds = 5.0;
     /** Supervisor scan period. */
     double supervisor_period_ms = 25.0;
     /** Per-job cost estimate behind retry_after hints. */
     double estimated_job_ms = 50.0;
-    /** Process isolation: > 0 runs every job in one of this many
-     * sandboxed worker processes (and overrides `workers` to match,
-     * one dispatch lane per child). 0 = in-thread lanes, the
-     * historical mode. See docs/service.md, "Process isolation". */
-    std::size_t isolate = 0;
-    /** Worker-pool tuning when isolate > 0 (sandbox jails, breaker
-     * thresholds). workers/observer are filled from this config. */
+    /** Worker-pool tuning (sandbox jails, breaker thresholds);
+     * workers, observer and the wedge grace are filled from this
+     * config. See docs/service.md, "Process isolation". */
     WorkerPoolConfig pool;
     /** Verdict-store shape; dir empty = in-memory only. */
     guard::VerdictStoreConfig store;
@@ -161,14 +158,15 @@ class Scheduler
     Scheduler(const Scheduler&) = delete;
     Scheduler& operator=(const Scheduler&) = delete;
 
-    /** Boot workers and supervisor; loads the verdict store when a
-     * persistence dir is configured (corrupt shards are skipped and
-     * counted, never fatal). */
+    /** Fork the worker pool, boot lanes and supervisor; loads the
+     * verdict store when a persistence dir is configured (corrupt
+     * shards are skipped and counted, never fatal). */
     Result<bool> start();
 
     /**
-     * Graceful shutdown: shed new submissions, cancel running jobs,
-     * join workers and supervisor. Safe to call twice.
+     * Graceful shutdown: shed new submissions, stop running jobs (each
+     * child unwinds or is killed past the wedge grace), join lanes and
+     * supervisor, shut the pool down. Safe to call twice.
      */
     void stop();
 
@@ -185,9 +183,9 @@ class Scheduler
      * fair-share identity; @p deadline_seconds arms a per-job
      * deadline (clamped to max_deadline_seconds); @p abandoned is
      * polled while waiting — when it returns true (client
-     * disconnected) the job's token is stopped, the wait continues
-     * until the worker actually unwinds, and the outcome reports
-     * "cancelled". @p job_id is the correlation id; empty mints
+     * disconnected) the job's token is stopped and the wait continues
+     * until the child answers (or is killed past the wedge grace).
+     * @p job_id is the correlation id; empty mints
      * "job-<serial>" at admission. The outcome echoes it either way.
      */
     JobOutcome submitAndWait(const std::string& client, JobSpec spec,
@@ -206,8 +204,8 @@ class Scheduler
 
     /**
      * Liveness summary (the `health` verb): configured vs alive
-     * worker lanes, abandoned (wedged) lanes, queue depth/capacity,
-     * supervisor heartbeat age, whether submissions are accepted.
+     * worker lanes, queue depth/capacity, supervisor heartbeat age,
+     * whether submissions are accepted, and the worker pool.
      */
     obs::json::Value healthJson() const;
 
@@ -229,8 +227,8 @@ class Scheduler
         return store_;
     }
 
-    /** The sandboxed worker pool; null when isolate == 0. */
-    WorkerPool* workerPool() const { return pool_.get(); }
+    /** The sandboxed worker pool every job runs in. */
+    const WorkerPool& workerPool() const { return *pool_; }
 
     SchedulerStats stats() const;
     const SchedulerConfig& config() const { return config_; }
@@ -243,13 +241,8 @@ class Scheduler
         std::string client;
         JobSpec spec;
         StopToken stop;  // always armed (manual or deadline)
-        std::chrono::steady_clock::time_point stop_requested_at{};
-        bool stop_seen = false;  // supervisor latched the fired token
         bool running = false;
         bool done = false;
-        /** The supervisor declared this job wedged; the worker lane
-         * running it retires on unwind (a replacement already runs). */
-        bool worker_abandoned = false;
         /** Admission / dequeue timestamps for queue-wait vs execute
          * attribution. */
         std::chrono::steady_clock::time_point enqueued_at{};
@@ -258,10 +251,10 @@ class Scheduler
         /** Armed deadline, for the jobs verb's remaining-time column. */
         bool has_deadline = false;
         std::chrono::steady_clock::time_point deadline_at{};
-        /** Private scope, set at admission and installed around
-         * runJob: the jobs verb reads live progress counters off it;
-         * on completion it folds into the observer's service-wide
-         * scope. */
+        /** Private scope, set at admission and mirrored from the
+         * child's frames: the jobs verb reads live progress counters
+         * off it; on completion it folds into the observer's
+         * service-wide scope. */
         std::shared_ptr<obs::Scope> job_scope;
         JobOutcome outcome;
     };
@@ -269,8 +262,9 @@ class Scheduler
 
     void workerLoop();
     void supervisorLoop();
-    /** Complete @p job exactly once (worker or supervisor — first
-     * wins); returns whether this call won. Takes the scheduler lock. */
+    /** Complete @p job exactly once (lane, supervisor or shutdown —
+     * first wins); returns whether this call won. Takes the scheduler
+     * lock. */
     bool completeJob(const JobPtr& job, JobOutcome outcome);
     /** completeJob with the scheduler lock already held. */
     bool completeJobLocked(const JobPtr& job, JobOutcome outcome);
@@ -278,7 +272,6 @@ class Scheduler
 
     SchedulerConfig config_;
     std::shared_ptr<guard::VerdictStore> store_;
-    /** Sandboxed worker pool (isolate mode only). */
     std::unique_ptr<WorkerPool> pool_;
 
     mutable std::mutex mutex_;
@@ -294,8 +287,6 @@ class Scheduler
     SchedulerStats stats_;
     /** Worker lanes currently inside workerLoop (health verb). */
     std::size_t workers_alive_ = 0;
-    /** Lanes the supervisor abandoned as wedged (health verb). */
-    std::size_t workers_abandoned_ = 0;
     std::chrono::steady_clock::time_point supervisor_heartbeat_{};
     bool supervisor_seen_ = false;
 };

@@ -156,8 +156,8 @@ WorkerPool::stop()
         slot_free_.notify_all();
     }
     // Polite shutdowns outside the lock (each may wait up to a
-    // second); busy workers are killed by their lanes' stop path and
-    // any stragglers by the WorkerProcess destructor.
+    // second); busy workers finish their lanes' stopped jobs first,
+    // and any stragglers die with the WorkerProcess destructor.
     for (WorkerProcess* worker : workers)
         worker->shutdown();
     std::lock_guard<std::mutex> lock(mutex_);
@@ -239,10 +239,10 @@ WorkerPool::execute(const std::string& job_id, const JobSpec& spec,
                 breakerRemainingMsLocked(
                     std::chrono::steady_clock::now()) <= 0.0)
                 (void)spawnSlotLocked(*slot, true);
-        } else if (out.status == "ok" || out.status == "error") {
-            // A worker came back healthy: the crash loop (if any)
-            // ended. Close the loop's memory so stale deaths never
-            // trip the breaker later.
+        } else {
+            // A worker answered (ok, error, or a stopped job's
+            // unwind): the crash loop (if any) ended. Close the loop's
+            // memory so stale deaths never trip the breaker later.
             consecutive_trips_ = 0;
             breaker_armed_ = false;
             deaths_.clear();

@@ -6,19 +6,22 @@
  * Warm prefork pool of sandboxed workers (docs/service.md, "Process
  * isolation").
  *
- * The Scheduler's lanes dispatch here instead of running jobs
- * in-thread when `--isolate N` is set. The pool preforks N warm
- * WorkerProcess children, checks one out per job, and respawns any
- * that die — a crashing compile costs one respawn, never a daemon.
+ * Every Scheduler lane dispatches its jobs here. The pool preforks N
+ * warm WorkerProcess children (`--workers N`), checks one out per
+ * job, and respawns any that die — a crashing compile costs one
+ * respawn, never a daemon.
  *
  * Crash-loop circuit breaker: >= K worker deaths inside a sliding
  * T-second window trip the breaker. While open, execute() sheds with
  * "rejected" and a retry_after_ms equal to the remaining cooldown
  * instead of forking futilely into whatever is killing workers
  * (a poisoned store, a kernel limit, a bad deploy); health reports
- * the pool degraded. The cooldown doubles per consecutive trip
+ * the pool degraded. Only deaths the child caused count (crash, exit,
+ * jail, wedge): a job that unwound on a stop answered, so a burst of
+ * deadlines or disconnects never opens the breaker. The cooldown
+ * doubles per consecutive trip
  * (support/backoff.hpp shape, un-jittered so tests can pin it) and a
- * successful job closes the loop and clears the death window.
+ * job a child answers closes the loop and clears the death window.
  */
 
 #include <chrono>
@@ -64,7 +67,7 @@ struct WorkerPoolStats
     std::size_t spawned = 0;
     /** Spawns replacing a dead worker (spawned - initial prefork). */
     std::size_t respawned = 0;
-    /** Worker deaths while executing (every non-clean exit). */
+    /** Worker deaths while executing (crash, exit, jail, wedge). */
     std::size_t crashes = 0;
     std::map<std::string, std::size_t> crashes_by_class;
     std::size_t breaker_trips = 0;
@@ -95,8 +98,8 @@ class WorkerPool
      * Run one job on a checked-out worker. Sheds with "rejected" +
      * retry_after_ms while the breaker is open; otherwise respawns a
      * dead slot if needed, dispatches, and records any death (class
-     * counters, breaker window, journal events). The worker's
-     * heartbeats are mirrored into @p job_scope.
+     * counters, breaker window, journal events). The child's metrics
+     * are mirrored into @p job_scope.
      */
     SandboxOutcome execute(const std::string& job_id,
                            const JobSpec& spec, const StopToken& stop,
@@ -147,7 +150,7 @@ class WorkerPool
     /** Death timestamps inside the breaker window. */
     std::deque<std::chrono::steady_clock::time_point> deaths_;
     std::size_t breaker_trips_ = 0;
-    /** Trips since the last successful job (cooldown doubling). */
+    /** Trips since a child last answered (cooldown doubling). */
     std::size_t consecutive_trips_ = 0;
     std::chrono::steady_clock::time_point breaker_until_{};
     bool breaker_armed_ = false;

@@ -13,17 +13,22 @@
  *   - resource jails: an allocation-bombing child dies on the
  *     RLIMIT_AS jail and is classified "resource" (disarmed under
  *     ASan, whose shadow space cannot live inside any honest jail);
- *   - wedge detection: a heartbeat-silent child is SIGKILLed and
- *     reported wedged within the configured timeout;
+ *   - wedge detection: a heartbeat-silent child, or one ignoring a
+ *     forwarded stop, is SIGKILLed and reported wedged at the grace;
+ *   - cooperative stops: a stopped job unwinds the governed ladder in
+ *     the child and answers, never counted as a worker death, and its
+ *     verdict is never committed;
+ *   - metrics crossing: one job's service-scope counters and timers
+ *     equal an in-process run's;
  *   - crash-loop breaker: repeated worker deaths trip the breaker
  *     (shed with retry_after_ms), and a healthy job after the
  *     cooldown closes it;
- *   - byte identity: verdicts are byte-identical isolated vs.
+ *   - byte identity: verdicts are byte-identical sandboxed vs.
  *     in-process one-shot on every benchmark;
  *   - CrashPlan: deterministic per-(job, site) draws, parse/render
  *     round-trip;
- *   - disconnect reap: a vanished client kills the child promptly and
- *     frees the lane.
+ *   - disconnect reap: a vanished client's job is stopped, and a child
+ *     that ignores the stop is killed at the grace, freeing the lane.
  */
 
 #include <gtest/gtest.h>
@@ -34,6 +39,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
+#include <map>
 #include <thread>
 
 #include "bench_circuits/benchmarks.hpp"
@@ -107,6 +113,18 @@ gcdDot()
     return printDot(circuits::buildGcdInOrder());
 }
 
+/** A gcd check whose budget outlasts any test: it ends only on a
+ * stop. */
+JobSpec
+endlessVerifySpec()
+{
+    JobSpec spec = verifySpec(gcdDot());
+    spec.options.verify_budget.max_states = 100'000'000;
+    spec.options.verify_budget.partial_max_states = 100'000'000;
+    spec.options.verify_budget.input_budget = 4;
+    return spec;
+}
+
 /** Fork a child that runs @p body, wait for it, return the raw wait
  * status — real statuses for the classification table. */
 int
@@ -177,11 +195,7 @@ TEST(SandboxExitClass, ClassifiesRealChildExits)
     EXPECT_EQ(killed.cls, ExitClass::Resource);
 
     // ...while the identical status after a parent-sent kill is a
-    // cancellation or a wedge — the context always wins.
-    ExitStatus stopped = served::classifyExit(
-        waitStatusOf([] { ::raise(SIGKILL); }), KillContext::Stop,
-        limits);
-    EXPECT_EQ(stopped.cls, ExitClass::Cancelled);
+    // wedge — the context always wins.
     ExitStatus wedged = served::classifyExit(
         waitStatusOf([] { ::raise(SIGKILL); }), KillContext::Wedge,
         limits);
@@ -272,7 +286,7 @@ fastSandbox()
 {
     SandboxConfig config;
     config.heartbeat_period_ms = 20.0;
-    config.heartbeat_timeout_seconds = 2.0;
+    config.wedge_grace_seconds = 2.0;
     config.poll_slice_ms = 10.0;
     return config;
 }
@@ -373,7 +387,7 @@ TEST(SandboxWorker, HeartbeatSilentChildIsKilledAndReportedWedged)
 {
     SandboxConfig config = fastSandbox();
     config.crash_plan = "seed=1,kill=spin:busy";
-    config.heartbeat_timeout_seconds = 0.5;
+    config.wedge_grace_seconds = 0.5;
     WorkerProcess worker(config);
     ASSERT_TRUE(worker.spawn().ok());
 
@@ -389,31 +403,57 @@ TEST(SandboxWorker, HeartbeatSilentChildIsKilledAndReportedWedged)
     worker.shutdown();
 }
 
-TEST(SandboxWorker, StopRequestKillsTheChildWithinThePollSlice)
+TEST(SandboxWorker, ChildIgnoringStopIsKilledAfterTheGrace)
 {
-    SandboxConfig config = fastSandbox();
-    config.crash_plan = "seed=1,kill=gone:busy";
-    config.heartbeat_timeout_seconds = 30.0;  // wedge must not win
-    WorkerProcess worker(config);
-    ASSERT_TRUE(worker.spawn().ok());
+    WorkerPoolConfig config;
+    config.workers = 1;
+    config.sandbox = fastSandbox();
+    // Only "gone" jobs spin, without a control loop: the forwarded
+    // stop is never read.
+    config.sandbox.crash_plan = "seed=1,kill=gone:busy";
+    config.sandbox.wedge_grace_seconds = 0.5;
+    WorkerPool pool(config, StoreHooks{});
+    ASSERT_TRUE(pool.start().ok());
 
     StopToken stop = StopToken::manual();
     obs::Scope scope;
-    std::thread trigger([&stop] {
+    std::chrono::steady_clock::time_point stopped_at;
+    std::thread trigger([&] {
         std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        stopped_at = std::chrono::steady_clock::now();
         stop.requestStop("client disconnected");
     });
-    auto begun = std::chrono::steady_clock::now();
-    SandboxOutcome out =
-        worker.execute("gone-1", pingSpec(), stop, &scope, StoreHooks{});
+    SandboxOutcome out = pool.execute("gone-1", pingSpec(), stop, &scope);
+    auto answered_at = std::chrono::steady_clock::now();
     trigger.join();
+    double waited_ms = std::chrono::duration<double, std::milli>(
+                           answered_at - stopped_at)
+                           .count();
     EXPECT_EQ(out.status, "cancelled") << out.error;
-    EXPECT_EQ(out.exit_class, ExitClass::Cancelled);
-    EXPECT_NE(out.error.find("disconnected"), std::string::npos);
-    // 100 ms trigger + one poll slice + kill/reap slack.
-    EXPECT_LT(msSince(begun), 2000.0);
-    EXPECT_FALSE(worker.alive());
-    worker.shutdown();
+    EXPECT_EQ(out.exit_class, ExitClass::Wedged);
+    EXPECT_TRUE(out.worker_died);
+    EXPECT_NE(out.error.find("disconnected"), std::string::npos)
+        << out.error;
+    EXPECT_FALSE(out.artifact.empty());
+    // Not before the grace; then within one poll slice of the parent
+    // noticing the stop and one of the grace running out, plus
+    // kill/reap and scheduling slack on a loaded host.
+    double grace_ms = config.sandbox.wedge_grace_seconds * 1000.0;
+    EXPECT_GE(waited_ms, grace_ms);
+    EXPECT_LT(waited_ms,
+              grace_ms + 2 * config.sandbox.poll_slice_ms + 150.0);
+
+    // The lane is free and the pool has respawned the child.
+    served::WorkerPoolStats stats = pool.stats();
+    EXPECT_EQ(stats.busy, 0u);
+    EXPECT_EQ(stats.live, 1u);
+    EXPECT_EQ(stats.respawned, 1u);
+    EXPECT_EQ(stats.crashes_by_class.at("wedged"), 1u);
+    StopToken calm = StopToken::manual();
+    SandboxOutcome healthy =
+        pool.execute("ok-1", pingSpec(), calm, &scope);
+    EXPECT_EQ(healthy.status, "ok") << healthy.error;
+    pool.stop();
 }
 
 // ---------------------------------------------------------------------
@@ -490,15 +530,46 @@ TEST(SandboxPool, BreakerTripsOnCrashLoopAndRecovers)
     pool.stop();
 }
 
+TEST(SandboxPool, StoppedJobsNeverTripTheBreaker)
+{
+    WorkerPoolConfig config;
+    config.workers = 1;
+    config.sandbox = fastSandbox();
+    config.breaker_deaths = 5;
+    config.breaker_window_seconds = 30.0;
+    WorkerPool pool(config, StoreHooks{});
+    ASSERT_TRUE(pool.start().ok());
+
+    obs::Scope scope;
+    for (int i = 0; i < 6; ++i) {
+        // Each deadline fires mid-exploration; the child unwinds and
+        // answers, which is not a death.
+        StopToken deadline = StopToken::withDeadline(0.2);
+        SandboxOutcome out = pool.execute("stopped-" + std::to_string(i),
+                                          endlessVerifySpec(), deadline,
+                                          &scope);
+        EXPECT_TRUE(out.status == "ok" || out.status == "cancelled")
+            << out.status << ": " << out.error;
+        EXPECT_FALSE(out.worker_died) << out.error;
+        EXPECT_EQ(out.exit_class, ExitClass::Clean);
+    }
+    served::WorkerPoolStats stats = pool.stats();
+    EXPECT_FALSE(stats.breaker_open);
+    EXPECT_EQ(stats.breaker_trips, 0u);
+    EXPECT_EQ(stats.crashes, 0u);
+    EXPECT_EQ(stats.respawned, 0u);
+    pool.stop();
+}
+
 // ---------------------------------------------------------------------
 // Scheduler integration.
 // ---------------------------------------------------------------------
 
 served::SchedulerConfig
-isolateConfig(std::size_t workers)
+laneConfig(std::size_t workers)
 {
     served::SchedulerConfig config;
-    config.isolate = workers;
+    config.workers = workers;
     config.queue_capacity = 8;
     config.pool.sandbox.heartbeat_period_ms = 20.0;
     config.pool.sandbox.poll_slice_ms = 10.0;
@@ -507,7 +578,7 @@ isolateConfig(std::size_t workers)
 
 TEST(SandboxScheduler, CrashedJobFailsAloneAndDaemonKeepsServing)
 {
-    served::SchedulerConfig config = isolateConfig(2);
+    served::SchedulerConfig config = laneConfig(2);
     config.pool.sandbox.crash_plan = "seed=1,kill=doom:segv";
     served::Scheduler scheduler(config);
     ASSERT_TRUE(scheduler.start().ok());
@@ -534,11 +605,12 @@ TEST(SandboxScheduler, CrashedJobFailsAloneAndDaemonKeepsServing)
 
 TEST(SandboxScheduler, DisconnectReapsTheWorkerAndFreesTheLane)
 {
-    served::SchedulerConfig config = isolateConfig(1);
-    // The job would spin forever; only the disconnect path can free
-    // the lane within the assert window.
+    served::SchedulerConfig config = laneConfig(1);
+    // The job would spin forever, deaf to the forwarded stop; only the
+    // grace kill after the disconnect can free the lane within the
+    // assert window.
     config.pool.sandbox.crash_plan = "seed=1,kill=gone:busy";
-    config.pool.sandbox.heartbeat_timeout_seconds = 30.0;
+    config.wedge_grace_seconds = 0.5;
     served::Scheduler scheduler(config);
     ASSERT_TRUE(scheduler.start().ok());
 
@@ -558,26 +630,98 @@ TEST(SandboxScheduler, DisconnectReapsTheWorkerAndFreesTheLane)
 
 TEST(SandboxScheduler, ChildProgressMirrorsIntoTheServiceScope)
 {
-    served::SchedulerConfig config = isolateConfig(1);
+    served::SchedulerConfig config = laneConfig(1);
     config.observer = std::make_shared<served::ServiceObserver>();
     served::Scheduler scheduler(config);
     ASSERT_TRUE(scheduler.start().ok());
-    served::JobOutcome out =
-        scheduler.submitAndWait("t", verifySpec(gcdDot()));
+    JobSpec spec = verifySpec(gcdDot());
+    served::JobOutcome out = scheduler.submitAndWait("t", spec);
     ASSERT_EQ(out.status, "ok") << out.error;
-    // The child explored states; heartbeats (and the result frame's
-    // final totals) carried them across the process boundary, and
-    // completion folded them into the service scope — the same
-    // accounting the in-thread lanes produce.
-    EXPECT_GT(config.observer->scope().metrics().counter(
-                  "refine.states"),
-              0);
+    scheduler.stop();
+
+    // The same job on an in-process Compiler, into a scope of its own.
+    obs::Scope reference;
+    {
+        obs::ScopedInstall install(&reference);
+        Compiler compiler;
+        ASSERT_TRUE(runJob(compiler, spec).ok());
+    }
+    // The child's frames carried its whole registry across the
+    // process boundary, and completion folded it into the service
+    // scope: every figure the job recorded reads as in-process. The
+    // scheduler's own served.* figures are the only extras.
+    auto jobFigures = [](const obs::Scope& scope, const char* family,
+                         const char* field) {
+        std::map<std::string, double> out;
+        obs::json::Value all = scope.metrics().toJson();
+        for (const auto& [name, value] : all.find(family)->asObject())
+            if (name.rfind("served.", 0) != 0)
+                out[name] = (field ? *value.find(field) : value).asNumber();
+        return out;
+    };
+    const obs::Scope& service = config.observer->scope();
+    std::map<std::string, double> counters =
+        jobFigures(reference, "counters", nullptr);
+    EXPECT_GT(counters["refine.states"], 0);
+    EXPECT_EQ(jobFigures(service, "counters", nullptr), counters);
+    std::map<std::string, double> timers =
+        jobFigures(reference, "timers", "count");
+    EXPECT_EQ(timers.count("compile.seconds"), 1u);
+    EXPECT_EQ(jobFigures(service, "timers", "count"), timers);
+}
+
+TEST(SandboxScheduler, StopUnwindsTheLadderInTheChild)
+{
+    served::Scheduler scheduler(laneConfig(1));
+    ASSERT_TRUE(scheduler.start().ok());
+    JobSpec spec = endlessVerifySpec();
+
+    // A manual stop — the disconnect path — fired once the job table
+    // shows the child exploring.
+    auto exploring = [&] {
+        obs::json::Value table = scheduler.jobsJson();
+        for (const obs::json::Value& job : table.find("jobs")->asArray()) {
+            const obs::json::Value* progress = job.find("progress");
+            if (progress != nullptr &&
+                progress->find("states")->asNumber() > 0)
+                return true;
+        }
+        return false;
+    };
+    served::JobOutcome out =
+        scheduler.submitAndWait("t", spec, 0.0, exploring, "stop-1");
+    ASSERT_EQ(out.status, "ok") << out.error;
+    EXPECT_TRUE(out.artifact.empty());
+    const obs::json::Value* level = out.result.find("verification_level");
+    ASSERT_NE(level, nullptr);
+    EXPECT_NE(level->asString(), "full");
+    const obs::json::Value* verdict = out.result.find("verdict");
+    ASSERT_NE(verdict, nullptr);
+    const obs::json::Value* reason = verdict->find("degradation_reason");
+    ASSERT_NE(reason, nullptr);
+    EXPECT_NE(reason->asString().find("client disconnected"),
+              std::string::npos)
+        << reason->asString();
+    EXPECT_EQ(scheduler.workerPool().stats().crashes, 0u);
+
+    // The stopped verdict was never committed: the same request again
+    // misses the store (and is itself cut short by a deadline).
+    served::JobOutcome again =
+        scheduler.submitAndWait("t", spec, 0.3, {}, "stop-2");
+    ASSERT_EQ(again.status, "ok") << again.error;
+    const obs::json::Value* hit = again.result.find("verify_cache_hit");
+    ASSERT_NE(hit, nullptr);
+    EXPECT_FALSE(hit->asBool());
+    guard::VerdictStoreStats store = scheduler.store()->stats();
+    EXPECT_EQ(store.hits, 0u);
+    EXPECT_EQ(store.misses, 2u);
+    EXPECT_EQ(store.entries, 0u);
     scheduler.stop();
 }
 
 TEST(SandboxScheduler, VerdictsByteIdenticalIsolatedVsOneShot)
 {
-    served::Scheduler scheduler(isolateConfig(2));
+    served::Scheduler scheduler(laneConfig(2));
     ASSERT_TRUE(scheduler.start().ok());
 
     for (const std::string& name : circuits::benchmarkNames()) {
@@ -615,7 +759,7 @@ TEST(SandboxScheduler, VerdictsByteIdenticalIsolatedVsOneShot)
 
 TEST(SandboxScheduler, SoakAnswersEveryHealthyRequestThroughAStorm)
 {
-    served::SchedulerConfig config = isolateConfig(2);
+    served::SchedulerConfig config = laneConfig(2);
     // Every fifth job (by id prefix) dies; the rest must all answer.
     config.pool.sandbox.crash_plan = "seed=9,kill=storm:segv";
     config.pool.breaker_deaths = 100;  // the soak outlives any window

@@ -15,16 +15,16 @@
  * trace (per-job span trees keyed by correlation id) at shutdown.
  * Live introspection needs no files: `graphiti-client --stats`.
  *
- * Process isolation (docs/service.md, "Process isolation"):
- * `--isolate N` runs every compile in one of N sandboxed worker
- * processes with resource jails derived from the job's verification
- * budget — a crashing, OOMing or wedging job costs one worker respawn
- * and yields a structured error with a post-mortem artifact; the
- * daemon itself never dies with a job.
+ * Process isolation (docs/service.md, "Process isolation"): every
+ * job runs in one of `--workers N` sandboxed worker processes with
+ * resource jails derived from the job's verification budget — a
+ * crashing, OOMing or wedging job costs one worker respawn and yields
+ * a structured error with a post-mortem artifact; the daemon itself
+ * never dies with a job.
  *
  * Usage:
  *     graphiti-served --socket PATH [--tcp PORT] [--workers N]
- *                     [--isolate N] [--queue N] [--store DIR]
+ *                     [--queue N] [--store DIR]
  *                     [--max-deadline S] [--wedge-grace S]
  *                     [--flight PATH] [--log PATH]
  *                     [--trace PATH] [--expose PORT]
@@ -69,21 +69,20 @@ usage(const char* argv0)
     std::fprintf(
         stderr,
         "usage: %s --socket PATH [--tcp PORT] [--workers N] [--queue N]\n"
-        "          [--isolate N] [--store DIR] [--max-deadline S]\n"
+        "          [--store DIR] [--max-deadline S]\n"
         "          [--wedge-grace S] [--flight PATH] [--log PATH]\n"
         "          [--trace PATH] [--expose PORT]\n"
         "  --socket PATH    unix-domain socket to listen on (required)\n"
         "  --tcp PORT       also listen on loopback TCP (0 = ephemeral)\n"
         "  --expose PORT    loopback metrics scrape endpoint "
         "(0 = ephemeral)\n"
-        "  --workers N      worker threads (default 2)\n"
-        "  --isolate N      run jobs in N sandboxed worker processes\n"
-        "                   (crash containment + resource jails)\n"
+        "  --workers N      sandboxed worker processes running jobs\n"
+        "                   (default 2; crash containment + jails)\n"
         "  --queue N        waiting jobs before shedding (default 8)\n"
         "  --store DIR      persist governed verdicts (crash-safe)\n"
         "  --max-deadline S clamp client deadlines to S seconds\n"
-        "  --wedge-grace S  grace before a stopped job counts as "
-        "wedged\n"
+        "  --wedge-grace S  grace before a stopped or silent worker "
+        "is killed\n"
         "  --flight PATH    journal dump target (SIGUSR1, wedge, exit,\n"
         "                   fatal signals)\n"
         "  --log PATH       mirror journal events as JSON lines\n"
@@ -131,12 +130,6 @@ main(int argc, char** argv)
             if (v == nullptr)
                 return usage(argv[0]);
             config.scheduler.workers =
-                static_cast<std::size_t>(std::atoi(v));
-        } else if (arg == "--isolate") {
-            const char* v = value();
-            if (v == nullptr)
-                return usage(argv[0]);
-            config.scheduler.isolate =
                 static_cast<std::size_t>(std::atoi(v));
         } else if (arg == "--queue") {
             const char* v = value();
