@@ -12,7 +12,11 @@
 #   3. Crash recovery: kill -9 the daemon, restart it on the same
 #      store directory, and require the pre-kill verdict to come back
 #      as a verify_cache_hit — the write-through store must survive
-#      an unclean death, not just a polite shutdown.
+#      an unclean death, not just a polite shutdown. The compile entry
+#      must come back too: the post-restart request reports a
+#      compile_cache_hit, the restarted daemon applied no rewrite and
+#      ran no validation (so no compile ran at all), and the output
+#      circuit is the pre-kill one.
 #   4. Observability probe (docs/service_observability.md): while the
 #      smoke daemon is up, require live --stats and --health answers
 #      (per-verb windows, lane liveness, and a compile.seconds timer
@@ -249,16 +253,32 @@ grep -q '"verify_cache_hit": true' "${WORK}/verify2.json" || {
     cat "${WORK}/verify2.json"
     exit 1
 }
-python3 - "${WORK}/verify1.json" "${WORK}/verify2.json" <<'PY'
+"${BUILD}/tools/graphiti-client" --socket "${SOCKET}" --stats \
+    > "${WORK}/stats2.json"
+python3 - "${WORK}/verify1.json" "${WORK}/verify2.json" \
+    "${WORK}/stats2.json" <<'PY'
 import json, sys
 
-before = json.load(open(sys.argv[1]))["result"]["verdict"]
-after = json.load(open(sys.argv[2]))["result"]["verdict"]
-if before != after:
+before = json.load(open(sys.argv[1]))["result"]
+after = json.load(open(sys.argv[2]))["result"]
+if before["verdict"] != after["verdict"]:
     sys.exit("served gate: FAIL: recovered verdict differs from the "
              "one committed before the kill")
-print("served gate: recovered verdict byte-identical to the "
-      "pre-kill one")
+if after.get("compile_cache_hit") is not True:
+    sys.exit("served gate: FAIL: the compile entry committed before "
+             "the kill was not served after the restart")
+if before["output_dot"] != after["output_dot"]:
+    sys.exit("served gate: FAIL: recovered output circuit differs from "
+             "the one compiled before the kill")
+# A compile validates its input and output, so guard.validations
+# reads 0 only when no compile ran in the restarted daemon.
+counters = json.load(open(sys.argv[3]))["metrics"]["counters"]
+for counter in ("rewrite.applied", "guard.validations"):
+    if counters.get(counter, 0) != 0:
+        sys.exit("served gate: FAIL: the restarted daemon compiled on "
+                 "a compile hit (%s = %s)" % (counter, counters[counter]))
+print("served gate: recovered verdict and output circuit byte-identical "
+      "to the pre-kill ones, with no rewrite applied and no compile run")
 PY
 kill "${DAEMON_PID}" 2> /dev/null || true
 wait "${DAEMON_PID}" 2> /dev/null || true

@@ -18,37 +18,16 @@ CompileReport::toJson() const
     out.set("nodes", graph.numNodes());
     out.set("seconds", seconds);
     out.set("rewrites", rewrites.toJson());
-    json::Value loop_arr{json::Array{}};
-    for (const LoopTransformReport& loop : loops) {
-        json::Value entry{json::Object{}};
-        entry.set("header_mux", loop.header_mux);
-        entry.set("transformed", loop.transformed);
-        if (!loop.refusal.empty())
-            entry.set("refusal", loop.refusal);
-        if (loop.transformed) {
-            entry.set("body_fn", loop.body_fn);
-            entry.set("body_latency", loop.body_latency);
-            entry.set("term_size_before", loop.term_size_before);
-            entry.set("term_size_after", loop.term_size_after);
-        }
-        loop_arr.push(std::move(entry));
-    }
-    out.set("loops", std::move(loop_arr));
+    out.set("loops", guard::loopsToJson(loops));
     out.set("validation", validation.toJson());
-    json::Value rollback_arr{json::Array{}};
-    for (const RewriteRollback& rb : rollbacks) {
-        json::Value entry{json::Object{}};
-        entry.set("rule", rb.rule);
-        entry.set("reason", rb.reason);
-        rollback_arr.push(std::move(entry));
-    }
-    out.set("rollbacks", std::move(rollback_arr));
+    out.set("rollbacks", guard::rollbacksToJson(rollbacks));
     out.set("verification_level", verification_level);
     if (!degradation_reason.empty())
         out.set("degradation_reason", degradation_reason);
     if (verification_level != "not-run") {
         out.set("verification", verdict.toJson());
         out.set("verify_cache_hit", verify_cache_hit);
+        out.set("compile_cache_hit", compile_cache_hit);
         out.set("verify_cache_key", verify_cache_key);
         json::Value peak{json::Object{}};
         peak.set("explore", verify_explore_peak_bytes);
@@ -71,19 +50,9 @@ Compiler::compileDot(const std::string& dot_text,
 }
 
 Result<CompileReport>
-Compiler::compileGraph(const ExprHigh& graph,
+Compiler::rewriteGraph(const ExprHigh& graph,
                        const CompileOptions& options)
 {
-    // Route the whole compilation (typecheck, catalog verification,
-    // pipeline) through the caller's scope when one is given; with no
-    // explicit scope, inherit whatever the calling thread installed —
-    // the served worker installs the per-job scope this way, and the
-    // jobs/metricsz verbs read its probe live.
-    obs::ScopedInstall obs_install(
-        options.obs != nullptr ? options.obs.get() : obs::current());
-    GRAPHITI_OBS_TIMER(obs_timer, "compile.seconds");
-    GRAPHITI_OBS_COUNT("compile.runs", 1);
-
     // Well-typedness (section 6.3): every wire must carry one
     // consistent type before we reason about rewrites.
     Result<TypeReport> typed = checkWellTyped(graph);
@@ -139,14 +108,86 @@ Compiler::compileGraph(const ExprHigh& graph,
                 "(compiler bug)\n" +
                 report.validation.render());
     }
+    return report;
+}
 
+namespace {
+
+/** True when @p graph holds a `pure` node: its function lives only in
+ * the compiling Compiler's registry, so such a circuit is not a
+ * function of its dot text alone. */
+bool
+holdsPure(const ExprHigh& graph)
+{
+    for (const NodeDecl& node : graph.nodes())
+        if (node.type == "pure")
+            return true;
+    return false;
+}
+
+}  // namespace
+
+Result<CompileReport>
+Compiler::compileGraph(const ExprHigh& graph,
+                       const CompileOptions& options)
+{
+    // Route the whole compilation (typecheck, catalog verification,
+    // pipeline) through the caller's scope when one is given; with no
+    // explicit scope, inherit whatever the calling thread installed —
+    // the served worker installs the per-job scope this way, and the
+    // jobs/metricsz verbs read its probe live.
+    obs::ScopedInstall obs_install(
+        options.obs != nullptr ? options.obs.get() : obs::current());
+    GRAPHITI_OBS_TIMER(obs_timer, "compile.seconds");
+    GRAPHITI_OBS_COUNT("compile.runs", 1);
+
+    // A store-backed governed compile looks up its compile entry
+    // first: the pipeline's output is a function of the canonical
+    // input, the options hashed into the key and the rule catalog, so
+    // a known input skips typecheck, validation and rewriting.
+    bool memoize = options.governed_verify && options.verify_cache &&
+                   !options.verify_rewrites && !holdsPure(graph);
+    std::string input_dot;
+    std::uint64_t compile_key = 0;
+    std::optional<guard::CompileEntry> memo;
+    if (options.governed_verify)
+        input_dot = printDot(graph);
+    if (memoize) {
+        compile_key = guard::compileCacheKey(
+            input_dot, options.num_tags, options.reexpand,
+            options.validate, guard::catalogFingerprint());
+        memo = verdict_store_->lookupCompile(compile_key);
+    }
+    // An entry whose circuit no longer parses is recompiled (and
+    // overwritten) like a miss.
+    Result<ExprHigh> memo_graph =
+        memo ? parseDot(memo->output_dot) : err("no compile entry");
+
+    CompileReport report;
+    if (memo_graph.ok()) {
+        GRAPHITI_OBS_COUNT("compile.cache_hits", 1);
+        report.graph = memo_graph.take();
+        report.output_dot = std::move(memo->output_dot);
+        report.loops = std::move(memo->loops);
+        report.rewrites = std::move(memo->rewrites);
+        report.rollbacks = std::move(memo->rollbacks);
+        report.validation = std::move(memo->validation);
+        report.compile_cache_hit = true;
+    } else {
+        Result<CompileReport> rewritten = rewriteGraph(graph, options);
+        if (!rewritten.ok())
+            return rewritten.error();
+        report = rewritten.take();
+    }
+
+    std::optional<std::string> violation;
     if (options.governed_verify) {
         const guard::VerificationBudget& budget = options.verify_budget;
         std::vector<Token> tokens = options.verify_tokens;
         if (tokens.empty())
             tokens = {Token(Value(0)), Token(Value(1))};
         std::uint64_t key = guard::verificationCacheKey(
-            report.graph, graph, budget, tokens);
+            report.output_dot, input_dot, budget, tokens);
         report.verify_cache_key = guard::formatCacheKey(key);
         bool cacheable =
             options.verify_cache && guard::isCacheable(budget);
@@ -189,11 +230,24 @@ Compiler::compileGraph(const ExprHigh& graph,
         // fails the compilation; level "none" without one just means
         // the budget bought no assurance — the report says so.
         if (!report.verdict.ok && !report.verdict.counterexample.empty())
-            return err("compileGraph: governed verification found a "
-                       "violation at level " +
-                       report.verification_level + ":\n" +
-                       report.verdict.counterexample);
+            violation = "compileGraph: governed verification found a "
+                        "violation at level " +
+                        report.verification_level + ":\n" +
+                        report.verdict.counterexample;
     }
+
+    // Nothing is committed from a job whose token fired, and no entry
+    // is written for an output holding a `pure` node (reexpand off):
+    // its functions live only in this compiler's registry.
+    if (memoize && !report.compile_cache_hit &&
+        !options.stop.stopRequested() && !holdsPure(report.graph))
+        verdict_store_->storeCompile(
+            compile_key,
+            guard::CompileEntry{report.output_dot, report.loops,
+                                report.rewrites, report.rollbacks,
+                                report.validation});
+    if (violation)
+        return err(*violation);
     return report;
 }
 

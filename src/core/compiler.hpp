@@ -81,11 +81,23 @@ struct CompileOptions
     /** Token domain of the governed verification; empty = {0, 1}. */
     std::vector<Token> verify_tokens;
     /**
-     * Memoize governed verdicts in the compiler's guard::VerdictStore,
-     * keyed by a canonical structural hash of (circuits, budget, token
-     * domain), so recompiling an unchanged circuit skips exploration.
-     * Only deterministic verdicts (deadline_seconds == 0) are ever
-     * cached.
+     * Memoize governed compiles in the compiler's guard::VerdictStore
+     * (only read when governed_verify is on). Two entries per input:
+     *   - a compile entry, keyed by a hash of the canonical input dot,
+     *     num_tags, reexpand, validate and the rule-catalog
+     *     fingerprint, holding the output circuit and the loop,
+     *     rewrite, rollback and validation report. A hit skips
+     *     typecheck, validation and the whole rewrite pipeline
+     *     (CompileReport::compile_cache_hit; seconds reads 0). No
+     *     entry is used or written for a circuit holding a `pure`
+     *     node (an input that does, or any output with reexpand
+     *     off): its function lives only in this compiler's registry.
+     *     Nor with verify_rewrites on.
+     *   - a verdict, keyed by a hash of (output and input circuits,
+     *     budget, token domain), so recompiling an unchanged circuit
+     *     skips exploration. Only deterministic verdicts
+     *     (deadline_seconds == 0) are ever cached.
+     * Nothing is committed once the stop token has fired.
      */
     bool verify_cache = true;
     /**
@@ -123,6 +135,10 @@ struct CompileReport
     /** The governed verdict came from the verdict store — no
      * exploration ran for it. */
     bool verify_cache_hit = false;
+    /** The circuit and its rewrite report came from a compile entry
+     * of the store — no rewriting ran (see
+     * CompileOptions::verify_cache). */
+    bool compile_cache_hit = false;
     /** Canonical cache key of the governed verification ("0x…");
      * empty when governed verification did not run. */
     std::string verify_cache_key;
@@ -236,6 +252,11 @@ class Compiler
     }
 
   private:
+    /** Typecheck, validate, rewrite and re-validate @p graph: the
+     * compile a compile entry stands in for. */
+    Result<CompileReport> rewriteGraph(const ExprHigh& graph,
+                                       const CompileOptions& options);
+
     Environment env_;
     std::shared_ptr<guard::VerdictStore> verdict_store_ =
         std::make_shared<guard::VerdictStore>();

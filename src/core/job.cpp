@@ -313,6 +313,7 @@ compileResultJson(const CompileReport& report)
     if (report.verification_level != "not-run") {
         out.set("verdict", report.verdict.toJson());
         out.set("verify_cache_hit", report.verify_cache_hit);
+        out.set("compile_cache_hit", report.compile_cache_hit);
         out.set("verify_cache_key", report.verify_cache_key);
     }
     out.set("report", report.toJson());

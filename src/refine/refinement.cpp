@@ -204,7 +204,8 @@ class SimulationGame
     /**
      * Breadth-first pair discovery, one level at a time (the probe
      * publishes once per level). Each pair's first move without any
-     * response is recorded in @p round_one.
+     * response is recorded in @p round_one. The stop token is polled
+     * every 1024 pairs, as in prune: one level can hold ~10^6 pairs.
      */
     bool
     discover(std::vector<Kill>& round_one)
@@ -213,11 +214,12 @@ class SimulationGame
                                   spec_.initialState());
         alive_.insert(initial);
         std::vector<PairKey> level{initial};
+        std::size_t polled = 0;
         while (!level.empty()) {
-            if (stop_.stopRequested())
-                return false;
             std::vector<PairKey> next;
             for (PairKey key : level) {
+                if ((polled++ & 0x3ff) == 0 && stop_.stopRequested())
+                    return false;
                 std::uint32_t s = static_cast<std::uint32_t>(key >> 32);
                 std::uint32_t t = static_cast<std::uint32_t>(key);
                 bool may_die = !protectedPair(t);

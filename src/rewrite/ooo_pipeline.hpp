@@ -85,6 +85,15 @@ struct PipelineResult
 };
 
 /**
+ * Version of the pipeline's behaviour, folded into the compile-entry
+ * key (guard::catalogFingerprint). Bump it with any change that
+ * alters the output circuit or report of some input, so compile
+ * entries an older build committed to a persistent store miss
+ * instead of answering for the new pipeline.
+ */
+inline constexpr int kOooPipelineVersion = 1;
+
+/**
  * Run the full out-of-order pipeline on every Mux/Branch loop of
  * @p graph. Loops that cannot be transformed soundly are reported and
  * left untouched (the graph still improves where possible).

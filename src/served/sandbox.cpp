@@ -162,12 +162,13 @@ class ChildLink final : public guard::VerdictStore
         replied_.notify_all();
     }
 
-    std::optional<guard::VerificationVerdict>
-    lookup(std::uint64_t key) override
+    std::optional<guard::StoreEntry>
+    get(std::uint64_t key, guard::EntryKind kind) override
     {
         json::Value msg{json::Object{}};
         msg.set("op", "store_get");
         msg.set("key", std::to_string(key));
+        msg.set("kind", guard::toString(kind));
         std::optional<json::Value> reply;
         {
             std::unique_lock<std::mutex> lock(mutex_);
@@ -183,24 +184,19 @@ class ChildLink final : public guard::VerdictStore
         const json::Value* hit = reply->find("hit");
         if (hit == nullptr || !hit->isBool() || !hit->asBool())
             return std::nullopt;
-        const json::Value* verdict = reply->find("verdict");
-        if (verdict == nullptr)
-            return std::nullopt;
-        Result<guard::VerificationVerdict> parsed =
-            guard::verdictFromJson(*verdict);
-        if (!parsed.ok())
+        Result<guard::StoreEntry> parsed = guard::entryFromJson(*reply);
+        if (!parsed.ok() || guard::kindOf(parsed.value()) != kind)
             return std::nullopt;
         return parsed.take();
     }
 
     void
-    store(std::uint64_t key,
-          const guard::VerificationVerdict& verdict) override
+    put(std::uint64_t key, const guard::StoreEntry& entry) override
     {
         json::Value msg{json::Object{}};
         msg.set("op", "store_put");
         msg.set("key", std::to_string(key));
-        msg.set("verdict", verdict.toJson());
+        guard::setEntryJson(msg, entry);
         (void)send(msg);
     }
 
@@ -855,27 +851,30 @@ WorkerProcess::execute(const std::string& job_id, const JobSpec& spec,
             mirrorFrame(msg, job_scope);
         } else if (verb == "store_get") {
             std::uint64_t key = parseU64Field(msg, "key");
+            const json::Value* kind = msg.find("kind");
+            guard::EntryKind wanted =
+                kind != nullptr && kind->isString() &&
+                        kind->asString() ==
+                            guard::toString(guard::EntryKind::Compile)
+                    ? guard::EntryKind::Compile
+                    : guard::EntryKind::Verdict;
             json::Value reply{json::Object{}};
             reply.set("op", "store");
-            std::optional<guard::VerificationVerdict> verdict;
+            std::optional<guard::StoreEntry> entry;
             if (hooks.lookup)
-                verdict = hooks.lookup(key);
-            reply.set("hit", verdict.has_value());
-            if (verdict.has_value())
-                reply.set("verdict", verdict->toJson());
+                entry = hooks.lookup(key, wanted);
+            reply.set("hit", entry.has_value());
+            if (entry.has_value())
+                guard::setEntryJson(reply, *entry);
             if (!writeFrame(socket_, reply.dump(),
                             config_.io_timeout_ms)
                      .ok())
                 return died(KillContext::None);
         } else if (verb == "store_put") {
             std::uint64_t key = parseU64Field(msg, "key");
-            const json::Value* verdict = msg.find("verdict");
-            if (verdict != nullptr && hooks.store) {
-                Result<guard::VerificationVerdict> parsed =
-                    guard::verdictFromJson(*verdict);
-                if (parsed.ok())
-                    hooks.store(key, parsed.take());
-            }
+            Result<guard::StoreEntry> parsed = guard::entryFromJson(msg);
+            if (parsed.ok() && hooks.store)
+                hooks.store(key, parsed.take());
         } else if (verb == "result") {
             mirrorFrame(msg, job_scope);
             const json::Value* status = msg.find("status");

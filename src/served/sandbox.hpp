@@ -176,15 +176,14 @@ struct SandboxOutcome
 };
 
 /** Parent-side verdict-store callbacks the child's proxy traffic is
- * answered from (bound to the scheduler's shared store). */
+ * answered from (bound to the scheduler's shared store). Both entry
+ * kinds, verdicts and compile entries, travel through this one pair. */
 struct StoreHooks
 {
-    std::function<std::optional<guard::VerificationVerdict>(
-        std::uint64_t)>
+    std::function<std::optional<guard::StoreEntry>(std::uint64_t,
+                                                   guard::EntryKind)>
         lookup;
-    std::function<void(std::uint64_t,
-                       const guard::VerificationVerdict&)>
-        store;
+    std::function<void(std::uint64_t, const guard::StoreEntry&)> store;
 };
 
 /** Sandbox tuning (shared by every worker of a pool). */

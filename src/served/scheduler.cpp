@@ -117,12 +117,12 @@ Scheduler::Scheduler(SchedulerConfig config) : config_(std::move(config))
     // write stays in this (parent) process, so a dying child can
     // never tear the store.
     StoreHooks hooks;
-    hooks.lookup = [this](std::uint64_t key) {
-        return store_->lookup(key);
+    hooks.lookup = [this](std::uint64_t key, guard::EntryKind kind) {
+        return store_->get(key, kind);
     };
     hooks.store = [this](std::uint64_t key,
-                         const guard::VerificationVerdict& verdict) {
-        store_->store(key, verdict);
+                         const guard::StoreEntry& entry) {
+        store_->put(key, entry);
     };
     pool_ = std::make_unique<WorkerPool>(config_.pool, std::move(hooks));
 }

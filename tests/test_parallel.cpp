@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <optional>
@@ -28,10 +29,14 @@
 #include "bench_circuits/benchmarks.hpp"
 #include "bench_circuits/gcd.hpp"
 #include "core/compiler.hpp"
+#include "core/job.hpp"
+#include "dot/dot.hpp"
 #include "faults/stress.hpp"
 #include "guard/governor.hpp"
 #include "guard/verdict_store.hpp"
+#include "obs/vprobe.hpp"
 #include "refine/refinement.hpp"
+#include "rewrite/catalog.hpp"
 #include "rewrite/ooo_pipeline.hpp"
 #include "sim/sim.hpp"
 
@@ -853,6 +858,233 @@ TEST(VerifyCache, KeyTracksBudget)
     EXPECT_FALSE(guard::isCacheable(timed));
 }
 
+/** One circuit of the compile-entry tests: the six paper benchmarks
+ * and gcd, as the dot text a served verify carries. */
+struct PaperCircuit
+{
+    std::string name;
+    std::string dot;
+    int num_tags = 8;
+};
+
+std::vector<PaperCircuit>
+paperCircuits()
+{
+    std::vector<PaperCircuit> out;
+    for (const std::string& name : circuits::benchmarkNames()) {
+        circuits::BenchmarkSpec spec =
+            circuits::buildBenchmark(name).take();
+        out.push_back({name, printDot(spec.df_io), spec.num_tags});
+    }
+    out.push_back({"gcd", printDot(circuits::buildGcdInOrder()),
+                   CompileOptions{}.num_tags});
+    return out;
+}
+
+/** @p object without the members named in @p keys. */
+obs::json::Value
+withoutKeys(const obs::json::Value& object,
+            std::initializer_list<std::string> keys)
+{
+    obs::json::Value out{obs::json::Object{}};
+    for (const auto& [key, value] : object.asObject())
+        if (std::find(keys.begin(), keys.end(), key) == keys.end())
+            out.set(key, value);
+    return out;
+}
+
+/** A verify result without what a store hit may change: both hit
+ * flags and report.seconds (0 on a compile hit). */
+std::string
+withoutHitFields(const obs::json::Value& result)
+{
+    obs::json::Value out = withoutKeys(
+        result, {"verify_cache_hit", "compile_cache_hit", "report"});
+    out.set("report",
+            withoutKeys(*result.find("report"),
+                        {"seconds", "verify_cache_hit",
+                         "compile_cache_hit"}));
+    return out.dump(2);
+}
+
+bool
+flag(const obs::json::Value& result, const char* key)
+{
+    const obs::json::Value* f = result.find(key);
+    return f != nullptr && f->isBool() && f->asBool();
+}
+
+TEST(VerifyCache, RepeatAndFreshSaltReuseTheCompileEntryOnEveryBenchmark)
+{
+    // A fresh Compiler per request on one store: the served daemon's
+    // shape. One store per circuit, as gsum-many and gsum-single
+    // share their circuit.
+    std::shared_ptr<guard::VerdictStore> store;
+    auto run = [&](const JobSpec& spec) {
+        Compiler compiler;
+        compiler.setVerdictStore(store);
+        Result<obs::json::Value> result = runJob(compiler, spec);
+        EXPECT_TRUE(result.ok()) << result.error().message;
+        return result.ok() ? result.take() : obs::json::Value{};
+    };
+    for (const PaperCircuit& circuit : paperCircuits()) {
+        store = std::make_shared<guard::VerdictStore>();
+        JobSpec spec;
+        spec.kind = "verify";
+        spec.circuit_dot = circuit.dot;
+        spec.options = governedOptions();
+        spec.options.num_tags = circuit.num_tags;
+
+        obs::json::Value first = run(spec);
+        obs::json::Value repeat = run(spec);
+        ASSERT_NE(first.find("report"), nullptr) << circuit.name;
+        ASSERT_NE(repeat.find("report"), nullptr) << circuit.name;
+        EXPECT_FALSE(flag(first, "compile_cache_hit")) << circuit.name;
+        EXPECT_TRUE(flag(repeat, "compile_cache_hit")) << circuit.name;
+        EXPECT_TRUE(flag(repeat, "verify_cache_hit")) << circuit.name;
+        EXPECT_EQ(repeat.find("report")->find("seconds")->asNumber(), 0.0)
+            << circuit.name;
+        EXPECT_EQ(withoutHitFields(repeat), withoutHitFields(first))
+            << circuit.name;
+
+        // A fresh budget salt misses the verdict but not the compile;
+        // its verdict is the one a store-less compile computes.
+        JobSpec salted = spec;
+        salted.options.verify_budget.seed ^= 1;
+        obs::json::Value fresh = run(salted);
+        EXPECT_TRUE(flag(fresh, "compile_cache_hit")) << circuit.name;
+        EXPECT_FALSE(flag(fresh, "verify_cache_hit")) << circuit.name;
+        Compiler storeless;
+        CompileOptions options = salted.options;
+        options.verify_cache = false;
+        Result<CompileReport> reference =
+            storeless.compileDot(circuit.dot, options);
+        ASSERT_TRUE(reference.ok()) << reference.error().message;
+        EXPECT_EQ(fresh.find("verdict")->dump(2),
+                  reference.value().verdict.toJson().dump(2))
+            << circuit.name;
+        EXPECT_EQ(fresh.find("output_dot")->asString(),
+                  reference.value().output_dot)
+            << circuit.name;
+        EXPECT_EQ(fresh.find("verify_cache_key")->asString(),
+                  reference.value().verify_cache_key)
+            << circuit.name;
+
+        // Compile lookups have their own counters; hits and misses
+        // count verdict lookups only.
+        guard::VerdictStoreStats stats = store->stats();
+        EXPECT_EQ(stats.compile_misses, 1u) << circuit.name;
+        EXPECT_EQ(stats.compile_hits, 2u) << circuit.name;
+        EXPECT_EQ(stats.misses, 2u) << circuit.name;
+        EXPECT_EQ(stats.hits, 1u) << circuit.name;
+        EXPECT_EQ(stats.entries, 3u) << circuit.name;
+    }
+}
+
+TEST(VerifyCache, CatalogOptionAndInputEditsTurnACompileHitIntoAMiss)
+{
+    // A catalog with one RHS altered has another fingerprint.
+    std::vector<RewriteDef> rules = catalog::allRewrites();
+    ASSERT_FALSE(rules.empty());
+    EXPECT_EQ(guard::catalogFingerprint(rules), guard::catalogFingerprint());
+    std::vector<RewriteDef> altered = rules;
+    altered.front().rhs.addNode("fingerprint_probe", "buffer");
+    std::uint64_t fingerprint = guard::catalogFingerprint();
+    std::uint64_t altered_fingerprint = guard::catalogFingerprint(altered);
+    EXPECT_NE(altered_fingerprint, fingerprint);
+
+    ExprHigh gcd = circuits::buildGcdInOrder();
+    auto store = std::make_shared<guard::VerdictStore>();
+    CompileOptions options = governedOptions();
+    auto compileHits = [&](const ExprHigh& graph,
+                           const CompileOptions& with) {
+        Compiler compiler;
+        compiler.setVerdictStore(store);
+        Result<CompileReport> report = compiler.compileGraph(graph, with);
+        EXPECT_TRUE(report.ok()) << report.error().message;
+        return report.ok() && report.value().compile_cache_hit;
+    };
+    EXPECT_FALSE(compileHits(gcd, options));
+
+    // The entry is filed under the process fingerprint's key; the
+    // altered catalog's key for the same input misses.
+    std::string dot = printDot(gcd);
+    EXPECT_TRUE(store
+                    ->lookupCompile(guard::compileCacheKey(
+                        dot, options.num_tags, options.reexpand,
+                        options.validate, fingerprint))
+                    .has_value());
+    EXPECT_FALSE(store
+                     ->lookupCompile(guard::compileCacheKey(
+                         dot, options.num_tags, options.reexpand,
+                         options.validate, altered_fingerprint))
+                     .has_value());
+
+    CompileOptions tags = options;
+    tags.num_tags = options.num_tags + 1;
+    CompileOptions pure = options;
+    pure.reexpand = false;
+    CompileOptions unguarded = options;
+    unguarded.validate = false;
+    EXPECT_FALSE(compileHits(gcd, tags));
+    EXPECT_FALSE(compileHits(gcd, pure));
+    EXPECT_FALSE(compileHits(gcd, unguarded));
+
+    // One node more: a buffer in front of output 0.
+    ExprHigh mutated = gcd;
+    auto out0 = mutated.outputs()[0];
+    ASSERT_TRUE(out0.has_value());
+    mutated.addNode("compile_key_tap", "buffer");
+    mutated.connect(*out0, PortRef{"compile_key_tap", "in0"});
+    mutated.bindOutput(0, PortRef{"compile_key_tap", "out0"});
+    EXPECT_FALSE(compileHits(mutated, options));
+
+    // The unedited request still hits.
+    EXPECT_TRUE(compileHits(gcd, options));
+}
+
+TEST(VerifyCache, ProfileJobsSimulateTheSameOnAWarmStore)
+{
+    // With reexpand off the output keeps its `pure` body, whose
+    // function only the compiling Compiler registered: no compile
+    // entry may be written for it, or the next job's simulator would
+    // not find the function.
+    auto store = std::make_shared<guard::VerdictStore>();
+    for (bool reexpand : {false, true}) {
+        JobSpec spec;
+        spec.kind = "profile";
+        spec.circuit_dot = printDot(circuits::buildGcdInOrder());
+        spec.options = governedOptions();
+        spec.options.reexpand = reexpand;
+        spec.workload.inputs = {{Token(Value(48)), Token(Value(100))},
+                                {Token(Value(18)), Token(Value(75))}};
+        spec.workload.expected_outputs = 2;
+
+        Compiler storeless;
+        JobSpec uncached = spec;
+        uncached.options.verify_cache = false;
+        Result<obs::json::Value> reference = runJob(storeless, uncached);
+        ASSERT_TRUE(reference.ok()) << reference.error().message;
+        for (int round = 0; round < 2; ++round) {
+            Compiler compiler;
+            compiler.setVerdictStore(store);
+            Result<obs::json::Value> run = runJob(compiler, spec);
+            ASSERT_TRUE(run.ok())
+                << "reexpand " << reexpand << " round " << round << ": "
+                << run.error().message;
+            for (const char* key : {"output_dot", "cycles", "outputs"})
+                EXPECT_EQ(run.value().find(key)->dump(),
+                          reference.value().find(key)->dump())
+                    << "reexpand " << reexpand << " round " << round
+                    << ": " << key;
+        }
+    }
+    // reexpand off wrote nothing, so both its rounds missed; reexpand
+    // on missed once and then hit the entry its first round wrote.
+    EXPECT_EQ(store->stats().compile_misses, 3u);
+    EXPECT_EQ(store->stats().compile_hits, 1u);
+}
+
 // ---------------------------------------------------------------------
 // Simulator schedule: the ready worklist reproduces, plan by plan, the
 // results of the full sweep it replaced. Each row below was recorded
@@ -1105,6 +1337,74 @@ TEST(ParallelCancel, RacingCancelMidExploreParksAPrefixOfOneShot)
         expectPrefixOf(space, full.value(),
                        "lag " + std::to_string(lag_us));
     }
+}
+
+TEST(ParallelCancel, StopDuringGameDiscoveryReturnsWithinAQuarterSecond)
+{
+    // matvec at input budget 1 with 2000-state partial spaces: the
+    // game's discovery levels grow past 3 * 10^5 pairs, and one such
+    // level takes longer than the bound, so the stop must be seen
+    // inside a level, not between levels.
+    circuits::BenchmarkSpec spec = circuits::buildBenchmark("matvec").take();
+    Environment env;
+    PipelineOptions popts;
+    popts.num_tags = spec.num_tags;
+    Result<PipelineResult> transformed =
+        runOooPipeline(spec.df_io, env, popts);
+    ASSERT_TRUE(transformed.ok()) << transformed.error().message;
+    Environment bounded(3, env.functionsPtr());
+    DenotedModule impl =
+        DenotedModule::denote(
+            lowerToExprLow(transformed.value().graph).value(), bounded)
+            .take();
+    DenotedModule orig =
+        DenotedModule::denote(lowerToExprLow(spec.df_io).value(), bounded)
+            .take();
+    InputDomain domain =
+        InputDomain::uniform(impl, {Token(Value(0)), Token(Value(1))});
+    ExplorationLimits limits;
+    limits.max_states = 2000;
+    limits.input_budget = 1;
+    StateSpace impl_space =
+        StateSpace::explorePartial(impl, domain, limits).take();
+    StateSpace spec_space =
+        StateSpace::explorePartial(orig, domain, limits).take();
+
+    obs::Scope scope;
+    auto probe = std::make_shared<obs::VerifyProbe>();
+    scope.attachVerifyProbe(probe);
+    StopToken stop = StopToken::manual();
+    std::atomic<bool> returned{false};
+    std::chrono::steady_clock::time_point fired;
+    obs::VerifyProgress at_fire;
+    // Fire once discovery has published ~8 * 10^5 pairs: the level
+    // then being discovered holds ~3 * 10^5 of them.
+    std::thread canceller([&] {
+        while (!returned.load() && probe->snapshot().pairs < 800000)
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        at_fire = probe->snapshot();
+        fired = std::chrono::steady_clock::now();
+        stop.requestStop("discovery stop");
+    });
+    std::optional<Result<RefinementReport>> played;
+    {
+        obs::ScopedInstall install(&scope);
+        played = checkRefinementOnSpaces(impl_space, spec_space,
+                                         /*optimistic_frontier=*/true, stop);
+    }
+    auto done = std::chrono::steady_clock::now();
+    returned.store(true);
+    canceller.join();
+
+    ASSERT_FALSE(played->ok()) << "the game finished before the stop";
+    EXPECT_NE(played->error().message.find("discovery stop"),
+              std::string::npos)
+        << played->error().message;
+    EXPECT_GE(at_fire.pairs, 800000u);
+    EXPECT_EQ(at_fire.round, 0u) << "the stop fired after discovery";
+    double latency = std::chrono::duration<double>(done - fired).count();
+    EXPECT_LT(latency, 0.25) << "stop-to-return latency " << latency
+                             << " s";
 }
 
 TEST(ParallelCancel, RacingCancelMidSimulationStaysStructured)

@@ -15,6 +15,11 @@
  *   - overload honesty: a flood beyond queue capacity sheds with
  *     status "rejected" and a retry_after hint — nothing hangs,
  *     nothing is silently dropped;
+ *   - compile entries: a repeat request, or one with a fresh budget
+ *     salt, reuses the stored compile and answers with the same
+ *     result JSON, or the verdict a store-less compile computes;
+ *     compile entries persist beside verdicts, and malformed ones are
+ *     skipped and counted;
  *   - crash safety: verdicts committed before kill() are cache hits
  *     after a restart from the same store directory;
  *   - misbehaving clients (half-written frames, junk payloads,
@@ -24,9 +29,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -593,6 +600,154 @@ TEST(ServedVerifyCache, InexactCountInAnEntryIsCorrupt)
     EXPECT_FALSE(store.lookup(44).has_value());
 }
 
+/** A compile entry distinguishable by @p salt. */
+guard::CompileEntry
+syntheticCompileEntry(std::uint64_t salt)
+{
+    guard::CompileEntry entry;
+    entry.output_dot = "digraph circuit { /* " + std::to_string(salt) +
+                       " */ }";
+    LoopTransformReport loop;
+    loop.header_mux = "mux" + std::to_string(salt);
+    loop.transformed = true;
+    loop.body_fn = "body_fn0";
+    loop.body_latency = 3;
+    loop.term_size_before = 12;
+    loop.term_size_after = 5;
+    entry.loops.push_back(loop);
+    LoopTransformReport refused;
+    refused.header_mux = "mux_j";
+    refused.refusal = "loop body stores to memory";
+    entry.loops.push_back(refused);
+    entry.rewrites.record("fork-split");
+    entry.rewrites.record("fork-split");
+    entry.rollbacks.push_back({"mux-to-merge", "tag.unpaired"});
+    entry.validation.add(guard::Severity::Warning, "graph.unreachable",
+                         "sink3", "never fires");
+    return entry;
+}
+
+TEST(ServedVerdictStore, CompileEntriesPersistBesideVerdictsAndReload)
+{
+    guard::VerdictStoreConfig config =
+        freshStoreConfig("verdict-store-compile");
+    {
+        guard::VerdictStore store(config);
+        store.storeCompile(42, syntheticCompileEntry(42));
+        store.store(43, syntheticVerdict(43));
+        // An entry of one kind is a miss for the other kind, counted
+        // with the kind asked for.
+        EXPECT_FALSE(store.lookup(42).has_value());
+        EXPECT_FALSE(store.lookupCompile(43).has_value());
+        guard::VerdictStoreStats stats = store.stats();
+        EXPECT_EQ(stats.misses, 1u);
+        EXPECT_EQ(stats.compile_misses, 1u);
+        EXPECT_EQ(stats.hits + stats.compile_hits, 0u);
+    }
+    guard::VerdictStore reloaded(config);
+    Result<std::size_t> loaded = reloaded.load();
+    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+    EXPECT_EQ(loaded.value(), 2u);
+    EXPECT_EQ(reloaded.stats().corrupt_entries, 0u);
+    std::optional<guard::CompileEntry> entry = reloaded.lookupCompile(42);
+    ASSERT_TRUE(entry.has_value());
+    EXPECT_EQ(entry->toJson().dump(2),
+              syntheticCompileEntry(42).toJson().dump(2));
+    EXPECT_EQ(entry->validation.diagnostics().size(), 1u);
+    EXPECT_EQ(entry->rewrites.per_rule.at("fork-split"), 2u);
+    ASSERT_TRUE(reloaded.lookup(43).has_value());
+    obs::json::Value stats = reloaded.stats().toJson();
+    EXPECT_EQ(stats.find("compile_hits")->asNumber(), 1.0);
+    EXPECT_EQ(stats.find("hits")->asNumber(), 1.0);
+}
+
+TEST(ServedVerdictStore, VerdictOnlyShardOfThePreviousFormatLoads)
+{
+    // A shard file as written before compile entries existed: version
+    // 1, every entry a key and a verdict.
+    guard::VerdictStoreConfig config =
+        freshStoreConfig("verdict-store-previous");
+    {
+        std::ofstream out(config.dir + "/verdicts-0.json");
+        out << "{\"version\": 1, \"entries\": [{\"key\": \""
+            << guard::formatCacheKey(42) << "\", \"verdict\": "
+            << syntheticVerdict(42).toJson().dump() << "}, {\"key\": \""
+            << guard::formatCacheKey(7) << "\", \"verdict\": "
+            << syntheticVerdict(7).toJson().dump() << "}]}";
+    }
+    guard::VerdictStore store(config);
+    Result<std::size_t> loaded = store.load();
+    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+    EXPECT_EQ(loaded.value(), 2u);
+    EXPECT_EQ(store.stats().corrupt_entries, 0u);
+    std::optional<guard::VerificationVerdict> verdict = store.lookup(7);
+    ASSERT_TRUE(verdict.has_value());
+    EXPECT_EQ(verdict->toJson().dump(2),
+              syntheticVerdict(7).toJson().dump(2));
+}
+
+TEST(ServedVerifyCache, MalformedCompileEntryIsCorrupt)
+{
+    guard::VerdictStoreConfig config =
+        freshStoreConfig("verdict-store-bad-compile");
+    obs::json::Value good = syntheticCompileEntry(42).toJson();
+    auto entry = [](const std::string& key, const char* member,
+                    obs::json::Value payload) {
+        obs::json::Value out{obs::json::Object{}};
+        out.set("key", key);
+        out.set(member, std::move(payload));
+        return out;
+    };
+    /** @p good with @p field of its report replaced by @p value. */
+    auto withReportField = [&](const char* field, obs::json::Value value) {
+        obs::json::Value report = *good.find("report");
+        report.set(field, std::move(value));
+        obs::json::Value out = good;
+        out.set("report", std::move(report));
+        return out;
+    };
+    obs::json::Value inexact{obs::json::Object{}};
+    inexact.set("rewrites_applied", 2.5);
+    inexact.set("per_rule", obs::json::Value{obs::json::Object{}});
+    obs::json::Value dotless = good;
+    dotless.set("output_dot", 7);
+
+    obs::json::Value entries{obs::json::Array{}};
+    entries.push(entry(guard::formatCacheKey(42), "compile", good));
+    entries.push(entry(guard::formatCacheKey(43), "compile", dotless));
+    entries.push(entry(guard::formatCacheKey(44), "compile",
+                       withReportField("loops", "none")));
+    entries.push(entry(guard::formatCacheKey(45), "compile",
+                       withReportField("rewrites", inexact)));
+    entries.push(entry(guard::formatCacheKey(46), "compile",
+                       withReportField("rollbacks",
+                                       obs::json::Value{
+                                           obs::json::Object{}})));
+    // Two payloads in one entry.
+    obs::json::Value both =
+        entry(guard::formatCacheKey(47), "compile", good);
+    both.set("verdict", syntheticVerdict(47).toJson());
+    entries.push(std::move(both));
+    // A good payload under a key this store never writes.
+    entries.push(entry("0x2A", "compile", good));
+    obs::json::Value doc{obs::json::Object{}};
+    doc.set("version", 1);
+    doc.set("entries", std::move(entries));
+    ASSERT_TRUE(
+        obs::json::writeFileAtomic(config.dir + "/verdicts-0.json", doc)
+            .ok());
+
+    guard::VerdictStore store(config);
+    Result<std::size_t> loaded = store.load();
+    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+    EXPECT_EQ(loaded.value(), 1u);
+    EXPECT_EQ(store.stats().corrupt_entries, 6u);
+    EXPECT_TRUE(store.lookupCompile(42).has_value());
+    for (std::uint64_t key : {43, 44, 45, 46, 47})
+        EXPECT_FALSE(store.lookupCompile(key).has_value()) << key;
+    EXPECT_FALSE(store.lookup(47).has_value());
+}
+
 TEST(ServedVerifyCache, FullDeviceWriteFailsLoudly)
 {
     // /dev/full accepts opens and drops writes with ENOSPC at flush —
@@ -794,6 +949,118 @@ TEST(ServedDaemon, VerdictsByteIdenticalToOneShotOnEveryBenchmark)
         EXPECT_EQ(verdict->dump(2), baseline_verdict) << name;
         EXPECT_EQ(output_dot->asString(), baseline_dot) << name;
     }
+    daemon.stop();
+}
+
+/** @p object without the members named in @p keys. */
+obs::json::Value
+withoutKeys(const obs::json::Value& object,
+            std::initializer_list<std::string> keys)
+{
+    obs::json::Value out{obs::json::Object{}};
+    for (const auto& [key, value] : object.asObject())
+        if (std::find(keys.begin(), keys.end(), key) == keys.end())
+            out.set(key, value);
+    return out;
+}
+
+/** A verify result without what a store hit may change: both hit
+ * flags, report.seconds (0 on a compile hit) and
+ * report.verify_peak_bytes (a verdict crosses the worker link as
+ * JSON without its resource figures, so a served verdict hit reads 0
+ * there: no exploration ran). */
+std::string
+withoutHitFields(const obs::json::Value& result)
+{
+    obs::json::Value out = withoutKeys(
+        result, {"verify_cache_hit", "compile_cache_hit", "report"});
+    out.set("report",
+            withoutKeys(*result.find("report"),
+                        {"seconds", "verify_cache_hit",
+                         "compile_cache_hit", "verify_peak_bytes"}));
+    return out.dump(2);
+}
+
+bool
+flag(const obs::json::Value& result, const char* key)
+{
+    const obs::json::Value* f = result.find(key);
+    return f != nullptr && f->isBool() && f->asBool();
+}
+
+TEST(ServedDaemon, RepeatAndFreshSaltRequestsReuseTheCompileEntry)
+{
+    std::string path = socketPath("compile-entry");
+    served::DaemonConfig config;
+    config.socket_path = path;
+    config.scheduler = schedulerConfig(2, 8);
+    served::Daemon daemon(config);
+    ASSERT_TRUE(daemon.start().ok());
+    served::Client client(clientConfig(path));
+    auto serve = [&](const JobSpec& spec) {
+        Result<served::JobResponse> response = client.request(spec);
+        EXPECT_TRUE(response.ok()) << response.error().message;
+        if (!response.ok())
+            return obs::json::Value{};
+        EXPECT_EQ(response.value().status, "ok") << response.value().error;
+        return response.value().result;
+    };
+
+    std::vector<std::pair<std::string, std::string>> circuits;
+    for (const std::string& name : circuits::benchmarkNames()) {
+        circuits::BenchmarkSpec bench =
+            circuits::buildBenchmark(name).take();
+        circuits.push_back({name, printDot(bench.df_io)});
+    }
+    circuits.push_back({"gcd", gcdDot()});
+    std::set<std::string> compiled;  // gsum-many and gsum-single share one
+    std::uint64_t salt = 0;
+    for (const auto& [name, dot] : circuits) {
+        JobSpec spec = verifySpec(dot);
+        obs::json::Value first = serve(spec);
+        obs::json::Value repeat = serve(spec);
+        ASSERT_NE(first.find("report"), nullptr) << name;
+        ASSERT_NE(repeat.find("report"), nullptr) << name;
+        EXPECT_EQ(flag(first, "compile_cache_hit"), compiled.count(dot) > 0)
+            << name;
+        compiled.insert(dot);
+        EXPECT_TRUE(flag(repeat, "compile_cache_hit")) << name;
+        EXPECT_TRUE(flag(repeat, "verify_cache_hit")) << name;
+        EXPECT_EQ(withoutHitFields(repeat), withoutHitFields(first)) << name;
+
+        // A fresh salt reuses the compile entry and runs only the
+        // ladder, whose verdict is a store-less compile's.
+        JobSpec salted = spec;
+        salted.options.verify_budget.seed ^= ++salt;
+        obs::json::Value fresh = serve(salted);
+        EXPECT_TRUE(flag(fresh, "compile_cache_hit")) << name;
+        EXPECT_FALSE(flag(fresh, "verify_cache_hit")) << name;
+        Compiler storeless;
+        CompileOptions options = salted.options;
+        options.verify_cache = false;
+        Result<CompileReport> reference = storeless.compileDot(dot, options);
+        ASSERT_TRUE(reference.ok()) << reference.error().message;
+        ASSERT_NE(fresh.find("verdict"), nullptr) << name;
+        EXPECT_EQ(fresh.find("verdict")->dump(2),
+                  reference.value().verdict.toJson().dump(2))
+            << name;
+        EXPECT_EQ(fresh.find("output_dot")->asString(),
+                  reference.value().output_dot)
+            << name;
+    }
+
+    // The stats verb shows compile lookups apart from verdict ones:
+    // per distinct circuit one compile miss; every other request hit.
+    obs::json::Value stats = daemon.statsJson();
+    const obs::json::Value* store = stats.find("store");
+    ASSERT_NE(store, nullptr);
+    double requests = 3.0 * static_cast<double>(circuits.size());
+    double distinct = static_cast<double>(compiled.size());
+    EXPECT_EQ(store->find("compile_misses")->asNumber(), distinct);
+    EXPECT_EQ(store->find("compile_hits")->asNumber(), requests - distinct);
+    EXPECT_EQ(store->find("hits")->asNumber() +
+                  store->find("misses")->asNumber(),
+              requests);
     daemon.stop();
 }
 
