@@ -12,6 +12,8 @@
 #include "bench_circuits/benchmarks.hpp"
 #include "bench_circuits/gcd.hpp"
 #include "core/compiler.hpp"
+#include "dot/dot.hpp"
+#include "graph/typecheck.hpp"
 #include "guard/governor.hpp"
 #include "guard/transaction.hpp"
 #include "guard/validator.hpp"
@@ -624,6 +626,223 @@ TEST(Transaction, CatalogValiditySweepIsDeterministic)
         EXPECT_EQ(a.rules[i].rule, b.rules[i].rule);
         EXPECT_EQ(a.rules[i].applications, b.rules[i].applications);
     }
+}
+
+// ---------------------------------------------------------------------
+// Pinned contracts of the rewrite pipeline and the validator: FNV-1a
+// digests of everything a faster implementation must reproduce byte
+// for byte (snapshots, output dot, rewrite counts, rollbacks, loop
+// reports, diagnostics, inferred wire types).
+// ---------------------------------------------------------------------
+
+std::uint64_t
+fnv1a(const std::string& text)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+struct ContractCircuit
+{
+    std::string name;
+    ExprHigh graph;
+    int num_tags;
+};
+
+/** The six benchmarks (df_io, and df_ooo_input where present), gcd
+ * and three gcd farms. */
+std::vector<ContractCircuit>
+contractCircuits()
+{
+    std::vector<ContractCircuit> out;
+    for (const std::string& name : circuits::benchmarkNames()) {
+        circuits::BenchmarkSpec spec = circuits::buildBenchmark(name).take();
+        out.push_back({name, spec.df_io, spec.num_tags});
+        if (spec.df_ooo_input)
+            out.push_back({name + "/ooo-input", *spec.df_ooo_input,
+                           spec.num_tags});
+    }
+    out.push_back({"gcd", circuits::buildGcdInOrder(), 8});
+    for (int copies : {2, 4, 8})
+        out.push_back({"farm" + std::to_string(copies),
+                       circuits::buildGcdFarm(copies), 4});
+    return out;
+}
+
+/** Everything runOooPipeline reports, as text. */
+std::string
+pipelineTranscript(const ExprHigh& input, int num_tags, bool validate)
+{
+    Environment env;
+    PipelineOptions options;
+    options.num_tags = num_tags;
+    options.keep_snapshots = true;
+    if (validate)
+        options.post_check = guard::validatorPostCheck();
+    Result<PipelineResult> result = runOooPipeline(input, env, options);
+    if (!result.ok())
+        return "error: " + result.error().message + "\n";
+    const PipelineResult& pr = result.value();
+    std::string text;
+    for (const PipelineSnapshot& snap : pr.snapshots)
+        text += "snapshot " + snap.phase + "\n" + printDot(snap.graph);
+    text += "final\n" + printDot(pr.graph);
+    text += "applied " + std::to_string(pr.stats.rewrites_applied) + "\n";
+    for (const auto& [rule, count] : pr.stats.per_rule)
+        text += "rule " + rule + " " + std::to_string(count) + "\n";
+    for (const RewriteRollback& rb : pr.rollbacks)
+        text += "rollback " + rb.rule + ": " + rb.reason + "\n";
+    for (const LoopTransformReport& loop : pr.loops)
+        text += "loop " + loop.header_mux + " " +
+                (loop.transformed ? "transformed " : "refused ") +
+                loop.body_fn + " " + std::to_string(loop.body_latency) +
+                " " + loop.refusal + "\n";
+    return text;
+}
+
+/** Diagnostics under the default and the post-check options, and the
+ * inferred wire types (or the type error). */
+std::string
+validationTranscript(const ExprHigh& g)
+{
+    guard::ValidatorOptions postcheck;
+    postcheck.check_token_flow = false;
+    std::string text = "default\n" + guard::validateCircuit(g).render() +
+                       "postcheck\n" +
+                       guard::validateCircuit(g, postcheck).render();
+    Result<TypeReport> typed = checkWellTyped(g);
+    if (!typed.ok())
+        return text + "types: " + typed.error().message + "\n";
+    text += "types\n";
+    for (const auto& [port, type] : typed.value().wire_types)
+        text += port.toString() + " " + type.toString() + "\n";
+    return text;
+}
+
+std::string
+hex(std::uint64_t value)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "0x%016llxULL",
+                  static_cast<unsigned long long>(value));
+    return buf;
+}
+
+/** Compare @p got against @p want; print the whole table on drift. */
+void
+expectDigests(const std::map<std::string, std::uint64_t>& got,
+              const std::map<std::string, std::uint64_t>& want)
+{
+    std::string table;
+    for (const auto& [name, digest] : got)
+        table += "        {\"" + name + "\", " + hex(digest) + "},\n";
+    EXPECT_EQ(got, want) << "digests now:\n" << table;
+}
+
+TEST(RewriteContract, PipelineSnapshotsOutputsAndCountsArePinned)
+{
+    const std::map<std::string, std::uint64_t> want = {
+        {"bicg/ooo-input/plain", 0xe5e98bc39f02fbcaULL},
+        {"bicg/ooo-input/validate", 0xe5e98bc39f02fbcaULL},
+        {"bicg/plain", 0x5c016217e81e5c43ULL},
+        {"bicg/validate", 0x5c016217e81e5c43ULL},
+        {"farm2/plain", 0x55dd04d9b41c757cULL},
+        {"farm2/validate", 0x55dd04d9b41c757cULL},
+        {"farm4/plain", 0xa90221d7bab63a43ULL},
+        {"farm4/validate", 0xa90221d7bab63a43ULL},
+        {"farm8/plain", 0x0b727b8445573206ULL},
+        {"farm8/validate", 0x0b727b8445573206ULL},
+        {"gcd/plain", 0x9e364bd6a4c12301ULL},
+        {"gcd/validate", 0x9e364bd6a4c12301ULL},
+        {"gemm/plain", 0x93e0093642477465ULL},
+        {"gemm/validate", 0x93e0093642477465ULL},
+        {"gsum-many/plain", 0x5e06134d6773a545ULL},
+        {"gsum-many/validate", 0x5e06134d6773a545ULL},
+        {"gsum-single/plain", 0x5e06134d6773a545ULL},
+        {"gsum-single/validate", 0x5e06134d6773a545ULL},
+        {"matvec/plain", 0xe4f25ac0e0fb0bfaULL},
+        {"matvec/validate", 0xe4f25ac0e0fb0bfaULL},
+        {"mvt/plain", 0x676adebd042ddc0fULL},
+        {"mvt/validate", 0x676adebd042ddc0fULL},
+    };
+    std::map<std::string, std::uint64_t> got;
+    for (const ContractCircuit& c : contractCircuits())
+        for (bool validate : {true, false})
+            got[c.name + (validate ? "/validate" : "/plain")] = fnv1a(
+                pipelineTranscript(c.graph, c.num_tags, validate));
+    expectDigests(got, want);
+}
+
+TEST(RewriteContract, ValidatorReportsOnMutantsAndBenchmarksArePinned)
+{
+    const std::map<std::string, std::uint64_t> want = {
+        {"bicg/after", 0xc2b06c68519adc7eULL},
+        {"bicg/before", 0xc2b06c68519adc7eULL},
+        {"bicg/ooo-input/after", 0x211315e5eb420c58ULL},
+        {"bicg/ooo-input/before", 0x8b8d81bc2086e2c3ULL},
+        {"catalog-sweep/12648430", 0x4256987e5533cd0dULL},
+        {"catalog-sweep/42", 0x8940ffe419d99436ULL},
+        {"catalog-sweep/7", 0xed83db2d4d0ab4cdULL},
+        {"fuzz/42", 0xbc9eff089556837eULL},
+        {"fuzz/61453", 0x647af0a728908efaULL},
+        {"gcd/after", 0xb912fb40d78fd4e7ULL},
+        {"gcd/before", 0xe638e2ae1d997fd6ULL},
+        {"gemm/after", 0xe2b0ea7ef8453bdaULL},
+        {"gemm/before", 0xfd35f605b41d664cULL},
+        {"gsum-many/after", 0x0054caff06d501a5ULL},
+        {"gsum-many/before", 0xe6c7d2e2d533edfbULL},
+        {"gsum-single/after", 0x0054caff06d501a5ULL},
+        {"gsum-single/before", 0xe6c7d2e2d533edfbULL},
+        {"matvec/after", 0xbb387655b59ce700ULL},
+        {"matvec/before", 0x1ff17dbfb3dd84efULL},
+        {"mvt/after", 0x420ea3d2a61d5e56ULL},
+        {"mvt/before", 0x6fe3ac99a436b682ULL},
+    };
+    std::map<std::string, std::uint64_t> got;
+    // The ValidatorFuzz corpus: 200 mutants of gcd per seed.
+    for (std::uint64_t seed : {0xf00dULL, 42ULL}) {
+        Rng rng(seed);
+        std::string text;
+        for (int round = 0; round < 200; ++round) {
+            ExprHigh g = circuits::buildGcdInOrder();
+            std::size_t mutations = 1 + rng.below(4);
+            for (std::size_t m = 0; m < mutations; ++m)
+                mutateOnce(g, rng);
+            text += "mutant " + std::to_string(round) + "\n" +
+                    validationTranscript(g);
+        }
+        got["fuzz/" + std::to_string(seed)] = fnv1a(text);
+    }
+    // Every benchmark before and after the pipeline.
+    for (const ContractCircuit& c : contractCircuits()) {
+        if (c.name.rfind("farm", 0) == 0)
+            continue;
+        got[c.name + "/before"] = fnv1a(validationTranscript(c.graph));
+        Environment env;
+        Result<PipelineResult> after = runOooPipeline(
+            c.graph, env, {.num_tags = c.num_tags, .reexpand = true});
+        ASSERT_TRUE(after.ok()) << c.name << ": " << after.error().message;
+        got[c.name + "/after"] =
+            fnv1a(validationTranscript(after.value().graph));
+    }
+    // The catalog validity sweep applies every rule on random hosts.
+    for (std::uint64_t seed : {0xC0FFEEULL, 42ULL, 7ULL}) {
+        guard::CatalogValidityReport report =
+            guard::verifyCatalogValidity(seed, 4);
+        std::string text;
+        for (const guard::RuleValidityOutcome& rule : report.rules) {
+            text += rule.rule + " " + std::to_string(rule.applications) +
+                    (rule.skipped ? " skipped\n" : "\n");
+            for (const std::string& v : rule.violations)
+                text += v + "\n";
+        }
+        got["catalog-sweep/" + std::to_string(seed)] = fnv1a(text);
+    }
+    expectDigests(got, want);
 }
 
 // ---------------------------------------------------------------------
