@@ -105,28 +105,37 @@ buildHost(const ExprHigh& lhs, Rng& rng)
 
 }  // namespace
 
+std::vector<CatalogRuleHosts>
+catalogValidityHosts(std::uint64_t seed, std::size_t rounds_per_rule)
+{
+    // Each rule gets its own rng derived from (seed, rule index).
+    std::vector<CatalogRuleHosts> out;
+    const std::vector<RewriteDef>& defs = catalog::validatedRewrites();
+    for (std::size_t i = 0; i < defs.size(); ++i) {
+        Rng rng(seed ^ ((i + 1) * 0x9e3779b97f4a7c15ULL));
+        CatalogRuleHosts entry;
+        entry.rule = instantiateCaptures(defs[i], defaultCaptures(defs[i]));
+        for (std::size_t round = 0; round < rounds_per_rule; ++round)
+            entry.hosts.push_back(buildHost(entry.rule.lhs, rng));
+        out.push_back(std::move(entry));
+    }
+    return out;
+}
+
 CatalogValidityReport
 verifyCatalogValidity(std::uint64_t seed, std::size_t rounds_per_rule)
 {
     // Fragment-safe rule set, matching the pipeline's post-check.
     ValidatorOptions options;
     options.check_token_flow = false;
-
-    // Each rule is an independent property check with its own derived
-    // rng.
     CatalogValidityReport report;
-    std::vector<RewriteDef> defs = catalog::allRewrites();
-    for (std::size_t i = 0; i < defs.size(); ++i) {
-        const RewriteDef& def = defs[i];
+    for (const CatalogRuleHosts& entry :
+         catalogValidityHosts(seed, rounds_per_rule)) {
+        const RewriteDef& concrete = entry.rule;
         RuleValidityOutcome outcome;
-        outcome.rule = def.name;
-        Rng rng(seed ^ ((i + 1) * 0x9e3779b97f4a7c15ULL));
+        outcome.rule = concrete.name;
         RewriteEngine engine;
-        RewriteDef concrete =
-            instantiateCaptures(def, defaultCaptures(def));
-
-        for (std::size_t round = 0; round < rounds_per_rule; ++round) {
-            ExprHigh host = buildHost(concrete.lhs, rng);
+        for (const ExprHigh& host : entry.hosts) {
             if (!validateCircuit(host, options).ok())
                 continue;  // unhostable fragment shape
             std::optional<RewriteMatch> match =

@@ -60,6 +60,22 @@ struct CatalogValidityReport
     std::size_t rules_checked = 0;
 };
 
+/** One catalog rule with its captures bound to default values, and
+ * the randomized hosts the validity sweep applies it on. */
+struct CatalogRuleHosts
+{
+    RewriteDef rule;
+    std::vector<ExprHigh> hosts;
+};
+
+/**
+ * The hosts verifyCatalogValidity(@p seed, @p rounds_per_rule) builds:
+ * per catalog rule, @p rounds_per_rule well-formed or unhostable
+ * circuits around the rule's own instantiated lhs.
+ */
+std::vector<CatalogRuleHosts> catalogValidityHosts(
+    std::uint64_t seed, std::size_t rounds_per_rule);
+
 /**
  * Property test: every catalog rule preserves structural validity on
  * randomized host graphs. Deterministic for a fixed @p seed: each

@@ -284,7 +284,7 @@ std::uint64_t
 catalogFingerprint()
 {
     static const std::uint64_t fingerprint =
-        catalogFingerprint(catalog::allRewrites());
+        catalogFingerprint(catalog::validatedRewrites());
     return fingerprint;
 }
 

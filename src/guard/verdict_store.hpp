@@ -87,8 +87,8 @@ std::uint64_t verificationCacheKey(const std::string& transformed_dot,
  * kOooPipelineVersion. Any rule edit changes it. */
 std::uint64_t catalogFingerprint(const std::vector<RewriteDef>& rules);
 
-/** catalogFingerprint(catalog::allRewrites()), computed once per
- * process. */
+/** catalogFingerprint(catalog::validatedRewrites()), the rules the
+ * pipeline applies, computed once per process. */
 std::uint64_t catalogFingerprint();
 
 /**

@@ -1,5 +1,8 @@
 #include "rewrite/catalog.hpp"
 
+#include <set>
+#include <stdexcept>
+
 namespace graphiti::catalog {
 
 RewriteDef
@@ -389,6 +392,25 @@ allRewrites()
     for (int arity = 3; arity <= 8; ++arity)
         out.push_back(forkSplit(arity));
     return out;
+}
+
+const std::vector<RewriteDef>&
+validatedRewrites()
+{
+    static const std::vector<RewriteDef> rules = [] {
+        std::vector<RewriteDef> out = allRewrites();
+        std::set<std::string> names;
+        for (const RewriteDef& def : out) {
+            Result<bool> valid = def.validate();
+            if (!valid.ok())
+                throw std::logic_error("catalog: " + valid.error().message);
+            if (!names.insert(def.name).second)
+                throw std::logic_error("catalog: duplicate rule name: " +
+                                       def.name);
+        }
+        return out;
+    }();
+    return rules;
 }
 
 }  // namespace graphiti::catalog

@@ -82,6 +82,15 @@ RewriteDef bufferDeepen();
 /** All catalog entries (fork splits for arities 3..8 included). */
 std::vector<RewriteDef> allRewrites();
 
+/**
+ * allRewrites(), built and checked with RewriteDef::validate() once
+ * per process. The pipeline's engine applies these rules and the
+ * compile-cache fingerprint hashes them. Throws std::logic_error when
+ * a rule is malformed or two share a name (a defect of the catalog
+ * itself, caught by the catalog tests).
+ */
+const std::vector<RewriteDef>& validatedRewrites();
+
 }  // namespace graphiti::catalog
 
 #endif  // GRAPHITI_REWRITE_CATALOG_HPP

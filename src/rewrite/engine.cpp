@@ -1,5 +1,7 @@
 #include "rewrite/engine.hpp"
 
+#include "rewrite/catalog.hpp"
+
 namespace graphiti {
 
 Result<bool>
@@ -10,7 +12,21 @@ RewriteEngine::addRule(RewriteDef def)
         return valid;
     if (rules_.count(def.name) > 0)
         return err("duplicate rule name: " + def.name);
-    rules_.emplace(def.name, std::move(def));
+    std::string name = def.name;
+    rules_.emplace(std::move(name),
+                   std::make_shared<const RewriteDef>(std::move(def)));
+    return true;
+}
+
+Result<bool>
+RewriteEngine::addCatalog()
+{
+    for (const RewriteDef& def : catalog::validatedRewrites())
+        if (rules_.count(def.name) > 0)
+            return err("duplicate rule name: " + def.name);
+    for (const RewriteDef& def : catalog::validatedRewrites())
+        rules_.emplace(def.name, std::shared_ptr<const RewriteDef>(
+                                     std::shared_ptr<void>(), &def));
     return true;
 }
 
@@ -18,7 +34,7 @@ const RewriteDef*
 RewriteEngine::findRule(const std::string& name) const
 {
     auto it = rules_.find(name);
-    return it == rules_.end() ? nullptr : &it->second;
+    return it == rules_.end() ? nullptr : it->second.get();
 }
 
 Result<ExprHigh>

@@ -17,6 +17,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -89,6 +90,13 @@ class RewriteEngine
     /** Register @p def; fails when the definition is malformed. */
     Result<bool> addRule(RewriteDef def);
 
+    /**
+     * Register every rule of catalog::validatedRewrites() by
+     * reference: no copy and no second validation. Fails when a rule
+     * name is already registered.
+     */
+    Result<bool> addCatalog();
+
     /** Look up a registered rule; nullptr when absent. */
     const RewriteDef* findRule(const std::string& name) const;
 
@@ -135,7 +143,9 @@ class RewriteEngine
     Result<ExprHigh> commit(Result<ExprHigh> candidate,
                             const std::string& rule);
 
-    std::map<std::string, RewriteDef> rules_;
+    /** Rules added by addRule are owned here; catalog rules alias
+     * the process-wide list (a no-op deleter). */
+    std::map<std::string, std::shared_ptr<const RewriteDef>> rules_;
     EngineStats stats_;
     PostCheck post_check_;
     std::vector<RewriteRollback> rollbacks_;

@@ -5,7 +5,6 @@
 #include <set>
 
 #include "graph/signatures.hpp"
-#include "rewrite/catalog.hpp"
 
 namespace graphiti {
 
@@ -416,11 +415,9 @@ runOooPipeline(const ExprHigh& graph, Environment& env,
     RewriteEngine engine;
     if (options.post_check)
         engine.setPostCheck(options.post_check);
-    for (RewriteDef& def : catalog::allRewrites()) {
-        Result<bool> added = engine.addRule(std::move(def));
-        if (!added.ok())
-            return added.error().context("pipeline setup");
-    }
+    Result<bool> added = engine.addCatalog();
+    if (!added.ok())
+        return added.error().context("pipeline setup");
 
     PipelineResult result;
     result.graph = graph;
