@@ -1,10 +1,21 @@
 #include "graph/expr_high.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
 namespace graphiti {
+
+ExprHigh::ExprHigh(std::vector<NodeDecl> nodes, std::vector<Edge> edges,
+                   std::vector<std::optional<PortRef>> inputs,
+                   std::vector<std::optional<PortRef>> outputs)
+    : nodes_(std::move(nodes)), edges_(std::move(edges)),
+      inputs_(std::move(inputs)), outputs_(std::move(outputs))
+{
+}
 
 const std::string&
 ExprHigh::addNode(std::string name, std::string type, AttrMap attrs)
@@ -173,9 +184,86 @@ ExprHigh::sameAs(const ExprHigh& other) const
            outputs_ == other.outputs_;
 }
 
+namespace {
+
+std::size_t
+hashOf(const std::string& text)
+{
+    return std::hash<std::string_view>{}(text);
+}
+
+bool
+hasAdjacentDuplicate(std::vector<std::size_t>& hashes)
+{
+    std::sort(hashes.begin(), hashes.end());
+    return std::adjacent_find(hashes.begin(), hashes.end()) !=
+           hashes.end();
+}
+
+}  // namespace
+
+bool
+ExprHigh::wellFormed() const
+{
+    // Instance names by hash; equal hashes count as a clash.
+    std::vector<std::pair<std::size_t, const std::string*>> names;
+    names.reserve(nodes_.size());
+    for (const NodeDecl& n : nodes_)
+        names.emplace_back(hashOf(n.name), &n.name);
+    std::sort(names.begin(), names.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (std::size_t i = 1; i < names.size(); ++i)
+        if (names[i].first == names[i - 1].first)
+            return false;
+    // The hash of a declared port's instance and port names, or
+    // nullopt when no node has that name.
+    auto portHash = [&](const PortRef& ref) -> std::optional<std::size_t> {
+        std::size_t h = hashOf(ref.inst);
+        auto it = std::lower_bound(
+            names.begin(), names.end(), h,
+            [](const auto& entry, std::size_t v) { return entry.first < v; });
+        if (it == names.end() || it->first != h || *it->second != ref.inst)
+            return std::nullopt;
+        return h * 31 + hashOf(ref.port);
+    };
+    // Edge endpoints by hash; a repeated hash, or an io port hashing
+    // like an edge endpoint, counts as a clash.
+    std::vector<std::size_t> driven;
+    std::vector<std::size_t> driving;
+    driven.reserve(edges_.size());
+    driving.reserve(edges_.size());
+    for (const Edge& e : edges_) {
+        std::optional<std::size_t> src = portHash(e.src);
+        std::optional<std::size_t> dst = portHash(e.dst);
+        if (!src || !dst)
+            return false;
+        driving.push_back(*src);
+        driven.push_back(*dst);
+    }
+    if (hasAdjacentDuplicate(driven) || hasAdjacentDuplicate(driving))
+        return false;
+    auto clash = [&](const std::vector<std::optional<PortRef>>& ios,
+                     const std::vector<std::size_t>& wired) {
+        for (const auto& io : ios) {
+            if (!io)
+                continue;
+            std::optional<std::size_t> h = portHash(*io);
+            if (!h || std::binary_search(wired.begin(), wired.end(), *h))
+                return true;
+        }
+        return false;
+    };
+    return !clash(inputs_, driven) && !clash(outputs_, driving);
+}
+
 Result<bool>
 ExprHigh::validate() const
 {
+    // Hashed check first; the scan below decides when it finds a
+    // possible clash, and names the first violation in declaration
+    // order.
+    if (wellFormed())
+        return true;
     std::set<std::string> names;
     for (const NodeDecl& n : nodes_) {
         if (!names.insert(n.name).second)

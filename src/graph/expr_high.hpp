@@ -67,6 +67,17 @@ struct Edge
 class ExprHigh
 {
   public:
+    ExprHigh() = default;
+
+    /**
+     * A graph holding exactly these parts, in this order, for callers
+     * that assemble a whole graph at once (addNode checks each name
+     * against every node before it). Unchecked: call validate().
+     */
+    ExprHigh(std::vector<NodeDecl> nodes, std::vector<Edge> edges,
+             std::vector<std::optional<PortRef>> inputs,
+             std::vector<std::optional<PortRef>> outputs);
+
     /** Add an instance; returns its name for chaining. */
     const std::string& addNode(std::string name, std::string type,
                                AttrMap attrs = {});
@@ -129,6 +140,10 @@ class ExprHigh
     std::size_t numNodes() const { return nodes_.size(); }
 
   private:
+    /** True when validate()'s invariants certainly hold (a hashed
+     * check; false on a violation or a hash clash). */
+    bool wellFormed() const;
+
     std::vector<NodeDecl> nodes_;
     std::vector<Edge> edges_;
     std::vector<std::optional<PortRef>> inputs_;

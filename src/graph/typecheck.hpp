@@ -18,11 +18,17 @@
  * not.
  */
 
+#include <cstddef>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "graph/expr_high.hpp"
+#include "graph/signatures.hpp"
 #include "support/result.hpp"
 
 namespace graphiti {
@@ -71,6 +77,41 @@ struct TypeReport
  * wire on any conflict (e.g. a float driving a Branch condition).
  */
 Result<TypeReport> checkWellTyped(const ExprHigh& graph);
+
+/**
+ * A dense numbering of one graph's nodes, built once per check and
+ * shared by the passes that walk it: a name -> index hash (the first
+ * node declaring a name) and every node's signature, computed once
+ * per distinct (type, attributes).
+ */
+struct GraphIndex
+{
+    explicit GraphIndex(const ExprHigh& graph);
+
+    /** Index of the first node named @p name, or -1. */
+    std::ptrdiff_t find(std::string_view name) const;
+
+    /** signatureOf(type, attrs) of node @p i. */
+    const Result<Signature>&
+    sig(std::size_t i) const
+    {
+        return distinct[sig_of[i]];
+    }
+
+    const ExprHigh& graph;
+    std::unordered_map<std::string_view, std::size_t> first;
+    /** Per node, its entry in distinct. */
+    std::vector<std::size_t> sig_of;
+    std::vector<Result<Signature>> distinct;
+};
+
+/**
+ * checkWellTyped's conflict search without its TypeReport, for a
+ * graph that passes ExprHigh::validate() and whose nodes all have a
+ * signature: the first conflict's message, or nullopt when the graph
+ * is well-typed.
+ */
+std::optional<std::string> findTypeConflict(const GraphIndex& index);
 
 }  // namespace graphiti
 

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
-#include <set>
+#include <string_view>
+#include <unordered_set>
 
 #include "graph/signatures.hpp"
 #include "graph/typecheck.hpp"
@@ -12,20 +12,6 @@
 namespace graphiti::guard {
 
 namespace {
-
-/** Per-node signature info gathered by the structural pass. */
-struct NodeInfo
-{
-    const NodeDecl* decl = nullptr;
-    Signature sig;
-    bool sig_ok = false;
-};
-
-bool
-hasPort(const std::vector<std::string>& ports, const std::string& name)
-{
-    return std::find(ports.begin(), ports.end(), name) != ports.end();
-}
 
 /** Component types that can introduce a token into a cycle (an init
  * emits its initial value; mux/merge/tagger pull from outside the
@@ -37,11 +23,19 @@ breaksCycle(const std::string& type)
            type == "tagger";
 }
 
+/**
+ * One validation pass. The graph is numbered once (GraphIndex: a
+ * name -> node hash, each node's signature); ports are numbered
+ * densely per node (signature inputs, then outputs) and edges are
+ * listed per source and target node, so no pass scans the edge list
+ * per port. A name declared twice resolves to its first node, as a
+ * name lookup does.
+ */
 class Validator
 {
   public:
     Validator(const ExprHigh& graph, const ValidatorOptions& options)
-        : graph_(graph), options_(options)
+        : graph_(graph), options_(options), index_(graph)
     {
     }
 
@@ -66,94 +60,93 @@ class Validator
     }
 
   private:
+    const Signature&
+    sig(std::size_t node) const
+    {
+        return index_.sig(node).value();
+    }
+
     void
     structural()
     {
-        std::set<std::string> seen;
-        for (const NodeDecl& node : graph_.nodes()) {
-            if (!seen.insert(node.name).second)
+        const std::vector<NodeDecl>& nodes = graph_.nodes();
+        slot_.assign(nodes.size(), 0);
+        std::size_t slots = 0;
+        for (std::size_t i = 0; i < nodes.size(); ++i) {
+            const NodeDecl& node = nodes[i];
+            if (index_.first.at(node.name) != i)
                 report_.add(Severity::Error, "structure.duplicate-name",
                             node.name, "instance name declared twice");
-            NodeInfo info;
-            info.decl = &node;
-            Result<Signature> sig = signatureOf(node.type, node.attrs);
-            if (sig.ok()) {
-                info.sig = sig.take();
-                info.sig_ok = true;
+            if (index_.sig(i).ok()) {
+                slot_[i] = slots;
+                slots += sig(i).inputs.size() + sig(i).outputs.size();
             } else {
                 report_.add(Severity::Error, "structure.unknown-type",
-                            node.name, sig.error().message);
+                            node.name, index_.sig(i).error().message);
             }
             checkArity(node);
-            nodes_.emplace(node.name, std::move(info));
         }
 
-        // Driver / consumer tables over edges and io bindings.
-        std::map<PortRef, std::size_t> drivers;
-        std::map<PortRef, std::size_t> consumers;
+        // Driver / consumer counts over edges and io bindings, per
+        // port slot (inputs count drivers, outputs consumers).
+        std::vector<std::size_t> wired(slots, 0);
+        auto count = [&](std::ptrdiff_t slot) {
+            if (slot >= 0)
+                ++wired[static_cast<std::size_t>(slot)];
+        };
         for (const Edge& e : graph_.edges()) {
-            if (checkEndpoint(e.src, /*is_output=*/true,
-                              "edge source " + e.src.toString()))
-                ++consumers[e.src];
-            if (checkEndpoint(e.dst, /*is_output=*/false,
-                              "edge target " + e.dst.toString()))
-                ++drivers[e.dst];
+            count(endpoint(e.src, /*is_output=*/true,
+                           [&] { return "edge source " + e.src.toString(); }));
+            count(endpoint(e.dst, /*is_output=*/false,
+                           [&] { return "edge target " + e.dst.toString(); }));
         }
-        for (std::size_t i = 0; i < graph_.inputs().size(); ++i) {
-            if (!graph_.inputs()[i])
-                continue;
-            const PortRef& dst = *graph_.inputs()[i];
-            if (checkEndpoint(dst, /*is_output=*/false,
-                              "graph input " + std::to_string(i)))
-                ++drivers[dst];
-        }
-        for (std::size_t i = 0; i < graph_.outputs().size(); ++i) {
-            if (!graph_.outputs()[i])
-                continue;
-            const PortRef& src = *graph_.outputs()[i];
-            if (checkEndpoint(src, /*is_output=*/true,
-                              "graph output " + std::to_string(i)))
-                ++consumers[src];
-        }
+        for (std::size_t i = 0; i < graph_.inputs().size(); ++i)
+            if (graph_.inputs()[i])
+                count(endpoint(*graph_.inputs()[i], /*is_output=*/false,
+                               [&] { return "graph input " +
+                                            std::to_string(i); }));
+        for (std::size_t i = 0; i < graph_.outputs().size(); ++i)
+            if (graph_.outputs()[i])
+                count(endpoint(*graph_.outputs()[i], /*is_output=*/true,
+                               [&] { return "graph output " +
+                                            std::to_string(i); }));
 
         // Every signature port must be wired exactly once (outputs:
         // at most once; a dropped output is only a warning since the
         // token simply accumulates in its channel).
-        for (const NodeDecl& node : graph_.nodes()) {
-            const NodeInfo& info = nodes_[node.name];
-            if (!info.sig_ok)
+        for (const NodeDecl& node : nodes) {
+            std::size_t at = index_.first.at(node.name);
+            if (!index_.sig(at).ok())
                 continue;
-            for (const std::string& port : info.sig.inputs) {
-                PortRef ref{node.name, port};
-                std::size_t n = drivers.count(ref) ? drivers[ref] : 0;
+            const Signature& s = sig(at);
+            for (std::size_t k = 0; k < s.inputs.size(); ++k) {
+                std::size_t n = wired[slot_[at] + k];
                 if (n == 0)
                     report_.add(Severity::Error,
                                 "structure.dangling-input",
                                 node.name,
-                                "input port " + port +
+                                "input port " + s.inputs[k] +
                                     " has no driver; the component "
                                     "can never fire");
                 else if (n > 1)
                     report_.add(Severity::Error,
                                 "structure.double-driven", node.name,
-                                "input port " + port + " has " +
+                                "input port " + s.inputs[k] + " has " +
                                     std::to_string(n) + " drivers");
             }
-            for (const std::string& port : info.sig.outputs) {
-                PortRef ref{node.name, port};
-                std::size_t n =
-                    consumers.count(ref) ? consumers[ref] : 0;
+            for (std::size_t k = 0; k < s.outputs.size(); ++k) {
+                std::size_t n = wired[slot_[at] + s.inputs.size() + k];
                 if (n == 0)
                     report_.add(Severity::Warning,
                                 "structure.dangling-output",
                                 node.name,
-                                "output port " + port +
+                                "output port " + s.outputs[k] +
                                     " has no consumer; its tokens "
                                     "accumulate unread");
                 else if (n > 1)
                     report_.add(Severity::Error,
                                 "structure.double-used", node.name,
-                                "output port " + port + " feeds " +
+                                "output port " + s.outputs[k] + " feeds " +
                                     std::to_string(n) +
                                     " inputs (insert a fork)");
             }
@@ -181,81 +174,109 @@ class Validator
             check("in");
     }
 
-    /** Edge/io endpoint sanity; true when the port is usable. */
-    bool
-    checkEndpoint(const PortRef& ref, bool is_output,
-                  const std::string& where)
+    /** Edge/io endpoint sanity: the port's slot when it is usable,
+     * else -1. @p where names the endpoint in a diagnostic. */
+    template <typename Where>
+    std::ptrdiff_t
+    endpoint(const PortRef& ref, bool is_output, Where where)
     {
-        auto it = nodes_.find(ref.inst);
-        if (it == nodes_.end()) {
+        std::ptrdiff_t at = index_.find(ref.inst);
+        if (at < 0) {
             report_.add(Severity::Error, "structure.missing-instance",
                         ref.inst,
-                        where + " references an undeclared instance");
-            return false;
+                        where() + " references an undeclared instance");
+            return -1;
         }
-        if (!it->second.sig_ok)
-            return false;  // unknown-type already reported
+        if (!index_.sig(at).ok())
+            return -1;  // unknown-type already reported
+        const Signature& s = sig(static_cast<std::size_t>(at));
         const std::vector<std::string>& ports =
-            is_output ? it->second.sig.outputs : it->second.sig.inputs;
-        if (!hasPort(ports, ref.port)) {
+            is_output ? s.outputs : s.inputs;
+        auto it = std::find(ports.begin(), ports.end(), ref.port);
+        if (it == ports.end()) {
             report_.add(Severity::Error, "structure.unknown-port",
                         ref.inst,
-                        where + " names no " +
+                        where() + " names no " +
                             (is_output ? "output" : "input") +
-                            " port of a " + it->second.decl->type);
-            return false;
+                            " port of a " + graph_.nodes()[at].type);
+            return -1;
         }
-        return true;
+        std::size_t slot = slot_[at] + static_cast<std::size_t>(
+                                           it - ports.begin());
+        if (is_output)
+            slot += s.inputs.size();
+        return static_cast<std::ptrdiff_t>(slot);
+    }
+
+    /** Edges per source and per target node (first node of a name),
+     * in edge order. */
+    void
+    indexEdges()
+    {
+        if (!out_edges_.empty() || graph_.nodes().empty())
+            return;
+        out_edges_.resize(graph_.nodes().size());
+        in_edges_.resize(graph_.nodes().size());
+        for (const Edge& e : graph_.edges()) {
+            std::ptrdiff_t src = index_.find(e.src.inst);
+            std::ptrdiff_t dst = index_.find(e.dst.inst);
+            if (src >= 0)
+                out_edges_[src].push_back(&e);
+            if (dst >= 0)
+                in_edges_[dst].push_back(&e);
+        }
     }
 
     void
     types()
     {
-        Result<TypeReport> typed = checkWellTyped(graph_);
-        if (!typed.ok())
-            report_.add(Severity::Error, "type.conflict", "",
-                        typed.error().message);
+        std::optional<std::string> conflict = findTypeConflict(index_);
+        if (conflict)
+            report_.add(Severity::Error, "type.conflict", "", *conflict);
     }
 
-    /** Forward token-flow flood from graph inputs and generators. */
+    /** Forward token-flow flood from graph inputs and generators
+     * (runs only on a structurally clean graph: every endpoint is a
+     * declared signature port and names are unique). */
     void
     reachability()
     {
-        std::set<std::string> reached;
-        std::deque<std::string> frontier;
+        indexEdges();
+        const std::vector<NodeDecl>& nodes = graph_.nodes();
+        std::vector<char> reached(nodes.size(), 0);
+        std::deque<std::size_t> frontier;
         auto seed = [&](const std::string& inst) {
-            if (reached.insert(inst).second)
-                frontier.push_back(inst);
+            std::size_t at = index_.first.at(inst);
+            if (!reached[at]) {
+                reached[at] = 1;
+                frontier.push_back(at);
+            }
         };
         for (const auto& binding : graph_.inputs())
             if (binding)
                 seed(binding->inst);
-        for (const NodeDecl& node : graph_.nodes())
+        for (const NodeDecl& node : nodes)
             if (node.type == "source" || node.type == "init")
                 seed(node.name);
         while (!frontier.empty()) {
-            std::string at = frontier.front();
+            std::size_t at = frontier.front();
             frontier.pop_front();
-            const NodeInfo& info = nodes_[at];
-            if (!info.sig_ok)
-                continue;
-            for (const std::string& port : info.sig.outputs)
-                for (const PortRef& c :
-                     graph_.consumersOf(PortRef{at, port}))
-                    seed(c.inst);
+            for (const Edge* e : out_edges_[at])
+                seed(e->dst.inst);
         }
-        for (const NodeDecl& node : graph_.nodes())
-            if (reached.count(node.name) == 0)
+        for (std::size_t i = 0; i < nodes.size(); ++i)
+            if (!reached[i])
                 report_.add(Severity::Warning, "graph.unreachable",
-                            node.name,
+                            nodes[i].name,
                             "no token from any graph input or "
                             "generator can reach this component");
         for (std::size_t i = 0; i < graph_.outputs().size(); ++i) {
             if (!graph_.outputs()[i])
                 continue;
-            if (reached.count(graph_.outputs()[i]->inst) == 0)
+            const std::string& inst = graph_.outputs()[i]->inst;
+            if (!reached[index_.first.at(inst)])
                 report_.add(Severity::Error, "token.starved-output",
-                            graph_.outputs()[i]->inst,
+                            inst,
                             "graph output " + std::to_string(i) +
                                 " can never receive a token");
         }
@@ -268,19 +289,16 @@ class Validator
     cycles()
     {
         // Node-index adjacency (edges only; io bindings are acyclic).
-        std::map<std::string, std::size_t> index;
-        for (std::size_t i = 0; i < graph_.nodes().size(); ++i)
-            index[graph_.nodes()[i].name] = i;
         std::vector<std::vector<std::size_t>> adj(graph_.nodes().size());
         std::vector<bool> self_loop(graph_.nodes().size(), false);
         for (const Edge& e : graph_.edges()) {
-            auto s = index.find(e.src.inst);
-            auto d = index.find(e.dst.inst);
-            if (s == index.end() || d == index.end())
+            std::ptrdiff_t s = index_.find(e.src.inst);
+            std::ptrdiff_t d = index_.find(e.dst.inst);
+            if (s < 0 || d < 0)
                 continue;
-            if (s->second == d->second)
-                self_loop[s->second] = true;
-            adj[s->second].push_back(d->second);
+            if (s == d)
+                self_loop[s] = true;
+            adj[s].push_back(static_cast<std::size_t>(d));
         }
 
         // Iterative Tarjan SCC.
@@ -383,19 +401,34 @@ class Validator
         }
     }
 
+    /** Consumers of output @p port of instance @p inst, in edge
+     * order. */
+    template <typename Visit>
+    void
+    forEachConsumer(const std::string& inst, const std::string& port,
+                    Visit visit)
+    {
+        std::ptrdiff_t at = index_.find(inst);
+        if (at < 0)
+            return;
+        for (const Edge* e : out_edges_[at])
+            if (e->src.port == port)
+                visit(e->dst);
+    }
+
     /** Flood the tagged region from out0 and check its shape. */
     void
     checkRegion(const NodeDecl& tagger)
     {
-        std::set<std::string> region;
+        indexEdges();
+        std::unordered_set<std::string_view> region;
         bool returns = false;
-        std::deque<PortRef> frontier;
-        for (const PortRef& c :
-             graph_.consumersOf(PortRef{tagger.name, "out0"}))
-            frontier.push_back(c);
+        std::deque<const PortRef*> frontier;
+        auto push = [&](const PortRef& c) { frontier.push_back(&c); };
+        forEachConsumer(tagger.name, "out0", push);
         bool empty_region = frontier.empty();
         while (!frontier.empty()) {
-            PortRef at = frontier.front();
+            const PortRef& at = *frontier.front();
             frontier.pop_front();
             if (at.inst == tagger.name) {
                 if (at.port == "in1")
@@ -404,26 +437,28 @@ class Validator
             }
             if (!region.insert(at.inst).second)
                 continue;
-            const NodeDecl* n = graph_.findNode(at.inst);
-            if (n == nullptr)
+            std::ptrdiff_t n = index_.find(at.inst);
+            if (n < 0)
                 continue;
-            if (n->type == "tagger") {
+            if (graph_.nodes()[n].type == "tagger") {
                 report_.add(Severity::Error, "tag.nested-region",
                             tagger.name,
                             "tagged region contains tagger " + at.inst +
                                 "; nested tag domains are unsupported");
                 continue;
             }
-            Result<Signature> sig = signatureOf(n->type, n->attrs);
-            if (!sig.ok())
+            if (!index_.sig(n).ok())
                 continue;
-            for (const std::string& port : sig.value().outputs)
-                for (const PortRef& c :
-                     graph_.consumersOf(PortRef{at.inst, port}))
-                    frontier.push_back(c);
+            for (const std::string& port : sig(n).outputs)
+                forEachConsumer(at.inst, port, push);
         }
-        std::optional<PortRef> ret =
-            graph_.driverOf(PortRef{tagger.name, "in1"});
+        const PortRef* ret = nullptr;
+        std::ptrdiff_t self = index_.find(tagger.name);
+        for (const Edge* e : in_edges_[self])
+            if (e->dst.port == "in1") {
+                ret = &e->src;
+                break;
+            }
         if (empty_region || !returns) {
             report_.add(Severity::Error, "tag.unpaired", tagger.name,
                         "region fed by out0 never returns a tagged "
@@ -440,7 +475,12 @@ class Validator
 
     const ExprHigh& graph_;
     const ValidatorOptions& options_;
-    std::map<std::string, NodeInfo> nodes_;
+    GraphIndex index_;
+    /** First port slot of each node (signature inputs, then
+     * outputs). */
+    std::vector<std::size_t> slot_;
+    std::vector<std::vector<const Edge*>> out_edges_;
+    std::vector<std::vector<const Edge*>> in_edges_;
     ValidationReport report_;
 };
 

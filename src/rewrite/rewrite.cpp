@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include "graph/signatures.hpp"
+#include "graph/typecheck.hpp"
 
 namespace graphiti {
 
@@ -362,6 +364,340 @@ instantiateCaptures(const RewriteDef& def,
     return out;
 }
 
+namespace {
+
+/** A port list in the order LowBase's port maps iterate (by name). */
+using NamedPorts = std::vector<std::pair<std::string, LowPortId>>;
+
+bool
+hasPort(const std::vector<std::string>& ports, const std::string& port)
+{
+    return std::find(ports.begin(), ports.end(), port) != ports.end();
+}
+
+/** One instantiated rhs node, named as its lowered base names it. */
+struct RhsBase
+{
+    const NodeDecl* decl = nullptr;
+    std::string inst;  ///< fresh instance name
+    AttrMap attrs;     ///< captures substituted
+    NamedPorts inputs;
+    NamedPorts outputs;
+};
+
+/**
+ * Apply a node-replacing rewrite by editing the graph in place of the
+ * section 4.2 substitution: the result equals
+ * liftToExprHigh(lower(graph)[lhs := rhs]) node for node, edge for edge
+ * and io for io, and fails exactly where that pipeline fails, with the
+ * same message (tests/test_splice.cpp keeps the substitution as the
+ * reference).
+ *
+ * Lowering orders the matched nodes first, so the lifted graph lists
+ * the rhs nodes (template order), then the unmatched nodes (graph
+ * order); its edges are the rhs edges (sorted template order), then
+ * every other edge by (later endpoint's position, source, target).
+ */
+Result<ExprHigh>
+spliceRewrite(const ExprHigh& graph, const RewriteDef& def,
+              const RewriteMatch& match)
+{
+    const std::vector<NodeDecl>& nodes = graph.nodes();
+    const std::size_t k = def.lhs.numNodes();
+    if (k == 0)
+        return err(def.name + ": lowerWithPrefix: prefix out of range");
+    Result<bool> valid = graph.validate();
+    if (!valid.ok())
+        return valid.error().context("lowerToExprLow").context(def.name);
+    const GraphIndex index(graph);
+
+    // Positions in the matched-first order lowering used; a node bound
+    // twice leaves that order one entry longer than the graph.
+    const std::size_t unplaced = nodes.size();
+    std::vector<std::size_t> position(nodes.size(), unplaced);
+    std::vector<std::size_t> order;
+    order.reserve(nodes.size());
+    for (std::size_t i = 0; i < k; ++i) {
+        std::size_t at =
+            index.first.at(match.binding.at(def.lhs.nodes()[i].name));
+        if (position[at] != unplaced)
+            return err(def.name +
+                       ": lowerToExprLow: order must list every node");
+        position[at] = i;
+        order.push_back(at);
+    }
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+        if (position[i] == unplaced) {
+            position[i] = order.size();
+            order.push_back(i);
+        }
+    auto matched = [&](std::size_t at) { return position[at] < k; };
+    for (std::size_t at : order)
+        if (!index.sig(at).ok())
+            return index.sig(at)
+                .error()
+                .context("lowerToExprLow: node " + nodes[at].name)
+                .context(def.name);
+
+    // Graph-level names of the lhs boundary, per io index.
+    auto boundary = [&](const std::vector<std::optional<PortRef>>& ios,
+                        bool is_input) {
+        std::vector<std::optional<LowPortId>> names(ios.size());
+        for (std::size_t i = 0; i < ios.size(); ++i)
+            if (ios[i])
+                names[i] = boundaryName(
+                    graph,
+                    PortRef{match.binding.at(ios[i]->inst), ios[i]->port},
+                    is_input);
+        return names;
+    };
+    std::vector<std::optional<LowPortId>> in_names =
+        boundary(def.lhs.inputs(), true);
+    std::vector<std::optional<LowPortId>> out_names =
+        boundary(def.lhs.outputs(), false);
+    auto boundaryAt = [](const std::vector<std::optional<LowPortId>>& names,
+                         std::size_t i) -> const LowPortId& {
+        if (i >= names.size() || !names[i])
+            throw std::out_of_range(
+                "rhs binds an io index the lhs leaves unbound");
+        return *names[i];
+    };
+
+    // Fresh instance names for the rhs template nodes.
+    const std::vector<NodeDecl>& templ = def.rhs.nodes();
+    std::vector<RhsBase> bases(templ.size());
+    for (std::size_t t = 0; t < templ.size(); ++t) {
+        for (std::size_t i = 0;; ++i) {
+            std::string candidate = templ[t].name + std::to_string(i);
+            bool used = index.find(candidate) >= 0;
+            for (std::size_t u = 0; u < t && !used; ++u)
+                used = bases[u].inst == candidate;
+            if (!used) {
+                bases[t].inst = std::move(candidate);
+                break;
+            }
+        }
+    }
+
+    // The rhs bases: identity names internally, the lhs boundary names
+    // on the boundary.
+    for (std::size_t t = 0; t < templ.size(); ++t) {
+        RhsBase& base = bases[t];
+        base.decl = &templ[t];
+        base.attrs = templ[t].attrs;
+        for (auto& [key, value] : base.attrs) {
+            auto it = match.captures.find(value);
+            if (it != match.captures.end())
+                value = it->second;
+        }
+        Result<Signature> sig = signatureOf(templ[t].type, base.attrs);
+        if (!sig.ok())
+            return sig.error().context(def.name + " rhs");
+        auto name = [&](const std::string& port,
+                        const std::vector<std::optional<PortRef>>& ios,
+                        const std::vector<std::optional<LowPortId>>& names) {
+            LowPortId id = LowPortId::localPort(base.inst, port);
+            for (std::size_t i = 0; i < ios.size(); ++i)
+                if (ios[i] && ios[i]->inst == templ[t].name &&
+                    ios[i]->port == port)
+                    id = boundaryAt(names, i);
+            return id;
+        };
+        for (const std::string& port : sig.value().inputs)
+            base.inputs.emplace_back(
+                port, name(port, def.rhs.inputs(), in_names));
+        for (const std::string& port : sig.value().outputs)
+            base.outputs.emplace_back(
+                port, name(port, def.rhs.outputs(), out_names));
+        std::sort(base.inputs.begin(), base.inputs.end());
+        std::sort(base.outputs.begin(), base.outputs.end());
+    }
+
+    // Lifting registers every local wire name once; a second rhs port
+    // under one name (an lhs boundary port bound at two io indices)
+    // fails it.
+    using WireTable = std::vector<std::pair<const LowPortId*, PortRef>>;
+    WireTable producers;
+    WireTable consumers;
+    std::vector<std::pair<std::uint32_t, PortRef>> in_ios;
+    std::vector<std::pair<std::uint32_t, PortRef>> out_ios;
+    std::string dup_name;
+    auto registerPorts =
+        [&](const RhsBase& base, const NamedPorts& ports, WireTable& table,
+            std::vector<std::pair<std::uint32_t, PortRef>>& ios) {
+            for (const auto& [port, id] : ports) {
+                if (id.kind == LowPortId::Kind::io) {
+                    ios.emplace_back(id.io, PortRef{base.inst, port});
+                    continue;
+                }
+                for (const auto& [seen, at] : table)
+                    if (*seen == id) {
+                        dup_name = id.toString();
+                        return false;
+                    }
+                table.emplace_back(&id, PortRef{base.inst, port});
+            }
+            return true;
+        };
+    bool dup_error = false;
+    for (const RhsBase& base : bases) {
+        if (!registerPorts(base, base.outputs, producers, out_ios) ||
+            !registerPorts(base, base.inputs, consumers, in_ios))
+            dup_error = true;
+    }
+    if (dup_error)
+        return err("liftToExprHigh: duplicate instance or port name: " +
+                   dup_name);
+
+    std::vector<Edge> edges;
+    edges.reserve(def.rhs.edges().size() + graph.edges().size());
+    auto dangling = [](const PortRef& src, const PortRef& dst) {
+        return err("liftToExprHigh: dangling connect " +
+                   LowPortId::localPort(src.inst, src.port).toString() +
+                   " -> " +
+                   LowPortId::localPort(dst.inst, dst.port).toString());
+    };
+
+    // rhs edges, in sorted template order. A name lifting finds is an
+    // rhs port, or (for an edge naming no rhs node) an unmatched node's
+    // own signature port that no io binds.
+    auto lookup = [&](const PortRef& ref, const WireTable& table,
+                      bool is_output) -> std::optional<PortRef> {
+        for (const auto& [seen, at] : table)
+            if (seen->inst == ref.inst && seen->wire == ref.port)
+                return at;
+        std::ptrdiff_t at = index.find(ref.inst);
+        if (at < 0 || matched(at))
+            return std::nullopt;
+        const Signature& sig = index.sig(at).value();
+        if (!hasPort(is_output ? sig.outputs : sig.inputs, ref.port))
+            return std::nullopt;
+        for (const auto& io : is_output ? graph.outputs() : graph.inputs())
+            if (io && *io == ref)
+                return std::nullopt;
+        return ref;
+    };
+    auto freshOf = [&](const std::string& inst) -> std::string {
+        for (const RhsBase& base : bases)
+            if (base.decl->name == inst)
+                return base.inst;
+        return "";
+    };
+    std::vector<Edge> rhs_edges = def.rhs.edges();
+    std::sort(rhs_edges.begin(), rhs_edges.end());
+    for (const Edge& e : rhs_edges) {
+        PortRef src{freshOf(e.src.inst), e.src.port};
+        PortRef dst{freshOf(e.dst.inst), e.dst.port};
+        std::optional<PortRef> from = lookup(src, producers, true);
+        std::optional<PortRef> to = lookup(dst, consumers, false);
+        if (!from || !to)
+            return dangling(src, dst);
+        edges.push_back(Edge{std::move(*from), std::move(*to)});
+    }
+
+    // Every edge leaving the matched set, in the order lowering placed
+    // its connect: by later endpoint's position, then source, target.
+    struct Pending
+    {
+        std::size_t position;
+        const Edge* edge;
+        std::size_t src;
+        std::size_t dst;
+    };
+    std::vector<Pending> rest;
+    rest.reserve(graph.edges().size());
+    for (const Edge& e : graph.edges()) {
+        std::size_t src = index.first.at(e.src.inst);
+        std::size_t dst = index.first.at(e.dst.inst);
+        if (!matched(src) || !matched(dst))
+            rest.push_back(
+                {std::max(position[src], position[dst]), &e, src, dst});
+    }
+    std::sort(rest.begin(), rest.end(),
+              [](const Pending& a, const Pending& b) {
+                  if (a.position != b.position)
+                      return a.position < b.position;
+                  return *a.edge < *b.edge;
+              });
+    // An unmatched endpoint keeps its port when its signature has it
+    // (validate() rules out io-bound endpoints); a matched one lands on
+    // the rhs port registered under its wire name.
+    auto land = [&](const PortRef& ref, std::size_t at,
+                    const WireTable& table,
+                    bool is_output) -> const PortRef* {
+        if (!matched(at)) {
+            const Signature& sig = index.sig(at).value();
+            return hasPort(is_output ? sig.outputs : sig.inputs, ref.port)
+                       ? &ref
+                       : nullptr;
+        }
+        for (const auto& [seen, port] : table)
+            if (seen->inst == ref.inst && seen->wire == ref.port)
+                return &port;
+        return nullptr;
+    };
+    for (const Pending& p : rest) {
+        const PortRef* from = land(p.edge->src, p.src, producers, true);
+        const PortRef* to = land(p.edge->dst, p.dst, consumers, false);
+        if (from == nullptr || to == nullptr)
+            return dangling(p.edge->src, p.edge->dst);
+        edges.push_back(Edge{*from, *to});
+    }
+
+    // io bindings: the rhs ports named by a graph io, then the
+    // unmatched nodes' bound signature ports. Lowering names a port
+    // bound at several indices by the last one.
+    std::vector<std::optional<PortRef>> inputs;
+    std::vector<std::optional<PortRef>> outputs;
+    auto bind = [](std::vector<std::optional<PortRef>>& ios, std::size_t i,
+                   const PortRef& port) {
+        if (ios.size() <= i)
+            ios.resize(i + 1);
+        ios[i] = port;
+    };
+    for (const auto& [io, port] : in_ios)
+        bind(inputs, io, port);
+    for (const auto& [io, port] : out_ios)
+        bind(outputs, io, port);
+    auto keepBindings = [&](const std::vector<std::optional<PortRef>>& ios,
+                            bool is_input) {
+        for (std::size_t i = 0; i < ios.size(); ++i) {
+            if (!ios[i])
+                continue;
+            std::size_t at = index.first.at(ios[i]->inst);
+            const Signature& sig = index.sig(at).value();
+            if (matched(at) ||
+                !hasPort(is_input ? sig.inputs : sig.outputs, ios[i]->port))
+                continue;
+            bool rebound = false;
+            for (std::size_t j = i + 1; j < ios.size() && !rebound; ++j)
+                rebound = ios[j] == ios[i];
+            if (rebound)
+                continue;
+            bind(is_input ? inputs : outputs, i, *ios[i]);
+        }
+    };
+    keepBindings(graph.inputs(), true);
+    keepBindings(graph.outputs(), false);
+
+    std::vector<NodeDecl> kept;
+    kept.reserve(bases.size() + nodes.size() - k);
+    for (RhsBase& base : bases)
+        kept.push_back(NodeDecl{std::move(base.inst), base.decl->type,
+                                std::move(base.attrs)});
+    for (std::size_t at : order)
+        if (!matched(at))
+            kept.push_back(nodes[at]);
+    ExprHigh out(std::move(kept), std::move(edges), std::move(inputs),
+                 std::move(outputs));
+    Result<bool> lifted = out.validate();
+    if (!lifted.ok())
+        return lifted.error().context("liftToExprHigh");
+    return out;
+}
+
+}  // namespace
+
 Result<ExprHigh>
 applyRewrite(const ExprHigh& graph, const RewriteDef& def,
              const RewriteMatch& match_in)
@@ -373,111 +709,7 @@ applyRewrite(const ExprHigh& graph, const RewriteDef& def,
 
     if (def.rhs.numNodes() == 0)
         return applyWireRewrite(graph, def, match);
-
-    RewriteDef concrete = instantiateCaptures(def, match.captures);
-
-    // Lower the graph with the matched nodes isolated as a prefix.
-    std::vector<std::string> matched = match.matchedNodes(concrete);
-    std::vector<std::string> order = matched;
-    std::set<std::string> matched_set(matched.begin(), matched.end());
-    for (const NodeDecl& node : graph.nodes())
-        if (matched_set.count(node.name) == 0)
-            order.push_back(node.name);
-
-    Result<std::pair<ExprLow, ExprLow>> lowered =
-        lowerWithPrefix(graph, order, matched.size());
-    if (!lowered.ok())
-        return lowered.error().context(def.name);
-    const ExprLow& full = lowered.value().first;
-    const ExprLow& lhs_sub = lowered.value().second;
-
-    // Boundary graph-level names, per lhs io index.
-    std::map<std::size_t, LowPortId> in_names;
-    std::map<std::size_t, LowPortId> out_names;
-    for (std::size_t i = 0; i < concrete.lhs.inputs().size(); ++i) {
-        if (!concrete.lhs.inputs()[i])
-            continue;
-        const PortRef& p = *concrete.lhs.inputs()[i];
-        in_names[i] = boundaryName(
-            graph, PortRef{match.binding.at(p.inst), p.port}, true);
-    }
-    for (std::size_t i = 0; i < concrete.lhs.outputs().size(); ++i) {
-        if (!concrete.lhs.outputs()[i])
-            continue;
-        const PortRef& p = *concrete.lhs.outputs()[i];
-        out_names[i] = boundaryName(
-            graph, PortRef{match.binding.at(p.inst), p.port}, false);
-    }
-
-    // Fresh instance names for the rhs template nodes.
-    std::set<std::string> used;
-    for (const NodeDecl& node : graph.nodes())
-        used.insert(node.name);
-    std::map<std::string, std::string> fresh;
-    for (const NodeDecl& node : concrete.rhs.nodes()) {
-        for (std::size_t i = 0;; ++i) {
-            std::string candidate = node.name + std::to_string(i);
-            if (used.insert(candidate).second) {
-                fresh[node.name] = candidate;
-                break;
-            }
-        }
-    }
-
-    // Build the rhs sub-expression: identity names internally, the
-    // lhs boundary names on the boundary.
-    std::vector<LowBase> bases;
-    for (const NodeDecl& node : concrete.rhs.nodes()) {
-        Result<Signature> sig = signatureOf(node.type, node.attrs);
-        if (!sig.ok())
-            return sig.error().context(def.name + " rhs");
-        LowBase base;
-        base.inst = fresh[node.name];
-        base.type = node.type;
-        base.attrs = node.attrs;
-        for (const std::string& port : sig.value().inputs) {
-            LowPortId id = LowPortId::localPort(base.inst, port);
-            for (std::size_t i = 0; i < concrete.rhs.inputs().size();
-                 ++i) {
-                if (concrete.rhs.inputs()[i] &&
-                    *concrete.rhs.inputs()[i] ==
-                        PortRef{node.name, port})
-                    id = in_names.at(i);
-            }
-            base.inputs[port] = id;
-        }
-        for (const std::string& port : sig.value().outputs) {
-            LowPortId id = LowPortId::localPort(base.inst, port);
-            for (std::size_t i = 0; i < concrete.rhs.outputs().size();
-                 ++i) {
-                if (concrete.rhs.outputs()[i] &&
-                    *concrete.rhs.outputs()[i] ==
-                        PortRef{node.name, port})
-                    id = out_names.at(i);
-            }
-            base.outputs[port] = id;
-        }
-        bases.push_back(std::move(base));
-    }
-
-    ExprLow rhs_sub = ExprLow::base(bases[0]);
-    for (std::size_t i = 1; i < bases.size(); ++i)
-        rhs_sub = ExprLow::product(std::move(rhs_sub),
-                                   ExprLow::base(bases[i]));
-    std::vector<Edge> rhs_edges = concrete.rhs.edges();
-    std::sort(rhs_edges.begin(), rhs_edges.end());
-    for (const Edge& e : rhs_edges) {
-        rhs_sub = ExprLow::connect(
-            LowPortId::localPort(fresh[e.src.inst], e.src.port),
-            LowPortId::localPort(fresh[e.dst.inst], e.dst.port),
-            std::move(rhs_sub));
-    }
-
-    auto [rewritten, count] = full.substitute(lhs_sub, rhs_sub);
-    if (count != 1)
-        return err(def.name + ": substitution found " +
-                   std::to_string(count) + " occurrences (expected 1)");
-    return liftToExprHigh(rewritten);
+    return spliceRewrite(graph, def, match);
 }
 
 Result<RefinementReport>
