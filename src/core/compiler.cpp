@@ -220,10 +220,14 @@ Compiler::compileGraph(const ExprHigh& graph,
         report.verification_level =
             guard::toString(report.verdict.level);
         report.degradation_reason = report.verdict.degradation_reason;
-        // Per-phase peak bytes (0 on a cache hit: nothing explored).
-        report.verify_explore_peak_bytes =
-            report.verdict.explore_peak_bytes;
-        report.verify_game_peak_bytes = report.verdict.report.peak_bytes;
+        // Per-phase peak bytes, 0 on a cache hit: nothing explored.
+        // (The stored verdict keeps the first run's figures.)
+        if (!report.verify_cache_hit) {
+            report.verify_explore_peak_bytes =
+                report.verdict.explore_peak_bytes;
+            report.verify_game_peak_bytes =
+                report.verdict.report.peak_bytes;
+        }
         GRAPHITI_OBS_GAUGE("guard.verify.peak_bytes.cache",
                            verdict_store_->approxBytes());
         // A counterexample on any rung is a genuine violation and

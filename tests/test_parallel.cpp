@@ -772,6 +772,12 @@ TEST(VerifyCache, SecondCompileOfUnchangedCircuitHits)
     // The cached verdict is the stored verdict, byte for byte.
     EXPECT_EQ(second.value().verdict.toJson().dump(2),
               first.value().verdict.toJson().dump(2));
+    // Nothing is explored on a hit: its peak bytes read 0, as a served
+    // hit's do, while the first run's are its own.
+    EXPECT_GT(first.value().verify_explore_peak_bytes, 0u);
+    EXPECT_GT(first.value().verify_game_peak_bytes, 0u);
+    EXPECT_EQ(second.value().verify_explore_peak_bytes, 0u);
+    EXPECT_EQ(second.value().verify_game_peak_bytes, 0u);
 }
 
 TEST(VerifyCache, MutatingOneNodeMisses)
@@ -894,7 +900,8 @@ withoutKeys(const obs::json::Value& object,
 }
 
 /** A verify result without what a store hit may change: both hit
- * flags and report.seconds (0 on a compile hit). */
+ * flags, report.seconds (0 on a compile hit) and
+ * report.verify_peak_bytes (0 on a verdict hit: no exploration ran). */
 std::string
 withoutHitFields(const obs::json::Value& result)
 {
@@ -903,7 +910,7 @@ withoutHitFields(const obs::json::Value& result)
     out.set("report",
             withoutKeys(*result.find("report"),
                         {"seconds", "verify_cache_hit",
-                         "compile_cache_hit"}));
+                         "compile_cache_hit", "verify_peak_bytes"}));
     return out.dump(2);
 }
 
@@ -944,6 +951,11 @@ TEST(VerifyCache, RepeatAndFreshSaltReuseTheCompileEntryOnEveryBenchmark)
         EXPECT_TRUE(flag(repeat, "verify_cache_hit")) << circuit.name;
         EXPECT_EQ(repeat.find("report")->find("seconds")->asNumber(), 0.0)
             << circuit.name;
+        const obs::json::Value* peak =
+            repeat.find("report")->find("verify_peak_bytes");
+        ASSERT_NE(peak, nullptr) << circuit.name;
+        EXPECT_EQ(peak->find("explore")->asNumber(), 0.0) << circuit.name;
+        EXPECT_EQ(peak->find("game")->asNumber(), 0.0) << circuit.name;
         EXPECT_EQ(withoutHitFields(repeat), withoutHitFields(first))
             << circuit.name;
 
