@@ -9,8 +9,9 @@
 #  2. Governed report smoke: graphiti-report --governed reaches the
 #     "full" rung on the gcd benchmark and records it in metrics.json.
 #  3. Sanitizer build: the guard suite (validator fuzz included), the
-#     core suite, the simulator tests and the stress profile run clean
-#     under ASan + UBSan.
+#     core suite, the rewrite splice differential and pinned digests,
+#     the simulator tests and the stress profile run clean under
+#     ASan + UBSan.
 #
 # Usage: ci/guard_gate.sh [build-dir-prefix]   (default: build-guard)
 
@@ -69,6 +70,10 @@ cmake -B "${PREFIX}-asan" -S . -DGRAPHITI_SANITIZE=address,undefined
 cmake --build "${PREFIX}-asan" -j "${JOBS}"
 (cd "${PREFIX}-asan" && ctest -L guard --output-on-failure)
 (cd "${PREFIX}-asan" && ctest -R "^(Compiler|Validator)" \
+    --output-on-failure)
+# The rewrite splice's index arithmetic and the pinned pipeline and
+# validator digests.
+(cd "${PREFIX}-asan" && ctest -R "^(SpliceDifferential|RewriteContract)\." \
     --output-on-failure)
 (cd "${PREFIX}-asan" && ctest -L stress --output-on-failure)
 (cd "${PREFIX}-asan" && ctest -R "^(Sim|SimEdge|SimSchedule)\." --output-on-failure)

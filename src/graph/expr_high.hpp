@@ -9,7 +9,9 @@
  * set of named component instances, edges connecting an output port of
  * one instance to an input port of another, and numbered dangling I/O
  * ports representing the circuit boundary (section 3 / figure 1 of the
- * paper). Rewrites are *matched* on ExprHigh and *applied* on ExprLow.
+ * paper). Rewrites are *matched* on ExprHigh; their application is
+ * defined on ExprLow (section 4.2) and performed as the equivalent
+ * ExprHigh splice.
  */
 
 #include <cstdint>

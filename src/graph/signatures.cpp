@@ -1,5 +1,6 @@
 #include "graph/signatures.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 
@@ -92,6 +93,8 @@ Signature
 simpleSignature(int num_in, int num_out)
 {
     Signature sig;
+    sig.inputs.reserve(static_cast<std::size_t>(std::max(num_in, 0)));
+    sig.outputs.reserve(static_cast<std::size_t>(std::max(num_out, 0)));
     for (int i = 0; i < num_in; ++i)
         sig.inputs.push_back("in" + std::to_string(i));
     for (int i = 0; i < num_out; ++i)

@@ -55,6 +55,12 @@ struct TNode
 class Unifier
 {
   public:
+    void
+    reserve(std::size_t terms)
+    {
+        arena_.reserve(terms);
+    }
+
     Term
     fresh(TNode::K k = TNode::K::var)
     {
@@ -206,6 +212,9 @@ class Inference
                                            sig.outputs.size());
             }
         }
+        // Port terms, plus room for the constants and pairs the rules
+        // add.
+        u_.reserve(2 * static_cast<std::size_t>(next_) + nodes.size());
         for (Term t = 0; t < next_; ++t)
             u_.fresh();
     }
@@ -266,7 +275,7 @@ class Inference
 
     /** The term of port @p name of node @p i. */
     Term
-    port(std::size_t i, const std::string& name)
+    port(std::size_t i, std::string_view name)
     {
         const Signature& sig = index_.sig(i).value();
         for (std::size_t k = 0; k < sig.inputs.size(); ++k)
@@ -280,7 +289,7 @@ class Inference
             if (at == i && port_name == name)
                 return term;
         Term t = u_.fresh();
-        extra_.emplace_back(i, name, t);
+        extra_.emplace_back(i, std::string(name), t);
         return t;
     }
 
@@ -290,8 +299,9 @@ class Inference
         const NodeDecl& node = index_.graph.nodes()[i];
         const Signature& sig = index_.sig(i).value();
         const std::string& type = node.type;
-        std::vector<std::pair<Term, Term>> eqs;
-        auto p = [&](const std::string& name) { return port(i, name); };
+        std::vector<std::pair<Term, Term>>& eqs = eqs_;
+        eqs.clear();
+        auto p = [&](std::string_view name) { return port(i, name); };
 
         if (type == "fork") {
             for (const std::string& out : sig.outputs)
@@ -388,6 +398,7 @@ class Inference
     std::vector<Term> base_;  ///< first port term of each node
     Term next_ = 0;
     std::vector<std::tuple<std::size_t, std::string, Term>> extra_;
+    std::vector<std::pair<Term, Term>> eqs_;  ///< one node's equations
 };
 
 }  // namespace

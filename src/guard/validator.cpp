@@ -208,22 +208,18 @@ class Validator
         return static_cast<std::ptrdiff_t>(slot);
     }
 
-    /** Edges per source and per target node (first node of a name),
-     * in edge order. */
+    /** Edges by source node (first node of a name), in edge order. */
     void
     indexEdges()
     {
-        if (!out_edges_.empty() || graph_.nodes().empty())
+        if (edges_indexed_)
             return;
+        edges_indexed_ = true;
         out_edges_.resize(graph_.nodes().size());
-        in_edges_.resize(graph_.nodes().size());
         for (const Edge& e : graph_.edges()) {
             std::ptrdiff_t src = index_.find(e.src.inst);
-            std::ptrdiff_t dst = index_.find(e.dst.inst);
             if (src >= 0)
                 out_edges_[src].push_back(&e);
-            if (dst >= 0)
-                in_edges_[dst].push_back(&e);
         }
     }
 
@@ -452,13 +448,8 @@ class Validator
             for (const std::string& port : sig(n).outputs)
                 forEachConsumer(at.inst, port, push);
         }
-        const PortRef* ret = nullptr;
-        std::ptrdiff_t self = index_.find(tagger.name);
-        for (const Edge* e : in_edges_[self])
-            if (e->dst.port == "in1") {
-                ret = &e->src;
-                break;
-            }
+        std::optional<PortRef> ret =
+            graph_.driverOf(PortRef{tagger.name, "in1"});
         if (empty_region || !returns) {
             report_.add(Severity::Error, "tag.unpaired", tagger.name,
                         "region fed by out0 never returns a tagged "
@@ -479,8 +470,8 @@ class Validator
     /** First port slot of each node (signature inputs, then
      * outputs). */
     std::vector<std::size_t> slot_;
+    bool edges_indexed_ = false;
     std::vector<std::vector<const Edge*>> out_edges_;
-    std::vector<std::vector<const Edge*>> in_edges_;
     ValidationReport report_;
 };
 

@@ -386,8 +386,8 @@ struct RhsBase
 };
 
 /**
- * Apply a node-replacing rewrite by editing the graph in place of the
- * section 4.2 substitution: the result equals
+ * Apply a node-replacing rewrite by splicing the graph instead of
+ * running the section 4.2 substitution: the result equals
  * liftToExprHigh(lower(graph)[lhs := rhs]) node for node, edge for edge
  * and io for io, and fails exactly where that pipeline fails, with the
  * same message (tests/test_splice.cpp keeps the substitution as the

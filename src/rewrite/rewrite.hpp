@@ -14,7 +14,7 @@
  * attribute value "$x" captures the concrete value, and "$x" in an rhs
  * attribute substitutes it.
  *
- * Application is the paper's mechanism made concrete:
+ * Application means the paper's mechanism:
  *  1. the matcher finds an embedding of the lhs in the target graph;
  *  2. the target is lowered to ExprLow with the matched nodes first,
  *     isolating them as a literal sub-expression (section 4.2's
@@ -23,6 +23,10 @@
  *     graph-level port names;
  *  4. ExprLow::substitute replaces lhs by rhs and the result is
  *     lifted back to ExprHigh.
+ * applyRewrite performs the same edit as a splice of the ExprHigh: it
+ * yields the graph steps 2-4 yield, in the same node, edge and io
+ * order, and fails where they fail (tests/test_splice.cpp checks the
+ * splice against the substitution).
  *
  * Theorem 4.6 then reduces the correctness of the whole application
  * to the refinement obligation rhs ⊑ lhs, which verifyRewrite()
@@ -102,9 +106,9 @@ Result<bool> validateMatch(const ExprHigh& graph, const RewriteDef& def,
                            RewriteMatch& match);
 
 /**
- * Apply @p def at @p match via ExprLow substitution. Returns the
- * rewritten graph; fails on malformed definitions (never mutates the
- * input).
+ * Apply @p def at @p match: the graph ExprLow substitution yields,
+ * built by splicing the rhs into a copy. Returns the rewritten graph;
+ * fails on malformed definitions (never mutates the input).
  */
 Result<ExprHigh> applyRewrite(const ExprHigh& graph,
                               const RewriteDef& def,
