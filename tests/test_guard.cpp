@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "bench_circuits/benchmarks.hpp"
 #include "bench_circuits/gcd.hpp"
 #include "core/compiler.hpp"

@@ -190,6 +190,22 @@ TEST(TypeCheck, SelectUnifiesArmsWithOutput)
               WireType::Kind::floating);
 }
 
+TEST(TypeCheck, JoinWithoutInputsConstrainsNothing)
+{
+    // in=0 leaves the join no input ports; its output stays
+    // polymorphic (the validator reports the arity as bad-arity).
+    for (const char* arity : {"0", "-2"}) {
+        ExprHigh g;
+        g.addNode("j", "join", {{"in", arity}});
+        g.addNode("k", "sink");
+        g.connect("j", "out0", "k", "in0");
+        Result<TypeReport> report = checkWellTyped(g);
+        ASSERT_TRUE(report.ok()) << report.error().message;
+        EXPECT_EQ(report.value().wire_types.at(PortRef{"j", "out0"}).kind,
+                  WireType::Kind::unknown);
+    }
+}
+
 TEST(TypeCheck, WireTypeToString)
 {
     WireType t = WireType::pairOf(WireType::integer(),
