@@ -42,7 +42,7 @@ Result<CatalogVerification>
 verifyCatalog(const ExplorationLimits& limits)
 {
     CatalogVerification out;
-    for (const RewriteDef& def : catalog::allRewrites()) {
+    for (const RewriteDef& def : catalog::validatedRewrites()) {
         if (!def.verified || def.rhs.numNodes() == 0)
             continue;
         RewriteDef concrete =
