@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <functional>
-#include <set>
 #include <stdexcept>
 #include <string_view>
+#include <unordered_set>
 #include <utility>
 
 namespace graphiti {
@@ -186,91 +186,41 @@ ExprHigh::sameAs(const ExprHigh& other) const
 
 namespace {
 
-std::size_t
-hashOf(const std::string& text)
-{
-    return std::hash<std::string_view>{}(text);
-}
+/** A port as two views into the graph's own strings. */
+using PortKey = std::pair<std::string_view, std::string_view>;
 
-bool
-hasAdjacentDuplicate(std::vector<std::size_t>& hashes)
+struct PortKeyHash
 {
-    std::sort(hashes.begin(), hashes.end());
-    return std::adjacent_find(hashes.begin(), hashes.end()) !=
-           hashes.end();
+    std::size_t operator()(const PortKey& key) const
+    {
+        std::hash<std::string_view> h;
+        return h(key.first) * 31 + h(key.second);
+    }
+};
+
+using PortSet = std::unordered_set<PortKey, PortKeyHash>;
+
+PortKey
+keyOf(const PortRef& ref)
+{
+    return {ref.inst, ref.port};
 }
 
 }  // namespace
 
-bool
-ExprHigh::wellFormed() const
-{
-    // Instance names by hash; equal hashes count as a clash.
-    std::vector<std::pair<std::size_t, const std::string*>> names;
-    names.reserve(nodes_.size());
-    for (const NodeDecl& n : nodes_)
-        names.emplace_back(hashOf(n.name), &n.name);
-    std::sort(names.begin(), names.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (std::size_t i = 1; i < names.size(); ++i)
-        if (names[i].first == names[i - 1].first)
-            return false;
-    // The hash of a declared port's instance and port names, or
-    // nullopt when no node has that name.
-    auto portHash = [&](const PortRef& ref) -> std::optional<std::size_t> {
-        std::size_t h = hashOf(ref.inst);
-        auto it = std::lower_bound(
-            names.begin(), names.end(), h,
-            [](const auto& entry, std::size_t v) { return entry.first < v; });
-        if (it == names.end() || it->first != h || *it->second != ref.inst)
-            return std::nullopt;
-        return h * 31 + hashOf(ref.port);
-    };
-    // Edge endpoints by hash; a repeated hash, or an io port hashing
-    // like an edge endpoint, counts as a clash.
-    std::vector<std::size_t> driven;
-    std::vector<std::size_t> driving;
-    driven.reserve(edges_.size());
-    driving.reserve(edges_.size());
-    for (const Edge& e : edges_) {
-        std::optional<std::size_t> src = portHash(e.src);
-        std::optional<std::size_t> dst = portHash(e.dst);
-        if (!src || !dst)
-            return false;
-        driving.push_back(*src);
-        driven.push_back(*dst);
-    }
-    if (hasAdjacentDuplicate(driven) || hasAdjacentDuplicate(driving))
-        return false;
-    auto clash = [&](const std::vector<std::optional<PortRef>>& ios,
-                     const std::vector<std::size_t>& wired) {
-        for (const auto& io : ios) {
-            if (!io)
-                continue;
-            std::optional<std::size_t> h = portHash(*io);
-            if (!h || std::binary_search(wired.begin(), wired.end(), *h))
-                return true;
-        }
-        return false;
-    };
-    return !clash(inputs_, driven) && !clash(outputs_, driving);
-}
-
 Result<bool>
 ExprHigh::validate() const
 {
-    // Hashed check first; the scan below decides when it finds a
-    // possible clash, and names the first violation in declaration
-    // order.
-    if (wellFormed())
-        return true;
-    std::set<std::string> names;
+    std::unordered_set<std::string_view> names;
+    names.reserve(nodes_.size());
     for (const NodeDecl& n : nodes_) {
         if (!names.insert(n.name).second)
             return err("duplicate instance name: " + n.name);
     }
-    std::set<PortRef> driven;
-    std::set<PortRef> driving;
+    PortSet driven;
+    PortSet driving;
+    driven.reserve(edges_.size());
+    driving.reserve(edges_.size());
     for (const Edge& e : edges_) {
         if (names.count(e.src.inst) == 0)
             return err("edge source names missing instance: " +
@@ -278,9 +228,9 @@ ExprHigh::validate() const
         if (names.count(e.dst.inst) == 0)
             return err("edge target names missing instance: " +
                        e.dst.toString());
-        if (!driven.insert(e.dst).second)
+        if (!driven.insert(keyOf(e.dst)).second)
             return err("input port driven twice: " + e.dst.toString());
-        if (!driving.insert(e.src).second)
+        if (!driving.insert(keyOf(e.src)).second)
             return err("output port used twice (insert a fork): " +
                        e.src.toString());
     }
@@ -288,7 +238,7 @@ ExprHigh::validate() const
         if (io && names.count(io->inst) == 0)
             return err("graph input bound to missing instance: " +
                        io->toString());
-        if (io && driven.count(*io) > 0)
+        if (io && driven.count(keyOf(*io)) > 0)
             return err("graph input port also driven by an edge: " +
                        io->toString());
     }
@@ -296,7 +246,7 @@ ExprHigh::validate() const
         if (io && names.count(io->inst) == 0)
             return err("graph output bound to missing instance: " +
                        io->toString());
-        if (io && driving.count(*io) > 0)
+        if (io && driving.count(keyOf(*io)) > 0)
             return err("graph output port also consumed by an edge: " +
                        io->toString());
     }

@@ -142,10 +142,6 @@ class ExprHigh
     std::size_t numNodes() const { return nodes_.size(); }
 
   private:
-    /** True when validate()'s invariants certainly hold (a hashed
-     * check; false on a violation or a hash clash). */
-    bool wellFormed() const;
-
     std::vector<NodeDecl> nodes_;
     std::vector<Edge> edges_;
     std::vector<std::optional<PortRef>> inputs_;

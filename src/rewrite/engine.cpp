@@ -12,9 +12,7 @@ RewriteEngine::addRule(RewriteDef def)
         return valid;
     if (rules_.count(def.name) > 0)
         return err("duplicate rule name: " + def.name);
-    std::string name = def.name;
-    rules_.emplace(std::move(name),
-                   std::make_shared<const RewriteDef>(std::move(def)));
+    rules_.emplace(def.name, std::move(def));
     return true;
 }
 
@@ -25,8 +23,7 @@ RewriteEngine::addCatalog()
         if (rules_.count(def.name) > 0)
             return err("duplicate rule name: " + def.name);
     for (const RewriteDef& def : catalog::validatedRewrites())
-        rules_.emplace(def.name, std::shared_ptr<const RewriteDef>(
-                                     std::shared_ptr<void>(), &def));
+        rules_.emplace(def.name, def);
     return true;
 }
 
@@ -34,7 +31,7 @@ const RewriteDef*
 RewriteEngine::findRule(const std::string& name) const
 {
     auto it = rules_.find(name);
-    return it == rules_.end() ? nullptr : it->second.get();
+    return it == rules_.end() ? nullptr : &it->second;
 }
 
 Result<ExprHigh>

@@ -17,7 +17,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -91,9 +90,9 @@ class RewriteEngine
     Result<bool> addRule(RewriteDef def);
 
     /**
-     * Register every rule of catalog::validatedRewrites() by
-     * reference: no copy and no second validation. Fails when a rule
-     * name is already registered.
+     * Register a copy of every rule of catalog::validatedRewrites()
+     * without validating it again. Fails when a rule name is already
+     * registered.
      */
     Result<bool> addCatalog();
 
@@ -143,9 +142,7 @@ class RewriteEngine
     Result<ExprHigh> commit(Result<ExprHigh> candidate,
                             const std::string& rule);
 
-    /** Rules added by addRule are owned here; catalog rules alias
-     * the process-wide list (a no-op deleter). */
-    std::map<std::string, std::shared_ptr<const RewriteDef>> rules_;
+    std::map<std::string, RewriteDef> rules_;
     EngineStats stats_;
     PostCheck post_check_;
     std::vector<RewriteRollback> rollbacks_;

@@ -343,6 +343,22 @@ matchRewriteOnce(const ExprHigh& graph, const RewriteDef& def)
     return std::move(all[0]);
 }
 
+namespace {
+
+/** Replace every attribute value that names a capture by its binding. */
+void
+substituteCaptures(AttrMap& attrs,
+                   const std::map<std::string, std::string>& captures)
+{
+    for (auto& [key, value] : attrs) {
+        auto it = captures.find(value);
+        if (it != captures.end())
+            value = it->second;
+    }
+}
+
+}  // namespace
+
 RewriteDef
 instantiateCaptures(const RewriteDef& def,
                     const std::map<std::string, std::string>& captures)
@@ -351,11 +367,7 @@ instantiateCaptures(const RewriteDef& def,
     auto substitute = [&](ExprHigh& g) {
         for (const NodeDecl& node : g.nodes()) {
             AttrMap updated = node.attrs;
-            for (auto& [key, value] : updated) {
-                auto it = captures.find(value);
-                if (it != captures.end())
-                    value = it->second;
-            }
+            substituteCaptures(updated, captures);
             g.findNode(node.name)->attrs = std::move(updated);
         }
     };
@@ -485,11 +497,7 @@ spliceRewrite(const ExprHigh& graph, const RewriteDef& def,
         RhsBase& base = bases[t];
         base.decl = &templ[t];
         base.attrs = templ[t].attrs;
-        for (auto& [key, value] : base.attrs) {
-            auto it = match.captures.find(value);
-            if (it != match.captures.end())
-                value = it->second;
-        }
+        substituteCaptures(base.attrs, match.captures);
         Result<Signature> sig = signatureOf(templ[t].type, base.attrs);
         if (!sig.ok())
             return sig.error().context(def.name + " rhs");
