@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
 #include <optional>
+#include <sstream>
+#include <stdexcept>
 
 #include "bench_circuits/gcd.hpp"
 #include "dot/dot.hpp"
+#include "obs/scope.hpp"
 #include "rewrite/engine.hpp"
 #include "rewrite/catalog.hpp"
 #include "sim/sim.hpp"
@@ -332,6 +337,242 @@ TEST(SimEdge, DrainGrowsAnUnboundedOutputRing)
     EXPECT_EQ(r.value().outputs[0][0].value.asInt(), 7);
     EXPECT_EQ(r.value().memories.at("mem"),
               (std::vector<double>{0, 0, 5, 0}));
+}
+
+// ---------------------------------------------------------------------
+// Token boundary: what a circuit's inputs, outputs, traces, waveforms
+// and error texts show of a token, whatever the simulator moves
+// internally.
+// ---------------------------------------------------------------------
+
+Value
+pair(Value a, Value b)
+{
+    return Value::tuple(std::move(a), std::move(b));
+}
+
+/** Tuples of every shape: pairs, a 3-tuple, nested pairs, a pair
+ * holding a 3-tuple, and a unit. */
+std::vector<Token>
+tupleTokens()
+{
+    Value triple(ValueTuple{Value(true), Value(4), Value()});
+    return {
+        Token(pair(Value(1), Value(2.5))),
+        Token(triple),
+        Token(pair(pair(Value(1), Value(2)),
+                   pair(Value(3), pair(Value(false), Value(-7))))),
+        Token(pair(triple, Value(8)), 3),
+        Token(pair(Value(), Value(std::int64_t{-1})), 0),
+        Token(Value()),
+    };
+}
+
+/** Run @p g on @p inputs and return its outputs. */
+std::vector<std::vector<Token>>
+runOutputs(const ExprHigh& g, const std::vector<std::vector<Token>>& inputs,
+           std::size_t expected)
+{
+    auto registry = std::make_shared<FnRegistry>();
+    sim::Simulator s = sim::Simulator::build(g, registry).take();
+    Result<sim::SimResult> r = s.run(inputs, expected);
+    EXPECT_TRUE(r.ok()) << r.error().message;
+    return r.ok() ? r.value().outputs : std::vector<std::vector<Token>>{};
+}
+
+TEST(SimToken, TupleInputsComeOutEqual)
+{
+    // Through a buffer, and through a fork whose two copies leave by
+    // two outputs: every token, tag included, comes out as it went in.
+    const std::vector<Token> tokens = tupleTokens();
+    auto through_buffer =
+        runOutputs(loneNode("buffer", {}, 1, 1), {tokens}, tokens.size());
+    ASSERT_EQ(through_buffer.size(), 1u);
+    EXPECT_EQ(through_buffer[0], tokens);
+
+    auto through_fork = runOutputs(loneNode("fork", {{"out", "2"}}, 1, 2),
+                                   {tokens}, tokens.size());
+    ASSERT_EQ(through_fork.size(), 2u);
+    EXPECT_EQ(through_fork[0], tokens);
+    EXPECT_EQ(through_fork[1], tokens);
+}
+
+TEST(SimToken, SplitThenJoinRebuildsEveryPair)
+{
+    // input#0 -> split; both halves -> join -> output#0. Elements that
+    // are pairs, 3-tuples or scalars are carried untouched.
+    std::vector<Token> pairs;
+    for (const Token& t : tupleTokens())
+        if (t.value.isTuple() && t.value.asTuple().size() == 2)
+            pairs.push_back(t);
+    ASSERT_EQ(pairs.size(), 4u);
+    ExprHigh g;
+    g.addNode("s", "split");
+    g.addNode("j", "join");
+    g.connect("s", "out0", "j", "in0");
+    g.connect("s", "out1", "j", "in1");
+    g.bindInput(0, PortRef{"s", "in0"});
+    g.bindOutput(0, PortRef{"j", "out0"});
+    auto out = runOutputs(g, {pairs}, pairs.size());
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0], pairs);
+}
+
+TEST(SimToken, ThreeWayJoinNestsToTheRight)
+{
+    auto out = runOutputs(
+        loneNode("join", {{"in", "3"}}, 3, 1),
+        {{Token(Value(1), 2)}, {Token(Value(2.5), 2)},
+         {Token(pair(Value(true), Value()), 2)}},
+        1);
+    ASSERT_EQ(out.size(), 1u);
+    ASSERT_EQ(out[0].size(), 1u);
+    EXPECT_EQ(out[0][0],
+              Token(pair(Value(1), pair(Value(2.5),
+                                        pair(Value(true), Value()))),
+                    2));
+    EXPECT_EQ(out[0][0].toString(), "(1, (2.5, (true, ())))#2");
+}
+
+TEST(SimToken, TracedTaggedPairRendersAsToday)
+{
+    ExprHigh g = loneNode("fork", {{"out", "2"}}, 1, 2);
+    auto registry = std::make_shared<FnRegistry>();
+    sim::SimConfig config;
+    config.trace_nodes = {"n"};
+    sim::Simulator s = sim::Simulator::build(g, registry, config).take();
+    Result<sim::SimResult> r =
+        s.run({{Token(pair(Value(1), pair(Value(2.5), Value(false))), 3),
+                Token(Value(ValueTuple{Value(1), Value(2), Value(3)}))}},
+              2);
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    ASSERT_EQ(r.value().trace.size(), 2u);
+    EXPECT_EQ(r.value().trace[0].detail, "fire (1, (2.5, false))#3");
+    EXPECT_EQ(r.value().trace[1].detail, "fire (1, 2, 3)");
+}
+
+TEST(SimToken, SplitErrorTextIsUnchanged)
+{
+    expectSimError(loneNode("split", {}, 1, 2), {{Token(Value(5), 2)}},
+                   "split received a non-pair token 5#2");
+    expectSimError(loneNode("split", {}, 1, 2),
+                   {{Token(Value(ValueTuple{Value(1), Value(2.5), Value()}))}},
+                   "split received a non-pair token (1, 2.5, ())");
+}
+
+/** The message of the std::runtime_error that running @p g on
+ * @p inputs throws ("" when it does not throw). */
+std::string
+thrownBy(const ExprHigh& g, const std::vector<std::vector<Token>>& inputs)
+{
+    auto registry = std::make_shared<FnRegistry>();
+    sim::Simulator s = sim::Simulator::build(g, registry).take();
+    s.setMemory("mem", {0, 0, 0, 0});
+    try {
+        (void)s.run(inputs, 1);
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(SimToken, DoubleSelectOrConditionThrowsAsBoolsMessage)
+{
+    EXPECT_EQ(thrownBy(loneNode("mux", {}, 3, 1),
+                       {{Token(Value(2.5))}, {Token(Value(1))},
+                        {Token(Value(2))}}),
+              "Value::asBool on non-boolean: 2.5");
+    EXPECT_EQ(thrownBy(loneNode("branch", {}, 2, 2),
+                       {{Token(Value(1))}, {Token(Value(0.5))}}),
+              "Value::asBool on non-boolean: 0.5");
+    EXPECT_EQ(thrownBy(loneNode("branch", {}, 2, 2),
+                       {{Token(Value(1))},
+                        {Token(pair(Value(true), Value(false)))}}),
+              "Value::asBool on non-boolean: (true, false)");
+}
+
+TEST(SimToken, StoringAPairFailsAsToDouble)
+{
+    EXPECT_EQ(thrownBy(loneNode("store", {}, 2, 1),
+                       {{Token(Value(1))},
+                        {Token(pair(Value(1), Value(2)))}}),
+              "Value::toDouble on non-numeric: (1, 2)");
+    EXPECT_EQ(thrownBy(loneNode("store", {}, 2, 1),
+                       {{Token(Value(2.5))}, {Token(Value(1))}}),
+              "Value::asInt on non-integer: 2.5");
+}
+
+TEST(SimToken, PairChannelVcdDataIsZero)
+{
+    // input#0 -> buffer -> output#0: channel 0's signals are ids !"#,
+    // channel 1's $%&. Every data sample of either is 0.
+    ExprHigh g = loneNode("buffer", {}, 1, 1);
+    auto registry = std::make_shared<FnRegistry>();
+    auto scope = std::make_shared<obs::Scope>();
+    auto vcd = std::make_shared<obs::VcdWriter>("pairs");
+    scope->attachVcd(vcd);
+    sim::SimConfig config;
+    config.obs = scope;
+    sim::Simulator s = sim::Simulator::build(g, registry, config).take();
+    Result<sim::SimResult> r =
+        s.run({{Token(pair(Value(7), Value(9))),
+                Token(pair(Value(1.5), Value(3))),
+                Token(pair(pair(Value(1), Value(2)), Value(3)))}},
+              3);
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    ASSERT_EQ(vcd->numSignals(), 6u);
+    std::istringstream lines(vcd->str());
+    std::size_t samples = 0;
+    for (std::string line; std::getline(lines, line);) {
+        if (line.size() < 2 || line[0] != 'b' || line[1] == 'x')
+            continue;
+        const std::string id = line.substr(line.find(' ') + 1);
+        ASSERT_TRUE(id == "#" || id == "&") << line;
+        EXPECT_EQ(line, "b0 " + id);
+        ++samples;
+    }
+    EXPECT_EQ(samples, 2u);
+}
+
+TEST(SimToken, SignedZeroAndNaNPassBitExact)
+{
+    // Scalars through a buffer, and as the halves of a pair built by a
+    // join and taken apart by a split.
+    const std::uint64_t nan_bits = 0x7ff8'0000'0000'0123ULL;
+    const double nan = std::bit_cast<double>(nan_bits);
+    const double neg_zero = -0.0;
+    const std::int64_t min_int = std::numeric_limits<std::int64_t>::min();
+    auto bits = [](const Token& t) {
+        return std::bit_cast<std::uint64_t>(t.value.asDouble());
+    };
+
+    auto buffered = runOutputs(
+        loneNode("buffer", {}, 1, 1),
+        {{Token(Value(neg_zero)), Token(Value(nan), 5),
+          Token(Value(min_int))}},
+        3);
+    ASSERT_EQ(buffered.size(), 1u);
+    ASSERT_EQ(buffered[0].size(), 3u);
+    EXPECT_EQ(bits(buffered[0][0]), std::bit_cast<std::uint64_t>(neg_zero));
+    EXPECT_EQ(bits(buffered[0][1]), nan_bits);
+    EXPECT_EQ(buffered[0][1].tag, std::optional<Tag>(5));
+    EXPECT_EQ(buffered[0][2].value.asInt(), min_int);
+
+    ExprHigh g;
+    g.addNode("j", "join");
+    g.addNode("s", "split");
+    g.connect("j", "out0", "s", "in0");
+    g.bindInput(0, PortRef{"j", "in0"});
+    g.bindInput(1, PortRef{"j", "in1"});
+    g.bindOutput(0, PortRef{"s", "out0"});
+    g.bindOutput(1, PortRef{"s", "out1"});
+    auto split = runOutputs(g, {{Token(Value(neg_zero))}, {Token(Value(nan))}},
+                            1);
+    ASSERT_EQ(split.size(), 2u);
+    ASSERT_EQ(split[0].size(), 1u);
+    ASSERT_EQ(split[1].size(), 1u);
+    EXPECT_EQ(bits(split[0][0]), std::bit_cast<std::uint64_t>(neg_zero));
+    EXPECT_EQ(bits(split[1][0]), nan_bits);
 }
 
 // ---------------------------------------------------------------------
