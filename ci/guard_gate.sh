@@ -76,6 +76,8 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}"
 (cd "${PREFIX}-asan" && ctest -R "^(SpliceDifferential|RewriteContract)\." \
     --output-on-failure)
 (cd "${PREFIX}-asan" && ctest -L stress --output-on-failure)
-(cd "${PREFIX}-asan" && ctest -R "^(Sim|SimEdge|SimSchedule)\." --output-on-failure)
+# The simulator, its schedule digests and the flat tokens' pair arena.
+(cd "${PREFIX}-asan" && ctest -R "^(Sim|SimEdge|SimSchedule|SimToken)\." \
+    --output-on-failure)
 
 echo "guard gate: all checks passed"

@@ -6,6 +6,7 @@
 #include <deque>
 #include <span>
 #include <sstream>
+#include <type_traits>
 
 #include "arch/buffers.hpp"
 #include "graph/signatures.hpp"
@@ -113,6 +114,59 @@ constexpr std::size_t kDrainLimit = 4096;
  * graph outputs) start here and double when full. */
 constexpr std::size_t kRingStart = 64;
 
+/** What the 64 payload bits of a Flat token hold. */
+enum class Payload : std::uint8_t
+{
+    Unit,
+    Bool,    ///< 0 or 1
+    Int,     ///< the int64's two's complement bits
+    Double,  ///< the double's bits, so -0.0 and NaN payloads survive
+    Pair,    ///< index of a slot of the run's pair arena
+    Boxed,   ///< index of a tuple (not a pair) in the run's box table
+};
+
+/**
+ * The token the simulator moves between channels, pipelines and
+ * reorder buffers: trivially copyable, 16 bytes. A Token is built from
+ * it only at the circuit boundary (outputs, traces, error texts) and
+ * for operator and Pure calls. A Pair or Boxed token holds one
+ * reference to its slot (see Simulator::Impl::retain/release).
+ */
+struct Flat
+{
+    std::uint64_t bits = 0;
+    Tag tag = 0;
+    Payload kind = Payload::Unit;
+    bool tagged = false;
+
+    static Flat
+    of(Payload kind, std::uint64_t bits)
+    {
+        Flat t;
+        t.kind = kind;
+        t.bits = bits;
+        return t;
+    }
+
+    void
+    setTag(std::optional<Tag> t)
+    {
+        tagged = t.has_value();
+        tag = t.value_or(0);
+    }
+
+    std::optional<Tag>
+    optTag() const
+    {
+        return tagged ? std::optional<Tag>(tag) : std::nullopt;
+    }
+
+    /** References a slot of the pair arena or the box table. */
+    bool indirect() const { return kind >= Payload::Pair; }
+};
+static_assert(sizeof(Flat) == 16);
+static_assert(std::is_trivially_copyable_v<Flat>);
+
 /**
  * One elastic channel: its buffered tokens in a power-of-two ring, and
  * how many tokens were pushed this cycle but not yet committed (they
@@ -120,7 +174,7 @@ constexpr std::size_t kRingStart = 64;
  */
 struct Channel
 {
-    std::vector<Token> ring;
+    std::vector<Flat> ring;
     std::size_t head = 0;  ///< ring index of the oldest token
     std::size_t size = 0;
     std::size_t capacity = 2;
@@ -135,23 +189,23 @@ struct Channel
     }
 
     bool empty() const { return size == 0; }
-    const Token& front() const { return ring[head]; }
+    const Flat& front() const { return ring[head]; }
 
-    Token
+    Flat
     popFront()
     {
-        Token t = std::move(ring[head]);
+        Flat t = ring[head];
         head = (head + 1) & (ring.size() - 1);
         --size;
         return t;
     }
 
     void
-    pushBack(Token t)
+    pushBack(Flat t)
     {
         if (size == ring.size())
             grow();
-        ring[(head + size) & (ring.size() - 1)] = std::move(t);
+        ring[(head + size) & (ring.size() - 1)] = t;
         ++size;
     }
 
@@ -161,9 +215,9 @@ struct Channel
     void
     grow()
     {
-        std::vector<Token> bigger(ring.size() * 2);
+        std::vector<Flat> bigger(ring.size() * 2);
         for (std::size_t i = 0; i < size; ++i)
-            bigger[i] = std::move(ring[(head + i) & (ring.size() - 1)]);
+            bigger[i] = ring[(head + i) & (ring.size() - 1)];
         ring.swap(bigger);
         head = 0;
     }
@@ -188,11 +242,12 @@ struct SimNode
     bool traced = false;
 
     // Resolved at build: operator (opfn is nullptr for an unknown op:
-    // the node fails when it fires), constant/init value, load/store
-    // memory (nullptr if not installed: likewise).
+    // the node fails when it fires), constant/init value (it holds one
+    // reference), load/store memory (nullptr if not installed:
+    // likewise).
     std::string op;
     OperatorFn opfn = nullptr;
-    Value value;
+    Flat value;
     std::string memory;
     std::vector<double>* mem = nullptr;
 
@@ -203,8 +258,8 @@ struct SimNode
     bool init_done = false;
 
     // Pipelined units: (cycles remaining, result).
-    std::deque<std::pair<int, Token>> pipeline;
-    std::deque<Token> completion;
+    std::deque<std::pair<int, Flat>> pipeline;
+    std::deque<Flat> completion;
     int latency = 0;
 
     // Tagger state. Returned tokens are indexed by tag — tags are
@@ -213,7 +268,7 @@ struct SimNode
     int num_tags = 0;
     std::int64_t next_alloc = 0;
     std::int64_t next_commit = 0;
-    std::vector<std::optional<Token>> returned;
+    std::vector<std::optional<Flat>> returned;
     std::size_t returned_count = 0;
 
     // Resolved pure function.
@@ -221,13 +276,13 @@ struct SimNode
 };
 
 bool
-tagsAgree(std::span<const Token* const> tokens, std::optional<Tag>& common)
+tagsAgree(std::span<const Flat* const> tokens, std::optional<Tag>& common)
 {
     common.reset();
-    for (const Token* t : tokens) {
-        if (!t->tag)
+    for (const Flat* t : tokens) {
+        if (!t->tagged)
             continue;
-        if (common && *common != *t->tag)
+        if (common && *common != t->tag)
             return false;
         common = t->tag;
     }
@@ -263,7 +318,12 @@ class Simulator::Impl
                             : obs_->metrics().timer("sim.run_seconds");
         provSetup();
 
-        input_streams_ = inputs;
+        input_streams_.assign(inputs.size(), {});
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+            input_streams_[i].reserve(inputs[i].size());
+            for (const Token& t : inputs[i])
+                input_streams_[i].push_back(flatten(t));
+        }
         input_pos_.assign(inputs.size(), 0);
 
         SimResult result;
@@ -461,10 +521,11 @@ class Simulator::Impl
                 if (!value.ok())
                     return value.error().context("sim build: " +
                                                  decl.name);
-                node.value = value.take();
+                node.value = flatten(value.value());
             } else if (node.kind == NodeKind::Init) {
-                node.value =
-                    Value(attrStr(decl.attrs, "value", "false") == "true");
+                node.value = Flat::of(
+                    Payload::Bool,
+                    attrStr(decl.attrs, "value", "false") == "true");
             } else if (node.kind == NodeKind::Pure) {
                 node.latency = attrInt(decl.attrs, "latency", 0);
                 node.fn = owner_.functions_->find(
@@ -477,6 +538,10 @@ class Simulator::Impl
                 node.returned.assign(
                     static_cast<std::size_t>(std::max(1, node.num_tags)),
                     std::nullopt);
+            } else if (node.kind == NodeKind::Join &&
+                       node.in_channels.empty()) {
+                return err("sim build: join " + decl.name +
+                           " has no inputs");
             }
             node_index.emplace_back(decl.name, nodes_.size());
             nodes_.push_back(std::move(node));
@@ -602,17 +667,17 @@ class Simulator::Impl
         return true;
     }
 
-    const Token&
+    const Flat&
     peek(int ch) const
     {
         return channels_[ch].front();
     }
 
-    Token
+    Flat
     pop(int ch)
     {
         Channel& c = channels_[ch];
-        Token t = c.popFront();
+        Flat t = c.popFront();
         ++moves_;
         // The producer gained space. The sequential sweep makes a pop
         // visible to later-indexed nodes within the same cycle, so a
@@ -641,13 +706,15 @@ class Simulator::Impl
     }
 
     void
-    push(int ch, Token t)
+    push(int ch, Flat t)
     {
-        if (ch < 0)
+        if (ch < 0) {
+            release(t);  // a dangling output drops the token
             return;
+        }
         Channel& c = channels_[ch];
         ++c.staged;
-        staged_.emplace_back(ch, std::move(t));
+        staged_.emplace_back(ch, t);
         ++moves_;
         // Staged tokens become visible at commitStaged, so the
         // consumer can first use this one next cycle.
@@ -660,9 +727,9 @@ class Simulator::Impl
     void
     commitStaged()
     {
-        for (auto& [ch, t] : staged_) {
+        for (const auto& [ch, t] : staged_) {
             channels_[ch].staged = 0;
-            channels_[ch].pushBack(std::move(t));
+            channels_[ch].pushBack(t);
         }
         staged_.clear();
     }
@@ -671,14 +738,14 @@ class Simulator::Impl
      * appended to the detail. */
     void
     trace(const SimNode& node, const char* detail,
-          const Token* token = nullptr,
+          const Flat* token = nullptr,
           obs::EventKind kind = obs::EventKind::Fire)
     {
         if (!node.traced)
             return;
         std::string text = detail;
         if (token != nullptr)
-            text += " " + token->toString();
+            text += " " + render(*token);
         trace_->push_back(
             TraceEvent{cycle_, node.name, -1, kind, std::move(text)});
     }
@@ -712,16 +779,18 @@ class Simulator::Impl
         for (std::size_t i = 0; i < output_channels_.size(); ++i) {
             Channel& ch = channels_[output_channels_[i]];
             while (!ch.empty()) {
+                Flat t = ch.popFront();
+                Token boxed = boxToken(t);
+                release(t);
                 if (obs_ != nullptr) {
                     ++stat_outputs_;
                     if (sink_ != nullptr)
                         sink_->event(TraceEvent{
                             cycle_, "output#" + std::to_string(i),
                             output_channels_[i],
-                            obs::EventKind::Output,
-                            ch.front().toString()});
+                            obs::EventKind::Output, boxed.toString()});
                 }
-                result.outputs[i].push_back(ch.popFront());
+                result.outputs[i].push_back(std::move(boxed));
                 if (prov_ != nullptr)
                     prov_->onOutput(static_cast<int>(i),
                                     output_channels_[i], cycle_);
@@ -841,15 +910,13 @@ class Simulator::Impl
                 --remaining;
         while (!node.pipeline.empty() &&
                node.pipeline.front().first == 0) {
-            node.completion.push_back(
-                std::move(node.pipeline.front().second));
+            node.completion.push_back(node.pipeline.front().second);
             node.pipeline.pop_front();
             ++moves_;
         }
         while (!node.completion.empty() &&
                hasSpace(node.out_channels[0])) {
-            push(node.out_channels[0],
-                 std::move(node.completion.front()));
+            push(node.out_channels[0], node.completion.front());
             node.completion.pop_front();
             provEmit(node);
             trace(node, "emit", nullptr, obs::EventKind::Emit);
@@ -865,15 +932,16 @@ class Simulator::Impl
             for (int ch : node.out_channels)
                 if (!hasSpace(ch))
                     return true;
-            Token t = pop(node.in_channels[0]);
+            Flat t = pop(node.in_channels[0]);
             trace(node, "fire", &t);
-            // Copies for all outputs but the last, which takes t.
-            const std::size_t outs = node.out_channels.size();
-            for (std::size_t k = 0; k < outs; ++k)
-                push(node.out_channels[k],
-                     k + 1 < outs ? Token(t) : std::move(t));
+            // One reference per copy; the popped one is given back.
+            for (int ch : node.out_channels) {
+                retain(t);
+                push(ch, t);
+            }
+            release(t);
             provFire(node, node.in_channels.data(), 1,
-                     node.out_channels.data(), outs);
+                     node.out_channels.data(), node.out_channels.size());
             return true;
         }
         if (node.kind == NodeKind::Join) {
@@ -885,14 +953,14 @@ class Simulator::Impl
             if (!tagsAgree(heads_, tag))
                 return err("tag mismatch at join (tokens from "
                            "different iterations met)");
-            Value v = heads_.back()->value;
+            // The inputs' references move into the right-nested pairs.
+            Flat out = *heads_.back();
             for (std::size_t i = heads_.size() - 1; i-- > 0;)
-                v = Value::tuple(heads_[i]->value, std::move(v));
+                out = makePair(*heads_[i], out);
             for (int ch : node.in_channels)
                 pop(ch);
-            Token out(std::move(v));
-            out.tag = tag;
-            push(node.out_channels[0], std::move(out));
+            out.setTag(tag);
+            push(node.out_channels[0], out);
             provFire(node, node.in_channels.data(),
                      node.in_channels.size(), node.out_channels.data(),
                      1);
@@ -904,16 +972,14 @@ class Simulator::Impl
                 !hasSpace(node.out_channels[0]) ||
                 !hasSpace(node.out_channels[1]))
                 return true;
-            Token t = pop(node.in_channels[0]);
-            if (!t.value.isTuple() || t.value.asTuple().size() != 2)
-                return err("split received a non-pair token " +
-                           t.toString());
-            Token left(t.value.asTuple()[0]);
-            Token right(t.value.asTuple()[1]);
-            left.tag = t.tag;
-            right.tag = t.tag;
-            push(node.out_channels[0], std::move(left));
-            push(node.out_channels[1], std::move(right));
+            Flat t = pop(node.in_channels[0]);
+            if (t.kind != Payload::Pair)
+                return err("split received a non-pair token " + render(t));
+            auto [left, right] = takePair(t);
+            left.setTag(t.optTag());
+            right.setTag(t.optTag());
+            push(node.out_channels[0], left);
+            push(node.out_channels[1], right);
             provFire(node, node.in_channels.data(), 1,
                      node.out_channels.data(), 2);
             trace(node, "fire");
@@ -923,14 +989,14 @@ class Simulator::Impl
             if (!hasToken(node.in_channels[0]) ||
                 !hasSpace(node.out_channels[0]))
                 return true;
-            bool sel = peek(node.in_channels[0]).value.asBool();
+            bool sel = asBool(peek(node.in_channels[0]));
             int data_ch = node.in_channels[sel ? 1 : 2];
             if (!hasToken(data_ch))
                 return true;
-            pop(node.in_channels[0]);
-            Token t = pop(data_ch);
+            release(pop(node.in_channels[0]));
+            Flat t = pop(data_ch);
             trace(node, sel ? "fire loop" : "fire entry");
-            push(node.out_channels[0], std::move(t));
+            push(node.out_channels[0], t);
             const int mux_ins[2] = {node.in_channels[0], data_ch};
             provFire(node, mux_ins, 2, node.out_channels.data(), 1);
             return true;
@@ -942,10 +1008,10 @@ class Simulator::Impl
             // draining; fresh tokens enter when the loop path is idle.
             for (int port : {0, 1}) {
                 if (hasToken(node.in_channels[port])) {
-                    Token t = pop(node.in_channels[port]);
+                    Flat t = pop(node.in_channels[port]);
                     trace(node, port == 0 ? "fire loop" : "fire entry",
                           &t);
-                    push(node.out_channels[0], std::move(t));
+                    push(node.out_channels[0], t);
                     provFire(node, &node.in_channels[port], 1,
                              node.out_channels.data(), 1);
                     return true;
@@ -957,20 +1023,20 @@ class Simulator::Impl
             if (!hasToken(node.in_channels[0]) ||
                 !hasToken(node.in_channels[1]))
                 return true;
-            const Token& data = peek(node.in_channels[0]);
-            const Token& cond = peek(node.in_channels[1]);
-            const Token* pair[] = {&data, &cond};
+            const Flat& data = peek(node.in_channels[0]);
+            const Flat& cond = peek(node.in_channels[1]);
+            const Flat* pair[] = {&data, &cond};
             std::optional<Tag> tag;
             if (!tagsAgree(pair, tag))
                 return err("tag mismatch at branch");
-            int out = cond.value.asBool() ? 0 : 1;
+            int out = asBool(cond) ? 0 : 1;
             if (!hasSpace(node.out_channels[out]))
                 return true;
-            Token t = pop(node.in_channels[0]);
-            pop(node.in_channels[1]);
-            t.tag = tag;
+            Flat t = pop(node.in_channels[0]);
+            release(pop(node.in_channels[1]));
+            t.setTag(tag);
             trace(node, out == 0 ? "loop" : "exit");
-            push(node.out_channels[out], std::move(t));
+            push(node.out_channels[out], t);
             provFire(node, node.in_channels.data(), 2,
                      &node.out_channels[out], 1);
             return true;
@@ -980,7 +1046,7 @@ class Simulator::Impl
                 return true;
             if (!node.init_done) {
                 node.init_done = true;
-                push(node.out_channels[0], Token(node.value));
+                push(node.out_channels[0], node.value);
                 provSpawn(node, node.out_channels[0]);
                 trace(node, "initial");
                 return true;
@@ -1003,14 +1069,14 @@ class Simulator::Impl
         }
         if (node.kind == NodeKind::Sink) {
             if (hasToken(node.in_channels[0])) {
-                pop(node.in_channels[0]);
+                release(pop(node.in_channels[0]));
                 provFire(node, node.in_channels.data(), 1, nullptr, 0);
             }
             return true;
         }
         if (node.kind == NodeKind::Source) {
             if (hasSpace(node.out_channels[0])) {
-                push(node.out_channels[0], Token(Value()));
+                push(node.out_channels[0], Flat{});
                 provSpawn(node, node.out_channels[0]);
             }
             return true;
@@ -1019,10 +1085,12 @@ class Simulator::Impl
             if (!hasToken(node.in_channels[0]) ||
                 !hasSpace(node.out_channels[0]))
                 return true;
-            Token trigger = pop(node.in_channels[0]);
-            Token out(node.value);
-            out.tag = trigger.tag;
-            push(node.out_channels[0], std::move(out));
+            Flat trigger = pop(node.in_channels[0]);
+            release(trigger);
+            Flat out = node.value;
+            retain(out);
+            out.setTag(trigger.optTag());
+            push(node.out_channels[0], out);
             provFire(node, node.in_channels.data(), 1,
                      node.out_channels.data(), 1);
             return true;
@@ -1037,37 +1105,37 @@ class Simulator::Impl
             std::optional<Tag> tag;
             if (!tagsAgree(heads_, tag))
                 return err("tag mismatch at " + node.type);
-            Token result;
+            Flat result;
             if (node.kind == NodeKind::Operator) {
                 args_.clear();
-                for (const Token* t : heads_)
-                    args_.push_back(t->value);
+                for (const Flat* t : heads_)
+                    args_.push_back(box(*t));
                 Result<Value> v = node.opfn != nullptr
                                       ? node.opfn(args_)
                                       : evalOperator(node.op, args_);
                 if (!v.ok())
                     return v.error();
-                result.value = v.take();
+                result = flatten(v.value());
             } else if (node.kind == NodeKind::Pure) {
-                result.value = (*node.fn)(heads_[0]->value);
+                result = flatten((*node.fn)(box(*heads_[0])));
             } else {  // load
                 if (node.mem == nullptr)
                     return err("load from unknown memory " + node.memory);
-                std::int64_t addr = heads_[0]->value.asInt();
+                std::int64_t addr = asInt(*heads_[0]);
                 if (addr < 0 ||
                     addr >= static_cast<std::int64_t>(node.mem->size()))
                     return err("load out of bounds: " + node.memory + "[" +
                                std::to_string(addr) + "]");
-                result.value = Value((*node.mem)[addr]);
+                result = ofDouble((*node.mem)[addr]);
             }
-            result.tag = tag;
+            result.setTag(tag);
             for (int ch : node.in_channels)
-                pop(ch);
+                release(pop(ch));
             int latency = std::max(1, node.latency);
             if (faults_ != nullptr)
                 latency += std::max(
                     0, faults_->latencyJitter(node.name, cycle_));
-            node.pipeline.emplace_back(latency, std::move(result));
+            node.pipeline.emplace_back(latency, result);
             provAccept(node, latency);
             trace(node, "accept");
             return true;
@@ -1077,25 +1145,25 @@ class Simulator::Impl
                 !hasToken(node.in_channels[1]) ||
                 !hasSpace(node.out_channels[0]))
                 return true;
-            const Token& addr_tok = peek(node.in_channels[0]);
-            const Token& data_tok = peek(node.in_channels[1]);
-            const Token* pair[] = {&addr_tok, &data_tok};
+            const Flat& addr_tok = peek(node.in_channels[0]);
+            const Flat& data_tok = peek(node.in_channels[1]);
+            const Flat* pair[] = {&addr_tok, &data_tok};
             std::optional<Tag> tag;
             if (!tagsAgree(pair, tag))
                 return err("tag mismatch at store");
             if (node.mem == nullptr)
                 return err("store to unknown memory " + node.memory);
-            std::int64_t addr = addr_tok.value.asInt();
+            std::int64_t addr = asInt(addr_tok);
             if (addr < 0 ||
                 addr >= static_cast<std::int64_t>(node.mem->size()))
                 return err("store out of bounds: " + node.memory + "[" +
                            std::to_string(addr) + "]");
-            (*node.mem)[addr] = data_tok.value.toDouble();
-            pop(node.in_channels[0]);
-            pop(node.in_channels[1]);
-            Token done{Value(addr)};
-            done.tag = tag;
-            push(node.out_channels[0], std::move(done));
+            (*node.mem)[addr] = toDouble(data_tok);
+            release(pop(node.in_channels[0]));
+            release(pop(node.in_channels[1]));
+            Flat done = ofInt(addr);
+            done.setTag(tag);
+            push(node.out_channels[0], done);
             provFire(node, node.in_channels.data(), 2,
                      node.out_channels.data(), 1);
             trace(node, "store");
@@ -1106,21 +1174,21 @@ class Simulator::Impl
             if (hasToken(node.in_channels[0]) &&
                 hasSpace(node.out_channels[0]) &&
                 node.next_alloc - node.next_commit < node.num_tags) {
-                Token t = pop(node.in_channels[0]);
-                t.tag = static_cast<Tag>(node.next_alloc %
-                                         node.num_tags);
+                Flat t = pop(node.in_channels[0]);
+                t.setTag(static_cast<Tag>(node.next_alloc %
+                                          node.num_tags));
                 const std::int64_t alloc_idx = node.next_alloc;
                 node.next_alloc += 1;
                 trace(node, "tag", &t);
-                push(node.out_channels[0], std::move(t));
+                push(node.out_channels[0], t);
                 provTagAlloc(node, alloc_idx);
             }
             // Accept a returning token.
             if (hasToken(node.in_channels[1])) {
-                Token t = pop(node.in_channels[1]);
-                if (!t.tag)
+                Flat t = pop(node.in_channels[1]);
+                if (!t.tagged)
                     return err("untagged token returned to tagger");
-                const Tag slot = *t.tag;
+                const Tag slot = t.tag;
                 if (static_cast<std::int64_t>(slot) >= node.num_tags)
                     return err("tag " + std::to_string(slot) +
                                " was never allocated");
@@ -1128,7 +1196,7 @@ class Simulator::Impl
                     return err("tag " + std::to_string(slot) +
                                " returned to tagger twice");
                 provTagReturn(node, slot);
-                node.returned[slot] = std::move(t);
+                node.returned[slot] = t;
                 ++node.returned_count;
             }
             // Commit the oldest outstanding tag in program order.
@@ -1137,14 +1205,14 @@ class Simulator::Impl
                 std::size_t wanted = static_cast<std::size_t>(
                     node.next_commit % node.num_tags);
                 if (node.returned[wanted]) {
-                    Token out = std::move(*node.returned[wanted]);
-                    out.tag.reset();
+                    Flat out = *node.returned[wanted];
+                    out.setTag(std::nullopt);
                     node.returned[wanted].reset();
                     --node.returned_count;
                     const std::int64_t commit_idx = node.next_commit;
                     node.next_commit += 1;
                     trace(node, "untag", &out);
-                    push(node.out_channels[1], std::move(out));
+                    push(node.out_channels[1], out);
                     provTagCommit(node, commit_idx);
                 }
             }
@@ -1152,6 +1220,195 @@ class Simulator::Impl
         }
         return err("simulator has no model for component type '" +
                    node.type + "'");
+    }
+
+    // ----- flat tokens: the pair arena, the box table, boxing -----
+    //
+    // A Pair token references a slot holding its two untagged
+    // elements; a tuple that is not a pair stays a Value in the box
+    // table. Every Pair or Boxed token in a channel, pipeline, reorder
+    // buffer, input stream, node constant or enclosing pair holds one
+    // reference to its slot, and a slot goes back to its free list when
+    // the last one is released, so the arena is as large as the most
+    // pairs ever live at once.
+
+    static Flat
+    ofInt(std::int64_t i)
+    {
+        return Flat::of(Payload::Int, std::bit_cast<std::uint64_t>(i));
+    }
+
+    static Flat
+    ofDouble(double d)
+    {
+        return Flat::of(Payload::Double, std::bit_cast<std::uint64_t>(d));
+    }
+
+    /** A slot index: the head of @p free, or a new slot of @p pool. */
+    template <class Slot>
+    static std::uint32_t
+    claim(std::vector<Slot>& pool, std::vector<std::uint32_t>& free)
+    {
+        if (free.empty()) {
+            pool.emplace_back();
+            return static_cast<std::uint32_t>(pool.size() - 1);
+        }
+        std::uint32_t i = free.back();
+        free.pop_back();
+        return i;
+    }
+
+    /** The untagged pair (head, tail), taking over both references. */
+    Flat
+    makePair(Flat head, Flat tail)
+    {
+        head.setTag(std::nullopt);
+        tail.setTag(std::nullopt);
+        std::uint32_t i = claim(pairs_, free_pairs_);
+        pairs_[i] = PairSlot{head, tail, 1};
+        return Flat::of(Payload::Pair, i);
+    }
+
+    /** The elements of pair @p t, taking over @p t's reference. */
+    std::pair<Flat, Flat>
+    takePair(const Flat& t)
+    {
+        PairSlot& slot = pairs_[t.bits];
+        std::pair<Flat, Flat> out{slot.head, slot.tail};
+        if (--slot.refs == 0) {
+            free_pairs_.push_back(static_cast<std::uint32_t>(t.bits));
+        } else {
+            retain(out.first);
+            retain(out.second);
+        }
+        return out;
+    }
+
+    void
+    retain(const Flat& t)
+    {
+        if (!t.indirect())
+            return;
+        if (t.kind == Payload::Pair)
+            ++pairs_[t.bits].refs;
+        else
+            ++boxes_[t.bits].refs;
+    }
+
+    void
+    release(const Flat& t)
+    {
+        if (!t.indirect())
+            return;
+        const auto i = static_cast<std::uint32_t>(t.bits);
+        if (t.kind == Payload::Boxed) {
+            if (--boxes_[i].refs == 0) {
+                boxes_[i].value = Value();
+                free_boxes_.push_back(i);
+            }
+            return;
+        }
+        PairSlot& slot = pairs_[i];
+        if (--slot.refs != 0)
+            return;
+        const Flat head = slot.head;
+        const Flat tail = slot.tail;
+        free_pairs_.push_back(i);
+        release(head);
+        release(tail);
+    }
+
+    /** @p v as an untagged flat token holding a new reference. */
+    Flat
+    flatten(const Value& v)
+    {
+        if (v.isBool())
+            return Flat::of(Payload::Bool, v.asBool());
+        if (v.isInt())
+            return ofInt(v.asInt());
+        if (v.isDouble())
+            return ofDouble(v.asDouble());
+        if (v.isUnit())
+            return Flat{};
+        const ValueTuple& elems = v.asTuple();
+        if (elems.size() == 2) {
+            Flat head = flatten(elems[0]);
+            return makePair(head, flatten(elems[1]));
+        }
+        std::uint32_t i = claim(boxes_, free_boxes_);
+        boxes_[i] = BoxSlot{v, 1};
+        return Flat::of(Payload::Boxed, i);
+    }
+
+    Flat
+    flatten(const Token& t)
+    {
+        Flat out = flatten(t.value);
+        out.setTag(t.tag);
+        return out;
+    }
+
+    Value
+    box(const Flat& t) const
+    {
+        switch (t.kind) {
+            case Payload::Unit: return Value();
+            case Payload::Bool: return Value(t.bits != 0);
+            case Payload::Int:
+                return Value(std::bit_cast<std::int64_t>(t.bits));
+            case Payload::Double:
+                return Value(std::bit_cast<double>(t.bits));
+            case Payload::Pair: {
+                const PairSlot& slot = pairs_[t.bits];
+                return Value::tuple(box(slot.head), box(slot.tail));
+            }
+            case Payload::Boxed: return boxes_[t.bits].value;
+        }
+        return Value();
+    }
+
+    Token
+    boxToken(const Flat& t) const
+    {
+        Token out(box(t));
+        out.tag = t.optTag();
+        return out;
+    }
+
+    std::string
+    render(const Flat& t) const
+    {
+        return boxToken(t).toString();
+    }
+
+    // Value's coercions; anything else fails with Value's message.
+
+    bool
+    asBool(const Flat& t) const
+    {
+        if (t.kind == Payload::Bool || t.kind == Payload::Int)
+            return t.bits != 0;
+        return box(t).asBool();
+    }
+
+    std::int64_t
+    asInt(const Flat& t) const
+    {
+        if (t.kind == Payload::Int || t.kind == Payload::Bool)
+            return std::bit_cast<std::int64_t>(t.bits);
+        return box(t).asInt();
+    }
+
+    double
+    toDouble(const Flat& t) const
+    {
+        if (t.kind == Payload::Double)
+            return std::bit_cast<double>(t.bits);
+        if (t.kind == Payload::Int)
+            return static_cast<double>(std::bit_cast<std::int64_t>(t.bits));
+        if (t.kind == Payload::Bool)
+            return t.bits != 0 ? 1.0 : 0.0;
+        return box(t).toDouble();
     }
 
     // ----- provenance hooks (inert when no tracker is attached) -----
@@ -1386,16 +1643,16 @@ class Simulator::Impl
     }
 
     static std::uint64_t
-    vcdValueOf(const Token& token)
+    vcdValueOf(const Flat& token)
     {
-        const Value& v = token.value;
-        if (v.isBool())
-            return v.asBool() ? 1 : 0;
-        if (v.isInt())
-            return static_cast<std::uint64_t>(v.asInt());
-        if (v.isDouble())
-            return static_cast<std::uint64_t>(v.asDouble());
-        return 0;  // unit / tuple payloads carry no scalar
+        switch (token.kind) {
+            case Payload::Bool:
+            case Payload::Int: return token.bits;
+            case Payload::Double:
+                return static_cast<std::uint64_t>(
+                    std::bit_cast<double>(token.bits));
+            default: return 0;  // unit / tuple payloads carry no scalar
+        }
     }
 
     /** Flush the batched per-run stats into the registry. */
@@ -1413,6 +1670,7 @@ class Simulator::Impl
         m.add("sim.outputs", static_cast<std::int64_t>(stat_outputs_));
         m.setMax("sim.tokens_in_flight_max",
                  static_cast<double>(max_in_flight_));
+        m.setMax("sim.pair_slots_max", static_cast<double>(pairs_.size()));
         m.set("sim.channels", static_cast<double>(channels_.size()));
         m.set("sim.nodes", static_cast<double>(nodes_.size()));
     }
@@ -1432,13 +1690,31 @@ class Simulator::Impl
      * sweep); decides same-cycle vs next-cycle wakes in pop(). */
     std::size_t stepping_ = kNoNode;
     /** This cycle's pushes, in push order (see commitStaged). */
-    std::vector<std::pair<int, Token>> staged_;
+    std::vector<std::pair<int, Flat>> staged_;
     /** Per-firing scratch: input head tokens, operator arguments. */
-    std::vector<const Token*> heads_;
+    std::vector<const Flat*> heads_;
     std::vector<Value> args_;
+    /** The pair arena (slots only grow when none is free, so its size
+     * is the peak number of live pairs) and the box table. */
+    struct PairSlot
+    {
+        Flat head;
+        Flat tail;
+        std::uint32_t refs = 0;
+    };
+    struct BoxSlot
+    {
+        Value value;
+        std::uint32_t refs = 0;
+    };
+    std::vector<PairSlot> pairs_;
+    std::vector<std::uint32_t> free_pairs_;
+    std::vector<BoxSlot> boxes_;
+    std::vector<std::uint32_t> free_boxes_;
     std::vector<int> input_channels_;
     std::vector<int> output_channels_;
-    std::vector<std::vector<Token>> input_streams_;
+    /** The graph inputs, flattened once per run. */
+    std::vector<std::vector<Flat>> input_streams_;
     std::vector<std::size_t> input_pos_;
     std::map<std::string, std::vector<double>> memories_;
     FaultInjector* faults_ = nullptr;

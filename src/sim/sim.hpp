@@ -25,6 +25,21 @@
  * FIFO, matching input tokens always carry equal tags — the simulator
  * checks this invariant and reports a hard error on violation.
  *
+ * Token representation: inside a run, tokens are flat 16-byte values
+ * (64 payload bits, the tag, a tag-present flag and a payload kind),
+ * not Tokens. A Join writes its right-nested pairs, with untagged
+ * elements, into a per-run pair arena and a Split reads them back; a
+ * tuple that is not a pair stays a boxed Value in a side table. Arena
+ * slots are reference counted and recycled when the last token naming
+ * them is consumed, so the arena is as large as the most pairs ever
+ * live at once (the `sim.pair_slots_max` gauge). Boxing happens only at
+ * the circuit boundary: graph inputs, constants and init values are
+ * flattened once per run; outputs are boxed back into Tokens as they
+ * are collected; operator and Pure calls get boxed Values (one
+ * operator implementation, in semantics/functions); trace details, VCD
+ * data and error texts are rendered from a boxed copy, so they read as
+ * the Token would.
+ *
  * Fault injection: a FaultInjector installed in SimConfig is consulted
  * by every node that steps and may suppress a channel's valid signal
  * (stall burst), suppress its ready signal (backpressure), stretch an

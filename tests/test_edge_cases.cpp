@@ -16,8 +16,9 @@
 #include "bench_circuits/gcd.hpp"
 #include "dot/dot.hpp"
 #include "obs/scope.hpp"
-#include "rewrite/engine.hpp"
 #include "rewrite/catalog.hpp"
+#include "rewrite/engine.hpp"
+#include "rewrite/ooo_pipeline.hpp"
 #include "sim/sim.hpp"
 #include "support/rng.hpp"
 
@@ -206,6 +207,26 @@ TEST(SimEdge, PortWithoutNumberIsABuildError)
     EXPECT_NE(r.error().message.find("sim build: edge f.out -> snk2.in0"),
               std::string::npos)
         << r.error().message;
+}
+
+TEST(SimEdge, JoinWithoutInputsIsABuildError)
+{
+    // A join of zero (or fewer) inputs passes validation but has no
+    // head token to nest the pair from.
+    for (const char* in : {"0", "-1"}) {
+        ExprHigh g;
+        g.addNode("j", "join", {{"in", in}});
+        g.bindOutput(0, PortRef{"j", "out0"});
+        ASSERT_TRUE(g.validate().ok()) << in;
+        auto registry = std::make_shared<FnRegistry>();
+        Result<sim::Simulator> s = sim::Simulator::build(g, registry);
+        ASSERT_TRUE(s.ok()) << s.error().message;
+        Result<sim::SimResult> r = s.take().run({}, 1);
+        ASSERT_FALSE(r.ok()) << in;
+        EXPECT_NE(r.error().message.find("sim build: join j has no inputs"),
+                  std::string::npos)
+            << r.error().message;
+    }
 }
 
 /** One @p type node whose every port is graph I/O: input i feeds
@@ -573,6 +594,59 @@ TEST(SimToken, SignedZeroAndNaNPassBitExact)
     ASSERT_EQ(split[1].size(), 1u);
     EXPECT_EQ(bits(split[0][0]), std::bit_cast<std::uint64_t>(neg_zero));
     EXPECT_EQ(bits(split[1][0]), nan_bits);
+}
+
+/** The sim.pair_slots_max gauge of one run of the transformed gcd
+ * farm on @p repeats copies of each copy's input stream. */
+double
+farmPairSlotsMax(const ExprHigh& farm, std::shared_ptr<FnRegistry> registry,
+                 int copies, int repeats)
+{
+    const std::pair<int, int> problems[] = {
+        {48, 18}, {1071, 462}, {7, 13}, {90, 35}};
+    std::vector<std::vector<Token>> inputs(2 * copies);
+    for (int r = 0; r < repeats; ++r) {
+        for (int k = 0; k < copies; ++k) {
+            for (auto [a, b] : problems) {
+                inputs[2 * k].emplace_back(Value(a + k));
+                inputs[2 * k + 1].emplace_back(Value(b));
+            }
+        }
+    }
+    auto scope = std::make_shared<obs::Scope>();
+    sim::SimConfig config;
+    config.obs = scope;
+    sim::Simulator s = sim::Simulator::build(farm, registry, config).take();
+    Result<sim::SimResult> r =
+        s.run(inputs, std::size(problems) * repeats);
+    EXPECT_TRUE(r.ok()) << r.error().message;
+    return scope->metrics().gauge("sim.pair_slots_max").value_or(-1);
+}
+
+TEST(SimToken, PairArenaIsBoundedByLiveTokens)
+{
+    // Ten tagged gcd loops whose Pure nodes carry the loop state as
+    // pairs. The arena holds at most the pairs live at once, which the
+    // circuit's buffers bound, so a stream four times as long needs
+    // barely more slots; a never-recycled arena grows with the stream.
+    // (The peak is 81 slots at 1x, then 101 at every length from 2x
+    // up: the short stream never fills the loops.)
+    constexpr int kCopies = 10;
+    Environment env;
+    Result<PipelineResult> ooo = runOooPipeline(
+        circuits::buildGcdFarm(kCopies), env,
+        {.num_tags = 4, .reexpand = false});
+    ASSERT_TRUE(ooo.ok()) << ooo.error().message;
+    std::size_t pures = 0;
+    for (const NodeDecl& n : ooo.value().graph.nodes())
+        pures += n.type == "pure";
+    ASSERT_GT(pures, 0u);
+    const double once =
+        farmPairSlotsMax(ooo.value().graph, env.functionsPtr(), kCopies, 1);
+    const double four =
+        farmPairSlotsMax(ooo.value().graph, env.functionsPtr(), kCopies, 4);
+    ASSERT_GT(once, 0.0);
+    EXPECT_LE(four, 1.25 * once) << "1x " << once << ", 4x " << four;
 }
 
 // ---------------------------------------------------------------------
