@@ -10,8 +10,8 @@
 #     "full" rung on the gcd benchmark and records it in metrics.json.
 #  3. Sanitizer build: the guard suite (validator fuzz included), the
 #     core suite, the rewrite splice differential and pinned digests,
-#     the simulator tests and the stress profile run clean under
-#     ASan + UBSan.
+#     the simulator tests, the operator kernels and the stress profile
+#     run clean under ASan + UBSan.
 #
 # Usage: ci/guard_gate.sh [build-dir-prefix]   (default: build-guard)
 
@@ -79,5 +79,10 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}"
 # The simulator, its schedule digests and the flat tokens' pair arena.
 (cd "${PREFIX}-asan" && ctest -R "^(Sim|SimEdge|SimSchedule|SimToken)\." \
     --output-on-failure)
+# The operator kernels: their wrapping integer arithmetic, and the
+# differential against the boxed adapter. UBSan halts on its first
+# report, so undefined arithmetic fails the step.
+(cd "${PREFIX}-asan" && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest -R "(^|/)(OperatorEval|OperatorKernel)\." --output-on-failure)
 
 echo "guard gate: all checks passed"

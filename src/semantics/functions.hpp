@@ -10,12 +10,19 @@
  * with an `fn` attribute) are looked up in a registry because the Pure
  * generation rewrites (section 3.2) synthesize new functions on the
  * fly (compositions of operators, tuple shuffles, ...).
+ *
+ * Each operator is one kernel over flat scalars. The simulator calls
+ * the kernels directly on its tokens; operatorFn and evalOperator are
+ * the boxed adapter the refinement semantics and the Pure generation
+ * call, so every operator has exactly one implementation.
  */
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "support/result.hpp"
@@ -26,8 +33,60 @@ namespace graphiti {
 /** A unary pure function over values, the payload of Pure components. */
 using PureFn = std::function<Value(const Value&)>;
 
-/** An operator's evaluator over its arguments (arities per
- * operatorArity). */
+/**
+ * What an operator kernel's operand or result holds. Unit to Double
+ * are scalar payloads. A Tuple is opaque to the kernels, which only
+ * pass it through or hand it back for boxed equality; its bits are the
+ * operand's index. A Deferred result is one the kernel cannot give on
+ * flat operands: an error, a failed coercion, or equality of two
+ * tuples. Its bits say which, for resolveDeferred.
+ */
+enum class ScalarKind : std::uint8_t
+{
+    Unit,
+    Bool,
+    Int,
+    Double,
+    Tuple,
+    Deferred,
+};
+
+/**
+ * An operator operand or result: a kind and 64 payload bits (a bool is
+ * 0 or 1, an int its two's complement bits, a double its bits, so -0.0
+ * and NaN payloads survive), the payload a simulator token holds.
+ */
+struct Scalar
+{
+    std::uint64_t bits = 0;
+    ScalarKind kind = ScalarKind::Unit;
+};
+static_assert(std::is_trivially_copyable_v<Scalar>);
+
+/**
+ * An operator's kernel: reads operatorArity(op) operands, returns the
+ * result. Integer arithmetic wraps (two's complement); INT64_MIN / -1
+ * is INT64_MIN and INT64_MIN % -1 is 0.
+ */
+using OperatorKernel = Scalar (*)(const Scalar* args);
+
+/** The kernel of operator @p op, or nullptr for an unknown op. Resolve
+ * it once and call it per evaluation, like operatorFn. */
+OperatorKernel operatorKernel(const std::string& op);
+
+/** The names of every operator in the catalog, in catalog order. */
+std::vector<std::string> operatorNames();
+
+/**
+ * Finish a Deferred kernel result over the boxed operands @p args: the
+ * error it stands for, the exception the failing coercion throws
+ * (Value's own message), or the boxed tuple comparison.
+ */
+Result<Value> resolveDeferred(Scalar deferred,
+                              const std::vector<Value>& args);
+
+/** An operator's evaluator over boxed arguments: its kernel, adapted.
+ * Reads operatorArity(op) arguments (std::out_of_range when fewer). */
 using OperatorFn = Result<Value> (*)(const std::vector<Value>& args);
 
 /**

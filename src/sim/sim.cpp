@@ -1,9 +1,9 @@
 #include "sim/sim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <charconv>
-#include <deque>
 #include <span>
 #include <sstream>
 #include <type_traits>
@@ -165,43 +165,51 @@ struct Flat
     bool indirect() const { return kind >= Payload::Pair; }
 };
 static_assert(sizeof(Flat) == 16);
+// A scalar Flat is an operator kernel's operand as it is.
+static_assert(static_cast<int>(Payload::Unit) ==
+                  static_cast<int>(ScalarKind::Unit) &&
+              static_cast<int>(Payload::Bool) ==
+                  static_cast<int>(ScalarKind::Bool) &&
+              static_cast<int>(Payload::Int) ==
+                  static_cast<int>(ScalarKind::Int) &&
+              static_cast<int>(Payload::Double) ==
+                  static_cast<int>(ScalarKind::Double));
 static_assert(std::is_trivially_copyable_v<Flat>);
 
-/**
- * One elastic channel: its buffered tokens in a power-of-two ring, and
- * how many tokens were pushed this cycle but not yet committed (they
- * take up space but their consumer cannot see them yet).
- */
-struct Channel
+/** A FIFO in a power-of-two ring that doubles when full. */
+template <typename T>
+struct Ring
 {
-    std::vector<Flat> ring;
-    std::size_t head = 0;  ///< ring index of the oldest token
+    std::vector<T> ring;
+    std::size_t head = 0;  ///< ring index of the oldest element
     std::size_t size = 0;
-    std::size_t capacity = 2;
-    std::size_t staged = 0;
-    /** Node producing / consuming the channel (-1 = graph I/O). */
-    int producer = -1;
-    int consumer = -1;
 
-    explicit Channel(std::size_t slots)
-        : ring(std::bit_ceil(std::min(slots, kRingStart))), capacity(slots)
+    /** Room for @p slots elements (rounded up to a power of two)
+     * before the first growth; none allocated when 0. */
+    explicit Ring(std::size_t slots = 0)
+        : ring(slots == 0 ? 0 : std::bit_ceil(slots))
     {
     }
 
     bool empty() const { return size == 0; }
-    const Flat& front() const { return ring[head]; }
+    const T& front() const { return ring[head]; }
+    /** The @p i-th oldest element. */
+    const T& at(std::size_t i) const
+    {
+        return ring[(head + i) & (ring.size() - 1)];
+    }
 
-    Flat
+    T
     popFront()
     {
-        Flat t = ring[head];
+        T t = ring[head];
         head = (head + 1) & (ring.size() - 1);
         --size;
         return t;
     }
 
     void
-    pushBack(Flat t)
+    pushBack(T t)
     {
         if (size == ring.size())
             grow();
@@ -209,18 +217,44 @@ struct Channel
         ++size;
     }
 
-    /** Double the ring, oldest token first. Only a channel wider than
-     * kRingStart fills its ring: in practice a graph output during the
-     * drain, when nothing collects it. */
+    /** Double the ring, oldest element first. */
     void
     grow()
     {
-        std::vector<Flat> bigger(ring.size() * 2);
+        std::vector<T> bigger(std::max<std::size_t>(4, ring.size() * 2));
         for (std::size_t i = 0; i < size; ++i)
-            bigger[i] = ring[(head + i) & (ring.size() - 1)];
+            bigger[i] = at(i);
         ring.swap(bigger);
         head = 0;
     }
+};
+
+/**
+ * One elastic channel: its buffered tokens, and how many tokens were
+ * pushed this cycle but not yet committed (they take up space but
+ * their consumer cannot see them yet). Only a channel wider than
+ * kRingStart grows its ring: in practice a graph output during the
+ * drain, when nothing collects it.
+ */
+struct Channel : Ring<Flat>
+{
+    std::size_t capacity = 2;
+    std::size_t staged = 0;
+    /** Node producing / consuming the channel (-1 = graph I/O). */
+    int producer = -1;
+    int consumer = -1;
+
+    explicit Channel(std::size_t slots)
+        : Ring(std::min(slots, kRingStart)), capacity(slots)
+    {
+    }
+};
+
+/** A token in a pipelined unit, and the cycle it completes. */
+struct InFlight
+{
+    std::size_t ready = 0;
+    Flat token;
 };
 
 /** Set bit @p i of the word bitset @p set. */
@@ -241,12 +275,12 @@ struct SimNode
     /** Listed in SimConfig::trace_nodes. */
     bool traced = false;
 
-    // Resolved at build: operator (opfn is nullptr for an unknown op:
+    // Resolved at build: operator (kernel is nullptr for an unknown op:
     // the node fails when it fires), constant/init value (it holds one
     // reference), load/store memory (nullptr if not installed:
     // likewise).
     std::string op;
-    OperatorFn opfn = nullptr;
+    OperatorKernel kernel = nullptr;
     Flat value;
     std::string memory;
     std::vector<double>* mem = nullptr;
@@ -257,9 +291,12 @@ struct SimNode
     // Generic unit state.
     bool init_done = false;
 
-    // Pipelined units: (cycles remaining, result).
-    std::deque<std::pair<int, Flat>> pipeline;
-    std::deque<Flat> completion;
+    // Pipelined units: accepted tokens in acceptance order. The first
+    // `completed` have reached their ready cycle and wait for output
+    // space; a token completes only once every earlier one has, so
+    // completion stays in order under latency jitter.
+    Ring<InFlight> pipeline;
+    std::size_t completed = 0;
     int latency = 0;
 
     // Tagger state. Returned tokens are indexed by tag — tags are
@@ -302,9 +339,8 @@ class Simulator::Impl
         std::size_t expected_outputs, bool serial_io)
     {
         memories_ = owner_.memories_;
-        Result<bool> built = build();
-        if (!built.ok())
-            return built.error();
+        if (std::optional<Error> failed = build())
+            return *failed;
         faults_ = owner_.config_.faults.get();
 
         obs_ = owner_.config_.obs ? owner_.config_.obs.get()
@@ -345,14 +381,12 @@ class Simulator::Impl
         std::size_t last_output = 0;
         for (std::size_t cycle = 0; cycle < owner_.config_.max_cycles;
              ++cycle) {
-            Result<bool> ticked = tick(cycle, &result, serial_io);
-            if (!ticked.ok())
-                return ticked.error();
+            if (std::optional<Error> failed = tick(cycle, &result, serial_io))
+                return *failed;
             if (done(result, expected_outputs)) {
                 result.cycles = cycle + 1;
-                Result<bool> drained = drain(cycle + 1);
-                if (!drained.ok())
-                    return drained.error();
+                if (std::optional<Error> failed = drain(cycle + 1))
+                    return *failed;
                 result.memories = memories_;
                 provEnd(result.cycles);
                 if (obs_ != nullptr)
@@ -396,7 +430,7 @@ class Simulator::Impl
      * index order, collect outputs and commit pushes. While draining
      * (@p result is nullptr) inputs, outputs and observers are idle.
      */
-    Result<bool>
+    std::optional<Error>
     tick(std::size_t cycle, SimResult* result, bool serial_io)
     {
         const bool draining = result == nullptr;
@@ -424,10 +458,8 @@ class Simulator::Impl
                 stepping_ = i;
                 SimNode& node = nodes_[i];
                 std::size_t before = moves_;
-                Result<bool> fired = step(node);
-                if (!fired.ok())
-                    return fired.error().context(at() + ", node " +
-                                                 node.name);
+                if (std::optional<Error> failed = step(node))
+                    return failed->context(at() + ", node " + node.name);
                 if (moves_ > before) {
                     if (sink_ != nullptr && !draining)
                         observeFire(node, cycle_);
@@ -436,7 +468,7 @@ class Simulator::Impl
                 }
                 // Pipelined units must tick every cycle while tokens
                 // are in flight or waiting on output space.
-                if (!node.pipeline.empty() || !node.completion.empty())
+                if (!node.pipeline.empty())
                     mark(next_awake_, i);
             }
         }
@@ -450,7 +482,7 @@ class Simulator::Impl
         std::fill(next_awake_.begin(), next_awake_.end(), 0);
         if (!draining && obs_ != nullptr)
             observeCycle();
-        return true;
+        return std::nullopt;
     }
 
     /**
@@ -462,22 +494,21 @@ class Simulator::Impl
      * perpetual producers backpressure themselves quiet — until the
      * circuit quiesces or a bound past any fault horizon expires.
      */
-    Result<bool>
+    std::optional<Error>
     drain(std::size_t start_cycle)
     {
         std::size_t horizon = faults_ ? faults_->horizon() : 0;
         std::size_t limit = std::max(start_cycle, horizon) + kDrainLimit;
         for (std::size_t cycle = start_cycle; cycle < limit; ++cycle) {
-            Result<bool> ticked = tick(cycle, nullptr, false);
-            if (!ticked.ok())
-                return ticked.error();
+            if (std::optional<Error> failed = tick(cycle, nullptr, false))
+                return failed;
             if (moves_ == 0 && !pipeline_busy_ && !fault_hold_)
                 break;
         }
-        return true;
+        return std::nullopt;
     }
 
-    Result<bool>
+    std::optional<Error>
     build()
     {
         const ExprHigh& g = owner_.graph_;
@@ -503,7 +534,7 @@ class Simulator::Impl
                                     decl.name) != traced.end();
             if (node.kind == NodeKind::Operator) {
                 node.op = attrStr(decl.attrs, "op", "");
-                node.opfn = operatorFn(node.op);
+                node.kernel = operatorKernel(node.op);
                 node.latency = attrInt(decl.attrs, "latency",
                                        operatorLatency(node.op));
             } else if (node.kind == NodeKind::Load ||
@@ -636,7 +667,7 @@ class Simulator::Impl
                 return bad_port(ch);
             output_channels_.push_back(ch);
         }
-        return true;
+        return std::nullopt;
     }
 
     /** A fault hid a token or refused space: that counts as watchdog
@@ -836,9 +867,7 @@ class Simulator::Impl
             b.name = node.name;
             b.type = node.type;
             b.last_fire = node.last_fire;
-            b.held_tokens = node.pipeline.size() +
-                            node.completion.size() +
-                            node.returned_count;
+            b.held_tokens = node.pipeline.size + node.returned_count;
             for (int ch : node.in_channels)
                 if (ch >= 0)
                     b.held_tokens += channels_[ch].size;
@@ -899,39 +928,38 @@ class Simulator::Impl
         return true;
     }
 
-    /** Advance pipelined units and drain completions. */
+    /** Complete the in-order prefix of a pipelined unit's tokens that
+     * reached their ready cycle, and emit completed tokens while the
+     * output has space. */
     void
     advancePipeline(SimNode& node)
     {
-        if (!node.pipeline.empty())
+        Ring<InFlight>& pipe = node.pipeline;
+        if (pipe.size > node.completed)
             pipeline_busy_ = true;  // in-flight computation is progress
-        for (auto& [remaining, token] : node.pipeline)
-            if (remaining > 0)
-                --remaining;
-        while (!node.pipeline.empty() &&
-               node.pipeline.front().first == 0) {
-            node.completion.push_back(node.pipeline.front().second);
-            node.pipeline.pop_front();
+        while (node.completed < pipe.size &&
+               pipe.at(node.completed).ready <= cycle_) {
+            ++node.completed;
             ++moves_;
         }
-        while (!node.completion.empty() &&
-               hasSpace(node.out_channels[0])) {
-            push(node.out_channels[0], node.completion.front());
-            node.completion.pop_front();
+        while (node.completed > 0 && hasSpace(node.out_channels[0])) {
+            push(node.out_channels[0], pipe.popFront().token);
+            --node.completed;
             provEmit(node);
             trace(node, "emit", nullptr, obs::EventKind::Emit);
         }
     }
 
-    Result<bool>
+    /** Step @p node once: the error it failed with, if it did. */
+    std::optional<Error>
     step(SimNode& node)
     {
         if (node.kind == NodeKind::Fork) {
             if (!hasToken(node.in_channels[0]))
-                return true;
+                return std::nullopt;
             for (int ch : node.out_channels)
                 if (!hasSpace(ch))
-                    return true;
+                    return std::nullopt;
             Flat t = pop(node.in_channels[0]);
             trace(node, "fire", &t);
             // One reference per copy; the popped one is given back.
@@ -942,13 +970,13 @@ class Simulator::Impl
             release(t);
             provFire(node, node.in_channels.data(), 1,
                      node.out_channels.data(), node.out_channels.size());
-            return true;
+            return std::nullopt;
         }
         if (node.kind == NodeKind::Join) {
             if (!hasSpace(node.out_channels[0]))
-                return true;
+                return std::nullopt;
             if (!gatherHeads(node))
-                return true;
+                return std::nullopt;
             std::optional<Tag> tag;
             if (!tagsAgree(heads_, tag))
                 return err("tag mismatch at join (tokens from "
@@ -965,13 +993,13 @@ class Simulator::Impl
                      node.in_channels.size(), node.out_channels.data(),
                      1);
             trace(node, "fire");
-            return true;
+            return std::nullopt;
         }
         if (node.kind == NodeKind::Split) {
             if (!hasToken(node.in_channels[0]) ||
                 !hasSpace(node.out_channels[0]) ||
                 !hasSpace(node.out_channels[1]))
-                return true;
+                return std::nullopt;
             Flat t = pop(node.in_channels[0]);
             if (t.kind != Payload::Pair)
                 return err("split received a non-pair token " + render(t));
@@ -983,27 +1011,27 @@ class Simulator::Impl
             provFire(node, node.in_channels.data(), 1,
                      node.out_channels.data(), 2);
             trace(node, "fire");
-            return true;
+            return std::nullopt;
         }
         if (node.kind == NodeKind::Mux) {
             if (!hasToken(node.in_channels[0]) ||
                 !hasSpace(node.out_channels[0]))
-                return true;
+                return std::nullopt;
             bool sel = asBool(peek(node.in_channels[0]));
             int data_ch = node.in_channels[sel ? 1 : 2];
             if (!hasToken(data_ch))
-                return true;
+                return std::nullopt;
             release(pop(node.in_channels[0]));
             Flat t = pop(data_ch);
             trace(node, sel ? "fire loop" : "fire entry");
             push(node.out_channels[0], t);
             const int mux_ins[2] = {node.in_channels[0], data_ch};
             provFire(node, mux_ins, 2, node.out_channels.data(), 1);
-            return true;
+            return std::nullopt;
         }
         if (node.kind == NodeKind::Merge) {
             if (!hasSpace(node.out_channels[0]))
-                return true;
+                return std::nullopt;
             // Loopback (in0) has priority so in-flight iterations keep
             // draining; fresh tokens enter when the loop path is idle.
             for (int port : {0, 1}) {
@@ -1014,15 +1042,15 @@ class Simulator::Impl
                     push(node.out_channels[0], t);
                     provFire(node, &node.in_channels[port], 1,
                              node.out_channels.data(), 1);
-                    return true;
+                    return std::nullopt;
                 }
             }
-            return true;
+            return std::nullopt;
         }
         if (node.kind == NodeKind::Branch) {
             if (!hasToken(node.in_channels[0]) ||
                 !hasToken(node.in_channels[1]))
-                return true;
+                return std::nullopt;
             const Flat& data = peek(node.in_channels[0]);
             const Flat& cond = peek(node.in_channels[1]);
             const Flat* pair[] = {&data, &cond};
@@ -1031,7 +1059,7 @@ class Simulator::Impl
                 return err("tag mismatch at branch");
             int out = asBool(cond) ? 0 : 1;
             if (!hasSpace(node.out_channels[out]))
-                return true;
+                return std::nullopt;
             Flat t = pop(node.in_channels[0]);
             release(pop(node.in_channels[1]));
             t.setTag(tag);
@@ -1039,24 +1067,24 @@ class Simulator::Impl
             push(node.out_channels[out], t);
             provFire(node, node.in_channels.data(), 2,
                      &node.out_channels[out], 1);
-            return true;
+            return std::nullopt;
         }
         if (node.kind == NodeKind::Init) {
             if (!hasSpace(node.out_channels[0]))
-                return true;
+                return std::nullopt;
             if (!node.init_done) {
                 node.init_done = true;
                 push(node.out_channels[0], node.value);
                 provSpawn(node, node.out_channels[0]);
                 trace(node, "initial");
-                return true;
+                return std::nullopt;
             }
             if (hasToken(node.in_channels[0])) {
                 push(node.out_channels[0], pop(node.in_channels[0]));
                 provFire(node, node.in_channels.data(), 1,
                          node.out_channels.data(), 1);
             }
-            return true;
+            return std::nullopt;
         }
         if (node.kind == NodeKind::Buffer) {
             if (hasToken(node.in_channels[0]) &&
@@ -1065,26 +1093,26 @@ class Simulator::Impl
                 provFire(node, node.in_channels.data(), 1,
                          node.out_channels.data(), 1);
             }
-            return true;
+            return std::nullopt;
         }
         if (node.kind == NodeKind::Sink) {
             if (hasToken(node.in_channels[0])) {
                 release(pop(node.in_channels[0]));
                 provFire(node, node.in_channels.data(), 1, nullptr, 0);
             }
-            return true;
+            return std::nullopt;
         }
         if (node.kind == NodeKind::Source) {
             if (hasSpace(node.out_channels[0])) {
                 push(node.out_channels[0], Flat{});
                 provSpawn(node, node.out_channels[0]);
             }
-            return true;
+            return std::nullopt;
         }
         if (node.kind == NodeKind::Constant) {
             if (!hasToken(node.in_channels[0]) ||
                 !hasSpace(node.out_channels[0]))
-                return true;
+                return std::nullopt;
             Flat trigger = pop(node.in_channels[0]);
             release(trigger);
             Flat out = node.value;
@@ -1093,7 +1121,7 @@ class Simulator::Impl
             push(node.out_channels[0], out);
             provFire(node, node.in_channels.data(), 1,
                      node.out_channels.data(), 1);
-            return true;
+            return std::nullopt;
         }
         if (node.kind == NodeKind::Operator ||
             node.kind == NodeKind::Pure ||
@@ -1101,21 +1129,14 @@ class Simulator::Impl
             advancePipeline(node);
             // Accept at most one new token set per cycle (II = 1).
             if (!gatherHeads(node))
-                return true;
+                return std::nullopt;
             std::optional<Tag> tag;
             if (!tagsAgree(heads_, tag))
                 return err("tag mismatch at " + node.type);
             Flat result;
             if (node.kind == NodeKind::Operator) {
-                args_.clear();
-                for (const Flat* t : heads_)
-                    args_.push_back(box(*t));
-                Result<Value> v = node.opfn != nullptr
-                                      ? node.opfn(args_)
-                                      : evalOperator(node.op, args_);
-                if (!v.ok())
-                    return v.error();
-                result = flatten(v.value());
+                if (std::optional<Error> failed = fireOperator(node, result))
+                    return failed;
             } else if (node.kind == NodeKind::Pure) {
                 result = flatten((*node.fn)(box(*heads_[0])));
             } else {  // load
@@ -1135,16 +1156,17 @@ class Simulator::Impl
             if (faults_ != nullptr)
                 latency += std::max(
                     0, faults_->latencyJitter(node.name, cycle_));
-            node.pipeline.emplace_back(latency, result);
+            node.pipeline.pushBack(
+                InFlight{cycle_ + static_cast<std::size_t>(latency), result});
             provAccept(node, latency);
             trace(node, "accept");
-            return true;
+            return std::nullopt;
         }
         if (node.kind == NodeKind::Store) {
             if (!hasToken(node.in_channels[0]) ||
                 !hasToken(node.in_channels[1]) ||
                 !hasSpace(node.out_channels[0]))
-                return true;
+                return std::nullopt;
             const Flat& addr_tok = peek(node.in_channels[0]);
             const Flat& data_tok = peek(node.in_channels[1]);
             const Flat* pair[] = {&addr_tok, &data_tok};
@@ -1167,7 +1189,7 @@ class Simulator::Impl
             provFire(node, node.in_channels.data(), 2,
                      node.out_channels.data(), 1);
             trace(node, "store");
-            return true;
+            return std::nullopt;
         }
         if (node.kind == NodeKind::Tagger) {
             // Allocate a tag for the oldest fresh token.
@@ -1216,10 +1238,51 @@ class Simulator::Impl
                     provTagCommit(node, commit_idx);
                 }
             }
-            return true;
+            return std::nullopt;
         }
         return err("simulator has no model for component type '" +
                    node.type + "'");
+    }
+
+    /**
+     * Fire operator @p node on heads_: @p result, holding a new
+     * reference, is its kernel on the flat head tokens. A pass-through of
+     * a pair or boxed tuple retains it; what the kernel defers (errors,
+     * failed coercions, equality of two tuples) and an unknown op are
+     * answered by the boxed adapter.
+     */
+    std::optional<Error>
+    fireOperator(const SimNode& node, Flat& result)
+    {
+        std::array<Scalar, 3> args;
+        for (std::size_t i = 0; i < heads_.size(); ++i) {
+            const Flat& t = *heads_[i];
+            args[i] = t.indirect()
+                          ? Scalar{i, ScalarKind::Tuple}
+                          : Scalar{t.bits, static_cast<ScalarKind>(t.kind)};
+        }
+        Scalar out{0, ScalarKind::Deferred};
+        if (node.kernel != nullptr)
+            out = node.kernel(args.data());
+        if (out.kind == ScalarKind::Tuple) {
+            result = *heads_[out.bits];
+            retain(result);
+            return std::nullopt;
+        }
+        if (out.kind != ScalarKind::Deferred) {
+            result = Flat::of(static_cast<Payload>(out.kind), out.bits);
+            return std::nullopt;
+        }
+        std::vector<Value> boxed;
+        for (const Flat* t : heads_)
+            boxed.push_back(box(*t));
+        Result<Value> v = node.kernel != nullptr
+                              ? resolveDeferred(out, boxed)
+                              : evalOperator(node.op, boxed);
+        if (!v.ok())
+            return v.error();
+        result = flatten(v.value());
+        return std::nullopt;
     }
 
     // ----- flat tokens: the pair arena, the box table, boxing -----
@@ -1691,9 +1754,8 @@ class Simulator::Impl
     std::size_t stepping_ = kNoNode;
     /** This cycle's pushes, in push order (see commitStaged). */
     std::vector<std::pair<int, Flat>> staged_;
-    /** Per-firing scratch: input head tokens, operator arguments. */
+    /** Per-firing scratch: input head tokens. */
     std::vector<const Flat*> heads_;
-    std::vector<Value> args_;
     /** The pair arena (slots only grow when none is free, so its size
      * is the peak number of live pairs) and the box table. */
     struct PairSlot

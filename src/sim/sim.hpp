@@ -35,10 +35,16 @@
  * live at once (the `sim.pair_slots_max` gauge). Boxing happens only at
  * the circuit boundary: graph inputs, constants and init values are
  * flattened once per run; outputs are boxed back into Tokens as they
- * are collected; operator and Pure calls get boxed Values (one
- * operator implementation, in semantics/functions); trace details, VCD
- * data and error texts are rendered from a boxed copy, so they read as
- * the Token would.
+ * are collected; Pure calls get boxed Values; trace details, VCD data
+ * and error texts are rendered from a boxed copy, so they read as the
+ * Token would. An operator calls its kernel (semantics/functions, the
+ * one implementation of each op) on the flat head tokens; only what
+ * the kernel defers (an error, a failed coercion, equality of two
+ * tuples) is answered over boxed copies.
+ *
+ * A pipelined unit keeps its accepted tokens with their ready cycles
+ * in one ring, in acceptance order; it emits from the head only, so a
+ * token whose latency a fault stretched holds back the later ones.
  *
  * Fault injection: a FaultInjector installed in SimConfig is consulted
  * by every node that steps and may suppress a channel's valid signal

@@ -360,6 +360,90 @@ TEST(SimEdge, DrainGrowsAnUnboundedOutputRing)
               (std::vector<double>{0, 0, 5, 0}));
 }
 
+/** Stretches the latency of the first token node "n" accepts. */
+class FirstTokenJitter : public sim::FaultInjector
+{
+  public:
+    explicit FirstTokenJitter(int extra) : extra_(extra) {}
+
+    int
+    latencyJitter(const std::string& node, std::size_t cycle) override
+    {
+        return node == "n" && cycle == 1 ? extra_ : 0;
+    }
+
+    std::size_t horizon() const override { return 8; }
+
+  private:
+    int extra_;
+};
+
+TEST(SimEdge, JitteredPipelineCompletesInAcceptanceOrder)
+{
+    // input#0 -> id (latency 2) -> output#0. The first token, accepted
+    // at cycle 1, gets 4 extra cycles (ready at 7); the next two are
+    // accepted at cycles 2 and 3 and ready at 4 and 5, but wait behind
+    // it and leave with it at cycle 7, in acceptance order.
+    ExprHigh g = loneNode("operator", {{"op", "id"}, {"latency", "2"}}, 1,
+                          1);
+    sim::SimConfig config;
+    config.trace_nodes = {"n"};
+    config.faults = std::make_shared<FirstTokenJitter>(4);
+    sim::Simulator s =
+        sim::Simulator::build(g, std::make_shared<FnRegistry>(), config)
+            .take();
+    Result<sim::SimResult> r = s.run(
+        {{Token(Value(10)), Token(Value(20)), Token(Value(30))}}, 3);
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    EXPECT_EQ(r.value().outputs[0],
+              (std::vector<Token>{Token(Value(10)), Token(Value(20)),
+                                  Token(Value(30))}));
+    EXPECT_EQ(r.value().cycles, 9u);
+    std::vector<std::pair<std::size_t, std::string>> events;
+    for (const sim::TraceEvent& e : r.value().trace)
+        events.emplace_back(e.cycle, e.detail);
+    EXPECT_EQ(events, (std::vector<std::pair<std::size_t, std::string>>{
+                          {1, "accept"},
+                          {2, "accept"},
+                          {3, "accept"},
+                          {7, "emit"},
+                          {7, "emit"},
+                          {7, "emit"}}));
+}
+
+TEST(SimEdge, StuckDiagnosisCountsPipelineTokens)
+{
+    // input#0 -> id -> join.in0; join.in1 never gets a token. The id
+    // unit accepts all five tokens; two fill its output channel and
+    // three stay in its pipeline, which the diagnosis counts as held.
+    ExprHigh g;
+    g.addNode("n", "operator", {{"op", "id"}, {"latency", "3"}});
+    g.addNode("j", "join");
+    g.connect("n", "out0", "j", "in0");
+    g.bindInput(0, PortRef{"n", "in0"});
+    g.bindInput(1, PortRef{"j", "in1"});
+    g.bindOutput(0, PortRef{"j", "out0"});
+    sim::SimConfig config;
+    config.faults = std::make_shared<FirstTokenJitter>(2);
+    sim::Simulator s =
+        sim::Simulator::build(g, std::make_shared<FnRegistry>(), config)
+            .take();
+    std::vector<Token> five;
+    for (int i = 0; i < 5; ++i)
+        five.emplace_back(Value(i));
+    Result<sim::SimResult> r = s.run({five, {}}, 1);
+    ASSERT_FALSE(r.ok());
+    ASSERT_TRUE(s.lastDiagnosis().has_value());
+    const sim::StuckDiagnosis& d = *s.lastDiagnosis();
+    EXPECT_EQ(d.kind, sim::StuckKind::Deadlock);
+    EXPECT_EQ(d.cycle, 13u);
+    std::vector<std::pair<std::string, std::size_t>> held;
+    for (const sim::BlockedNode& b : d.blocked)
+        held.emplace_back(b.name, b.held_tokens);
+    EXPECT_EQ(held, (std::vector<std::pair<std::string, std::size_t>>{
+                        {"n", 3}, {"j", 2}}));
+}
+
 // ---------------------------------------------------------------------
 // Token boundary: what a circuit's inputs, outputs, traces, waveforms
 // and error texts show of a token, whatever the simulator moves
