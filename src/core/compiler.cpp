@@ -135,7 +135,7 @@ Compiler::compileGraph(const ExprHigh& graph,
     // pipeline) through the caller's scope when one is given; with no
     // explicit scope, inherit whatever the calling thread installed —
     // the served worker installs the per-job scope this way, and the
-    // jobs/metricsz verbs read its probe live.
+    // jobs verb reads its probe live.
     obs::ScopedInstall obs_install(
         options.obs != nullptr ? options.obs.get() : obs::current());
     GRAPHITI_OBS_TIMER(obs_timer, "compile.seconds");

@@ -218,6 +218,12 @@ JobSpec::toJson() const
     return out;
 }
 
+bool
+isIntrospectionKind(const std::string& kind)
+{
+    return kind == "stats" || kind == "jobs" || kind == "health";
+}
+
 Result<JobSpec>
 jobSpecFromJson(const obs::json::Value& v)
 {
@@ -230,16 +236,13 @@ jobSpecFromJson(const obs::json::Value& v)
             return err("job \"kind\" must be a string");
         spec.kind = kind->asString();
     }
-    bool introspection = spec.kind == "stats" ||
-                         spec.kind == "jobs" ||
-                         spec.kind == "health" ||
-                         spec.kind == "metricsz";
+    bool introspection = isIntrospectionKind(spec.kind);
     if (spec.kind != "ping" && spec.kind != "compile" &&
         spec.kind != "verify" && spec.kind != "validate" &&
         spec.kind != "profile" && !introspection)
         return err("unknown job kind \"" + spec.kind +
                    "\" (expected ping, compile, verify, validate, "
-                   "profile, stats, jobs, health or metricsz)");
+                   "profile, stats, jobs or health)");
 
     const json::Value* dot = v.find("circuit_dot");
     if (dot != nullptr) {
@@ -333,8 +336,7 @@ runJob(Compiler& compiler, const JobSpec& spec, const StopToken& stop)
         return out;
     }
 
-    if (spec.kind == "stats" || spec.kind == "jobs" ||
-        spec.kind == "health" || spec.kind == "metricsz")
+    if (isIntrospectionKind(spec.kind))
         // Deterministic by design: the daemon intercepts these before
         // the scheduler, so reaching runJob means the caller asked a
         // one-shot compiler a question only a live service can answer.

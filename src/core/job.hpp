@@ -65,6 +65,10 @@ Result<CompileOptions> compileOptionsFromJson(const obs::json::Value& v);
 /** Parse a JobSpec from its toJson form. */
 Result<JobSpec> jobSpecFromJson(const obs::json::Value& v);
 
+/** True for the read-only introspection kinds (stats, jobs, health),
+ * which the daemon answers itself and runJob refuses. */
+bool isIntrospectionKind(const std::string& kind);
+
 /**
  * Execute @p spec on @p compiler. @p stop is the caller's
  * cancellation handle (deadline / disconnect / preemption); it is

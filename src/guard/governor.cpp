@@ -224,7 +224,8 @@ Governor::verify(const DenotedModule& impl, const DenotedModule& spec,
             Rng rng(budget_.seed ^ ((w + 1) * 0x9e3779b97f4a7c15ULL));
             IoTrace trace =
                 randomTrace(impl, input_pool, rng, budget_.trace);
-            Result<bool> admitted = admitsTrace(spec, trace, replay_cap);
+            Result<bool> admitted =
+                admitsTrace(spec, trace, replay_cap, stop_);
             if (!admitted.ok()) {
                 why << "; trace walk " << w << ": "
                     << admitted.error().message;

@@ -104,23 +104,50 @@ struct StateHashPtr
     }
 };
 
+/** Counts the candidate states one search touches and polls the stop
+ * token every 64 of them: expanding one state of a Table 2 circuit
+ * costs tens of microseconds, so a coarser period would let a stop
+ * wait out a noticeable fraction of a second. */
+struct StopPoll
+{
+    const StopToken& stop;
+    std::size_t touched = 0;
+
+    bool
+    stopped()
+    {
+        return (++touched & 0x3f) == 0 && stop.stopRequested();
+    }
+
+    Error
+    error() const
+    {
+        return err("trace search cancelled: " + stop.reason());
+    }
+};
+
 /** Close @p set under internal transitions of @p mod. */
 Result<bool>
 closeInternal(const DenotedModule& mod,
               std::unordered_set<GraphState, StateHashPtr>& set,
-              std::size_t cap)
+              std::size_t cap, StopPoll& poll)
 {
-    std::deque<GraphState> frontier(set.begin(), set.end());
+    // Set elements never move, so the frontier points into the set
+    // instead of holding a second copy of every state.
+    std::deque<const GraphState*> frontier;
+    for (const GraphState& state : set)
+        frontier.push_back(&state);
     while (!frontier.empty()) {
-        GraphState state = std::move(frontier.front());
+        const GraphState* state = frontier.front();
         frontier.pop_front();
-        for (GraphState& succ : mod.internalSteps(state)) {
+        for (GraphState& succ : mod.internalSteps(*state)) {
             if (set.count(succ) > 0)
                 continue;
             if (set.size() >= cap)
                 return err("trace search exceeded state cap");
-            frontier.push_back(succ);
-            set.insert(std::move(succ));
+            if (poll.stopped())
+                return poll.error();
+            frontier.push_back(&*set.insert(std::move(succ)).first);
         }
     }
     return true;
@@ -130,17 +157,21 @@ closeInternal(const DenotedModule& mod,
 
 Result<bool>
 admitsTrace(const DenotedModule& spec, const IoTrace& trace,
-            std::size_t state_cap)
+            std::size_t state_cap, const StopToken& stop)
 {
+    StopPoll poll{stop};
     std::unordered_set<GraphState, StateHashPtr> candidates;
     candidates.insert(spec.initialState());
-    Result<bool> closed = closeInternal(spec, candidates, state_cap);
+    Result<bool> closed =
+        closeInternal(spec, candidates, state_cap, poll);
     if (!closed.ok())
         return closed;
 
     for (const IoEvent& event : trace) {
         std::unordered_set<GraphState, StateHashPtr> next;
         for (const GraphState& state : candidates) {
+            if (poll.stopped())
+                return poll.error();
             if (event.is_input) {
                 for (GraphState& succ :
                      spec.inputStep(state, event.port, event.token))
@@ -157,7 +188,7 @@ admitsTrace(const DenotedModule& spec, const IoTrace& trace,
             return false;
         if (next.size() > state_cap)
             return err("trace search exceeded state cap");
-        closed = closeInternal(spec, next, state_cap);
+        closed = closeInternal(spec, next, state_cap, poll);
         if (!closed.ok())
             return closed;
         candidates = std::move(next);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "semantics/module.hpp"
+#include "support/cancel.hpp"
 #include "support/result.hpp"
 #include "support/rng.hpp"
 
@@ -60,10 +61,13 @@ IoTrace randomTrace(const DenotedModule& mod,
  *
  * @param state_cap abort (returning an error) when the candidate
  *        state set exceeds this size.
+ * @param stop polled every 64 candidate states; a stop aborts the
+ *        search with an error carrying the stop reason.
  * @return true when the spec admits the trace.
  */
 Result<bool> admitsTrace(const DenotedModule& spec, const IoTrace& trace,
-                         std::size_t state_cap = 100000);
+                         std::size_t state_cap = 100000,
+                         const StopToken& stop = {});
 
 }  // namespace graphiti
 

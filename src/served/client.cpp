@@ -175,18 +175,4 @@ Result<obs::json::Value> Client::serviceHealth()
     return introspect("health");
 }
 
-Result<std::string>
-Client::serviceMetricsText()
-{
-    JobSpec spec;
-    spec.kind = "metricsz";
-    Result<json::Value> result = call(spec);
-    if (!result.ok())
-        return result.error();
-    const json::Value* text = result.value().find("text");
-    if (text == nullptr || !text->isString())
-        return err("metricsz: daemon answered without a text payload");
-    return text->asString();
-}
-
 }  // namespace graphiti::served

@@ -86,10 +86,6 @@ class Client
     Result<obs::json::Value> serviceJobs();
     Result<obs::json::Value> serviceHealth();
 
-    /** The `metricsz` verb: the daemon's metrics rendered in text
-     * exposition format (the same document `--expose` serves). */
-    Result<std::string> serviceMetricsText();
-
     /** The correlation id the last request() carried. */
     const std::string& lastJobId() const { return last_job_id_; }
 

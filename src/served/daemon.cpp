@@ -1,6 +1,5 @@
 #include "served/daemon.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 namespace graphiti::served {
@@ -51,13 +50,6 @@ Daemon::start()
                 acceptLoop(std::move(listener));
             });
     }
-    if (config_.expose_port >= 0) {
-        Result<bool> exposed = expose_.start(
-            static_cast<std::uint16_t>(config_.expose_port),
-            [this] { return metricsText(); });
-        if (!exposed.ok())
-            return exposed.error().context("Daemon::start");
-    }
     started_ = true;
     return true;
 }
@@ -67,9 +59,6 @@ Daemon::shutdown(bool graceful)
 {
     if (!started_ || stopping_.exchange(true))
         return;
-    // The scrape endpoint goes first: its provider reads the
-    // scheduler, which is about to be torn down.
-    expose_.stop();
     if (graceful)
         scheduler_->stop();
     else
@@ -165,73 +154,6 @@ Daemon::dumpJournal() const
     return observer()->journal().dump();
 }
 
-std::string
-Daemon::metricsText() const
-{
-    namespace expo = obs::expo;
-    expo::TextExposition out;
-    const obs::MetricsRegistry& metrics =
-        observer()->scope().metrics();
-    expo::renderRegistry(metrics, out);
-
-    // Scrape-contract alias families. Completed jobs fold their
-    // private scopes into the service registry above; in-flight jobs
-    // have not yet, so their live counters/probes are added here —
-    // a scrape mid-job never reads darker than the last completion.
-    std::int64_t live_states = 0;
-    std::uint64_t live_peak = 0;
-    scheduler_->liveVerifyTotals(live_states, live_peak);
-    out.counter("verify.states",
-                static_cast<double>(
-                    metrics.counter("refine.states") + live_states));
-    // guard.verify.peak_bytes.total only rolls up on a winning rung;
-    // refine.peak_bytes covers explorations that blew their budget
-    // (the expensive case is exactly the one that must not read 0).
-    double peak_bytes = std::max(
-        metrics.gauge("guard.verify.peak_bytes.total").value_or(0.0),
-        metrics.gauge("refine.peak_bytes").value_or(0.0));
-    out.gauge("verify.peak_bytes",
-              std::max(peak_bytes, static_cast<double>(live_peak)));
-
-    // Service-plane counters the metrics registry does not carry.
-    out.counter("service.connections",
-                static_cast<double>(connections_accepted_.load()));
-    out.gauge("service.uptime_seconds", observer()->uptimeSeconds());
-    SchedulerStats sched = scheduler_->stats();
-    out.counter("jobs.accepted", static_cast<double>(sched.accepted));
-    out.counter("jobs.shed", static_cast<double>(sched.shed));
-    out.counter("jobs.completed",
-                static_cast<double>(sched.completed));
-    out.counter("jobs.failed", static_cast<double>(sched.failed));
-    out.counter("jobs.cancelled",
-                static_cast<double>(sched.cancelled));
-    out.counter("jobs.wedged", static_cast<double>(sched.wedged));
-    guard::VerdictStoreStats store = scheduler_->store()->stats();
-    out.counter("store.hits", static_cast<double>(store.hits));
-    out.counter("store.misses", static_cast<double>(store.misses));
-    out.gauge("store.entries", static_cast<double>(store.entries));
-    out.counter("expose.scrapes",
-                static_cast<double>(expose_.scrapes()));
-
-    // Worker-tier families: pool gauges, crash counters by exit class,
-    // breaker state.
-    WorkerPoolStats workers = scheduler_->workerPool().stats();
-    out.gauge("worker.pool_size", static_cast<double>(workers.configured));
-    out.gauge("worker.live", static_cast<double>(workers.live));
-    out.gauge("worker.busy", static_cast<double>(workers.busy));
-    out.counter("worker.spawned", static_cast<double>(workers.spawned));
-    out.counter("worker.respawned",
-                static_cast<double>(workers.respawned));
-    out.counter("worker.crashes", static_cast<double>(workers.crashes));
-    for (const auto& [cls, count] : workers.crashes_by_class)
-        out.sample("graphiti_worker_crashes_total{class=\"" + cls + "\"}",
-                   static_cast<double>(count));
-    out.gauge("worker.breaker_open", workers.breaker_open ? 1.0 : 0.0);
-    out.counter("worker.breaker_trips",
-                static_cast<double>(workers.breaker_trips));
-    return out.str();
-}
-
 obs::json::Value
 Daemon::introspect(const std::string& kind) const
 {
@@ -241,8 +163,6 @@ Daemon::introspect(const std::string& kind) const
         out.set("stats", statsJson());
     else if (kind == "jobs")
         out.set("jobs", jobsJson());
-    else if (kind == "metricsz")
-        out.set("text", metricsText());
     else
         out.set("health", healthJson());
     return out;
@@ -352,8 +272,7 @@ Daemon::serveConnection(net::Socket socket, std::uint64_t conn_id)
         }
 
         const std::string& kind = spec.value().kind;
-        if (kind == "stats" || kind == "jobs" || kind == "health" ||
-            kind == "metricsz") {
+        if (isIntrospectionKind(kind)) {
             // Read-only introspection bypasses the scheduler queue on
             // purpose: the whole point is answering while the queue
             // is full or a job is wedged.

@@ -18,11 +18,11 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "obs/expose.hpp"
 #include "served/scheduler.hpp"
 #include "support/socket.hpp"
 
@@ -37,10 +37,6 @@ struct DaemonConfig
     int tcp_port = -1;
     /** Per-read/write socket timeout. */
     int io_timeout_ms = 30000;
-    /** Loopback scrape port (`graphiti-served --expose`): -1 = no
-     * exposition listener, 0 = ephemeral. Serves the same text
-     * document as the `metricsz` verb. */
-    int expose_port = -1;
     SchedulerConfig scheduler;
 };
 
@@ -108,21 +104,6 @@ class Daemon
      * listener addresses, uptime. */
     obs::json::Value healthJson() const;
 
-    /**
-     * The `metricsz` verb payload and the `--expose` endpoint's
-     * document: the service-wide metrics registry rendered as text
-     * exposition, plus the scrape-contract alias families
-     * (`graphiti_verify_states_total`, `graphiti_verify_peak_bytes`)
-     * that fold live in-flight job telemetry into the completed-job
-     * counters, plus service/scheduler/store counters. Purely
-     * read-only.
-     */
-    std::string metricsText() const;
-
-    /** The exposition port actually bound (after start, when
-     * `--expose` is enabled). */
-    std::uint16_t exposePort() const { return expose_.port(); }
-
     /** Dump the journal to its configured path (SIGUSR1 handler in
      * the daemon tool; tests call it directly). */
     Result<bool> dumpJournal() const;
@@ -146,7 +127,6 @@ class Daemon
     std::atomic<std::size_t> clean_eofs_{0};
     std::atomic<std::size_t> malformed_requests_{0};
     std::uint16_t tcp_port_ = 0;
-    obs::expo::ExpositionServer expose_;
     std::vector<std::thread> accept_threads_;
     std::mutex conn_mutex_;
     std::vector<std::thread> conn_threads_;

@@ -376,8 +376,8 @@ Scheduler::submitAndWait(const std::string& client, JobSpec spec,
         }
         job->job_scope = std::make_shared<obs::Scope>();
         // Every job carries a live verification probe: the worker's
-        // thread publishes into it lock-free and the jobs/metricsz
-        // verbs snapshot it from the connection threads.
+        // thread publishes into it lock-free and the jobs verb
+        // snapshots it from the connection threads.
         job->job_scope->attachVerifyProbe(
             std::make_shared<obs::VerifyProbe>());
         observer.event(obs::LogLevel::Debug, job->job_id, "job.admit",
@@ -554,27 +554,6 @@ Scheduler::jobsJson() const
     out.set("running", running_.size());
     out.set("jobs", std::move(jobs));
     return out;
-}
-
-void
-Scheduler::liveVerifyTotals(std::int64_t& states,
-                            std::uint64_t& peak_bytes) const
-{
-    states = 0;
-    peak_bytes = 0;
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto fold = [&](const JobPtr& job) {
-        if (job->done)
-            return;
-        states += job->job_scope->metrics().counter("refine.states");
-        if (const obs::VerifyProbe* probe =
-                job->job_scope->verifyProbe())
-            peak_bytes = std::max(peak_bytes, probe->peakBytes());
-    };
-    for (const JobPtr& job : queue_)
-        fold(job);
-    for (const JobPtr& job : running_)
-        fold(job);
 }
 
 obs::json::Value

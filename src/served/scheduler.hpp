@@ -209,18 +209,6 @@ class Scheduler
      */
     obs::json::Value healthJson() const;
 
-    /**
-     * Aggregate live verification telemetry across every queued or
-     * running job (the `metricsz` verb's alias families): summed
-     * states-explored counters off the jobs' private scopes, and the
-     * maximum peak-bytes any live probe has observed. Completed jobs
-     * are excluded — their metrics already folded into the service
-     * scope at completion, so the caller can add without
-     * double-counting.
-     */
-    void liveVerifyTotals(std::int64_t& states,
-                          std::uint64_t& peak_bytes) const;
-
     /** The shared crash-safe verdict store. */
     const std::shared_ptr<guard::VerdictStore>& store() const
     {

@@ -58,7 +58,7 @@ struct WorkerPoolConfig
     std::shared_ptr<ServiceObserver> observer;
 };
 
-/** Pool counters (stats/health/metricsz). */
+/** Pool counters (stats/health). */
 struct WorkerPoolStats
 {
     std::size_t configured = 0;

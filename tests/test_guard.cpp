@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
+#include <thread>
 
 #include "bench_circuits/benchmarks.hpp"
 #include "bench_circuits/gcd.hpp"
@@ -1097,6 +1099,46 @@ TEST(Cancellation, StopTokenFirstReasonWins)
     stop.requestStop("second");
     EXPECT_TRUE(stop.stopRequested());
     EXPECT_EQ(stop.reason(), "first");
+}
+
+TEST(Cancellation, TraceReplayStopsMidReplay)
+{
+    // One replay of matvec's OoO trace against its DF-IO spec runs for
+    // seconds before hitting the state cap; a stop fired half a second
+    // in must end it promptly, not when the cap is reached.
+    Result<circuits::BenchmarkSpec> spec =
+        circuits::buildBenchmark("matvec");
+    ASSERT_TRUE(spec.ok()) << spec.error().message;
+    Compiler compiler;
+    Result<CompileReport> ooo =
+        compiler.compileGraph(spec.value().df_io, CompileOptions{});
+    ASSERT_TRUE(ooo.ok()) << ooo.error().message;
+
+    guard::VerificationBudget budget;
+    budget.max_states = 0;
+    budget.partial_max_states = 0;
+    budget.input_budget = 1;
+    budget.trace_walks = 1;
+    StopToken stop = StopToken::manual();
+    guard::Governor governor(budget, stop);
+    Environment env(budget.input_budget + 2);
+    std::chrono::steady_clock::time_point fired;
+    std::thread firer([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(500));
+        fired = std::chrono::steady_clock::now();
+        stop.requestStop("replay stop");
+    });
+    guard::VerificationVerdict verdict = governor.verifyGraphs(
+        ooo.value().graph, spec.value().df_io, env, intTokens({0, 1}));
+    auto returned = std::chrono::steady_clock::now();
+    firer.join();
+    ASSERT_GE(returned, fired) << verdict.degradation_reason;
+    EXPECT_LT(std::chrono::duration<double>(returned - fired).count(),
+              0.25);
+    EXPECT_EQ(verdict.level, guard::VerificationLevel::None);
+    EXPECT_NE(verdict.degradation_reason.find("replay stop"),
+              std::string::npos)
+        << verdict.degradation_reason;
 }
 
 TEST(Cancellation, SimulatorAbortsOnFiredStopToken)

@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -680,6 +681,33 @@ TEST(ObsServiceDaemon, StatsJobsHealthRoundTripOnTheWire)
     EXPECT_TRUE(seen_running)
         << "the running blocker never showed in the job table";
     blocker.join();
+
+    // stats after one governed verify: the job's exploration folded
+    // into the service registry, and the scheduler counted it.
+    Result<served::JobResponse> verified =
+        client.request(verifySpec(gcdDot()));
+    ASSERT_TRUE(verified.ok()) << verified.error().message;
+    ASSERT_EQ(verified.value().status, "ok") << verified.value().error;
+    Result<obs::json::Value> after = client.serviceStats();
+    ASSERT_TRUE(after.ok()) << after.error().message;
+    const obs::json::Value* metrics = after.value().find("metrics");
+    ASSERT_NE(metrics, nullptr);
+    const obs::json::Value* states =
+        metrics->find("counters")->find("refine.states");
+    ASSERT_NE(states, nullptr) << metrics->dump(2);
+    EXPECT_GT(states->asNumber(), 0.0);
+    // guard.verify.peak_bytes.total rolls up only on a winning rung;
+    // refine.peak_bytes covers explorations that blew their budget.
+    double peak_bytes = 0.0;
+    for (const char* gauge :
+         {"guard.verify.peak_bytes.total", "refine.peak_bytes"})
+        if (const obs::json::Value* g =
+                metrics->find("gauges")->find(gauge))
+            peak_bytes = std::max(peak_bytes, g->asNumber());
+    EXPECT_GT(peak_bytes, 0.0) << metrics->dump(2);
+    EXPECT_GE(after.value().find("scheduler")->find("completed")
+                  ->asNumber(),
+              1);
     daemon.stop();
 }
 
@@ -716,8 +744,24 @@ TEST(ObsServiceDaemon, ConnectionCountersNameEveryDropCause)
         raw.close();  // connect then hang up: a clean EOF
     }
 
-    // Poll: the daemon counts asynchronously to the close.
+    // Two well-formed requests of unknown kinds (one of them the
+    // retired text-exposition verb): each is refused by name and
+    // counted as malformed, never answered as an introspection verb.
     served::Client client(clientConfig(path));
+    for (const char* kind : {"metricsz", "nope"}) {
+        JobSpec spec;
+        spec.kind = kind;
+        Result<served::JobResponse> response = client.request(spec);
+        ASSERT_TRUE(response.ok()) << response.error().message;
+        EXPECT_EQ(response.value().status, "error");
+        EXPECT_NE(response.value().error.find(
+                      "unknown job kind \"" + std::string(kind) + "\""),
+                  std::string::npos)
+            << response.value().error;
+        EXPECT_EQ(response.value().result.find("health"), nullptr);
+    }
+
+    // Poll: the daemon counts asynchronously to the close.
     bool counted = false;
     obs::json::Value last;
     for (int i = 0; i < 200 && !counted; ++i) {
@@ -725,13 +769,15 @@ TEST(ObsServiceDaemon, ConnectionCountersNameEveryDropCause)
         ASSERT_TRUE(stats.ok());
         last = *stats.value().find("connections");
         counted = last.find("malformed_frames")->asNumber() >= 1 &&
-                  last.find("malformed_requests")->asNumber() >= 1 &&
+                  last.find("malformed_requests")->asNumber() >= 3 &&
                   last.find("clean_eofs")->asNumber() >= 1;
         if (!counted)
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(5));
     }
     EXPECT_TRUE(counted) << last.dump(2);
+    // The junk-free request without a job, and both unknown kinds.
+    EXPECT_EQ(last.find("malformed_requests")->asNumber(), 3);
     daemon.stop();
 }
 

@@ -1,27 +1,20 @@
 /**
  * @file
  * Verification-engine telemetry
- * (docs/verification_observability.md): the live progress probe, the
- * resource accounting and the exposition endpoint — and, above all,
- * their neutrality: verdicts must be byte-identical with probes
- * attached or absent.
+ * (docs/verification_observability.md): the live progress probe and
+ * the resource accounting — and, above all, their neutrality:
+ * verdicts must be byte-identical with probes attached or absent.
  */
 
 #include <gtest/gtest.h>
-
-#include <unistd.h>
 
 #include <string>
 #include <vector>
 
 #include "bench_circuits/gcd.hpp"
-#include "dot/dot.hpp"
-#include "obs/expose.hpp"
 #include "obs/scope.hpp"
 #include "obs/vprobe.hpp"
 #include "refine/refinement.hpp"
-#include "served/client.hpp"
-#include "served/daemon.hpp"
 
 namespace graphiti {
 namespace {
@@ -211,198 +204,6 @@ TEST(VerifyTelemetry, ParkReachesTheProbe)
     EXPECT_EQ(at_full.parks, 1u);
     EXPECT_EQ(at_full.frontier, 0u);
     EXPECT_GT(at_full.states, at_park.states);
-}
-
-// ---------------------------------------------------------------------
-// Exposition format: render -> parse round trip.
-
-TEST(Exposition, RegistryRoundTripsThroughLineParser)
-{
-    obs::MetricsRegistry registry;
-    registry.add("refine.states", 1234);
-    registry.add("guard.verify.cache_hits", 3);
-    registry.set("guard.verify.peak_bytes.total", 65536.0);
-
-    obs::expo::TextExposition text;
-    std::size_t emitted = obs::expo::renderRegistry(registry, text);
-    EXPECT_GT(emitted, 0u);
-
-    Result<std::vector<obs::expo::Sample>> parsed =
-        obs::expo::parseExposition(text.str());
-    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
-    auto value = [&](const std::string& name) -> double {
-        for (const obs::expo::Sample& s : parsed.value())
-            if (s.name == name)
-                return s.value;
-        ADD_FAILURE() << name << " missing from:\n" << text.str();
-        return -1.0;
-    };
-    EXPECT_DOUBLE_EQ(value("graphiti_refine_states_total"), 1234.0);
-    EXPECT_DOUBLE_EQ(value("graphiti_guard_verify_cache_hits_total"),
-                     3.0);
-    EXPECT_DOUBLE_EQ(value("graphiti_guard_verify_peak_bytes_total"),
-                     65536.0);
-}
-
-TEST(Exposition, RenderingIsSortedAndDeterministic)
-{
-    obs::MetricsRegistry a;
-    a.add("z.last", 1);
-    a.add("a.first", 2);
-    a.set("m.middle", 3.0);
-    obs::MetricsRegistry b;
-    b.set("m.middle", 3.0);
-    b.add("a.first", 2);
-    b.add("z.last", 1);
-
-    obs::expo::TextExposition ta, tb;
-    obs::expo::renderRegistry(a, ta);
-    obs::expo::renderRegistry(b, tb);
-    // Insertion order must not leak into the document.
-    EXPECT_EQ(ta.str(), tb.str());
-    EXPECT_LT(ta.str().find("graphiti_a_first"),
-              ta.str().find("graphiti_m_middle"));
-    EXPECT_LT(ta.str().find("graphiti_m_middle"),
-              ta.str().find("graphiti_z_last"));
-}
-
-// ---------------------------------------------------------------------
-// The service surface: metricsz verb and the --expose endpoint.
-
-std::string
-socketPath(const std::string& tag)
-{
-    return "/tmp/graphiti-obsv-" + tag + "-" +
-           std::to_string(::getpid()) + ".sock";
-}
-
-served::ClientConfig
-clientConfig(const std::string& socket_path)
-{
-    served::ClientConfig config;
-    config.socket_path = socket_path;
-    config.sleep_between_retries = false;
-    return config;
-}
-
-TEST(Metricsz, VerbAnswersWithAliasFamilies)
-{
-    std::string path = socketPath("metricsz");
-    served::DaemonConfig config;
-    config.socket_path = path;
-    config.scheduler.workers = 1;
-    config.scheduler.queue_capacity = 4;
-    served::Daemon daemon(config);
-    ASSERT_TRUE(daemon.start().ok());
-    served::Client client(clientConfig(path));
-
-    Result<std::string> before = client.serviceMetricsText();
-    ASSERT_TRUE(before.ok()) << before.error().message;
-    Result<std::vector<obs::expo::Sample>> parsed =
-        obs::expo::parseExposition(before.value());
-    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
-    auto find = [](const std::vector<obs::expo::Sample>& samples,
-                   const std::string& name)
-        -> const obs::expo::Sample* {
-        for (const obs::expo::Sample& s : samples)
-            if (s.name == name)
-                return &s;
-        return nullptr;
-    };
-    // The scrape contract: both alias families answer from the first
-    // request on — zeros before any job.
-    const obs::expo::Sample* states =
-        find(parsed.value(), "graphiti_verify_states_total");
-    const obs::expo::Sample* peak =
-        find(parsed.value(), "graphiti_verify_peak_bytes");
-    ASSERT_NE(states, nullptr) << before.value();
-    ASSERT_NE(peak, nullptr) << before.value();
-    EXPECT_EQ(states->value, 0.0);
-    EXPECT_EQ(peak->value, 0.0);
-
-    // One governed verify, then the families must move (OBS on).
-    Environment env(4);
-    ExprHigh gcd = circuits::buildGcdInOrder();
-    JobSpec spec;
-    spec.kind = "verify";
-    spec.circuit_dot = printDot(gcd);
-    spec.options.governed_verify = true;
-    spec.options.num_tags = 4;
-    spec.options.verify_budget.max_states = 800;
-    spec.options.verify_budget.partial_max_states = 300;
-    spec.options.verify_budget.input_budget = 1;
-    spec.options.verify_budget.trace_walks = 2;
-    spec.options.verify_budget.trace.max_steps = 60;
-    spec.options.verify_budget.trace.max_inputs = 2;
-    Result<served::JobResponse> response = client.request(spec);
-    ASSERT_TRUE(response.ok()) << response.error().message;
-    ASSERT_EQ(response.value().status, "ok")
-        << response.value().error;
-
-    Result<std::string> after = client.serviceMetricsText();
-    ASSERT_TRUE(after.ok()) << after.error().message;
-    Result<std::vector<obs::expo::Sample>> reparsed =
-        obs::expo::parseExposition(after.value());
-    ASSERT_TRUE(reparsed.ok()) << reparsed.error().message;
-    const obs::expo::Sample* states_after =
-        find(reparsed.value(), "graphiti_verify_states_total");
-    const obs::expo::Sample* peak_after =
-        find(reparsed.value(), "graphiti_verify_peak_bytes");
-    ASSERT_NE(states_after, nullptr);
-    ASSERT_NE(peak_after, nullptr);
-    EXPECT_GT(states_after->value, 0.0) << after.value();
-    EXPECT_GT(peak_after->value, 0.0) << after.value();
-    // Service-plane counters ride along.
-    const obs::expo::Sample* completed =
-        find(reparsed.value(), "graphiti_jobs_completed_total");
-    ASSERT_NE(completed, nullptr);
-    EXPECT_GE(completed->value, 1.0);
-    daemon.stop();
-}
-
-TEST(Metricsz, ExposeEndpointServesTheSameDocument)
-{
-    std::string path = socketPath("expose");
-    served::DaemonConfig config;
-    config.socket_path = path;
-    config.expose_port = 0;  // ephemeral loopback
-    config.scheduler.workers = 1;
-    served::Daemon daemon(config);
-    ASSERT_TRUE(daemon.start().ok());
-    ASSERT_GT(daemon.exposePort(), 0);
-
-    // Scrape exactly as curl would: HTTP/1.0, any path.
-    Result<net::Socket> conn = net::connectTcp(daemon.exposePort());
-    ASSERT_TRUE(conn.ok()) << conn.error().message;
-    ASSERT_TRUE(net::writeAll(conn.value(),
-                              "GET /metricsz HTTP/1.0\r\n\r\n", 2000)
-                    .ok());
-    std::string response;
-    while (true) {
-        Result<bool> readable = net::waitReadable(conn.value(), 2000);
-        if (!readable.ok() || !readable.value())
-            break;
-        std::string chunk;
-        Result<std::size_t> got =
-            net::readSome(conn.value(), chunk, 1 << 16, 2000);
-        if (!got.ok() || got.value() == 0)
-            break;
-        response += chunk;
-    }
-    EXPECT_NE(response.find("200 OK"), std::string::npos) << response;
-    std::size_t body_at = response.find("\r\n\r\n");
-    ASSERT_NE(body_at, std::string::npos);
-    std::string body = response.substr(body_at + 4);
-    Result<std::vector<obs::expo::Sample>> parsed =
-        obs::expo::parseExposition(body);
-    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
-    bool has_states = false;
-    for (const obs::expo::Sample& s : parsed.value())
-        if (s.name == "graphiti_verify_states_total")
-            has_states = true;
-    EXPECT_TRUE(has_states) << body;
-    EXPECT_GE(daemon.exposePort(), 1u);
-    daemon.stop();
 }
 
 }  // namespace

@@ -11,8 +11,8 @@
  * travels).
  *
  * Read-only introspection (docs/service_observability.md,
- * docs/verification_observability.md): --stats, --jobs, --health and
- * --metricsz query the daemon's observability plane; these verbs
+ * docs/verification_observability.md): --stats, --jobs and --health
+ * query the daemon's observability plane; these verbs
  * bypass the scheduler queue, so they answer even when the service is
  * saturated or wedged. --watch polls the selected verb (default
  * stats) every --interval seconds, printing one JSON line per poll,
@@ -27,7 +27,7 @@
  *                     [--max-states N] [--partial-states N]
  *                     [--input-budget N] [--trace-walks N]
  *     graphiti-client --socket PATH [--tcp PORT]
- *                     --stats | --jobs | --health | --metricsz
+ *                     --stats | --jobs | --health
  *                     [--watch [--interval S]]
  *     graphiti-client --socket PATH [--tcp PORT]
  *                     --watch-job ID [--interval S]
@@ -59,10 +59,10 @@ usage(const char* argv0)
         "          [--dot FILE | --benchmark NAME] [--deadline S]\n"
         "          [--attempts N]\n"
         "       %s --socket PATH [--tcp PORT]\n"
-        "          --stats | --jobs | --health | --metricsz\n"
+        "          --stats | --jobs | --health\n"
         "          [--watch [--interval S]] | --watch-job ID\n"
         "  KIND             ping | compile | verify | validate\n"
-        "                   | stats | jobs | health | metricsz\n"
+        "                   | stats | jobs | health\n"
         "  --dot FILE       send this dot file as the circuit\n"
         "  --benchmark NAME send this built-in benchmark's circuit\n"
         "  --deadline S     per-job wall-clock deadline in seconds\n"
@@ -77,8 +77,6 @@ usage(const char* argv0)
         "windows\n"
         "  --jobs           live job table (phase, deadline, rungs)\n"
         "  --health         lane liveness, store shards, uptime\n"
-        "  --metricsz       metrics in Prometheus text exposition "
-        "format\n"
         "  --watch          poll the introspection verb until "
         "interrupted\n"
         "  --watch-job ID   tail one job's live verification "
@@ -87,13 +85,6 @@ usage(const char* argv0)
         "2)\n",
         argv0, argv0);
     return 2;
-}
-
-bool
-isIntrospection(const std::string& kind)
-{
-    return kind == "stats" || kind == "jobs" || kind == "health" ||
-           kind == "metricsz";
 }
 
 }  // namespace
@@ -154,7 +145,7 @@ main(int argc, char** argv)
             config.backoff.max_attempts =
                 static_cast<std::size_t>(std::atoi(v));
         } else if (arg == "--stats" || arg == "--jobs" ||
-                   arg == "--health" || arg == "--metricsz") {
+                   arg == "--health") {
             kind = arg.substr(2);
         } else if (arg == "--job-id") {
             const char* v = value();
@@ -202,10 +193,10 @@ main(int argc, char** argv)
     if ((kind.empty() && watch_job_id.empty()) ||
         (config.socket_path.empty() && config.tcp_port < 0))
         return usage(argv[0]);
-    if (watch && !isIntrospection(kind)) {
+    if (watch && !isIntrospectionKind(kind)) {
         std::fprintf(stderr,
                      "--watch needs an introspection verb "
-                     "(--stats/--jobs/--health/--metricsz), not "
+                     "(--stats/--jobs/--health), not "
                      "\"%s\"\n",
                      kind.c_str());
         return 2;
@@ -254,26 +245,7 @@ main(int argc, char** argv)
         }
     }
 
-    if (kind == "metricsz") {
-        do {
-            Result<std::string> text = client.serviceMetricsText();
-            if (!text.ok()) {
-                std::fprintf(stderr, "graphiti-client: %s\n",
-                             text.error().message.c_str());
-                return 3;
-            }
-            // The raw exposition document, pipeable into any scraper
-            // tooling.
-            std::fputs(text.value().c_str(), stdout);
-            std::fflush(stdout);
-            if (watch)
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double>(interval_seconds));
-        } while (watch);
-        return 0;
-    }
-
-    if (isIntrospection(kind)) {
+    if (isIntrospectionKind(kind)) {
         do {
             Result<obs::json::Value> snapshot =
                 kind == "stats"    ? client.serviceStats()

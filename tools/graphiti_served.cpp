@@ -27,11 +27,7 @@
  *                     [--queue N] [--store DIR]
  *                     [--max-deadline S] [--wedge-grace S]
  *                     [--flight PATH] [--log PATH]
- *                     [--trace PATH] [--expose PORT]
- *
- * `--expose PORT` binds a loopback scrape endpoint serving the
- * `metricsz` document (Prometheus text exposition) to any HTTP
- * request; `curl localhost:PORT/metricsz` works.
+ *                     [--trace PATH]
  *
  * Exit status: 0 on clean shutdown, 2 on usage/startup errors.
  */
@@ -71,11 +67,9 @@ usage(const char* argv0)
         "usage: %s --socket PATH [--tcp PORT] [--workers N] [--queue N]\n"
         "          [--store DIR] [--max-deadline S]\n"
         "          [--wedge-grace S] [--flight PATH] [--log PATH]\n"
-        "          [--trace PATH] [--expose PORT]\n"
+        "          [--trace PATH]\n"
         "  --socket PATH    unix-domain socket to listen on (required)\n"
         "  --tcp PORT       also listen on loopback TCP (0 = ephemeral)\n"
-        "  --expose PORT    loopback metrics scrape endpoint "
-        "(0 = ephemeral)\n"
         "  --workers N      sandboxed worker processes running jobs\n"
         "                   (default 2; crash containment + jails)\n"
         "  --queue N        waiting jobs before shedding (default 8)\n"
@@ -120,11 +114,6 @@ main(int argc, char** argv)
             if (v == nullptr)
                 return usage(argv[0]);
             config.tcp_port = std::atoi(v);
-        } else if (arg == "--expose") {
-            const char* v = value();
-            if (v == nullptr)
-                return usage(argv[0]);
-            config.expose_port = std::atoi(v);
         } else if (arg == "--workers") {
             const char* v = value();
             if (v == nullptr)
@@ -213,9 +202,6 @@ main(int argc, char** argv)
                 config.socket_path.c_str());
     if (config.tcp_port >= 0)
         std::printf(" and tcp:%u", daemon.tcpPort());
-    if (config.expose_port >= 0)
-        std::printf(" (metrics on http://127.0.0.1:%u/metricsz)",
-                    daemon.exposePort());
     std::printf("\n");
     std::fflush(stdout);
 
