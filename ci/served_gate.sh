@@ -5,10 +5,11 @@
 #      framing, admission/fair-share policy, the crash-safe verdict
 #      store, and the daemon byte-identity / shed-honesty / restart
 #      contracts, in-process.
-#   2. Daemon smoke: boot graphiti-served on a temporary socket with a
-#      persistent verdict store, drive it with graphiti-client (ping,
-#      then a governed verify of a real benchmark), and require an ok
-#      response.
+#   2. Daemon smoke: a non-numeric --workers must be a usage error
+#      (exit 2), not a daemon started with a guessed count. Then boot
+#      graphiti-served on a temporary socket with a persistent verdict
+#      store, drive it with graphiti-client (ping, then a governed
+#      verify of a real benchmark), and require an ok response.
 #   3. Crash recovery: kill -9 the daemon, restart it on the same
 #      store directory, and require the pre-kill verdict to come back
 #      as a verify_cache_hit — the write-through store must survive
@@ -97,6 +98,15 @@ echo "== served gate: tests (ctest -L served) =="
 ctest --test-dir "${BUILD}" -L served --output-on-failure
 
 echo "== served gate: daemon smoke =="
+# The timeout bounds a build that would start serving on a guessed
+# count instead of refusing the flag.
+STATUS=0
+timeout 5 "${BUILD}/tools/graphiti-served" --socket "${WORK}/bad.sock" \
+    --workers two > /dev/null 2>&1 || STATUS=$?
+[ "${STATUS}" -eq 2 ] || {
+    echo "served gate: FAIL: --workers two exited ${STATUS}, not 2"
+    exit 1
+}
 "${BUILD}/tools/graphiti-served" --socket "${SOCKET}" --workers 2 \
     --store "${STORE}" --flight "${JOURNAL_DUMP}" --log "${JOURNAL_LOG}" \
     > "${DAEMON_LOG}" 2>&1 &

@@ -23,15 +23,6 @@ namespace {
 constexpr std::uint64_t kActionSalt = 0xC0AC7ULL;
 constexpr std::uint64_t kCutSalt = 0x7C07CULL;
 
-Rng
-drawAt(std::uint64_t seed, std::uint64_t salt, std::uint64_t a,
-       std::uint64_t b)
-{
-    return Rng(seed ^ (salt * 0x9e3779b97f4a7c15ULL) ^
-               (a * 0xc2b2ae3d27d4eb4fULL) ^
-               (b * 0x165667b19e3779f9ULL));
-}
-
 }  // namespace
 
 ClientAction

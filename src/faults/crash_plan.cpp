@@ -6,6 +6,7 @@
 #include <sstream>
 #include <unistd.h>
 
+#include "support/hash.hpp"
 #include "support/rng.hpp"
 
 namespace graphiti::faults {
@@ -14,27 +15,6 @@ namespace {
 
 /** Salt keeping crash draws disjoint from every other plan family. */
 constexpr std::uint64_t kCrashSalt = 0xC4A54ULL;
-
-/** One stateless draw: a fresh splitmix64 stream per coordinate
- * (the fault_plan.cpp idiom). */
-Rng
-drawAt(std::uint64_t seed, std::uint64_t salt, std::uint64_t a,
-       std::uint64_t b)
-{
-    return Rng(seed ^ (salt * 0x9e3779b97f4a7c15ULL) ^
-               (a * 0xc2b2ae3d27d4eb4fULL) ^ (b * 0x165667b19e3779f9ULL));
-}
-
-std::uint64_t
-fnv1a(const std::string& text)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (char c : text) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
 
 Result<CrashAction>
 actionFromName(const std::string& name)
@@ -187,7 +167,8 @@ CrashPlan::action(const std::string& job_id,
             return action;
     if (config_.total() <= 0.0)
         return CrashAction::None;
-    double roll = drawAt(seed_, kCrashSalt, fnv1a(job_id), fnv1a(site))
+    double roll = drawAt(seed_, kCrashSalt, fnv1a64(kFnvOffset, job_id),
+                         fnv1a64(kFnvOffset, site))
                       .uniform();
     double edge = config_.segv_rate;
     if (roll < edge)

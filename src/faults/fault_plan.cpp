@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "support/hash.hpp"
 #include "support/rng.hpp"
 
 namespace graphiti::faults {
@@ -14,28 +15,6 @@ constexpr std::uint64_t kReadySalt = 0x4EADBULL;
 constexpr std::uint64_t kJitterSalt = 0x7177E4ULL;
 constexpr std::uint64_t kSqueezeSalt = 0x590E32ULL;
 
-/** One stateless draw: a fresh splitmix64 stream per coordinate. */
-Rng
-drawAt(std::uint64_t seed, std::uint64_t salt, std::uint64_t a,
-       std::uint64_t b)
-{
-    // The multipliers decorrelate neighbouring coordinates before the
-    // splitmix finalizer scrambles them.
-    return Rng(seed ^ (salt * 0x9e3779b97f4a7c15ULL) ^
-               (a * 0xc2b2ae3d27d4eb4fULL) ^ (b * 0x165667b19e3779f9ULL));
-}
-
-std::uint64_t
-fnv1a(const std::string& text)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (char c : text) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 }  // namespace
 
 std::uint64_t
@@ -45,7 +24,8 @@ derivePlanSeed(std::uint64_t base, const std::string& name,
     // Mix the family name in first (FNV-1a), then run the combined
     // state through a splitmix draw so neighbouring (base, index)
     // pairs land far apart.
-    std::uint64_t h = fnv1a(name) ^ (base * 0x9e3779b97f4a7c15ULL);
+    std::uint64_t h =
+        fnv1a64(kFnvOffset, name) ^ (base * 0x9e3779b97f4a7c15ULL);
     return Rng(h ^ (static_cast<std::uint64_t>(index) *
                     0xc2b2ae3d27d4eb4fULL))
         .next();
@@ -116,7 +96,8 @@ FaultPlan::latencyJitter(const std::string& node, std::size_t cycle)
     if (kind_ != Kind::Random || cycle >= config_.horizon ||
         config_.max_jitter <= 0)
         return 0;
-    Rng rng = drawAt(seed_, kJitterSalt, fnv1a(node), cycle);
+    Rng rng =
+        drawAt(seed_, kJitterSalt, fnv1a64(kFnvOffset, node), cycle);
     if (!rng.chance(config_.jitter_rate))
         return 0;
     return 1 + static_cast<int>(rng.below(

@@ -9,30 +9,11 @@
 #include "dot/dot.hpp"
 #include "obs/scope.hpp"
 #include "rewrite/catalog.hpp"
+#include "support/hash.hpp"
 
 namespace graphiti::guard {
 
 namespace {
-
-std::uint64_t
-fnv1a64(std::uint64_t h, const std::string& s)
-{
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-std::uint64_t
-fnv1a64(std::uint64_t h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 std::uint64_t
 fnv1a64Double(std::uint64_t h, double d)
@@ -43,8 +24,6 @@ fnv1a64Double(std::uint64_t h, double d)
     os << d;
     return fnv1a64(h, os.str());
 }
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 
 /** A string field of a longer key: its length first, so adjacent
  * fields cannot trade bytes. */

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "obs/scope.hpp"
+#include "support/hash.hpp"
 
 namespace graphiti {
 
@@ -20,26 +21,6 @@ InputDomain::uniform(const DenotedModule& mod, std::vector<Token> tokens)
 
 namespace {
 
-std::uint64_t
-fnv1a64(std::uint64_t h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-std::uint64_t
-fnv1a64(std::uint64_t h, const std::string& s)
-{
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
 /** Hash of an encoded state: FNV over the pool-id row plus budget.
  * Pool ids are canonical (worklist-order interning), so this hash —
  * and everything derived from it, including index shard assignment —
@@ -48,7 +29,7 @@ std::uint64_t
 hashRow(const std::uint32_t* row, std::size_t width,
         std::uint32_t budget)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = kFnvOffset;
     for (std::size_t i = 0; i < width; ++i)
         h = fnv1a64(h, row[i]);
     return fnv1a64(h, budget);
@@ -476,7 +457,7 @@ StateSpace::internalClosure(std::uint32_t s) const
 std::uint64_t
 StateSpace::fingerprint() const
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = kFnvOffset;
     h = fnv1a64(h, numStates());
     for (std::uint32_t s = 0;
          s < static_cast<std::uint32_t>(numStates()); ++s) {

@@ -14,22 +14,12 @@ Client::Client(ClientConfig config)
 
 void Client::disconnect() { socket_.close(); }
 
-Result<net::Socket>
-Client::connect()
-{
-    if (!config_.socket_path.empty())
-        return net::connectUnix(config_.socket_path);
-    if (config_.tcp_port >= 0)
-        return net::connectTcp(
-            static_cast<std::uint16_t>(config_.tcp_port));
-    return err("client has neither a socket path nor a TCP port");
-}
-
 Result<JobResponse>
 Client::requestOnce(const std::string& payload)
 {
     if (!socket_.valid()) {
-        Result<net::Socket> connected = connect();
+        Result<net::Socket> connected =
+            net::connectUnix(config_.socket_path);
         if (!connected.ok())
             return connected.error().context("Client::request");
         socket_ = connected.take();

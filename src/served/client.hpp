@@ -3,10 +3,10 @@
 
 /**
  * @file
- * The served client: connects to the daemon (unix socket or loopback
- * TCP), sends one framed request at a time, and retries transport
- * failures and shed ("rejected") responses with full-jitter
- * exponential backoff, honoring the daemon's retry_after hints.
+ * The served client: connects to the daemon's unix socket, sends one
+ * framed request at a time, and retries transport failures and shed
+ * ("rejected") responses with full-jitter exponential backoff,
+ * honoring the daemon's retry_after hints.
  *
  * Deterministic "error" responses are never retried — the daemon
  * guarantees the identical request would fail identically. Retry
@@ -26,10 +26,8 @@ namespace graphiti::served {
 /** Client configuration. */
 struct ClientConfig
 {
-    /** Unix-domain socket path; empty = use tcp_port. */
+    /** Unix-domain socket path of the daemon. */
     std::string socket_path;
-    /** Loopback TCP port (used when socket_path is empty). */
-    int tcp_port = -1;
     /** Per-read/write socket timeout. */
     int io_timeout_ms = 30000;
     /** Retry shape for transport failures and shed responses. */
@@ -95,7 +93,6 @@ class Client
     void disconnect();
 
   private:
-    Result<net::Socket> connect();
     Result<JobResponse> requestOnce(const std::string& payload);
 
     /** Mint a correlation id from the seeded Rng. */

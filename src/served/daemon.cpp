@@ -21,52 +21,30 @@ Daemon::start()
         return err("daemon already started");
     if (config_.socket_path.empty())
         return err("daemon requires a socket path");
+    Result<net::Socket> listener = net::listenUnix(config_.socket_path);
+    if (!listener.ok())
+        return listener.error().context("Daemon::start");
     Result<bool> booted = scheduler_->start();
-    if (!booted.ok())
+    if (!booted.ok()) {
+        std::remove(config_.socket_path.c_str());
         return booted.error().context("Daemon::start");
-
-    Result<net::Socket> unix_listener =
-        net::listenUnix(config_.socket_path);
-    if (!unix_listener.ok())
-        return unix_listener.error().context("Daemon::start");
-    accept_threads_.emplace_back(
-        [this, listener = std::move(unix_listener.value())]() mutable {
-            acceptLoop(std::move(listener));
-        });
-
-    if (config_.tcp_port >= 0) {
-        Result<net::Socket> tcp_listener = net::listenTcp(
-            static_cast<std::uint16_t>(config_.tcp_port));
-        if (!tcp_listener.ok())
-            return tcp_listener.error().context("Daemon::start");
-        Result<std::uint16_t> port =
-            net::boundPort(tcp_listener.value());
-        if (!port.ok())
-            return port.error().context("Daemon::start");
-        tcp_port_ = port.value();
-        accept_threads_.emplace_back(
-            [this,
-             listener = std::move(tcp_listener.value())]() mutable {
-                acceptLoop(std::move(listener));
-            });
     }
+    accept_thread_ =
+        std::thread([this, socket = listener.take()]() mutable {
+            acceptLoop(std::move(socket));
+        });
     started_ = true;
     return true;
 }
 
 void
-Daemon::shutdown(bool graceful)
+Daemon::stop()
 {
     if (!started_ || stopping_.exchange(true))
         return;
-    if (graceful)
-        scheduler_->stop();
-    else
-        scheduler_->kill();
-    for (std::thread& thread : accept_threads_)
-        if (thread.joinable())
-            thread.join();
-    accept_threads_.clear();
+    scheduler_->stop();
+    if (accept_thread_.joinable())
+        accept_thread_.join();
     std::vector<std::thread> conns;
     {
         std::lock_guard<std::mutex> lock(conn_mutex_);
@@ -78,10 +56,6 @@ Daemon::shutdown(bool graceful)
     std::remove(config_.socket_path.c_str());
     started_ = false;
 }
-
-void Daemon::stop() { shutdown(/*graceful=*/true); }
-
-void Daemon::kill() { shutdown(/*graceful=*/false); }
 
 obs::json::Value
 Daemon::statsJson() const
@@ -141,8 +115,6 @@ Daemon::healthJson() const
     out.set("store", std::move(store_health));
     json::Value listeners{json::Object{}};
     listeners.set("socket_path", config_.socket_path);
-    if (config_.tcp_port >= 0)
-        listeners.set("tcp_port", static_cast<int>(tcp_port_));
     out.set("listeners", std::move(listeners));
     out.set("connections_accepted", connections_accepted_.load());
     return out;
@@ -177,7 +149,7 @@ Daemon::acceptLoop(net::Socket listener)
         Result<net::Socket> accepted =
             net::acceptConnection(listener, 100);
         if (!accepted.ok())
-            return;  // listener broke; daemon keeps other listeners
+            return;  // listener broke; open connections keep serving
         if (!accepted.value().valid())
             continue;  // timeout — re-check the stop flag
         if (stopping_.load())

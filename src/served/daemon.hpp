@@ -4,9 +4,9 @@
 /**
  * @file
  * The compile-service daemon (docs/service.md): a unix-domain
- * listener (plus an optional loopback TCP listener) speaking the
- * served frame protocol, one connection thread per client, all jobs
- * funneled through one Scheduler and one crash-safe VerdictStore.
+ * listener speaking the served frame protocol, one connection thread
+ * per client, all jobs funneled through one Scheduler and one
+ * crash-safe VerdictStore.
  *
  * A connection is a loop of request frames; malformed frames and
  * malformed requests get structured error responses where a request
@@ -33,8 +33,6 @@ struct DaemonConfig
 {
     /** Unix-domain socket path (required). */
     std::string socket_path;
-    /** Loopback TCP port: -1 = no TCP listener, 0 = ephemeral. */
-    int tcp_port = -1;
     /** Per-read/write socket timeout. */
     int io_timeout_ms = 30000;
     SchedulerConfig scheduler;
@@ -50,22 +48,14 @@ class Daemon
     Daemon(const Daemon&) = delete;
     Daemon& operator=(const Daemon&) = delete;
 
-    /** Bind listeners, boot the scheduler, start serving. */
+    /** Bind the listener, boot the scheduler, start serving. */
     Result<bool> start();
 
-    /** Graceful shutdown: close listeners, cancel in-flight jobs,
-     * join every connection. Safe to call twice. */
+    /** Shutdown: close the listener, cancel in-flight jobs, join every
+     * connection. There is no final persistence pass — the verdict
+     * store commits write-through. Safe to call twice. */
     void stop();
 
-    /**
-     * Crash drill: shut down without any final persistence pass, as
-     * SIGKILL would. Everything the verdict store committed
-     * write-through survives; nothing else is supposed to.
-     */
-    void kill();
-
-    /** The TCP port actually bound (after start, when enabled). */
-    std::uint16_t tcpPort() const { return tcp_port_; }
     const std::string& socketPath() const
     {
         return config_.socket_path;
@@ -101,7 +91,7 @@ class Daemon
     obs::json::Value jobsJson() const;
 
     /** The `health` verb payload: lane liveness, store shard status,
-     * listener addresses, uptime. */
+     * listener address, uptime. */
     obs::json::Value healthJson() const;
 
     /** Dump the journal to its configured path (SIGUSR1 handler in
@@ -111,7 +101,6 @@ class Daemon
   private:
     void acceptLoop(net::Socket listener);
     void serveConnection(net::Socket socket, std::uint64_t conn_id);
-    void shutdown(bool graceful);
     /** Answer a read-only introspection verb without touching the
      * scheduler queue (so `stats` works under full load or wedge). */
     obs::json::Value introspect(const std::string& kind) const;
@@ -126,10 +115,9 @@ class Daemon
     std::atomic<std::size_t> oversize_frames_{0};
     std::atomic<std::size_t> clean_eofs_{0};
     std::atomic<std::size_t> malformed_requests_{0};
-    std::uint16_t tcp_port_ = 0;
-    std::vector<std::thread> accept_threads_;
     std::mutex conn_mutex_;
     std::vector<std::thread> conn_threads_;
+    std::thread accept_thread_;
     bool started_ = false;
 };
 

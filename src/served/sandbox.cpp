@@ -21,6 +21,7 @@
 #include "core/compiler.hpp"
 #include "faults/crash_plan.hpp"
 #include "served/protocol.hpp"
+#include "support/strings.hpp"
 
 #if defined(__has_feature)
 #if __has_feature(address_sanitizer)
@@ -433,6 +434,19 @@ sandboxAddressJailSupported()
     // any meaningful RLIMIT_AS ceiling would kill instrumented
     // children at startup; the jail (and its tests) disarm under it.
     return !GRAPHITI_SANDBOX_ASAN;
+}
+
+std::optional<std::uint64_t>
+storeFrameKey(const obs::json::Value& frame)
+{
+    const json::Value* field = frame.find("key");
+    if (field == nullptr || !field->isString())
+        return std::nullopt;
+    const std::string& text = field->asString();
+    std::optional<std::uint64_t> key = parseNumber<std::uint64_t>(text);
+    if (!key.has_value() || std::to_string(*key) != text)
+        return std::nullopt;  // leading zeros are not ChildLink's spelling
+    return key;
 }
 
 obs::json::Value
@@ -850,7 +864,7 @@ WorkerProcess::execute(const std::string& job_id, const JobSpec& spec,
         if (verb == "heartbeat") {
             mirrorFrame(msg, job_scope);
         } else if (verb == "store_get") {
-            std::uint64_t key = parseU64Field(msg, "key");
+            std::optional<std::uint64_t> key = storeFrameKey(msg);
             const json::Value* kind = msg.find("kind");
             guard::EntryKind wanted =
                 kind != nullptr && kind->isString() &&
@@ -861,8 +875,8 @@ WorkerProcess::execute(const std::string& job_id, const JobSpec& spec,
             json::Value reply{json::Object{}};
             reply.set("op", "store");
             std::optional<guard::StoreEntry> entry;
-            if (hooks.lookup)
-                entry = hooks.lookup(key, wanted);
+            if (key.has_value() && hooks.lookup)
+                entry = hooks.lookup(*key, wanted);
             reply.set("hit", entry.has_value());
             if (entry.has_value())
                 guard::setEntryJson(reply, *entry);
@@ -871,10 +885,10 @@ WorkerProcess::execute(const std::string& job_id, const JobSpec& spec,
                      .ok())
                 return died(KillContext::None);
         } else if (verb == "store_put") {
-            std::uint64_t key = parseU64Field(msg, "key");
+            std::optional<std::uint64_t> key = storeFrameKey(msg);
             Result<guard::StoreEntry> parsed = guard::entryFromJson(msg);
-            if (parsed.ok() && hooks.store)
-                hooks.store(key, parsed.take());
+            if (key.has_value() && parsed.ok() && hooks.store)
+                hooks.store(*key, parsed.take());
         } else if (verb == "result") {
             mirrorFrame(msg, job_scope);
             const json::Value* status = msg.find("status");

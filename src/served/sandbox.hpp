@@ -186,6 +186,15 @@ struct StoreHooks
     std::function<void(std::uint64_t, const guard::StoreEntry&)> store;
 };
 
+/**
+ * The key of a child's `store_get`/`store_put` frame, accepted only in
+ * the exact decimal spelling the child writes (std::to_string of the
+ * key). A missing or non-string key, a sign, leading zeros, trailing
+ * bytes or an overflow give nullopt: the parent drops such a put and
+ * answers such a get with a miss, never a lookup under a guessed key.
+ */
+std::optional<std::uint64_t> storeFrameKey(const obs::json::Value& frame);
+
 /** Sandbox tuning (shared by every worker of a pool). */
 struct SandboxConfig
 {
@@ -193,8 +202,8 @@ struct SandboxConfig
     double heartbeat_period_ms = 50.0;
     /** The one wedge clock: heartbeat silence from a running child,
      * or the wait for its result after a stop was forwarded, before
-     * the parent SIGKILLs its group. The scheduler sets it from its
-     * wedge_grace_seconds. */
+     * the parent SIGKILLs its group (`graphiti-served
+     * --wedge-grace`). */
     double wedge_grace_seconds = 5.0;
     /** Parent poll slice: stop tokens and the wedge clock are checked
      * at this cadence, so a stop reaches the child within it. */

@@ -107,11 +107,6 @@ Scheduler::Scheduler(SchedulerConfig config) : config_(std::move(config))
         config_.observer = std::make_shared<ServiceObserver>();
     if (config_.workers == 0)
         config_.workers = 1;
-    // One dispatch lane per sandboxed child, so a lane never waits on
-    // a worker another lane owns.
-    config_.pool.workers = config_.workers;
-    config_.pool.sandbox.wedge_grace_seconds = config_.wedge_grace_seconds;
-    config_.pool.observer = config_.observer;
     store_ = std::make_shared<guard::VerdictStore>(config_.store);
     // Children proxy their verdict traffic here: every real store
     // write stays in this (parent) process, so a dying child can
@@ -124,7 +119,11 @@ Scheduler::Scheduler(SchedulerConfig config) : config_(std::move(config))
                          const guard::StoreEntry& entry) {
         store_->put(key, entry);
     };
-    pool_ = std::make_unique<WorkerPool>(config_.pool, std::move(hooks));
+    // One dispatch lane per sandboxed child, so a lane never waits on
+    // a worker another lane owns.
+    pool_ = std::make_unique<WorkerPool>(config_.workers, config_.pool,
+                                         std::move(hooks),
+                                         config_.observer);
 }
 
 Scheduler::~Scheduler() { stop(); }
@@ -149,7 +148,6 @@ Scheduler::start()
     stopping_ = false;
     for (std::size_t i = 0; i < config_.workers; ++i)
         workers_.emplace_back([this] { workerLoop(); });
-    supervisor_ = std::thread([this] { supervisorLoop(); });
     return true;
 }
 
@@ -157,7 +155,6 @@ void
 Scheduler::stop()
 {
     std::vector<std::thread> joinable;
-    std::thread supervisor;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (!started_ || stopping_)
@@ -179,27 +176,15 @@ Scheduler::stop()
             if (worker.joinable())
                 joinable.push_back(std::move(worker));
         workers_.clear();
-        supervisor = std::move(supervisor_);
     }
     for (std::thread& worker : joinable)
         worker.join();
-    if (supervisor.joinable())
-        supervisor.join();
     // Lanes are drained (running children answered their forwarded
     // stops or were killed past the grace); shut the idle sandbox
     // workers down politely.
     pool_->stop();
     std::lock_guard<std::mutex> lock(mutex_);
     started_ = false;
-}
-
-void
-Scheduler::kill()
-{
-    // The store commits write-through on every store(), so there is
-    // no buffered state to drop: kill() and stop() differ only in
-    // intent (the crash drills call kill() to prove that).
-    stop();
 }
 
 bool
@@ -303,7 +288,6 @@ Scheduler::enforceFairShareLocked()
                          "\" over share)";
     oldest->stop.requestStop(reason);
     stats_.preempted += 1;
-    config_.observer->scope().metrics().add("served.jobs.preempted", 1);
     config_.observer->event(obs::LogLevel::Warn, oldest->job_id,
                             "job.preempt", "client", victim, "reason",
                             reason);
@@ -339,7 +323,6 @@ Scheduler::submitAndWait(const std::string& client, JobSpec spec,
         AdmissionDecision decision = admitJob(state);
         if (!decision.admit) {
             stats_.shed += 1;
-            observer.scope().metrics().add("served.jobs.shed", 1);
             observer.event(obs::LogLevel::Warn, id, "job.shed", "client",
                            client, "verb", spec.kind, "reason",
                            decision.reason, "retry_after_ms",
@@ -352,9 +335,6 @@ Scheduler::submitAndWait(const std::string& client, JobSpec spec,
             return outcome;
         }
         stats_.accepted += 1;
-        observer.scope().metrics().add("served.jobs.accepted", 1);
-        observer.scope().metrics().set(
-            "served.queue.depth", static_cast<double>(queue_.size() + 1));
         double deadline = deadline_seconds;
         if (config_.max_deadline_seconds > 0 &&
             (deadline == 0 || deadline > config_.max_deadline_seconds))
@@ -391,6 +371,13 @@ Scheduler::submitAndWait(const std::string& client, JobSpec spec,
     std::unique_lock<std::mutex> lock(mutex_);
     bool abandon_latched = false;
     while (!job->done) {
+        // A queued job whose token fired (deadline, disconnect) is
+        // answered here, without waiting for a lane to free up.
+        if (!job->running && job->stop.stopRequested()) {
+            queue_.erase(std::find(queue_.begin(), queue_.end(), job));
+            expireLocked(job);
+            break;
+        }
         job_done_.wait_for(lock, std::chrono::milliseconds(20));
         if (job->done || abandon_latched || !abandoned)
             continue;
@@ -427,6 +414,10 @@ Scheduler::workerLoop()
             }
             job = queue_.front();
             queue_.pop_front();
+            if (job->stop.stopRequested()) {
+                expireLocked(job);
+                continue;
+            }
             job->running = true;
             job->started = true;
             job->started_at = std::chrono::steady_clock::now();
@@ -450,8 +441,6 @@ Scheduler::workerLoop()
         if (wedged) {
             std::lock_guard<std::mutex> lock(mutex_);
             stats_.wedged += 1;
-            config_.observer->scope().metrics().add("served.jobs.wedged",
-                                                    1);
         }
         completeJob(job, std::move(outcome));
 
@@ -460,8 +449,6 @@ Scheduler::workerLoop()
             running_.erase(
                 std::remove(running_.begin(), running_.end(), job),
                 running_.end());
-            config_.observer->scope().metrics().set(
-                "served.queue.depth", static_cast<double>(queue_.size()));
         }
         // A wedge is exactly what the journal dump exists for: dump
         // outside the scheduler lock (file IO under a lock would stall
@@ -472,37 +459,15 @@ Scheduler::workerLoop()
 }
 
 void
-Scheduler::supervisorLoop()
+Scheduler::expireLocked(const JobPtr& job)
 {
-    for (;;) {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (stopping_)
-                return;
-            supervisor_heartbeat_ = std::chrono::steady_clock::now();
-            supervisor_seen_ = true;
-
-            // Queued jobs whose tokens already fired (deadline-zero
-            // floods, disconnects) never reach a worker.
-            for (auto it = queue_.begin(); it != queue_.end();) {
-                const JobPtr& job = *it;
-                if (job->stop.stopRequested()) {
-                    JobOutcome outcome;
-                    outcome.status = "cancelled";
-                    outcome.error = job->stop.reason();
-                    config_.observer->event(
-                        obs::LogLevel::Warn, job->job_id, "job.deadline",
-                        "client", job->client, "reason", outcome.error);
-                    completeJobLocked(job, std::move(outcome));
-                    it = queue_.erase(it);
-                } else {
-                    ++it;
-                }
-            }
-        }
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            config_.supervisor_period_ms / 1000.0));
-    }
+    JobOutcome outcome;
+    outcome.status = "cancelled";
+    outcome.error = job->stop.reason();
+    config_.observer->event(obs::LogLevel::Warn, job->job_id,
+                            "job.deadline", "client", job->client,
+                            "reason", outcome.error);
+    completeJobLocked(job, std::move(outcome));
 }
 
 obs::json::Value
@@ -567,10 +532,6 @@ Scheduler::healthJson() const
     out.set("queue_depth", queue_.size());
     out.set("queue_capacity", config_.queue_capacity);
     out.set("running", running_.size());
-    if (supervisor_seen_)
-        out.set("supervisor_heartbeat_age_ms",
-                elapsedMs(supervisor_heartbeat_,
-                          std::chrono::steady_clock::now()));
     out.set("worker_pool", pool_->healthJson());
     return out;
 }

@@ -20,8 +20,9 @@
  * forwarded to the child, whose governed ladder unwinds and reports
  * the rung it still reached; a child that ignores the stop past the
  * wedge grace is SIGKILLed and respawned, and its job is answered
- * "cancelled" with the wedge artifact. A supervisor thread expires
- * queued jobs whose tokens fired before a lane took them.
+ * "cancelled" with the wedge artifact. A queued job whose token fires
+ * is answered "cancelled" by its own waiter, or by the lane that
+ * dequeues it, and never reaches a worker.
  */
 
 #include <chrono>
@@ -56,17 +57,11 @@ struct SchedulerConfig
     /** Ceiling clamped onto any client-requested deadline; 0 = no
      * ceiling. */
     double max_deadline_seconds = 0.0;
-    /** Seconds a child may take to answer a stopped job — and may
-     * stay heartbeat-silent while running one — before it is
-     * SIGKILLed as wedged (overrides pool.sandbox's value). */
-    double wedge_grace_seconds = 5.0;
-    /** Supervisor scan period. */
-    double supervisor_period_ms = 25.0;
     /** Per-job cost estimate behind retry_after hints. */
     double estimated_job_ms = 50.0;
-    /** Worker-pool tuning (sandbox jails, breaker thresholds);
-     * workers, observer and the wedge grace are filled from this
-     * config. See docs/service.md, "Process isolation". */
+    /** Worker-pool tuning (sandbox jails and wedge grace, breaker
+     * thresholds); the pool gets its worker count and observer from
+     * this config. See docs/service.md, "Process isolation". */
     WorkerPoolConfig pool;
     /** Verdict-store shape; dir empty = in-memory only. */
     guard::VerdictStoreConfig store;
@@ -132,7 +127,7 @@ struct JobOutcome
     std::string artifact;
 };
 
-/** Aggregate scheduler counters (also mirrored to obs metrics). */
+/** Aggregate scheduler counters (the `stats` verb's "scheduler"). */
 struct SchedulerStats
 {
     std::size_t accepted = 0;
@@ -158,25 +153,17 @@ class Scheduler
     Scheduler(const Scheduler&) = delete;
     Scheduler& operator=(const Scheduler&) = delete;
 
-    /** Fork the worker pool, boot lanes and supervisor; loads the
+    /** Fork the worker pool and boot the lanes; loads the
      * verdict store when a persistence dir is configured (corrupt
      * shards are skipped and counted, never fatal). */
     Result<bool> start();
 
     /**
-     * Graceful shutdown: shed new submissions, stop running jobs (each
-     * child unwinds or is killed past the wedge grace), join lanes and
-     * supervisor, shut the pool down. Safe to call twice.
+     * Shutdown: shed new submissions, stop running jobs (each child
+     * unwinds or is killed past the wedge grace), join the lanes, shut
+     * the pool down. Safe to call twice.
      */
     void stop();
-
-    /**
-     * Abrupt shutdown for crash drills: like stop() but never
-     * persists anything beyond what store() already committed
-     * write-through. What this loses is exactly what SIGKILL loses —
-     * nothing (the crash-recovery tests pin that down).
-     */
-    void kill();
 
     /**
      * Submit one job and wait for its outcome. @p client is the
@@ -185,6 +172,8 @@ class Scheduler
      * polled while waiting — when it returns true (client
      * disconnected) the job's token is stopped and the wait continues
      * until the child answers (or is killed past the wedge grace).
+     * While the job is still queued, the wait answers it "cancelled"
+     * as soon as its token fires.
      * @p job_id is the correlation id; empty mints
      * "job-<serial>" at admission. The outcome echoes it either way.
      */
@@ -204,8 +193,8 @@ class Scheduler
 
     /**
      * Liveness summary (the `health` verb): configured vs alive
-     * worker lanes, queue depth/capacity, supervisor heartbeat age,
-     * whether submissions are accepted, and the worker pool.
+     * worker lanes, queue depth/capacity, whether submissions are
+     * accepted, and the worker pool.
      */
     obs::json::Value healthJson() const;
 
@@ -249,9 +238,11 @@ class Scheduler
     using JobPtr = std::shared_ptr<Job>;
 
     void workerLoop();
-    void supervisorLoop();
-    /** Complete @p job exactly once (lane, supervisor or shutdown —
-     * first wins); returns whether this call won. Takes the scheduler
+    /** Answer @p job "cancelled" because its token fired before a
+     * worker took it. Caller holds the scheduler lock. */
+    void expireLocked(const JobPtr& job);
+    /** Complete @p job exactly once (lane, waiter or shutdown — first
+     * wins); returns whether this call won. Takes the scheduler
      * lock. */
     bool completeJob(const JobPtr& job, JobOutcome outcome);
     /** completeJob with the scheduler lock already held. */
@@ -268,15 +259,12 @@ class Scheduler
     std::deque<JobPtr> queue_;
     std::vector<JobPtr> running_;
     std::vector<std::thread> workers_;
-    std::thread supervisor_;
     std::uint64_t next_serial_ = 1;
     bool started_ = false;
     bool stopping_ = false;
     SchedulerStats stats_;
     /** Worker lanes currently inside workerLoop (health verb). */
     std::size_t workers_alive_ = 0;
-    std::chrono::steady_clock::time_point supervisor_heartbeat_{};
-    bool supervisor_seen_ = false;
 };
 
 }  // namespace graphiti::served

@@ -28,13 +28,15 @@ WorkerPoolStats::toJson() const
     return out;
 }
 
-WorkerPool::WorkerPool(WorkerPoolConfig config, StoreHooks hooks)
-    : config_(std::move(config)), hooks_(std::move(hooks))
+WorkerPool::WorkerPool(std::size_t workers, WorkerPoolConfig config,
+                       StoreHooks hooks,
+                       std::shared_ptr<ServiceObserver> observer)
+    : workers_(std::max<std::size_t>(workers, 1)),
+      config_(std::move(config)),
+      hooks_(std::move(hooks)),
+      observer_(observer ? std::move(observer)
+                         : std::make_shared<ServiceObserver>())
 {
-    if (config_.workers == 0)
-        config_.workers = 1;
-    if (!config_.observer)
-        config_.observer = std::make_shared<ServiceObserver>();
 }
 
 WorkerPool::~WorkerPool() { stop(); }
@@ -56,13 +58,9 @@ WorkerPool::spawnSlotLocked(Slot& slot, bool is_respawn)
     spawned_ += 1;
     if (is_respawn)
         respawned_ += 1;
-    config_.observer->scope().metrics().add(
-        is_respawn ? "served.worker.respawned" : "served.worker.spawned",
-        1);
-    config_.observer->event(obs::LogLevel::Info, "",
-                            is_respawn ? "worker.respawn"
-                                       : "worker.spawn",
-                            "pid", slot.worker->pid());
+    observer_->event(obs::LogLevel::Info, "",
+                     is_respawn ? "worker.respawn" : "worker.spawn",
+                     "pid", slot.worker->pid());
     return true;
 }
 
@@ -81,11 +79,8 @@ WorkerPool::recordDeathLocked(const std::string& cls,
                       config_.breaker_window_seconds));
     while (!deaths_.empty() && deaths_.front() < horizon)
         deaths_.pop_front();
-    ServiceObserver& observer = *config_.observer;
-    observer.scope().metrics().add("served.worker.crashes", 1);
-    observer.scope().metrics().add("served.worker.crashes." + cls, 1);
-    observer.event(obs::LogLevel::Warn, job_id, "worker.crash", "class",
-                   cls, "window_deaths", deaths_.size());
+    observer_->event(obs::LogLevel::Warn, job_id, "worker.crash", "class",
+                     cls, "window_deaths", deaths_.size());
 
     if (deaths_.size() < config_.breaker_deaths)
         return;
@@ -107,9 +102,8 @@ WorkerPool::recordDeathLocked(const std::string& cls,
                       cooldown_ms));
     breaker_armed_ = true;
     deaths_.clear();
-    observer.scope().metrics().add("served.worker.breaker_trips", 1);
-    observer.event(obs::LogLevel::Error, "", "worker.breaker",
-                   "cooldown_ms", cooldown_ms, "trip", breaker_trips_);
+    observer_->event(obs::LogLevel::Error, "", "worker.breaker",
+                     "cooldown_ms", cooldown_ms, "trip", breaker_trips_);
 }
 
 double
@@ -129,7 +123,7 @@ WorkerPool::start()
     std::lock_guard<std::mutex> lock(mutex_);
     if (started_)
         return err("worker pool already started");
-    slots_.resize(config_.workers);
+    slots_.resize(workers_);
     for (Slot& slot : slots_) {
         Result<bool> ok = spawnSlotLocked(slot, false);
         if (!ok.ok())
@@ -264,7 +258,7 @@ WorkerPool::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     WorkerPoolStats out;
-    out.configured = config_.workers;
+    out.configured = workers_;
     for (const Slot& slot : slots_) {
         if (slot.worker != nullptr && slot.worker->alive())
             out.live += 1;

@@ -42,8 +42,6 @@ namespace graphiti::served {
 /** Pool shape. */
 struct WorkerPoolConfig
 {
-    /** Warm sandboxed children (and dispatch concurrency). */
-    std::size_t workers = 2;
     /** Shared sandbox tuning (jails, heartbeats, crash plan seam). */
     SandboxConfig sandbox;
     /** Worker deaths inside the window that trip the breaker. */
@@ -53,9 +51,6 @@ struct WorkerPoolConfig
     /** Cooldown shape: base doubles per consecutive trip up to cap
      * (max_attempts is unused here — the breaker never gives up). */
     BackoffPolicy breaker_backoff{8, 250.0, 10000.0};
-    /** Journal events (worker spawn/respawn/crash/breaker) and pool
-     * counters; null = the pool makes its own. */
-    std::shared_ptr<ServiceObserver> observer;
 };
 
 /** Pool counters (stats/health). */
@@ -81,7 +76,12 @@ struct WorkerPoolStats
 class WorkerPool
 {
   public:
-    WorkerPool(WorkerPoolConfig config, StoreHooks hooks);
+    /** @p workers warm children (0 = 1); @p observer receives the
+     * worker spawn/respawn/crash/breaker journal events (null = the
+     * pool makes its own). */
+    WorkerPool(std::size_t workers, WorkerPoolConfig config,
+               StoreHooks hooks,
+               std::shared_ptr<ServiceObserver> observer = nullptr);
     ~WorkerPool();
 
     WorkerPool(const WorkerPool&) = delete;
@@ -134,8 +134,10 @@ class WorkerPool
     double breakerRemainingMsLocked(
         std::chrono::steady_clock::time_point now) const;
 
+    std::size_t workers_;
     WorkerPoolConfig config_;
     StoreHooks hooks_;
+    std::shared_ptr<ServiceObserver> observer_;
 
     mutable std::mutex mutex_;
     std::condition_variable slot_free_;

@@ -5,8 +5,9 @@
  * @file
  * Deterministic pseudo-random generator (splitmix64).
  *
- * Used by the trace-inclusion tester and workload generators. We avoid
- * std::mt19937 so test results are reproducible across standard-library
+ * Used by the trace-inclusion tester, workload generators and the
+ * fault plans' coordinate draws (drawAt). We avoid std::mt19937 so
+ * test results are reproducible across standard-library
  * implementations.
  */
 
@@ -62,6 +63,22 @@ class Rng
   private:
     std::uint64_t state_;
 };
+
+/**
+ * One stateless draw: a fresh splitmix64 stream for the coordinate
+ * (@p a, @p b) of plan @p seed, kept apart from other plan families
+ * by @p salt. The multipliers decorrelate neighbouring coordinates
+ * before the splitmix finalizer scrambles them. Fault, crash and
+ * connection plans draw their schedules here, and their determinism
+ * tests pin the exact streams.
+ */
+inline Rng
+drawAt(std::uint64_t seed, std::uint64_t salt, std::uint64_t a,
+       std::uint64_t b)
+{
+    return Rng(seed ^ (salt * 0x9e3779b97f4a7c15ULL) ^
+               (a * 0xc2b2ae3d27d4eb4fULL) ^ (b * 0x165667b19e3779f9ULL));
+}
 
 }  // namespace graphiti
 

@@ -1,9 +1,7 @@
 #include "support/socket.hpp"
 
-#include <arpa/inet.h>
 #include <cerrno>
 #include <cstring>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -70,40 +68,6 @@ listenUnix(const std::string& path, int backlog)
 }
 
 Result<Socket>
-listenTcp(std::uint16_t port, int backlog)
-{
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return err(errnoText("socket(AF_INET)"));
-    Socket sock(fd);
-    int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr),
-               sizeof(addr)) != 0)
-        return err(errnoText("bind tcp"));
-    if (::listen(fd, backlog) != 0)
-        return err(errnoText("listen"));
-    return sock;
-}
-
-Result<std::uint16_t>
-boundPort(const Socket& listener)
-{
-    struct sockaddr_in addr;
-    socklen_t len = sizeof(addr);
-    if (::getsockname(listener.fd(),
-                      reinterpret_cast<struct sockaddr*>(&addr),
-                      &len) != 0)
-        return err(errnoText("getsockname"));
-    return ntohs(addr.sin_port);
-}
-
-Result<Socket>
 connectUnix(const std::string& path)
 {
     struct sockaddr_un addr;
@@ -119,24 +83,6 @@ connectUnix(const std::string& path)
     if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
                   sizeof(addr)) != 0)
         return err(errnoText(("connect " + path).c_str()));
-    return sock;
-}
-
-Result<Socket>
-connectTcp(std::uint16_t port)
-{
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return err(errnoText("socket(AF_INET)"));
-    Socket sock(fd);
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                  sizeof(addr)) != 0)
-        return err(errnoText("connect tcp"));
     return sock;
 }
 

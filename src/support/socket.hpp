@@ -4,9 +4,8 @@
 /**
  * @file
  * Thin RAII wrappers over POSIX sockets for the compile service
- * (docs/service.md): unix-domain listeners for the local daemon, an
- * optional loopback TCP listener, and blocking-with-timeout reads and
- * writes that never raise SIGPIPE.
+ * (docs/service.md): unix-domain listeners for the local daemon and
+ * blocking-with-timeout reads and writes that never raise SIGPIPE.
  *
  * These are deliberately minimal — no event loop, no buffering; the
  * served framing layer (served/protocol.hpp) does its own length
@@ -14,7 +13,6 @@
  * values, never exceptions, matching the rest of the codebase.
  */
 
-#include <cstdint>
 #include <string>
 
 #include "support/result.hpp"
@@ -68,17 +66,8 @@ class Socket
 /** Listen on a unix-domain socket at @p path (unlinks a stale file). */
 Result<Socket> listenUnix(const std::string& path, int backlog = 64);
 
-/** Listen on loopback TCP port @p port (0 picks an ephemeral port). */
-Result<Socket> listenTcp(std::uint16_t port, int backlog = 64);
-
-/** The port a TCP listener actually bound (for port = 0). */
-Result<std::uint16_t> boundPort(const Socket& listener);
-
 /** Connect to a unix-domain socket. */
 Result<Socket> connectUnix(const std::string& path);
-
-/** Connect to loopback TCP @p port. */
-Result<Socket> connectTcp(std::uint16_t port);
 
 /**
  * Accept one connection, waiting at most @p timeout_ms (-1 = forever).

@@ -28,7 +28,11 @@
  *   - CrashPlan: deterministic per-(job, site) draws, parse/render
  *     round-trip;
  *   - disconnect reap: a vanished client's job is stopped, and a child
- *     that ignores the stop is killed at the grace, freeing the lane.
+ *     that ignores the stop is killed at the grace, freeing the lane;
+ *   - queued expiry: a queued job whose deadline fires is answered
+ *     "cancelled" while every lane is busy, and never reaches a worker;
+ *   - store proxy: a child's store frame key is read only in the exact
+ *     decimal spelling the child writes.
  */
 
 #include <gtest/gtest.h>
@@ -200,6 +204,29 @@ TEST(SandboxExitClass, ClassifiesRealChildExits)
         waitStatusOf([] { ::raise(SIGKILL); }), KillContext::Wedge,
         limits);
     EXPECT_EQ(wedged.cls, ExitClass::Wedged);
+}
+
+TEST(SandboxStoreProxy, FrameKeysAreReadExactlyOrNotAtAll)
+{
+    auto frame = [](const obs::json::Value& key) {
+        obs::json::Value out{obs::json::Object{}};
+        out.set("op", "store_put");
+        out.set("key", key);
+        return out;
+    };
+    EXPECT_EQ(served::storeFrameKey(frame("12")), 12u);
+    EXPECT_EQ(served::storeFrameKey(frame("0")), 0u);
+    EXPECT_EQ(served::storeFrameKey(frame("18446744073709551615")),
+              18446744073709551615ULL);
+    // Anything but the child's own spelling is no key at all, never a
+    // put under (or a get of) 0 or a numeric prefix.
+    for (const char* bad : {"", "12abc", "-12", "+12", " 12", "012",
+                            "1e3", "18446744073709551616"})
+        EXPECT_FALSE(served::storeFrameKey(frame(bad)).has_value()) << bad;
+    EXPECT_FALSE(served::storeFrameKey(frame(12)).has_value());
+    obs::json::Value keyless{obs::json::Object{}};
+    keyless.set("op", "store_get");
+    EXPECT_FALSE(served::storeFrameKey(keyless).has_value());
 }
 
 TEST(SandboxLimits, DeriveFromVerificationBudget)
@@ -406,13 +433,12 @@ TEST(SandboxWorker, HeartbeatSilentChildIsKilledAndReportedWedged)
 TEST(SandboxWorker, ChildIgnoringStopIsKilledAfterTheGrace)
 {
     WorkerPoolConfig config;
-    config.workers = 1;
     config.sandbox = fastSandbox();
     // Only "gone" jobs spin, without a control loop: the forwarded
     // stop is never read.
     config.sandbox.crash_plan = "seed=1,kill=gone:busy";
     config.sandbox.wedge_grace_seconds = 0.5;
-    WorkerPool pool(config, StoreHooks{});
+    WorkerPool pool(1, config, StoreHooks{});
     ASSERT_TRUE(pool.start().ok());
 
     StopToken stop = StopToken::manual();
@@ -463,11 +489,10 @@ TEST(SandboxWorker, ChildIgnoringStopIsKilledAfterTheGrace)
 TEST(SandboxPool, RespawnsCrashedWorkersAndCountsByClass)
 {
     WorkerPoolConfig config;
-    config.workers = 1;
     config.sandbox = fastSandbox();
     config.sandbox.crash_plan = "seed=1,kill=doom:segv";
     config.breaker_deaths = 100;  // never trips in this test
-    WorkerPool pool(config, StoreHooks{});
+    WorkerPool pool(1, config, StoreHooks{});
     ASSERT_TRUE(pool.start().ok());
 
     StopToken stop = StopToken::manual();
@@ -493,13 +518,12 @@ TEST(SandboxPool, RespawnsCrashedWorkersAndCountsByClass)
 TEST(SandboxPool, BreakerTripsOnCrashLoopAndRecovers)
 {
     WorkerPoolConfig config;
-    config.workers = 1;
     config.sandbox = fastSandbox();
     config.sandbox.crash_plan = "seed=1,kill=doom:segv";
     config.breaker_deaths = 2;
     config.breaker_window_seconds = 30.0;
     config.breaker_backoff = {8, 100.0, 400.0};  // fast cooldown
-    WorkerPool pool(config, StoreHooks{});
+    WorkerPool pool(1, config, StoreHooks{});
     ASSERT_TRUE(pool.start().ok());
 
     StopToken stop = StopToken::manual();
@@ -533,11 +557,10 @@ TEST(SandboxPool, BreakerTripsOnCrashLoopAndRecovers)
 TEST(SandboxPool, StoppedJobsNeverTripTheBreaker)
 {
     WorkerPoolConfig config;
-    config.workers = 1;
     config.sandbox = fastSandbox();
     config.breaker_deaths = 5;
     config.breaker_window_seconds = 30.0;
-    WorkerPool pool(config, StoreHooks{});
+    WorkerPool pool(1, config, StoreHooks{});
     ASSERT_TRUE(pool.start().ok());
 
     obs::Scope scope;
@@ -610,7 +633,7 @@ TEST(SandboxScheduler, DisconnectReapsTheWorkerAndFreesTheLane)
     // grace kill after the disconnect can free the lane within the
     // assert window.
     config.pool.sandbox.crash_plan = "seed=1,kill=gone:busy";
-    config.wedge_grace_seconds = 0.5;
+    config.pool.sandbox.wedge_grace_seconds = 0.5;
     served::Scheduler scheduler(config);
     ASSERT_TRUE(scheduler.start().ok());
 
@@ -626,6 +649,42 @@ TEST(SandboxScheduler, DisconnectReapsTheWorkerAndFreesTheLane)
         scheduler.submitAndWait("t", pingSpec());
     EXPECT_EQ(healthy.status, "ok") << healthy.error;
     scheduler.stop();
+}
+
+TEST(SandboxScheduler, QueuedJobExpiresWhileItsLaneIsBusy)
+{
+    served::SchedulerConfig config = laneConfig(1);
+    // "busy" jobs spin deaf and heartbeat-silent: only the wedge grace
+    // ends one, long after the queued job below has been answered.
+    config.pool.sandbox.crash_plan = "seed=1,kill=busy:busy";
+    config.pool.sandbox.wedge_grace_seconds = 2.0;
+    served::Scheduler scheduler(config);
+    ASSERT_TRUE(scheduler.start().ok());
+
+    std::thread occupant([&] {
+        scheduler.submitAndWait("t", pingSpec(), 0.0, {}, "busy-1");
+    });
+    auto begun = std::chrono::steady_clock::now();
+    while (scheduler.workerPool().stats().busy == 0 &&
+           msSince(begun) < 5000.0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_EQ(scheduler.workerPool().stats().busy, 1u);
+    std::size_t spawned = scheduler.workerPool().stats().spawned;
+    std::size_t cancelled = scheduler.stats().cancelled;
+
+    // The lane is taken, so the job waits in the queue; its deadline
+    // has passed before anyone looks, and its own waiter answers it.
+    auto submitted = std::chrono::steady_clock::now();
+    served::JobOutcome expired =
+        scheduler.submitAndWait("t", pingSpec(), 1e-9);
+    EXPECT_LT(msSince(submitted), 100.0);
+    EXPECT_EQ(expired.status, "cancelled") << expired.error;
+    EXPECT_EQ(scheduler.stats().cancelled, cancelled + 1);
+    served::WorkerPoolStats pool = scheduler.workerPool().stats();
+    EXPECT_EQ(pool.busy, 1u) << "the busy job should still hold the lane";
+    EXPECT_EQ(pool.spawned, spawned);
+    scheduler.stop();
+    occupant.join();
 }
 
 TEST(SandboxScheduler, ChildProgressMirrorsIntoTheServiceScope)

@@ -153,6 +153,25 @@ TEST(Strings, StartsWith)
     EXPECT_FALSE(startsWith("op", "operator"));
 }
 
+TEST(Strings, ParseNumberTakesWholeUnsignedDecimalsOnly)
+{
+    EXPECT_EQ(parseNumber<std::size_t>("0"), 0u);
+    EXPECT_EQ(parseNumber<std::size_t>("8"), 8u);
+    EXPECT_EQ(parseNumber<std::uint64_t>("18446744073709551615"),
+              18446744073709551615ULL);
+    EXPECT_EQ(parseNumber<double>("0.5"), 0.5);
+    EXPECT_EQ(parseNumber<double>("1e-9"), 1e-9);
+    EXPECT_EQ(parseNumber<double>("3"), 3.0);
+    // A negative count would wrap to SIZE_MAX, "two" and "2x" would
+    // read as 0 and 2 under atoi: every one of them is refused.
+    for (const char* bad : {"", "-1", "+1", " 1", "1 ", "two", "2x",
+                            "0x10", "18446744073709551616"})
+        EXPECT_FALSE(parseNumber<std::size_t>(bad).has_value()) << bad;
+    for (const char* bad : {"", "-0.5", "+1", "x", "1.5s", "inf", "nan",
+                            "1e999"})
+        EXPECT_FALSE(parseNumber<double>(bad).has_value()) << bad;
+}
+
 TEST(Rng, Deterministic)
 {
     Rng a(42), b(42);

@@ -21,32 +21,33 @@
  * the job leaves the live table.
  *
  * Usage:
- *     graphiti-client --socket PATH [--tcp PORT] KIND
+ *     graphiti-client --socket PATH KIND
  *                     [--dot FILE | --benchmark NAME]
  *                     [--deadline S] [--attempts N]
  *                     [--max-states N] [--partial-states N]
  *                     [--input-budget N] [--trace-walks N]
- *     graphiti-client --socket PATH [--tcp PORT]
- *                     --stats | --jobs | --health
+ *     graphiti-client --socket PATH --stats | --jobs | --health
  *                     [--watch [--interval S]]
- *     graphiti-client --socket PATH [--tcp PORT]
- *                     --watch-job ID [--interval S]
+ *     graphiti-client --socket PATH --watch-job ID [--interval S]
  *
- * Exit status: 0 on an ok response, 1 on an error/cancelled response,
- * 2 on usage errors, 3 when every attempt failed at the transport.
+ * Numeric flags take unsigned decimals only; anything else is a usage
+ * error. Exit status: 0 on an ok response, 1 on an error/cancelled
+ * response, 2 on usage errors, 3 when every attempt failed at the
+ * transport.
  */
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "bench_circuits/benchmarks.hpp"
 #include "dot/dot.hpp"
 #include "served/client.hpp"
+#include "support/strings.hpp"
 
 namespace {
 
@@ -55,11 +56,10 @@ usage(const char* argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s --socket PATH [--tcp PORT] KIND\n"
+        "usage: %s --socket PATH KIND\n"
         "          [--dot FILE | --benchmark NAME] [--deadline S]\n"
         "          [--attempts N]\n"
-        "       %s --socket PATH [--tcp PORT]\n"
-        "          --stats | --jobs | --health\n"
+        "       %s --socket PATH --stats | --jobs | --health\n"
         "          [--watch [--interval S]] | --watch-job ID\n"
         "  KIND             ping | compile | verify | validate\n"
         "                   | stats | jobs | health\n"
@@ -111,6 +111,16 @@ main(int argc, char** argv)
         auto value = [&]() -> const char* {
             return ++i < argc ? argv[i] : nullptr;
         };
+        auto number = [&](auto& out) {
+            const char* v = value();
+            if (v == nullptr)
+                return false;
+            auto parsed =
+                parseNumber<std::remove_reference_t<decltype(out)>>(v);
+            if (parsed.has_value())
+                out = *parsed;
+            return parsed.has_value();
+        };
         if (arg == "--help" || arg == "-h") {
             return usage(argv[0]);
         } else if (arg == "--socket") {
@@ -118,11 +128,6 @@ main(int argc, char** argv)
             if (v == nullptr)
                 return usage(argv[0]);
             config.socket_path = v;
-        } else if (arg == "--tcp") {
-            const char* v = value();
-            if (v == nullptr)
-                return usage(argv[0]);
-            config.tcp_port = std::atoi(v);
         } else if (arg == "--dot") {
             const char* v = value();
             if (v == nullptr)
@@ -134,16 +139,11 @@ main(int argc, char** argv)
                 return usage(argv[0]);
             benchmark = v;
         } else if (arg == "--deadline") {
-            const char* v = value();
-            if (v == nullptr)
+            if (!number(deadline_seconds))
                 return usage(argv[0]);
-            deadline_seconds = std::atof(v);
         } else if (arg == "--attempts") {
-            const char* v = value();
-            if (v == nullptr)
+            if (!number(config.backoff.max_attempts))
                 return usage(argv[0]);
-            config.backoff.max_attempts =
-                static_cast<std::size_t>(std::atoi(v));
         } else if (arg == "--stats" || arg == "--jobs" ||
                    arg == "--health") {
             kind = arg.substr(2);
@@ -160,24 +160,17 @@ main(int argc, char** argv)
         } else if (arg == "--watch") {
             watch = true;
         } else if (arg == "--interval") {
-            const char* v = value();
-            if (v == nullptr)
+            if (!number(interval_seconds))
                 return usage(argv[0]);
-            interval_seconds = std::atof(v);
         } else if (arg == "--max-states" || arg == "--partial-states" ||
                    arg == "--input-budget" || arg == "--trace-walks") {
-            const char* v = value();
-            if (v == nullptr)
+            std::size_t& field =
+                arg == "--max-states"       ? budget.max_states
+                : arg == "--partial-states" ? budget.partial_max_states
+                : arg == "--input-budget"   ? budget.input_budget
+                                            : budget.trace_walks;
+            if (!number(field))
                 return usage(argv[0]);
-            std::size_t n = static_cast<std::size_t>(std::atoll(v));
-            if (arg == "--max-states")
-                budget.max_states = n;
-            else if (arg == "--partial-states")
-                budget.partial_max_states = n;
-            else if (arg == "--input-budget")
-                budget.input_budget = n;
-            else
-                budget.trace_walks = n;
             budget_set = true;
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
@@ -191,7 +184,7 @@ main(int argc, char** argv)
     if (watch && kind.empty())
         kind = "stats";
     if ((kind.empty() && watch_job_id.empty()) ||
-        (config.socket_path.empty() && config.tcp_port < 0))
+        config.socket_path.empty())
         return usage(argv[0]);
     if (watch && !isIntrospectionKind(kind)) {
         std::fprintf(stderr,

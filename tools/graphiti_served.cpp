@@ -2,10 +2,9 @@
  * @file
  * graphiti-served: the long-running compile service (docs/service.md).
  *
- * Boots a Daemon on a unix-domain socket (and optionally loopback
- * TCP), serving compile / validate / verify / profile jobs with
- * admission control, per-job deadlines, fair-share preemption and a
- * crash-safe verdict store. Runs until SIGINT/SIGTERM; `--store DIR`
+ * Boots a Daemon on a unix-domain socket, serving compile / validate /
+ * verify / profile jobs with admission control, per-job deadlines,
+ * fair-share preemption and a crash-safe verdict store. Runs until SIGINT/SIGTERM; `--store DIR`
  * makes committed verdicts survive restarts — including kill -9.
  *
  * Observability (docs/service_observability.md): `--flight PATH`
@@ -23,24 +22,25 @@
  * never dies with a job.
  *
  * Usage:
- *     graphiti-served --socket PATH [--tcp PORT] [--workers N]
- *                     [--queue N] [--store DIR]
- *                     [--max-deadline S] [--wedge-grace S]
+ *     graphiti-served --socket PATH [--workers N] [--queue N]
+ *                     [--store DIR] [--max-deadline S] [--wedge-grace S]
  *                     [--flight PATH] [--log PATH]
  *                     [--trace PATH]
  *
- * Exit status: 0 on clean shutdown, 2 on usage/startup errors.
+ * Numeric flags take unsigned decimals only; anything else is a usage
+ * error. Exit status: 0 on clean shutdown, 2 on usage/startup errors.
  */
 
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "served/daemon.hpp"
+#include "support/strings.hpp"
 
 namespace {
 
@@ -64,12 +64,11 @@ usage(const char* argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s --socket PATH [--tcp PORT] [--workers N] [--queue N]\n"
+        "usage: %s --socket PATH [--workers N] [--queue N]\n"
         "          [--store DIR] [--max-deadline S]\n"
         "          [--wedge-grace S] [--flight PATH] [--log PATH]\n"
         "          [--trace PATH]\n"
         "  --socket PATH    unix-domain socket to listen on (required)\n"
-        "  --tcp PORT       also listen on loopback TCP (0 = ephemeral)\n"
         "  --workers N      sandboxed worker processes running jobs\n"
         "                   (default 2; crash containment + jails)\n"
         "  --queue N        waiting jobs before shedding (default 8)\n"
@@ -102,6 +101,16 @@ main(int argc, char** argv)
         auto value = [&]() -> const char* {
             return ++i < argc ? argv[i] : nullptr;
         };
+        auto number = [&](auto& out) {
+            const char* v = value();
+            if (v == nullptr)
+                return false;
+            auto parsed =
+                parseNumber<std::remove_reference_t<decltype(out)>>(v);
+            if (parsed.has_value())
+                out = *parsed;
+            return parsed.has_value();
+        };
         if (arg == "--help" || arg == "-h") {
             return usage(argv[0]);
         } else if (arg == "--socket") {
@@ -109,38 +118,23 @@ main(int argc, char** argv)
             if (v == nullptr)
                 return usage(argv[0]);
             config.socket_path = v;
-        } else if (arg == "--tcp") {
-            const char* v = value();
-            if (v == nullptr)
-                return usage(argv[0]);
-            config.tcp_port = std::atoi(v);
         } else if (arg == "--workers") {
-            const char* v = value();
-            if (v == nullptr)
+            if (!number(config.scheduler.workers))
                 return usage(argv[0]);
-            config.scheduler.workers =
-                static_cast<std::size_t>(std::atoi(v));
         } else if (arg == "--queue") {
-            const char* v = value();
-            if (v == nullptr)
+            if (!number(config.scheduler.queue_capacity))
                 return usage(argv[0]);
-            config.scheduler.queue_capacity =
-                static_cast<std::size_t>(std::atoi(v));
         } else if (arg == "--store") {
             const char* v = value();
             if (v == nullptr)
                 return usage(argv[0]);
             config.scheduler.store.dir = v;
         } else if (arg == "--max-deadline") {
-            const char* v = value();
-            if (v == nullptr)
+            if (!number(config.scheduler.max_deadline_seconds))
                 return usage(argv[0]);
-            config.scheduler.max_deadline_seconds = std::atof(v);
         } else if (arg == "--wedge-grace") {
-            const char* v = value();
-            if (v == nullptr)
+            if (!number(config.scheduler.pool.sandbox.wedge_grace_seconds))
                 return usage(argv[0]);
-            config.scheduler.wedge_grace_seconds = std::atof(v);
         } else if (arg == "--flight") {
             const char* v = value();
             if (v == nullptr)
@@ -198,11 +192,8 @@ main(int argc, char** argv)
     std::signal(SIGTERM, onSignal);
     std::signal(SIGUSR1, onDumpSignal);
 
-    std::printf("graphiti-served: listening on %s",
+    std::printf("graphiti-served: listening on %s\n",
                 config.socket_path.c_str());
-    if (config.tcp_port >= 0)
-        std::printf(" and tcp:%u", daemon.tcpPort());
-    std::printf("\n");
     std::fflush(stdout);
 
     while (!g_stop.load()) {
